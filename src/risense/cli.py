@@ -87,14 +87,17 @@ def _emit(rows, args) -> None:
 def cmd_threshold(args) -> int:
     if args.config:
         cfg = _scenario(args).detector()
-        n = args.N or cfg.n_antennas
-        t = args.T or cfg.n_samples
-        alpha = args.alpha or cfg.alpha
+        n = cfg.n_antennas if args.N is None else args.N
+        t = cfg.n_samples if args.T is None else args.T
+        alpha = cfg.alpha if args.alpha is None else args.alpha
     else:
         if args.N is None or args.T is None:
             raise ConfigError("threshold needs --config or both -N and -T")
         n, t, alpha = args.N, args.T, args.alpha if args.alpha is not None else 0.1
-    cfg = sns.DetectorConfig(n_antennas=n, n_samples=t, alpha=alpha)
+    try:
+        cfg = sns.DetectorConfig(n_antennas=n, n_samples=t, alpha=alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"gamma_th = {sns.detection_threshold(cfg):.9g}  (N={n}, T={t}, alpha={alpha})")
     return 0
 
@@ -125,8 +128,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _scenario(args)
-    h1 = hns.run_detection_mc(sc, hypothesis="h1")
-    h0 = hns.run_detection_mc(sc, hypothesis="h0")
+    h1, h0 = hns.run_hypotheses_mc(sc, ("h1", "h0"))
     row = hns.ResultRow(experiment="simulate", method=sc.method, pd_emp=h1.rate,
                         pfa_emp=h0.rate, pd_pred=h1.mean_pd_pred, eta=h1.mean_eta,
                         trials=sc.trials, seed=sc.seed)

@@ -4,7 +4,9 @@ A scenario file is a YAML document with nested sections (documented in the
 README and the shipped configs). Powers are written in dBm and converted to
 Watts on load; everything downstream works in SI units. All experiments are
 deterministic given (config, seed): trials draw from per-trial substreams,
-so results do not depend on execution order.
+so results do not depend on execution order. A trial's H0 and H1 decisions
+share its channels, its coefficients and its noise-plus-interference draw
+(common random numbers); H1 adds the primary's term to that draw.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class ScenarioConfig:
             problems.append("array dimensions must be >= 1")
         if self.t_samples < 1:
             problems.append("t_samples must be >= 1")
-        if not 0 < self.alpha < 1:
-            problems.append("alpha must lie in (0, 1)")
+        if not sns.alpha_supported(self.alpha):
+            problems.append("alpha must lie in (0, 1) with its threshold quantile tabulated")
         if not 0 < self.pd_target < 1:
             problems.append("pd_target must lie in (0, 1)")
         if self.trials < 1:
@@ -186,11 +188,22 @@ def load_scenario(path: str) -> ScenarioConfig:
     su = tuple(float(v) for v in _take(geo, "su", (500.0, 0.0)))
     annulus = _take(geo, "annulus", (50.0, 60.0))
     interferers = _take(geo, "interferers", 5)
-    if isinstance(interferers, int):
-        positions = chan.draw_interferer_positions(ris_pos, interferers,
-                                                   float(annulus[0]), float(annulus[1]), seed)
+    try:
+        r_in, r_out = (float(v) for v in annulus)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("geometry.annulus must be [r_in, r_out] in meters") from exc
+    if not 0 <= r_in <= r_out:
+        raise ConfigError(f"geometry.annulus needs 0 <= r_in <= r_out, got {list(annulus)}")
+    if isinstance(interferers, int) and not isinstance(interferers, bool) and interferers >= 0:
+        positions = chan.draw_interferer_positions(ris_pos, interferers, r_in, r_out, seed)
+    elif isinstance(interferers, list):
+        try:
+            positions = tuple((float(x), float(y)) for x, y in interferers)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("geometry.interferers positions must be [x, y] pairs") from exc
     else:
-        positions = tuple((float(x), float(y)) for x, y in interferers)
+        raise ConfigError("geometry.interferers must be a count >= 0 or a list of [x, y] "
+                          f"positions, got {interferers!r}")
     geometry = chan.Geometry(pu_pos=pu, ris_pos=ris_pos, su_pos=su, interferer_pos=positions)
     k = geometry.n_interferers
 
@@ -280,16 +293,21 @@ def _rcm_for_trial(sc: ScenarioConfig, channels: chan.ChannelSet) -> opt.Rcm:
                    a_max=np.inf, p_out_budget=None)
 
 
-def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
-                     hypothesis: str = "h1", trials: int | None = None,
-                     seed: int | None = None) -> McResult:
-    """Empirical exceedance rate of the detection pipeline.
+def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1", "h0"),
+                      rcm: opt.Rcm | None = None, trials: int | None = None,
+                      seed: int | None = None) -> tuple[McResult, ...]:
+    """Empirical exceedance rates of the detection pipeline, one per hypothesis.
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
-    optimize the reflecting coefficients, synthesize T snapshots under the
-    hypothesis, whiten with the analytic covariance and compare the largest
-    sample eigenvalue against the threshold.
+    optimize the reflecting coefficients, build the analytic covariance, its
+    whitening factor and the population excess, synthesize T snapshots,
+    whiten them and compare the largest sample eigenvalue against the
+    threshold. A trial's hypotheses share all of this (common random
+    numbers): H0 is scored on the noise-plus-interference draw, H1 on the
+    same array once the primary term is added in place.
     """
+    if not hypotheses or not set(hypotheses) <= {"h0", "h1"}:
+        raise ValueError("hypotheses must be 'h0' and/or 'h1'")
     trials = scenario.trials if trials is None else trials
     seed = scenario.seed if seed is None else seed
     cfg = scenario.detector()
@@ -298,25 +316,51 @@ def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
     fixed_channels = scenario.build_channels() if scenario.channel_model == "los" else None
     if rcm is None and fixed_channels is not None:
         rcm = _rcm_for_trial(scenario, fixed_channels)  # channels fixed, optimize once
-    hits = 0
+    score_h0, score_h1 = "h0" in hypotheses, "h1" in hypotheses
+    hits = {"h0": 0, "h1": 0}
     etas = np.empty(trials)
     pd_pred = np.empty(trials)
     for t in range(trials):
-        channels = fixed_channels if fixed_channels is not None \
-            else chan.sample_rayleigh_channelset(scenario, (seed, t))
-        rcm_t = rcm if rcm is not None else _rcm_for_trial(scenario, channels)
-        r = sns.noise_covariance(channels, rcm_t, sources, noise)
-        y = sns.sample_signals(channels, rcm_t, sources, noise, hypothesis,
-                               scenario.t_samples, (seed, t, 1))
-        lam = sns.max_eig_statistic(sns.whiten(y, r))
-        hits += lam > gamma_th
-        etas[t] = sns.population_eta(channels, rcm_t, sources, noise)
-        pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
-                                                       gamma_th=gamma_th, alpha=cfg.alpha))
-    rate = hits / trials
-    stderr = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
-    return McResult(rate=rate, stderr=stderr, trials=trials,
-                    mean_eta=float(etas.mean()), mean_pd_pred=float(pd_pred.mean()))
+        if fixed_channels is None or t == 0:  # fixed channels and coefficients: once
+            channels = fixed_channels if fixed_channels is not None \
+                else chan.sample_rayleigh_channelset(scenario, (seed, t))
+            rcm_t = rcm if rcm is not None else _rcm_for_trial(scenario, channels)
+            r = sns.noise_covariance(channels, rcm_t, sources, noise)
+            q_inv = sns.psd_sqrt_inverse(r)
+            h0 = sns.equivalent_channels(channels, np.asarray(rcm_t.phi, dtype=complex))[0]
+            etas[t] = sns.eta_from_covariance(r, h0, sources.p[0])
+            pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
+                                                           gamma_th=gamma_th, alpha=cfg.alpha))
+        else:
+            etas[t], pd_pred[t] = etas[0], pd_pred[0]
+        if score_h1:
+            y, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "both",
+                                       scenario.t_samples, (seed, t, 1))
+        else:
+            y, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "h0",
+                                       scenario.t_samples, (seed, t, 1)), None
+        if score_h0:
+            hits["h0"] += sns.max_eig_statistic(sns.whiten(y, q_inv=q_inv)) > gamma_th
+        if score_h1:
+            if s0 is not None:
+                y += np.outer(h0, s0)
+            hits["h1"] += sns.max_eig_statistic(sns.whiten(y, q_inv=q_inv)) > gamma_th
+        del y  # one snapshot array at a time: the next trial's draw replaces it
+    mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())
+    results = []
+    for h in hypotheses:
+        rate = hits[h] / trials
+        stderr = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
+        results.append(McResult(rate=rate, stderr=stderr, trials=trials,
+                                mean_eta=mean_eta, mean_pd_pred=mean_pd_pred))
+    return tuple(results)
+
+
+def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
+                     hypothesis: str = "h1", trials: int | None = None,
+                     seed: int | None = None) -> McResult:
+    """Empirical exceedance rate under one hypothesis (see run_hypotheses_mc)."""
+    return run_hypotheses_mc(scenario, (hypothesis,), rcm, trials, seed)[0]
 
 
 RESULT_COLUMNS = ("experiment", "sweep_name", "sweep_value", "method", "pd_emp",

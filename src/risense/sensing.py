@@ -65,6 +65,11 @@ class SourceModel:
         return self.p.size - 1
 
 
+def alpha_supported(alpha: float) -> bool:
+    """Whether alpha is a probability whose threshold quantile 1 - alpha is tabulated."""
+    return 0.0 < alpha < 1.0 and _tw2_table.CDF[0] <= 1.0 - alpha <= _tw2_table.CDF[-1]
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector shape: N antennas, T snapshots, target false-alarm alpha."""
@@ -76,8 +81,10 @@ class DetectorConfig:
     def __post_init__(self):
         if self.n_antennas < 1 or self.n_samples < 1:
             raise ValueError("n_antennas and n_samples must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        if not alpha_supported(self.alpha):
+            raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha inside the Tracy-Widom "
+                             f"table, i.e. in [{1 - _tw2_table.CDF[-1]:.3g}, "
+                             f"{1 - _tw2_table.CDF[0]:.12g}]; got {self.alpha}")
 
     @property
     def c(self) -> float:
@@ -146,9 +153,13 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
 
     Interferer activity is drawn once per interval; symbol and noise
     processes are i.i.d. across snapshots. Deterministic given the seed.
+    The primary's symbols are drawn last, so ``hypothesis="both"`` returns
+    the signal-free snapshots Y0 with the primary's symbol stream s0 (None
+    for a silent primary), and Y0 + outer(h_0, s0) is the "h1" draw bit for
+    bit.
     """
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError("hypothesis must be 'h0' or 'h1'")
+    if hypothesis not in ("h0", "h1", "both"):
+        raise ValueError("hypothesis must be 'h0', 'h1' or 'both'")
     phi = np.asarray(rcm.phi, dtype=complex)
     n, m = channels.n_antennas, channels.n_elements
     rng = substream(rng_seed, 0x51)
@@ -163,8 +174,13 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
     for k in range(1, len(h)):
         if active[k] and sources.p[k] > 0:
             y += np.outer(h[k], sample_cn(rng, sources.p[k], n_samples))
-    if hypothesis == "h1" and sources.p[0] > 0:
-        y += np.outer(h[0], sample_cn(rng, sources.p[0], n_samples))
+    s0 = None
+    if hypothesis != "h0" and sources.p[0] > 0:
+        s0 = sample_cn(rng, sources.p[0], n_samples)
+    if hypothesis == "both":
+        return y, s0
+    if s0 is not None:
+        y += np.outer(h[0], s0)
     return y
 
 
@@ -177,9 +193,13 @@ def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(lam)) @ u.conj().T
 
 
-def whiten(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Whiten snapshots with the PSD square root of r: X = Q^-1 Y."""
-    return psd_sqrt_inverse(r) @ y
+def whiten(y: np.ndarray, r: np.ndarray | None = None,
+           q_inv: np.ndarray | None = None) -> np.ndarray:
+    """Whiten snapshots with the PSD square root of r: X = Q^-1 Y.
+
+    Pass ``q_inv = psd_sqrt_inverse(r)`` instead of r to reuse the factor.
+    """
+    return (psd_sqrt_inverse(r) if q_inv is None else q_inv) @ y
 
 
 def max_eig_statistic(x: np.ndarray) -> float:
@@ -238,11 +258,16 @@ def population_eta(channels: ChannelSet, rcm, sources: SourceModel,
     """
     r = noise_covariance(channels, rcm, sources, noise)
     h0 = equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
+    return eta_from_covariance(r, h0, sources.p[0])
+
+
+def eta_from_covariance(r: np.ndarray, h0: np.ndarray, p0: float) -> float:
+    """eta = p_0 h_0^H R^-1 h_0 for a noise covariance R already built."""
     try:
         z = np.linalg.solve(r, h0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("noise covariance is singular") from exc
-    return float(sources.p[0] * np.real(h0.conj() @ z))
+    return float(p0 * np.real(h0.conj() @ z))
 
 
 def spiked_stats(eta: float, chi: float, n_antennas: int,

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own computational paths:
 the Tracy-Widom CDF is evaluated as an Airy-kernel Fredholm determinant, the
-largest eigenvalue via characteristic-polynomial roots, and optimizers are
-checked against exhaustive polar-grid searches.
+largest eigenvalue via characteristic-polynomial roots, optimizers are
+checked against exhaustive polar-grid searches, and the Monte Carlo harness
+against a plain per-hypothesis trial loop.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import airy
 
-from risense.channel import ChannelSet, LinkGains, LosFactors, steering_vector_ula
-from risense.sensing import NoiseModel, SourceModel
+from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
+                             steering_vector_ula)
+from risense.sensing import (NoiseModel, SourceModel, detection_threshold, max_eig_statistic,
+                             noise_covariance, population_eta, predicted_pd, sample_signals,
+                             spiked_stats, whiten)
 
 
 def tw2_cdf_fredholm(s: float, n: int = 100, span: float = 30.0) -> float:
@@ -181,3 +185,32 @@ def phase_grid_search(score, m: int, rounds: int = 6, nt: int = 24,
         centers = np.angle(best_phi)
         half *= 0.35
     return best_phi, sign * best_val
+
+
+def reference_detection_mc(scenario, hypothesis: str, rcm_for_trial) -> tuple[float, float, float]:
+    """(rate, mean eta, mean predicted Pd) of one hypothesis, one trial at a time.
+
+    Every trial starts from scratch: it draws its channels (LoS channels are
+    rebuilt), solves for its coefficients with ``rcm_for_trial(scenario,
+    channels)``, builds R, synthesizes the hypothesis' snapshots from
+    substream (seed, trial, 1), whitens them with R and compares the largest
+    eigenvalue with the threshold.
+    """
+    cfg = scenario.detector()
+    gamma = detection_threshold(cfg)
+    sources, noise = scenario.sources(), scenario.noise()
+    n = scenario.trials
+    hits = 0
+    etas, pds = np.empty(n), np.empty(n)
+    for t in range(n):
+        channels = scenario.build_channels() if scenario.channel_model == "los" \
+            else sample_rayleigh_channelset(scenario, (scenario.seed, t))
+        rcm = rcm_for_trial(scenario, channels)
+        r = noise_covariance(channels, rcm, sources, noise)
+        y = sample_signals(channels, rcm, sources, noise, hypothesis, scenario.t_samples,
+                           (scenario.seed, t, 1))
+        hits += max_eig_statistic(whiten(y, r)) > gamma
+        etas[t] = population_eta(channels, rcm, sources, noise)
+        pds[t] = predicted_pd(spiked_stats(etas[t], cfg.c, cfg.n_antennas,
+                                           gamma_th=gamma, alpha=cfg.alpha))
+    return hits / n, float(etas.mean()), float(pds.mean())

@@ -1,6 +1,8 @@
 import textwrap
 
-from risense import cli
+import pytest
+
+from risense import channel, cli, optimizer
 
 
 def write_config(tmp_path, body: str) -> str:
@@ -41,6 +43,11 @@ class TestThreshold:
     def test_missing_dims_is_config_error(self):
         assert cli.main(["threshold"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["1.5", "1e-15"])
+    def test_unsupported_alpha_is_config_error(self, capsys, alpha):
+        assert cli.main(["threshold", "-N", "64", "-T", "6400", "--alpha", alpha]) == 2
+        assert "configuration error: alpha" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_bad_config_file(self):
@@ -49,6 +56,11 @@ class TestExitCodes:
     def test_invalid_yaml_key(self, tmp_path):
         cfg = write_config(tmp_path, "detector: {bogus: 1}\n")
         assert cli.main(["simulate", "--config", cfg]) == 2
+
+    def test_reversed_annulus(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "geometry: {interferers: 2, annulus: [60, 50]}\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "configuration error: geometry.annulus" in capsys.readouterr().err
 
     def test_infeasible_budget(self, tmp_path):
         # ceiling of 1 mW sits below the zero-forcing floor 6 (p_c + p_dc) ~ 2.5 mW
@@ -90,6 +102,23 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header.startswith("experiment,sweep_name,sweep_value,method,pd_emp")
+
+    def test_one_solve_and_one_draw_per_trial(self, tmp_path, monkeypatch):
+        counts = {"wmmse_active": 0, "sample_rayleigh_channelset": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(optimizer, "wmmse_active")
+        counting(channel, "sample_rayleigh_channelset")
+        cfg = write_config(tmp_path, TINY)
+        assert cli.main(["simulate", "--config", cfg, "--trials", "3"]) == 0
+        assert counts == {"wmmse_active": 3, "sample_rayleigh_channelset": 3}
 
     def test_stdout_format_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)

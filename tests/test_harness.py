@@ -5,6 +5,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from oracles import reference_detection_mc
+from risense import cli
 from risense import harness as hns
 from risense import optimizer as opt
 from risense.errors import ConfigError
@@ -80,6 +82,20 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             hns.load_scenario("/nonexistent/sc.yaml")
 
+    @pytest.mark.parametrize("annulus", ["[60, 50]", "[-10, 50]", "[50]", "fifty"])
+    def test_bad_annulus_rejected(self, tmp_path, annulus):
+        path = tmp_path / "sc.yaml"
+        path.write_text(f"geometry: {{interferers: 2, annulus: {annulus}}}\n")
+        with pytest.raises(ConfigError, match="annulus"):
+            hns.load_scenario(str(path))
+
+    @pytest.mark.parametrize("interferers", ["true", "2.5", "-1", "[[1, 2, 3]]"])
+    def test_bad_interferers_rejected(self, tmp_path, interferers):
+        path = tmp_path / "sc.yaml"
+        path.write_text(f"geometry: {{interferers: {interferers}}}\n")
+        with pytest.raises(ConfigError, match="interferers"):
+            hns.load_scenario(str(path))
+
 
 def tiny_scenario(**kw):
     defaults = dict(n_antennas=8, m_h=3, m_v=1, geometry=hns.chan.Geometry(),
@@ -113,6 +129,52 @@ class TestRunDetectionMc:
         sc = tiny_scenario(method="mf")
         with pytest.raises(ConfigError):
             hns.run_detection_mc(sc, hypothesis="h1", trials=2)
+
+
+# compact geometries at alpha 0.3: both rates land strictly inside (0, 1)
+FUSED_CASES = {
+    "rayleigh-wmmse": """
+        scenario: {seed: 6, trials: 8, channel_model: rayleigh, method: wmmse}
+        geometry: {pu: [0, 0], ris: [30, 15], su: [150, 0], interferers: 1, annulus: [15, 18]}
+        array: {n_antennas: 8, m_h: 3}
+        detector: {t_samples: 200, alpha: 0.3}
+    """,
+    "los-mf": """
+        scenario: {seed: 4, trials: 8, channel_model: los, method: mf}
+        geometry: {pu: [0, 0], ris: [30, 15], su: [600, 0], interferers: 2, annulus: [15, 18]}
+        array: {n_antennas: 16, m_h: 4}
+        detector: {t_samples: 1600, alpha: 0.3}
+    """,
+}
+
+
+class TestSharedTrials:
+    """The fused loop reproduces independent per-hypothesis runs exactly."""
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_simulate_matches_reference_loop(self, tmp_path, capsys, case):
+        path = tmp_path / "sc.yaml"
+        path.write_text(textwrap.dedent(FUSED_CASES[case]))
+        sc = hns.load_scenario(str(path))
+        pd_ref, eta_ref, pd_pred_ref = reference_detection_mc(sc, "h1", hns._rcm_for_trial)
+        pfa_ref, eta_ref0, pd_pred_ref0 = reference_detection_mc(sc, "h0", hns._rcm_for_trial)
+        assert (eta_ref0, pd_pred_ref0) == (eta_ref, pd_pred_ref)
+        h1, h0 = hns.run_hypotheses_mc(sc)
+        assert 0 < pfa_ref < pd_ref < 1
+        assert (h1.rate, h0.rate) == (pd_ref, pfa_ref)
+        for res in (h1, h0):
+            assert (res.mean_eta, res.mean_pd_pred) == (eta_ref, pd_pred_ref)
+        assert hns.run_detection_mc(sc, hypothesis="h0") == h0
+        assert hns.run_detection_mc(sc, hypothesis="h1") == h1
+        assert cli.main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row == hns.ResultRow(experiment="simulate", method=sc.method, pd_emp=pd_ref,
+                                    pfa_emp=pfa_ref, pd_pred=pd_pred_ref, eta=eta_ref,
+                                    trials=sc.trials, seed=sc.seed).quantized()
+
+    def test_unknown_hypothesis_rejected(self):
+        with pytest.raises(ValueError):
+            hns.run_hypotheses_mc(tiny_scenario(), ("h2",), trials=1)
 
 
 class TestResultRows:
