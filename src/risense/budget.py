@@ -2,8 +2,10 @@
 
 Closed forms for the interference-free optimum (amplification factor and
 element count splitting a fixed budget), matched-filter / zero-forcing /
-minimum-MSE coefficient configurations with interferers, and a bisection
-planner for the minimum budget that reaches a target detection probability.
+minimum-MSE coefficient configurations with interferers, a bisection
+planner for the minimum budget that reaches a target detection probability,
+and ``coefficients``: the one method table that simulate, optimize and the
+planner share.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as chan
-from .errors import InfeasibleError, NumericalError
-from .optimizer import Rcm, ris_output_power, wmmse_active
+from .errors import ConfigError, InfeasibleError, NumericalError
+from .optimizer import Rcm, ris_output_power, wmmse_active, wmmse_passive
 from .sensing import solve_min_eta
 
 
@@ -32,8 +34,6 @@ class RisPowerModel:
 
     p_c: float
     p_dc: float
-    p_aris: float | None = None
-    p_pris: float | None = None
 
     def __post_init__(self):
         if self.p_c < 0 or self.p_dc < 0 or self.p_c + self.p_dc <= 0:
@@ -126,22 +126,11 @@ class ClosedFormContext:
         """q_k = B^H f_k with B = diag(b_g)."""
         return self.b_g.conj() * self.f_vec(k)
 
-    def big_d(self) -> np.ndarray:
-        """(sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
-
-        O(M^2) memory; the eta evaluators below use its diagonal-plus-low-rank
-        structure instead of materializing it.
-        """
-        d = self.sigma1_sq * np.eye(self.m, dtype=complex)
-        for k in range(1, len(self.a_f)):
-            w = self.zeta[k] * self.p[k]
-            if w > 0:
-                fk = self.f_vec(k)
-                d += w * np.outer(fk, fk.conj())
-        return d / self.sigma2_sq
-
     def quad_d(self, x: np.ndarray) -> float:
-        """x^H D x without building D."""
+        """x^H D x without building D.
+
+        D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
+        """
         out = self.sigma1_sq * float(np.real(x.conj() @ x))
         for k in range(1, len(self.a_f)):
             w = self.zeta[k] * self.p[k]
@@ -257,11 +246,9 @@ class MmseSolution(NamedTuple):
     phi: np.ndarray
     eta: float
     rho: float
-    raw_norm_sq: float  # norm^2 of the unscaled solution, recorded for comparison
-    peafc_ratio: float  # max |phi_m| / a_max under the shared rho cap
 
 
-def mmse_phi(ctx: ClosedFormContext, rho1: float, a_max: float = np.inf) -> MmseSolution:
+def mmse_phi(ctx: ClosedFormContext, rho1: float) -> MmseSolution:
     """Balanced (MMSE-style) coefficients under the relaxed norm-ball cap.
 
     phi = (I/rho1 + N beta_g B^H D B)^-1 B^H f_0; the excess is evaluated
@@ -280,21 +267,17 @@ def mmse_phi(ctx: ClosedFormContext, rho1: float, a_max: float = np.inf) -> Mmse
         raise NumericalError("MMSE system is singular") from exc
     eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq * float(
         np.real(q0.conj() @ raw))
-    raw_norm_sq = float(np.real(raw.conj() @ raw))
     # the closed form fixes only the direction; on the ball boundary
     # ||phi||^2 = rho1 the achieved excess equals the value computed above
-    phi = raw * np.sqrt(rho1 / raw_norm_sq)
-    peafc = float(np.max(np.abs(phi)) / a_max) if np.isfinite(a_max) else 0.0
+    phi = raw * np.sqrt(rho1 / float(np.real(raw.conj() @ raw)))
     # the ball-coordinate vector is the diagonal of Phi^H; return diag(Phi)
-    return MmseSolution(phi=phi.conj(), eta=eta, rho=rho1,
-                        raw_norm_sq=raw_norm_sq, peafc_ratio=peafc)
+    return MmseSolution(phi=phi.conj(), eta=eta, rho=rho1)
 
 
 class ZfSolution(NamedTuple):
     phi: np.ndarray
     eta: float
     rho: float
-    w: np.ndarray
 
 
 def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ZfSolution:
@@ -322,7 +305,7 @@ def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> Z
     eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
         (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * norm_w_sq)
     # phi above is the diagonal of Phi^H; return diag(Phi)
-    return ZfSolution(phi=phi.conj(), eta=float(eta), rho=float(rho2), w=w)
+    return ZfSolution(phi=phi.conj(), eta=float(eta), rho=float(rho2))
 
 
 class MfSolution(NamedTuple):
@@ -331,12 +314,9 @@ class MfSolution(NamedTuple):
     a: float
 
 
-def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float,
-           m: int | None = None) -> MfSolution:
+def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> MfSolution:
     """Signal-aligned coefficients: phi = a B^H a_f with the budget-filling a."""
-    m = ctx.m if m is None else m
-    if m != ctx.m:
-        raise ValueError("element count must match the context")
+    m = ctx.m
     a = min(a_max, np.sqrt(p_out / (m * p_in))) if p_out > 0 else 0.0
     a_f0 = ctx.a_f[0]
     phi = a * ctx.b_g * a_f0.conj()  # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
@@ -356,6 +336,85 @@ def passive_mf_eta(ctx: ClosedFormContext) -> float:
     return float(ctx.n_antennas * ctx.m**2 * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom)
 
 
+METHODS = ("wmmse", "mf", "zf", "mmse", "passive", "passive-unit", "passive-relaxed")
+# The planner sizes a passive surface by its circuit power alone; the
+# iterative passive designs have no such rule, so it plans the first five.
+PLANNER_METHODS = METHODS[:5]
+
+
+class Design(NamedTuple):
+    """Coefficients of one method, their excess and (iterative methods) outer iterations."""
+
+    rcm: Rcm
+    eta: float
+    iterations: int | None = None
+
+
+def coefficients(method: str, scenario, m: int, p_out: float | None,
+                 channels: chan.ChannelSet | None = None, *,
+                 init_phi: np.ndarray | None = None, max_iter: int = 200) -> Design:
+    """Reflecting coefficients of ``method`` for an m-element surface.
+
+    The one map from a method name to its solver, shared by simulate,
+    optimize and the budget planner. Active methods spend the output budget
+    p_out; passive ones ignore it. The iterative methods (wmmse,
+    passive-unit, passive-relaxed) solve on ``channels``, or on the
+    scenario's LoS channels at m x 1 elements when none are given, for at
+    most max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
+    scaled into feasibility. The closed forms (mf, zf, mmse, passive) follow
+    from the LoS geometry, so ``channels``, when given, must be LoS.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    iterative = method in ("wmmse", "passive-unit", "passive-relaxed")
+    if not iterative and channels is not None and channels.los is None:
+        raise ConfigError(f"method '{method}' needs channel_model: los")
+    if method in ("wmmse", "mf", "zf", "mmse") and p_out <= 0:
+        raise InfeasibleError(f"the budget leaves {p_out:.6g} W of output power "
+                              f"for {m} active elements")
+    a_max = scenario.a_max
+    if iterative:
+        sources, noise = scenario.sources(), scenario.noise()
+        if channels is None:
+            channels = chan.build_los_channelset(dataclasses.replace(scenario, m_h=m, m_v=1))
+        if method != "wmmse":
+            res = wmmse_passive(channels, sources, noise, mode=method, max_iter=max_iter)
+        else:
+            if init_phi is not None:
+                peak = float(np.max(np.abs(init_phi), initial=0.0))
+                if peak > a_max:
+                    init_phi = init_phi * (a_max / peak)
+                used = ris_output_power(init_phi, channels, sources, noise)
+                if used > p_out:
+                    init_phi = init_phi * np.sqrt(0.999 * p_out / used)
+            res = wmmse_active(channels, sources, noise, p_out, a_max,
+                               init_phi=init_phi, max_iter=max_iter)
+        return Design(res.rcm, res.eta, len(res.trace) // 3)
+    if method == "passive":  # a passive surface forwards no noise
+        ctx = ClosedFormContext.from_scenario(scenario, m, sigma1_sq=0.0)
+        phi = np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0]))
+        return Design(Rcm(phi=phi, mode="passive-unit", a_max=1.0), passive_mf_eta(ctx))
+    k = scenario.geometry.n_interferers
+    if method == "zf" and m < k + 1:
+        raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {m}")
+    ctx = ClosedFormContext.from_scenario(scenario, m)
+    p_in = ctx.p_in_bar
+    if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
+        sol = mmse_phi(ctx, min(p_out / p_in, m * a_max**2))
+        return Design(Rcm(phi=sol.phi, mode="active", a_max=np.inf), sol.eta)
+    sol = (zf_phi if method == "zf" else mf_phi)(ctx, a_max, p_out, p_in)
+    return Design(Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out), sol.eta)
+
+
+def planner_method(method: str) -> str:
+    """The planner's lower-case name for ``method``; ConfigError if it cannot plan it."""
+    name = method.lower()
+    if name not in PLANNER_METHODS:
+        raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
+                          f"got {method!r}")
+    return name
+
+
 @dataclass(frozen=True)
 class BudgetResult:
     """Outcome of the bisection planner."""
@@ -369,8 +428,6 @@ class BudgetResult:
     probes: tuple[tuple[float, float], ...]
     note: str = ""
 
-
-METHODS = ("mf", "zf", "mmse", "wmmse", "passive")
 
 EXACT_SCAN_CAP = 256  # every integer element count is probed up to here
 LADDER_RATIO = 1.05
@@ -398,72 +455,40 @@ def required_budget(method: str, pd_target: float, scenario, stop_tol: float | N
 
     Bisection on the budget; at each probe the element count is scanned
     (exhaustively up to 256 elements, on a geometric ladder above) and the
-    best reachable excess compared against the target excess eta_0. The
-    probe history is checked for monotonicity.
+    best reachable excess compared against the target excess eta_0. A
+    passive surface spends the whole budget on element circuits instead.
+    WMMSE solves at each element count start from the previous probe's
+    solution there. The probe history is checked for monotonicity.
     """
-    method = method.lower()
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    method = planner_method(method)
     stop_tol = scenario.stop_tol if stop_tol is None else stop_tol
     p_high = scenario.bisect_p_high if p_high is None else p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
-    noise = scenario.noise()
-    sources = scenario.sources()
     a_max = scenario.a_max
     k = scenario.geometry.n_interferers
     warm: dict[int, np.ndarray] = {}
-
-    def active_eta(p: float, m: int) -> tuple[float, Rcm | None]:
-        p_out = power.p_out_budget(p, m)
-        if p_out <= 0:
-            return 0.0, None
-        if method == "wmmse":
-            sc_m = dataclasses.replace(scenario, m_h=m, m_v=1)
-            channels = chan.build_los_channelset(sc_m)
-            init = warm.get(m)
-            if init is not None:
-                # previous probe ran at a different budget; rescale into feasibility
-                mags = np.abs(init)
-                if np.max(mags, initial=0.0) > a_max:
-                    init = init * min(1.0, a_max / max(np.max(mags), 1e-300))
-                used = ris_output_power(init, channels, sources, noise)
-                if used > p_out:
-                    init = init * np.sqrt(0.999 * p_out / used)
-            res = wmmse_active(channels, sources, noise, p_out, a_max,
-                               init_phi=init, max_iter=200)
-            warm[m] = res.rcm.phi
-            return res.eta, res.rcm
-        ctx = ClosedFormContext.from_scenario(scenario, m)
-        p_in = ctx.p_in_bar
-        if method == "mf":
-            sol = mf_phi(ctx, a_max, p_out, p_in)
-            return sol.eta, Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out)
-        if method == "zf":
-            if m < k + 1:
-                return 0.0, None
-            sol = zf_phi(ctx, a_max, p_out, p_in)
-            return sol.eta, Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out)
-        rho1 = min(p_out / p_in, m * a_max**2)
-        sol = mmse_phi(ctx, rho1, a_max)
-        return sol.eta, Rcm(phi=sol.phi, mode="active", a_max=np.inf, p_out_budget=None)
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         if method == "passive":
             m = power.passive_m(p)
             if m < 1:
                 return 0.0, 0, None
-            ctx = ClosedFormContext.from_scenario(scenario, m, sigma1_sq=0.0)
-            phi = np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0]))
-            return passive_mf_eta(ctx), m, Rcm(phi=phi, mode="passive-unit", a_max=1.0)
+            res = coefficients(method, scenario, m, None)
+            return res.eta, m, res.rcm
         best = (0.0, 0, None)
         # iterative optimization above the exact region is impractical; the
         # planner's WMMSE branch is meant for budgets with modest m_max
         cap = EXACT_SCAN_CAP if method != "wmmse" else 64
         for m in _m_ladder(power.m_max(p), cap):
-            eta, rcm = active_eta(p, m)
-            if eta > best[0]:
-                best = (eta, m, rcm)
+            p_out = power.p_out_budget(p, m)
+            if p_out <= 0 or (method == "zf" and m < k + 1):
+                continue
+            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m))
+            if method == "wmmse":
+                warm[m] = res.rcm.phi
+            if res.eta > best[0]:
+                best = (res.eta, m, res.rcm)
         return best
 
     history: list[tuple[float, float]] = []

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import budget as bdg
 from . import harness as hns
-from . import optimizer as opt
 from . import sensing as sns
 from .errors import ConfigError, InfeasibleError, NumericalError
 
@@ -26,7 +25,7 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> Non
     p.add_argument("--out", default=None, help="write results to this path")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--method", default=None,
-                   help="coefficient method (mf|zf|mmse|wmmse|passive|passive-unit|passive-relaxed)")
+                   help=f"coefficient method ({'|'.join(bdg.METHODS)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,15 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _scenario(args, patch_method: bool = True) -> hns.ScenarioConfig:
+def _scenario(args) -> hns.ScenarioConfig:
     sc = hns.load_scenario(args.config)
     patch = {}
     if args.seed is not None:
         patch["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
         patch["trials"] = args.trials
-    if patch_method and getattr(args, "method", None):
-        patch["method"] = args.method
+    if getattr(args, "method", None):
+        patch["method"] = args.method.lower()
     return dataclasses.replace(sc, **patch) if patch else sc
 
 
@@ -105,19 +104,12 @@ def cmd_threshold(args) -> int:
 def cmd_optimize(args) -> int:
     sc = _scenario(args)
     channels = sc.build_channels()
-    sources, noise = sc.sources(), sc.noise()
-    power = sc.power_model()
-    if sc.method in ("passive-unit", "passive-relaxed"):
-        res = opt.wmmse_passive(channels, sources, noise, mode=sc.method)
-    elif sc.method == "wmmse":
-        p_out = power.p_out_budget(sc.ris_budget_w, channels.n_elements)
-        if p_out <= 0:
-            raise InfeasibleError("budget cannot power the configured element count")
-        res = opt.wmmse_active(channels, sources, noise, p_out, sc.a_max)
-    else:
-        raise ConfigError("optimize supports wmmse, passive-unit or passive-relaxed")
+    m = channels.n_elements
+    p_out = sc.power_model().p_out_budget(sc.ris_budget_w, m)
+    res = bdg.coefficients(sc.method, sc, m, p_out, channels, max_iter=500)
     phi = res.rcm.phi
-    print(f"eta = {res.eta:.9g}  (iterations: {len(res.trace) // 3})")
+    how = "closed form" if res.iterations is None else f"iterations: {res.iterations}"
+    print(f"eta = {res.eta:.9g}  ({how})")
     cfg = sc.detector()
     stats = sns.spiked_stats_for(cfg, res.eta)
     print(f"predicted Pd = {sns.predicted_pd(stats):.6f} at alpha = {cfg.alpha}")
@@ -153,17 +145,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    sc = _scenario(args, patch_method=False)  # planner methods differ from simulate ones
-    method = args.method or (sc.method if sc.method in bdg.METHODS else "wmmse")
+    sc = _scenario(args)
     pd_target = args.pd_target if args.pd_target is not None else sc.pd_target
-    res = bdg.required_budget(method, pd_target, sc, stop_tol=args.stop_tol)
+    res = bdg.required_budget(sc.method, pd_target, sc, stop_tol=args.stop_tol)
     print(f"required budget = {res.required_power:.9g} W "
           f"({hns.watts_to_dbm(res.required_power):.4f} dBm) with M = {res.m_star}, "
           f"eta = {res.eta_star:.6g} >= target {res.eta_target:.6g}")
     if res.note:
         print(f"note: {res.note}")
     if args.out:
-        row = hns.ResultRow(experiment="budget", method=method, eta=res.eta_star,
+        row = hns.ResultRow(experiment="budget", method=res.method, eta=res.eta_star,
                             required_budget_w=res.required_power, trials=0, seed=sc.seed,
                             note=res.note)
         _emit([row], args)

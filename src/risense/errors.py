@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, InfeasibleError -> 3,
 NumericalError -> 4. Plain ValueError is used for local argument mistakes
-(bad dimensions, out-of-range probabilities).
+(bad dimensions, out-of-range probabilities); ConfigError is a ValueError
+too, so library callers may catch either.
 """
 
 
@@ -10,7 +11,7 @@ class RisenseError(Exception):
     """Base class for package-specific errors."""
 
 
-class ConfigError(RisenseError):
+class ConfigError(RisenseError, ValueError):
     """Scenario file or parameter set is invalid."""
 
 

@@ -40,7 +40,6 @@ def watts_to_dbm(w: float) -> float:
 
 
 DEFAULT_GEOMETRY = chan.Geometry(pu_pos=(0.0, 0.0), ris_pos=(100.0, 50.0), su_pos=(500.0, 0.0))
-SIMULATE_METHODS = ("wmmse", "mf", "zf", "mmse", "passive-unit", "passive-relaxed")
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,12 @@ class ScenarioConfig:
             problems.append("pd_target must lie in (0, 1)")
         if self.trials < 1:
             problems.append("trials must be >= 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.channel_model not in ("rayleigh", "los"):
             problems.append("channel_model must be 'rayleigh' or 'los'")
-        if self.method not in SIMULATE_METHODS:
-            problems.append(f"method must be one of {SIMULATE_METHODS}")
+        if self.method not in bdg.METHODS:
+            problems.append(f"method must be one of {bdg.METHODS}")
         if min(self.sigma1_sq_w, self.p_c_w, self.p_dc_w) < 0 or self.sigma2_sq_w <= 0 \
                 or min(self.p_w) < 0 or self.a_max <= 0:
             problems.append("powers must be nonnegative (sigma2 and a_max positive)")
@@ -116,8 +117,7 @@ class ScenarioConfig:
         return sns.NoiseModel(sigma1_sq=self.sigma1_sq_w, sigma2_sq=self.sigma2_sq_w)
 
     def power_model(self) -> bdg.RisPowerModel:
-        return bdg.RisPowerModel(p_c=self.p_c_w, p_dc=self.p_dc_w,
-                                 p_aris=self.ris_budget_w, p_pris=self.ris_budget_w)
+        return bdg.RisPowerModel(p_c=self.p_c_w, p_dc=self.p_dc_w)
 
     def build_channels(self, trial: int | None = None) -> chan.ChannelSet:
         if self.channel_model == "los":
@@ -178,6 +178,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     pln = _expect_mapping(raw.get("planner"), "planner")
 
     seed = int(_take(sc, "seed", 0))
+    if seed < 0:  # the interferer draw below needs it
+        raise ConfigError(f"scenario.seed must be >= 0, got {seed}")
     trials = int(_take(sc, "trials", 500))
     full_scale = bool(_take(sc, "full_scale", False))
     channel_model = str(_take(sc, "channel_model", "rayleigh"))
@@ -261,38 +263,6 @@ class McResult(NamedTuple):
     mean_pd_pred: float
 
 
-def _rcm_for_trial(sc: ScenarioConfig, channels: chan.ChannelSet) -> opt.Rcm:
-    sources, noise = sc.sources(), sc.noise()
-    power = sc.power_model()
-    m = channels.n_elements
-    p_out = power.p_out_budget(sc.ris_budget_w, m)
-    if sc.method == "wmmse":
-        if p_out <= 0:
-            raise InfeasibleError(
-                f"budget {sc.ris_budget_w} W cannot power {m} active elements")
-        return opt.wmmse_active(channels, sources, noise, p_out, sc.a_max,
-                                max_iter=200).rcm
-    if sc.method in ("passive-unit", "passive-relaxed"):
-        return opt.wmmse_passive(channels, sources, noise, mode=sc.method,
-                                 max_iter=200).rcm
-    # closed forms need the LoS steering structure
-    if sc.channel_model != "los":
-        raise ConfigError(f"method '{sc.method}' needs channel_model: los")
-    if p_out <= 0:
-        raise InfeasibleError(f"budget {sc.ris_budget_w} W cannot power {m} active elements")
-    ctx = bdg.ClosedFormContext.from_scenario(sc, m)
-    p_in = ctx.p_in_bar
-    if sc.method == "mf":
-        return opt.Rcm(phi=bdg.mf_phi(ctx, sc.a_max, p_out, p_in).phi, mode="active",
-                       a_max=sc.a_max, p_out_budget=p_out)
-    if sc.method == "zf":
-        return opt.Rcm(phi=bdg.zf_phi(ctx, sc.a_max, p_out, p_in).phi, mode="active",
-                       a_max=sc.a_max, p_out_budget=p_out)
-    rho1 = min(p_out / p_in, m * sc.a_max**2)
-    return opt.Rcm(phi=bdg.mmse_phi(ctx, rho1).phi, mode="active",
-                   a_max=np.inf, p_out_budget=None)
-
-
 def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1", "h0"),
                       rcm: opt.Rcm | None = None, trials: int | None = None,
                       seed: int | None = None) -> tuple[McResult, ...]:
@@ -314,8 +284,8 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
     gamma_th = sns.detection_threshold(cfg)
     sources, noise = scenario.sources(), scenario.noise()
     fixed_channels = scenario.build_channels() if scenario.channel_model == "los" else None
-    if rcm is None and fixed_channels is not None:
-        rcm = _rcm_for_trial(scenario, fixed_channels)  # channels fixed, optimize once
+    m = scenario.n_elements
+    p_out = scenario.power_model().p_out_budget(scenario.ris_budget_w, m)
     score_h0, score_h1 = "h0" in hypotheses, "h1" in hypotheses
     hits = {"h0": 0, "h1": 0}
     etas = np.empty(trials)
@@ -324,7 +294,8 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
         if fixed_channels is None or t == 0:  # fixed channels and coefficients: once
             channels = fixed_channels if fixed_channels is not None \
                 else chan.sample_rayleigh_channelset(scenario, (seed, t))
-            rcm_t = rcm if rcm is not None else _rcm_for_trial(scenario, channels)
+            rcm_t = rcm if rcm is not None else \
+                bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
             r = sns.noise_covariance(channels, rcm_t, sources, noise)
             q_inv = sns.psd_sqrt_inverse(r)
             h0 = sns.equivalent_channels(channels, np.asarray(rcm_t.phi, dtype=complex))[0]

@@ -51,10 +51,6 @@ class Rcm:
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.phi)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.phi)
-
     def check_feasible(self, channels: ChannelSet, sources: SourceModel,
                        noise: NoiseModel) -> None:
         """Raise if the coefficients violate the mode's constraints."""
@@ -81,8 +77,6 @@ class WmmseState:
 
     u: np.ndarray
     omega: float
-    phi_bar: np.ndarray
-    objective_trace: list[float]
 
 
 class WmmseResult(NamedTuple):
@@ -229,42 +223,6 @@ def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
                         j_diag=j, p_out=p_out, a_max=a_max)
 
 
-def project_feasible(y: np.ndarray, j_diag: np.ndarray, p_out: float | None,
-                     a_max: float | None) -> np.ndarray:
-    """Euclidean projection onto {sum j|x|^2 <= p_out} intersect {|x_m| <= a_max}.
-
-    Both sets act radially per element, so for a fixed power multiplier nu the
-    projection is the clipped shrinkage min(a_max, |y_m|/(1 + nu j_m)); nu is
-    found by bisection on the power.
-    """
-    mag = np.abs(y)
-    phase = np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 1.0)
-
-    def shrink(nu: float) -> np.ndarray:
-        r = mag / (1.0 + nu * j_diag)
-        if a_max is not None:
-            r = np.minimum(r, a_max)
-        return r
-
-    r0 = shrink(0.0)
-    if p_out is None or float(np.sum(j_diag * r0**2)) <= p_out * (1 + 1e-14):
-        return phase * r0
-    lo, hi = 0.0, 1.0
-    while float(np.sum(j_diag * shrink(hi) ** 2)) > p_out:
-        hi *= 4.0
-        if hi > 1e200:
-            raise NumericalError("projection multiplier diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(j_diag * shrink(mid) ** 2)) > p_out:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return phase * shrink(hi)
-
-
 def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None, x0: np.ndarray,
                tol: float = 1e-13, max_sweeps: int = 2000) -> np.ndarray:
     """Cyclic exact coordinate descent for min x^H S x + 2 Re(g^H x), |x_m| <= a_max.
@@ -369,45 +327,6 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
     return np.concatenate([x, [1.0 + 0.0j]])
 
 
-def solve_p22_pg(instance: QcqpInstance, x0: np.ndarray | None = None,
-                 max_iter: int = 20000, tol: float = 1e-12) -> np.ndarray:
-    """Projected-gradient fallback for the same subproblem (validation path)."""
-    s, g, _ = instance.reduced()
-    j = instance.j_diag[:-1]
-    m = instance.m
-    x = np.zeros(m, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)[:m].copy()
-    x = project_feasible(x, j, instance.p_out, instance.a_max)
-    lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
-    step = 1.0 / (2.0 * lam + 1e-300)
-    z, t = x.copy(), 1.0
-    for _ in range(max_iter):
-        grad = 2.0 * (s @ z + g)
-        x_new = project_feasible(z - step * grad, j, instance.p_out, instance.a_max)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x_new))):
-            x = x_new
-            break
-        x, t = x_new, t_new
-    return np.concatenate([x, [1.0 + 0.0j]])
-
-
-def kkt_residual(instance: QcqpInstance, phi_bar: np.ndarray) -> float:
-    """Fixed-point optimality residual, relative to the solution scale.
-
-    ||x - P(x - grad/L)|| / (1 + ||x||) with P the exact projection onto the
-    feasible set; zero exactly at the constrained minimizer.
-    """
-    s, g, _ = instance.reduced()
-    x = np.asarray(phi_bar, dtype=complex)[:instance.m]
-    lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
-    lam = lam + float(np.max(instance.j_diag)) + 1e-300
-    step = 1.0 / (2.0 * lam)
-    proj = project_feasible(x - step * 2.0 * (s @ x + g), instance.j_diag[:-1],
-                            instance.p_out, instance.a_max)
-    return float(np.linalg.norm(x - proj) / (1.0 + np.linalg.norm(x)))
-
-
 def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None,
                             tol: float = 1e-12, max_sweeps: int = 500) -> np.ndarray:
     """Cyclic exact per-element minimization on the unit circle.
@@ -507,9 +426,7 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
     rcm = Rcm(phi=phi, mode=mode, a_max=a_max, p_out_budget=p_out)
     rcm.check_feasible(channels, sources, noise)
     eta = population_eta(channels, rcm, sources, noise)
-    state = WmmseState(u=u, omega=omega, phi_bar=np.concatenate([phi, [1.0 + 0.0j]]),
-                       objective_trace=trace)
-    return WmmseResult(rcm=rcm, eta=eta, trace=trace, state=state)
+    return WmmseResult(rcm=rcm, eta=eta, trace=trace, state=WmmseState(u=u, omega=omega))
 
 
 def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

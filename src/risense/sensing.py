@@ -209,11 +209,6 @@ def max_eig_statistic(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(s)[-1])
 
 
-def tw2_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    """The embedded (s, F2(s)) grid."""
-    return _tw2_table.S_GRID, _tw2_table.CDF
-
-
 _TW2_INTERP: PchipInterpolator | None = None
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own computational paths:
 the Tracy-Widom CDF is evaluated as an Airy-kernel Fredholm determinant, the
 largest eigenvalue via characteristic-polynomial roots, optimizers are
-checked against exhaustive polar-grid searches, and the Monte Carlo harness
-against a plain per-hypothesis trial loop.
+checked against exhaustive polar-grid searches and a projected-gradient
+QCQP solver, the closed forms against the dense interference matrix, and the
+Monte Carlo harness against a plain per-hypothesis trial loop.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import airy
 
+from risense.budget import ClosedFormContext
 from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
                              steering_vector_ula)
+from risense.errors import NumericalError
+from risense.optimizer import QcqpInstance
 from risense.sensing import (NoiseModel, SourceModel, detection_threshold, max_eig_statistic,
                              noise_covariance, population_eta, predicted_pd, sample_signals,
                              spiked_stats, whiten)
@@ -185,6 +189,96 @@ def phase_grid_search(score, m: int, rounds: int = 6, nt: int = 24,
         centers = np.angle(best_phi)
         half *= 0.35
     return best_phi, sign * best_val
+
+
+def project_feasible(y: np.ndarray, j_diag: np.ndarray, p_out: float | None,
+                     a_max: float | None) -> np.ndarray:
+    """Euclidean projection onto {sum j|x|^2 <= p_out} intersect {|x_m| <= a_max}.
+
+    Both sets act radially per element, so for a fixed power multiplier nu the
+    projection is the clipped shrinkage min(a_max, |y_m|/(1 + nu j_m)); nu is
+    found by bisection on the power.
+    """
+    mag = np.abs(y)
+    phase = np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 1.0)
+
+    def shrink(nu: float) -> np.ndarray:
+        r = mag / (1.0 + nu * j_diag)
+        if a_max is not None:
+            r = np.minimum(r, a_max)
+        return r
+
+    r0 = shrink(0.0)
+    if p_out is None or float(np.sum(j_diag * r0**2)) <= p_out * (1 + 1e-14):
+        return phase * r0
+    lo, hi = 0.0, 1.0
+    while float(np.sum(j_diag * shrink(hi) ** 2)) > p_out:
+        hi *= 4.0
+        if hi > 1e200:
+            raise NumericalError("projection multiplier diverged")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(j_diag * shrink(mid) ** 2)) > p_out:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return phase * shrink(hi)
+
+
+def solve_p22_pg(instance: QcqpInstance, x0: np.ndarray | None = None,
+                 max_iter: int = 20000, tol: float = 1e-12) -> np.ndarray:
+    """Accelerated projected gradient for the QCQP subproblem of ``solve_p22``."""
+    s, g, _ = instance.reduced()
+    j = instance.j_diag[:-1]
+    m = instance.m
+    x = np.zeros(m, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)[:m].copy()
+    x = project_feasible(x, j, instance.p_out, instance.a_max)
+    lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
+    step = 1.0 / (2.0 * lam + 1e-300)
+    z, t = x.copy(), 1.0
+    for _ in range(max_iter):
+        grad = 2.0 * (s @ z + g)
+        x_new = project_feasible(z - step * grad, j, instance.p_out, instance.a_max)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x_new))):
+            x = x_new
+            break
+        x, t = x_new, t_new
+    return np.concatenate([x, [1.0 + 0.0j]])
+
+
+def kkt_residual(instance: QcqpInstance, phi_bar: np.ndarray) -> float:
+    """Fixed-point optimality residual, relative to the solution scale.
+
+    ||x - P(x - grad/L)|| / (1 + ||x||) with P the exact projection onto the
+    feasible set; zero exactly at the constrained minimizer.
+    """
+    s, g, _ = instance.reduced()
+    x = np.asarray(phi_bar, dtype=complex)[:instance.m]
+    lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
+    lam = lam + float(np.max(instance.j_diag)) + 1e-300
+    step = 1.0 / (2.0 * lam)
+    proj = project_feasible(x - step * 2.0 * (s @ x + g), instance.j_diag[:-1],
+                            instance.p_out, instance.a_max)
+    return float(np.linalg.norm(x - proj) / (1.0 + np.linalg.norm(x)))
+
+
+def big_d(ctx: ClosedFormContext) -> np.ndarray:
+    """D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers, dense.
+
+    O(M^2) memory; the closed forms use its diagonal-plus-low-rank structure
+    instead of materializing it.
+    """
+    d = ctx.sigma1_sq * np.eye(ctx.m, dtype=complex)
+    for k in range(1, len(ctx.a_f)):
+        w = ctx.zeta[k] * ctx.p[k]
+        if w > 0:
+            fk = ctx.f_vec(k)
+            d += w * np.outer(fk, fk.conj())
+    return d / ctx.sigma2_sq
 
 
 def reference_detection_mc(scenario, hypothesis: str, rcm_for_trial) -> tuple[float, float, float]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_noise, make_sources
+from oracles import big_d
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
@@ -213,7 +214,7 @@ class TestMmse:
         sol = bdg.mmse_phi(ctx, rho1)
         b = ctx.b_g
         a_mat = np.eye(5, dtype=complex) / rho1 + ctx.n_antennas * ctx.beta_g * (
-            b.conj()[:, None] * ctx.big_d() * b[None, :])
+            b.conj()[:, None] * big_d(ctx) * b[None, :])
         q0 = ctx.q_vec(0)
         eta_inv = ctx.n_antennas * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq * np.real(
             q0.conj() @ np.linalg.inv(a_mat) @ q0)

@@ -2,7 +2,7 @@ import textwrap
 
 import pytest
 
-from risense import channel, cli, optimizer
+from risense import budget, channel, cli
 
 
 def write_config(tmp_path, body: str) -> str:
@@ -75,6 +75,32 @@ class TestExitCodes:
                        "--pd-target", "0.9"])
         assert rc == 3
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY)
+        assert cli.main(["simulate", "--config", cfg, "--seed", "-1", "--trials", "1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        cfg = write_config(tmp_path, "scenario: {seed: -1}\n")
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1"]) == 2
+        assert "scenario.seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--method", "passive-unit"], []])
+    def test_budget_rejects_methods_it_cannot_plan(self, tmp_path, capsys, argv):
+        # without --method the planner takes the config's method, never a stand-in
+        cfg = write_config(tmp_path, TINY_LOS.replace("method: mf", "method: passive-unit"))
+        assert cli.main(["budget", "--config", cfg, *argv]) == 2
+        assert "the budget planner plans" in capsys.readouterr().err
+
+    def test_sweep_rejects_unknown_method(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_LOS)
+        assert cli.main(["sweep", "--config", cfg, "--sweep", "t", "--values", "800",
+                         "--methods", "mf,bogus"]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+
+    def test_simulate_zf_needs_k_plus_one_elements(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_LOS.replace("interferers: 0", "interferers: 5"))
+        assert cli.main(["simulate", "--config", cfg, "--method", "zf"]) == 2
+        assert "zero-forcing needs M >= K+1 = 6" in capsys.readouterr().err
+
     def test_planner_method_passive_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_LOS)
         rc = cli.main(["budget", "--config", cfg, "--method", "passive",
@@ -114,7 +140,7 @@ class TestSimulate:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(optimizer, "wmmse_active")
+        counting(budget, "wmmse_active")
         counting(channel, "sample_rayleigh_channelset")
         cfg = write_config(tmp_path, TINY)
         assert cli.main(["simulate", "--config", cfg, "--trials", "3"]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_detection_mc
+from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
 from risense import optimizer as opt
@@ -89,6 +90,14 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="annulus"):
             hns.load_scenario(str(path))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text("scenario: {seed: -1}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            hns.load_scenario(str(path))
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_scenario(seed=-1)
+
     @pytest.mark.parametrize("interferers", ["true", "2.5", "-1", "[[1, 2, 3]]"])
     def test_bad_interferers_rejected(self, tmp_path, interferers):
         path = tmp_path / "sc.yaml"
@@ -148,6 +157,13 @@ FUSED_CASES = {
 }
 
 
+def simulate_rcm(sc, channels):
+    """The coefficients simulate computes for a scenario on these channels."""
+    m = channels.n_elements
+    p_out = sc.power_model().p_out_budget(sc.ris_budget_w, m)
+    return bdg.coefficients(sc.method, sc, m, p_out, channels).rcm
+
+
 class TestSharedTrials:
     """The fused loop reproduces independent per-hypothesis runs exactly."""
 
@@ -156,8 +172,8 @@ class TestSharedTrials:
         path = tmp_path / "sc.yaml"
         path.write_text(textwrap.dedent(FUSED_CASES[case]))
         sc = hns.load_scenario(str(path))
-        pd_ref, eta_ref, pd_pred_ref = reference_detection_mc(sc, "h1", hns._rcm_for_trial)
-        pfa_ref, eta_ref0, pd_pred_ref0 = reference_detection_mc(sc, "h0", hns._rcm_for_trial)
+        pd_ref, eta_ref, pd_pred_ref = reference_detection_mc(sc, "h1", simulate_rcm)
+        pfa_ref, eta_ref0, pd_pred_ref0 = reference_detection_mc(sc, "h0", simulate_rcm)
         assert (eta_ref0, pd_pred_ref0) == (eta_ref, pd_pred_ref)
         h1, h0 = hns.run_hypotheses_mc(sc)
         assert 0 < pfa_ref < pd_ref < 1
@@ -175,6 +191,32 @@ class TestSharedTrials:
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ValueError):
             hns.run_hypotheses_mc(tiny_scenario(), ("h2",), trials=1)
+
+
+class TestOneMethodTable:
+    """simulate and the budget planner design the same surface at the same (m, p_out)."""
+
+    @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
+    def test_simulate_uses_the_planned_coefficients(self, monkeypatch, method):
+        geom = hns.chan.Geometry(interferer_pos=hns.chan.draw_interferer_positions(
+            (100.0, 50.0), 2, 50.0, 60.0, 4))
+        sc = hns.ScenarioConfig(n_antennas=16, m_h=4, geometry=geom, p_w=(1.0,) * 3,
+                                zeta=(1.0,) * 3, t_samples=1600, trials=1,
+                                channel_model="los", bisect_p_high=0.1, stop_tol=1e-4)
+        plan = bdg.required_budget(method, 0.9, sc)
+        used = []
+
+        def covariance(channels, rcm, sources, noise):
+            used.append(rcm)
+            return noise_covariance(channels, rcm, sources, noise)
+
+        noise_covariance = hns.sns.noise_covariance
+        monkeypatch.setattr(hns.sns, "noise_covariance", covariance)
+        hns.run_detection_mc(dataclasses.replace(sc, m_h=plan.m_star, method=method,
+                                                 ris_budget_w=plan.required_power))
+        assert len(used) == 1
+        assert used[0].mode == plan.phi_star.mode
+        assert np.array_equal(used[0].phi, plan.phi_star.phi)
 
 
 class TestResultRows:

@@ -3,8 +3,9 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import make_noise, make_sources
-from oracles import (batch_population_eta, make_los_channelset, make_random_channelset,
-                     phase_grid_search, polar_grid_search)
+from oracles import (batch_population_eta, kkt_residual, make_los_channelset,
+                     make_random_channelset, phase_grid_search, polar_grid_search,
+                     project_feasible, solve_p22_pg)
 from risense import optimizer as opt
 from risense import sensing as sns
 from risense.budget import eta_active_no_interference, eta_passive
@@ -131,13 +132,13 @@ class TestSolveP22:
         for pout, amax in [(0.05, 1e6), (1e6, 0.2), (0.08, 0.35), (1e6, 1e6)]:
             inst, _ = build_instance(rng, p_out=pout, a_max=amax)
             phi_bar = opt.solve_p22(inst)
-            assert opt.kkt_residual(inst, phi_bar) < 1e-7
+            assert kkt_residual(inst, phi_bar) < 1e-7
 
     def test_matches_projected_gradient_fallback(self, rng):
         for pout, amax in [(0.05, 1e6), (1e6, 0.2), (0.08, 0.35)]:
             inst, _ = build_instance(rng, p_out=pout, a_max=amax)
             a = opt.solve_p22(inst)
-            b = opt.solve_p22_pg(inst, max_iter=60000)
+            b = solve_p22_pg(inst, max_iter=60000)
             assert inst.objective(a) <= inst.objective(b) + 1e-9 * abs(inst.objective(b))
 
     def test_matches_polar_grid_oracle_m2(self, rng):
@@ -333,14 +334,14 @@ class TestProjection:
     def test_idempotent_and_feasible(self, rng):
         j = np.abs(rng.standard_normal(4)) + 0.1
         y = 2 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        x = opt.project_feasible(y, j, p_out=0.5, a_max=0.9)
+        x = project_feasible(y, j, p_out=0.5, a_max=0.9)
         assert np.all(np.abs(x) <= 0.9 * (1 + 1e-12))
         assert np.sum(j * np.abs(x) ** 2) <= 0.5 * (1 + 1e-9)
-        x2 = opt.project_feasible(x, j, p_out=0.5, a_max=0.9)
+        x2 = project_feasible(x, j, p_out=0.5, a_max=0.9)
         assert np.max(np.abs(x - x2)) < 1e-9
 
     def test_interior_point_unchanged(self, rng):
         j = np.ones(3)
         y = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        x = opt.project_feasible(y, j, p_out=10.0, a_max=1.0)
+        x = project_feasible(y, j, p_out=10.0, a_max=1.0)
         assert np.allclose(x, y)

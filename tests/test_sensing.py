@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_noise, make_sources
 from oracles import (char_poly_max_eig, make_los_channelset, make_random_channelset,
                      tw2_cdf_fredholm)
+from risense import _tw2_table
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
 from risense.optimizer import Rcm
@@ -149,7 +150,7 @@ class TestTracyWidom:
             assert tw2_cdf_fredholm(q) == pytest.approx(p, abs=2e-6)
 
     def test_table_matches_fredholm_on_spot_checks(self):
-        grid, cdf = sns.tw2_cdf_table()
+        grid, cdf = _tw2_table.S_GRID, _tw2_table.CDF
         for i in [0, 137, 400, 800, len(grid) - 1]:
             assert cdf[i] == pytest.approx(tw2_cdf_fredholm(grid[i]), abs=1e-12)
 
