@@ -58,13 +58,21 @@ def m_max(p_aris: float, p_c: float, p_dc: float) -> int:
     return int(math.floor(p_aris / (p_c + p_dc)))
 
 
+def upa_dims(sc, m: int) -> tuple[int, int]:
+    """(columns, rows) of an m-element surface with the scenario's m_v rows."""
+    m_v = int(getattr(sc, "m_v", 1))
+    if m % m_v:
+        raise ValueError(f"element count {m} not divisible by the vertical dimension {m_v}")
+    return m // m_v, m_v
+
+
 @dataclass(frozen=True)
 class ClosedFormContext:
     """LoS constants and M-dependent pieces used by the closed forms.
 
     b_g is the surface-side steering factor of the rank-one surface-receiver
     channel; a_f[k] the unit-modulus incident steering of source k (f_k =
-    sqrt(beta_f[k]) a_f[k]).
+    sqrt(beta_f[k]) a_f[k]). The m elements form m // m_v columns of m_v.
     """
 
     n_antennas: int
@@ -79,19 +87,18 @@ class ClosedFormContext:
     p_dc: float
     b_g: np.ndarray
     a_f: tuple[np.ndarray, ...]
+    m_v: int = 1
 
     @classmethod
     def from_scenario(cls, sc, m: int, sigma1_sq: float | None = None) -> "ClosedFormContext":
         """Build the context at a given element count from a scenario."""
         angles = sc.angles if sc.angles is not None else chan.AngleSet.from_geometry(sc.geometry)
-        m_v = int(getattr(sc, "m_v", 1))
-        if m % m_v:
-            raise ValueError(f"element count {m} not divisible by the vertical dimension {m_v}")
+        m_h, m_v = upa_dims(sc, m)
         gains = chan.link_gains(sc.geometry, sc.pathloss)
-        a_f = tuple(chan.steering_vector_upa(m // m_v, m_v, angles.aoa_azimuth[k],
+        a_f = tuple(chan.steering_vector_upa(m_h, m_v, angles.aoa_azimuth[k],
                                              angles.aoa_elevation[k])
                     for k in range(len(angles.aoa_azimuth)))
-        b_g = chan.steering_vector_upa(m // m_v, m_v, angles.aod_azimuth, angles.aod_elevation)
+        b_g = chan.steering_vector_upa(m_h, m_v, angles.aod_azimuth, angles.aod_elevation)
         noise = sc.noise()
         src = sc.sources()
         power = sc.power_model()
@@ -99,7 +106,19 @@ class ClosedFormContext:
                    p=src.p, zeta=src.zeta,
                    sigma1_sq=noise.sigma1_sq if sigma1_sq is None else sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
-                   b_g=b_g, a_f=a_f)
+                   b_g=b_g, a_f=a_f, m_v=m_v)
+
+    def prefix(self, m: int) -> "ClosedFormContext":
+        """The context of the first m elements, equal to ``from_scenario`` at m.
+
+        The horizontal index is the outer one of the planar steering vectors,
+        so for whole columns (m a multiple of m_v) their first m entries are
+        the m-element vectors, bit for bit.
+        """
+        if not 1 <= m <= self.m or m % self.m_v:
+            raise ValueError(f"cannot take {m} of {self.m} elements in columns of {self.m_v}")
+        return dataclasses.replace(self, m=m, b_g=self.b_g[:m],
+                                   a_f=tuple(a[:m] for a in self.a_f))
 
     # interference-free constants
     @property
@@ -352,17 +371,20 @@ class Design(NamedTuple):
 
 def coefficients(method: str, scenario, m: int, p_out: float | None,
                  channels: chan.ChannelSet | None = None, *,
-                 init_phi: np.ndarray | None = None, max_iter: int = 200) -> Design:
+                 init_phi: np.ndarray | None = None, max_iter: int = 200,
+                 ctx: ClosedFormContext | None = None) -> Design:
     """Reflecting coefficients of ``method`` for an m-element surface.
 
     The one map from a method name to its solver, shared by simulate,
     optimize and the budget planner. Active methods spend the output budget
     p_out; passive ones ignore it. The iterative methods (wmmse,
     passive-unit, passive-relaxed) solve on ``channels``, or on the
-    scenario's LoS channels at m x 1 elements when none are given, for at
-    most max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
+    scenario's LoS channels at m elements when none are given, for at most
+    max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) follow
-    from the LoS geometry, so ``channels``, when given, must be LoS.
+    from the LoS geometry, so ``channels``, when given, must be LoS; they
+    read the first m elements of ``ctx``, a context of the scenario at m or
+    more elements, or of a context built at m when none is given.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -376,7 +398,8 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     if iterative:
         sources, noise = scenario.sources(), scenario.noise()
         if channels is None:
-            channels = chan.build_los_channelset(dataclasses.replace(scenario, m_h=m, m_v=1))
+            m_h, m_v = upa_dims(scenario, m)
+            channels = chan.build_los_channelset(dataclasses.replace(scenario, m_h=m_h, m_v=m_v))
         if method != "wmmse":
             res = wmmse_passive(channels, sources, noise, mode=method, max_iter=max_iter)
         else:
@@ -390,14 +413,14 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
             res = wmmse_active(channels, sources, noise, p_out, a_max,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
-    if method == "passive":  # a passive surface forwards no noise
-        ctx = ClosedFormContext.from_scenario(scenario, m, sigma1_sq=0.0)
-        phi = np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0]))
-        return Design(Rcm(phi=phi, mode="passive-unit", a_max=1.0), passive_mf_eta(ctx))
     k = scenario.geometry.n_interferers
     if method == "zf" and m < k + 1:
         raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {m}")
-    ctx = ClosedFormContext.from_scenario(scenario, m)
+    ctx = (ctx or ClosedFormContext.from_scenario(scenario, m)).prefix(m)
+    if method == "passive":  # a passive surface forwards no noise
+        ctx = dataclasses.replace(ctx, sigma1_sq=0.0)
+        phi = np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0]))
+        return Design(Rcm(phi=phi, mode="passive-unit", a_max=1.0), passive_mf_eta(ctx))
     p_in = ctx.p_in_bar
     if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
         sol = mmse_phi(ctx, min(p_out / p_in, m * a_max**2))
@@ -433,30 +456,33 @@ EXACT_SCAN_CAP = 256  # every integer element count is probed up to here
 LADDER_RATIO = 1.05
 
 
-def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP) -> list[int]:
+def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
     """Element counts to scan: exhaustive up to ``cap``, geometric above.
 
-    The ladder is a fixed sequence truncated at m_top, so a larger budget
-    always scans a superset of a smaller one and the best excess stays
-    monotone in the budget.
+    Counts come in whole columns of m_v elements. The ladder is a fixed
+    sequence truncated at m_top, so a larger budget always scans a superset
+    of a smaller one and the best excess stays monotone in the budget.
     """
-    ms = list(range(1, min(m_top, cap) + 1))
+    top, cap = m_top // m_v, max(1, cap // m_v)
+    ms = list(range(1, min(top, cap) + 1))
     m = cap
-    while m < m_top:
+    while m < top:
         m = max(m + 1, int(round(m * LADDER_RATIO)))
-        if m <= m_top:
+        if m <= top:
             ms.append(m)
-    return ms
+    return [m_v * j for j in ms]
 
 
 def required_budget(method: str, pd_target: float, scenario, stop_tol: float | None = None,
                     p_high: float | None = None) -> BudgetResult:
     """Minimum surface power budget achieving the target detection probability.
 
-    Bisection on the budget; at each probe the element count is scanned
-    (exhaustively up to 256 elements, on a geometric ladder above) and the
-    best reachable excess compared against the target excess eta_0. A
-    passive surface spends the whole budget on element circuits instead.
+    Bisection on the budget; at each probe the element count is scanned in
+    whole columns of m_v elements (exhaustively up to 256 elements, on a
+    geometric ladder above) and the best reachable excess compared against
+    the target excess eta_0. A passive surface spends the whole budget on
+    element circuits instead, rounded down to whole columns. The closed
+    forms share one context, built at the largest count p_high affords.
     WMMSE solves at each element count start from the previous probe's
     solution there. The probe history is checked for monotonicity.
     """
@@ -467,24 +493,37 @@ def required_budget(method: str, pd_target: float, scenario, stop_tol: float | N
     power = scenario.power_model()
     a_max = scenario.a_max
     k = scenario.geometry.n_interferers
+    m_v = scenario.m_v
     warm: dict[int, np.ndarray] = {}
+
+    def columns(m: int) -> int:
+        """m rounded down to whole columns of m_v elements."""
+        return m // m_v * m_v
+
+    # Every probe scans element counts up to those of p_high, and the closed
+    # forms read their first m elements: one context serves the whole plan.
+    ctx = None
+    if method != "wmmse":
+        m_top = columns(power.passive_m(p_high) if method == "passive" else power.m_max(p_high))
+        if m_top >= 1:
+            ctx = ClosedFormContext.from_scenario(scenario, m_top)
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         if method == "passive":
-            m = power.passive_m(p)
+            m = columns(power.passive_m(p))
             if m < 1:
                 return 0.0, 0, None
-            res = coefficients(method, scenario, m, None)
+            res = coefficients(method, scenario, m, None, ctx=ctx)
             return res.eta, m, res.rcm
         best = (0.0, 0, None)
         # iterative optimization above the exact region is impractical; the
         # planner's WMMSE branch is meant for budgets with modest m_max
         cap = EXACT_SCAN_CAP if method != "wmmse" else 64
-        for m in _m_ladder(power.m_max(p), cap):
+        for m in _m_ladder(power.m_max(p), cap, m_v):
             p_out = power.p_out_budget(p, m)
             if p_out <= 0 or (method == "zf" and m < k + 1):
                 continue
-            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m))
+            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m), ctx=ctx)
             if method == "wmmse":
                 warm[m] = res.rcm.phi
             if res.eta > best[0]:

@@ -39,6 +39,11 @@ def watts_to_dbm(w: float) -> float:
     return 30.0 + 10.0 * math.log10(w)
 
 
+def _annulus_ok(annulus) -> bool:
+    r_in, r_out = annulus
+    return 0 <= r_in <= r_out < math.inf
+
+
 DEFAULT_GEOMETRY = chan.Geometry(pu_pos=(0.0, 0.0), ris_pos=(100.0, 50.0), su_pos=(500.0, 0.0))
 
 
@@ -50,6 +55,7 @@ class ScenarioConfig:
     m_h: int = 16
     m_v: int = 1
     geometry: chan.Geometry = DEFAULT_GEOMETRY
+    annulus: tuple[float, float] = (50.0, 60.0)  # where drawn interferers lie, in meters
     pathloss: chan.PathlossModel = chan.PathlossModel()
     angles: chan.AngleSet | None = None
     p_w: tuple[float, ...] = (1.0,)
@@ -76,6 +82,8 @@ class ScenarioConfig:
         if len(self.p_w) != k + 1 or len(self.zeta) != k + 1:
             problems.append(f"powers/activities must cover {k + 1} sources "
                             f"(got {len(self.p_w)}/{len(self.zeta)})")
+        if not _annulus_ok(self.annulus):
+            problems.append(f"annulus needs finite 0 <= r_in <= r_out, got {self.annulus}")
         if self.n_antennas < 1:
             problems.append("n_antennas must be >= 1")
         if self.m_h < 1 or self.m_v < 1:
@@ -138,10 +146,33 @@ def _take(section: dict, key: str, default):
     return section.pop(key, default)
 
 
+def _convert(value, kind, key: str):
+    """``kind(value)``; a value that is not a number is a ConfigError naming ``key``."""
+    if not isinstance(value, bool):  # int(True) == 1, but `trials: true` is no count
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def _number(section: dict, name: str, key: str, default, kind=float):
+    """Take ``key`` from the section called ``name`` as a number of type ``kind``."""
+    return _convert(_take(section, key, default), kind, f"{name}.{key}")
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """Two numbers such as [x, y]; anything else is a ConfigError naming ``key``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key} must be a list of two numbers, got {value!r}")
+    return tuple(_convert(v, float, key) for v in value)
+
+
 def _broadcast(value, k: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return tuple(float(value) for _ in range(k + 1))
-    vals = [float(v) for v in value]
+    if not isinstance(value, (list, tuple)):
+        return (_convert(value, float, name),) * (k + 1)
+    vals = [_convert(v, float, name) for v in value]
     if len(vals) == k + 1:
         return tuple(vals)
     if len(vals) == k and k >= 0:
@@ -177,32 +208,26 @@ def load_scenario(path: str) -> ScenarioConfig:
     det = _expect_mapping(raw.get("detector"), "detector")
     pln = _expect_mapping(raw.get("planner"), "planner")
 
-    seed = int(_take(sc, "seed", 0))
+    seed = _number(sc, "scenario", "seed", 0, int)
     if seed < 0:  # the interferer draw below needs it
         raise ConfigError(f"scenario.seed must be >= 0, got {seed}")
-    trials = int(_take(sc, "trials", 500))
+    trials = _number(sc, "scenario", "trials", 500, int)
     full_scale = bool(_take(sc, "full_scale", False))
     channel_model = str(_take(sc, "channel_model", "rayleigh"))
     method = str(_take(sc, "method", "wmmse"))
 
-    pu = tuple(float(v) for v in _take(geo, "pu", (0.0, 0.0)))
-    ris_pos = tuple(float(v) for v in _take(geo, "ris", (100.0, 50.0)))
-    su = tuple(float(v) for v in _take(geo, "su", (500.0, 0.0)))
-    annulus = _take(geo, "annulus", (50.0, 60.0))
+    pu = _pair(_take(geo, "pu", (0.0, 0.0)), "geometry.pu")
+    ris_pos = _pair(_take(geo, "ris", (100.0, 50.0)), "geometry.ris")
+    su = _pair(_take(geo, "su", (500.0, 0.0)), "geometry.su")
+    annulus = _pair(_take(geo, "annulus", (50.0, 60.0)), "geometry.annulus")
+    if not _annulus_ok(annulus):  # checked before the interferer draw needs it
+        raise ConfigError(f"geometry.annulus needs finite 0 <= r_in <= r_out in meters, "
+                          f"got {list(annulus)}")
     interferers = _take(geo, "interferers", 5)
-    try:
-        r_in, r_out = (float(v) for v in annulus)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("geometry.annulus must be [r_in, r_out] in meters") from exc
-    if not 0 <= r_in <= r_out:
-        raise ConfigError(f"geometry.annulus needs 0 <= r_in <= r_out, got {list(annulus)}")
     if isinstance(interferers, int) and not isinstance(interferers, bool) and interferers >= 0:
-        positions = chan.draw_interferer_positions(ris_pos, interferers, r_in, r_out, seed)
+        positions = chan.draw_interferer_positions(ris_pos, interferers, *annulus, seed)
     elif isinstance(interferers, list):
-        try:
-            positions = tuple((float(x), float(y)) for x, y in interferers)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("geometry.interferers positions must be [x, y] pairs") from exc
+        positions = tuple(_pair(xy, "geometry.interferers") for xy in interferers)
     else:
         raise ConfigError("geometry.interferers must be a count >= 0 or a list of [x, y] "
                           f"positions, got {interferers!r}")
@@ -210,33 +235,33 @@ def load_scenario(path: str) -> ScenarioConfig:
     k = geometry.n_interferers
 
     pathloss = chan.PathlossModel(
-        wavelength=float(_take(plo, "wavelength", 0.12)),
-        alpha_direct=float(_take(plo, "alpha_direct", 4.0)),
-        alpha_incident=float(_take(plo, "alpha_incident", 2.0)),
-        alpha_outgoing=float(_take(plo, "alpha_outgoing", 2.0)))
+        wavelength=_number(plo, "pathloss", "wavelength", 0.12),
+        alpha_direct=_number(plo, "pathloss", "alpha_direct", 4.0),
+        alpha_incident=_number(plo, "pathloss", "alpha_incident", 2.0),
+        alpha_outgoing=_number(plo, "pathloss", "alpha_outgoing", 2.0))
 
     n_default, t_default = (64, 6400) if full_scale else (32, 3200)
-    n_antennas = int(_take(arr, "n_antennas", n_default))
-    m_h = int(_take(arr, "m_h", 16))
-    m_v = int(_take(arr, "m_v", 1))
+    n_antennas = _number(arr, "array", "n_antennas", n_default, int)
+    m_h = _number(arr, "array", "m_h", 16, int)
+    m_v = _number(arr, "array", "m_v", 1, int)
 
-    p_w = _broadcast(_take(pw, "p_dbm", 30.0), k, "p_dbm")
+    p_w = _broadcast(_take(pw, "p_dbm", 30.0), k, "powers.p_dbm")
     p_w = tuple(dbm_to_watts(v) for v in p_w)
-    zeta = _broadcast(_take(pw, "zeta", 1.0), k, "zeta")
-    sigma1 = dbm_to_watts(float(_take(pw, "sigma1_dbm", -80.0)))
-    sigma2 = dbm_to_watts(float(_take(pw, "sigma2_dbm", -80.0)))
+    zeta = _broadcast(_take(pw, "zeta", 1.0), k, "powers.zeta")
+    sigma1 = dbm_to_watts(_number(pw, "powers", "sigma1_dbm", -80.0))
+    sigma2 = dbm_to_watts(_number(pw, "powers", "sigma2_dbm", -80.0))
 
-    p_c = dbm_to_watts(float(_take(ris, "p_c_dbm", -10.0)))
-    p_dc = dbm_to_watts(float(_take(ris, "p_dc_dbm", -5.0)))
-    a_max = float(_take(ris, "a_max", 10.0))
-    budget = dbm_to_watts(float(_take(ris, "budget_dbm", 10.0)))
+    p_c = dbm_to_watts(_number(ris, "ris", "p_c_dbm", -10.0))
+    p_dc = dbm_to_watts(_number(ris, "ris", "p_dc_dbm", -5.0))
+    a_max = _number(ris, "ris", "a_max", 10.0)
+    budget = dbm_to_watts(_number(ris, "ris", "budget_dbm", 10.0))
 
-    t_samples = int(_take(det, "t_samples", t_default))
-    alpha = float(_take(det, "alpha", 0.1))
-    pd_target = float(_take(det, "pd_target", 0.9))
+    t_samples = _number(det, "detector", "t_samples", t_default, int)
+    alpha = _number(det, "detector", "alpha", 0.1)
+    pd_target = _number(det, "detector", "pd_target", 0.9)
 
-    stop_tol = float(_take(pln, "stop_tol", 1e-6))
-    p_high = float(_take(pln, "p_high_w", 10.0))
+    stop_tol = _number(pln, "planner", "stop_tol", 1e-6)
+    p_high = _number(pln, "planner", "p_high_w", 10.0)
 
     leftovers = {name: sect for name, sect in
                  (("scenario", sc), ("geometry", geo), ("pathloss", plo), ("array", arr),
@@ -247,7 +272,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown keys in scenario file: {details}")
 
     return ScenarioConfig(
-        n_antennas=n_antennas, m_h=m_h, m_v=m_v, geometry=geometry, pathloss=pathloss,
+        n_antennas=n_antennas, m_h=m_h, m_v=m_v, geometry=geometry, annulus=annulus,
+        pathloss=pathloss,
         p_w=p_w, zeta=tuple(zeta), sigma1_sq_w=sigma1, sigma2_sq_w=sigma2,
         p_c_w=p_c, p_dc_w=p_dc, a_max=a_max, ris_budget_w=budget,
         t_samples=t_samples, alpha=alpha, pd_target=pd_target, trials=trials,
@@ -419,8 +445,8 @@ def _swept_scenario(scenario: ScenarioConfig, name: str, value) -> ScenarioConfi
         return dataclasses.replace(scenario, p_w=p)
     if name == "k":
         k = int(value)
-        positions = chan.draw_interferer_positions(scenario.geometry.ris_pos, k, 50.0, 60.0,
-                                                   scenario.seed)
+        positions = chan.draw_interferer_positions(scenario.geometry.ris_pos, k,
+                                                   *scenario.annulus, scenario.seed)
         geometry = dataclasses.replace(scenario.geometry, interferer_pos=positions)
         p = (scenario.p_w[0],) + tuple(scenario.p_w[1] if len(scenario.p_w) > 1
                                        else scenario.p_w[0] for _ in range(k))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
 from risense.errors import InfeasibleError
-from risense.harness import ScenarioConfig
+from risense.harness import ScenarioConfig, load_scenario
 from risense.optimizer import Rcm
 
+LOS_BUDGET = Path(__file__).resolve().parents[1] / "configs" / "los_budget.yaml"
 REFERENCE = dict(p_c=1e-4, p_dc=10 ** (-3.5), sigma1_sq=1e-11, sigma2_sq=1e-11, p0=1.0)
 
 
@@ -404,3 +406,78 @@ class TestRequiredBudget:
         strong = budgets_at(64.0)
         assert weak[0] > weak[1] * 1.5  # caps matter when interference is weak
         assert abs(strong[0] - strong[1]) <= 2 * sc.stop_tol  # and wash out
+
+
+def assert_same_context(got: bdg.ClosedFormContext, want: bdg.ClosedFormContext) -> None:
+    """Field by field, arrays compared on their bytes."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "a_f":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestContextPrefix:
+    @pytest.mark.parametrize("m_v", [1, 2])
+    def test_prefix_equals_a_fresh_context(self, m_v):
+        sc = budget_scenario(k=3, m_h=8, m_v=m_v)
+        ladder = bdg._m_ladder(1500, m_v=m_v)
+        assert all(m % m_v == 0 for m in ladder)
+        top = bdg.ClosedFormContext.from_scenario(sc, ladder[-1])
+        for m in ladder:
+            assert_same_context(top.prefix(m), bdg.ClosedFormContext.from_scenario(sc, m))
+
+    def test_prefix_needs_whole_columns_within_the_context(self):
+        top = bdg.ClosedFormContext.from_scenario(budget_scenario(k=1, m_h=4, m_v=2), 8)
+        for m in (0, 3, 10):
+            with pytest.raises(ValueError):
+                top.prefix(m)
+
+    def test_ladder_at_one_row_is_unchanged(self):
+        ladder = bdg._m_ladder(2000)
+        assert ladder[:256] == list(range(1, 257))
+        assert ladder[256:259] == [269, 282, 296]
+        assert bdg._m_ladder(2000, m_v=2)[:3] == [2, 4, 6]
+
+
+class TestPlannerContexts:
+    def test_one_context_per_plan(self, monkeypatch):
+        built = []
+        build = bdg.ClosedFormContext.from_scenario.__func__
+
+        def counting(cls, sc, m, sigma1_sq=None):
+            built.append(m)
+            return build(cls, sc, m, sigma1_sq)
+
+        monkeypatch.setattr(bdg.ClosedFormContext, "from_scenario", classmethod(counting))
+        sc = load_scenario(str(LOS_BUDGET))
+        power = sc.power_model()
+        for method in ("mf", "mmse", "zf", "passive"):
+            built.clear()
+            bdg.required_budget(method, sc.pd_target, sc)
+            top = power.passive_m if method == "passive" else power.m_max
+            assert built == [top(sc.bisect_p_high)], method
+
+    @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
+    def test_two_row_surface_plans_whole_columns(self, method):
+        sc = dataclasses.replace(load_scenario(str(LOS_BUDGET)), m_v=2)
+        res = bdg.required_budget(method, sc.pd_target, sc)
+        assert res.m_star % 2 == 0
+        p_out = sc.power_model().p_out_budget(res.required_power, res.m_star)
+        # no ctx: coefficients builds a fresh context at m_star
+        assert res.eta_star == bdg.coefficients(method, sc, res.m_star, p_out).eta
+
+    def test_wmmse_fallback_builds_the_planar_array(self):
+        sc = budget_scenario(k=1, m_h=4, m_v=2, a_max=10.0)
+        planar = chan.build_los_channelset(sc)
+        p_out = 1e-3
+        alone = bdg.coefficients("wmmse", sc, 8, p_out, max_iter=20)
+        given = bdg.coefficients("wmmse", sc, 8, p_out, planar, max_iter=20)
+        assert alone.eta == given.eta
+        with pytest.raises(ValueError, match="not divisible"):
+            bdg.coefficients("wmmse", sc, 7, p_out, max_iter=20)

@@ -1,8 +1,14 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from risense import budget, channel, cli
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LOS_BUDGET = str(ROOT / "configs" / "los_budget.yaml")
+GOLDEN = ROOT / "tests" / "data"
 
 
 def write_config(tmp_path, body: str) -> str:
@@ -75,6 +81,12 @@ class TestExitCodes:
                        "--pd-target", "0.9"])
         assert rc == 3
 
+    def test_non_numeric_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "scenario: {seed: abc}\n")
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1"]) == 2
+        assert "configuration error: scenario.seed must be an integer, got 'abc'" \
+            in capsys.readouterr().err
+
     def test_negative_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
         assert cli.main(["simulate", "--config", cfg, "--seed", "-1", "--trials", "1"]) == 2
@@ -116,6 +128,32 @@ class TestBudgetCommand:
         out = capsys.readouterr().out
         assert "required budget" in out
         assert "dBm" in out
+
+    def test_two_row_surface(self, tmp_path, capsys):
+        text = Path(LOS_BUDGET).read_text().replace("m_v: 1", "m_v: 2")
+        assert "m_v: 2" in text
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["budget", "--config", cfg, "--method", "mf"]) == 0
+        out = capsys.readouterr().out
+        m_star = int(out.split("with M = ")[1].split(",")[0])
+        assert m_star % 2 == 0
+
+
+class TestGoldenRows:
+    """Planner rows on configs/los_budget.yaml, pinned to their bytes."""
+
+    @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
+    def test_budget(self, tmp_path, method):
+        out = tmp_path / "budget.csv"
+        assert cli.main(["budget", "--config", LOS_BUDGET, "--method", method,
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"budget_los_{method}.csv").read_bytes()
+
+    def test_budget_sweep_t(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", LOS_BUDGET, "--sweep", "t",
+                         "--values", "1600,6400", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep_t_los.csv").read_bytes()
 
 
 class TestSimulate:

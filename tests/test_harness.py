@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestLoadScenario:
         path = tmp_path / "sc.yaml"
         path.write_text(f"geometry: {{interferers: 2, annulus: {annulus}}}\n")
         with pytest.raises(ConfigError, match="annulus"):
+            hns.load_scenario(str(path))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "seed", "abc"), ("detector", "t_samples", "abc"), ("ris", "a_max", "abc"),
+        ("geometry", "pu", "abc"), ("scenario", "trials", "true"), ("powers", "zeta", "[1, x]")])
+    def test_non_numeric_value_names_its_key(self, tmp_path, section, key, value):
+        path = tmp_path / "sc.yaml"
+        path.write_text(f"{section}: {{{key}: {value}}}\n")
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be"):
             hns.load_scenario(str(path))
 
     def test_negative_seed_rejected(self, tmp_path):
@@ -326,6 +336,22 @@ class TestSweeps:
         assert swept.geometry.n_interferers == 3
         assert len(swept.p_w) == 4
         assert len(swept.zeta) == 4
+
+    def test_k_sweep_draws_on_the_configured_annulus(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        text = Path("configs/los_budget.yaml").read_text()
+        path.write_text(text.replace("annulus: [50, 60]", "annulus: [200, 210]"))
+        sc = hns.load_scenario(str(path))
+        assert sc.annulus == (200.0, 210.0)
+        swept = hns._swept_scenario(sc, "k", 4)
+        offsets = np.array(swept.geometry.interferer_pos) - np.array(sc.geometry.ris_pos)
+        radii = np.hypot(offsets[:, 0], offsets[:, 1])
+        assert len(radii) == 4 and np.all((radii >= 200.0) & (radii <= 210.0))
+
+    def test_scenario_rejects_a_bad_annulus(self):
+        for annulus in ((60.0, 50.0), (-1.0, 5.0), (5.0, float("inf"))):
+            with pytest.raises(ConfigError, match="annulus"):
+                tiny_scenario(annulus=annulus)
 
     def test_bad_sweep_name(self):
         with pytest.raises(ConfigError):
