@@ -90,7 +90,7 @@ class ClosedFormContext:
     m_v: int = 1
 
     @classmethod
-    def from_scenario(cls, sc, m: int, sigma1_sq: float | None = None) -> "ClosedFormContext":
+    def from_scenario(cls, sc, m: int) -> "ClosedFormContext":
         """Build the context at a given element count from a scenario."""
         angles = sc.angles if sc.angles is not None else chan.AngleSet.from_geometry(sc.geometry)
         m_h, m_v = upa_dims(sc, m)
@@ -103,8 +103,7 @@ class ClosedFormContext:
         src = sc.sources()
         power = sc.power_model()
         return cls(n_antennas=sc.n_antennas, m=m, beta_g=gains.beta_g, beta_f=gains.beta_f,
-                   p=src.p, zeta=src.zeta,
-                   sigma1_sq=noise.sigma1_sq if sigma1_sq is None else sigma1_sq,
+                   p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
                    b_g=b_g, a_f=a_f, m_v=m_v)
 

@@ -450,9 +450,9 @@ class TestPlannerContexts:
         built = []
         build = bdg.ClosedFormContext.from_scenario.__func__
 
-        def counting(cls, sc, m, sigma1_sq=None):
+        def counting(cls, sc, m):
             built.append(m)
-            return build(cls, sc, m, sigma1_sq)
+            return build(cls, sc, m)
 
         monkeypatch.setattr(bdg.ClosedFormContext, "from_scenario", classmethod(counting))
         sc = load_scenario(str(LOS_BUDGET))
