@@ -71,8 +71,10 @@ class ClosedFormContext:
     """LoS constants and M-dependent pieces used by the closed forms.
 
     b_g is the surface-side steering factor of the rank-one surface-receiver
-    channel; a_f[k] the unit-modulus incident steering of source k (f_k =
-    sqrt(beta_f[k]) a_f[k]). The m elements form m // m_v columns of m_v.
+    channel; a_f the (K+1) x m array whose row k is the unit-modulus incident
+    steering of source k (f_k = sqrt(beta_f[k]) a_f[k]). Only these factored
+    vectors are kept, never an N x m matrix. The m elements form m // m_v
+    columns of m_v.
     """
 
     n_antennas: int
@@ -86,26 +88,22 @@ class ClosedFormContext:
     p_c: float
     p_dc: float
     b_g: np.ndarray
-    a_f: tuple[np.ndarray, ...]
+    a_f: np.ndarray
     m_v: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
 
     @classmethod
     def from_scenario(cls, sc, m: int) -> "ClosedFormContext":
         """Build the context at a given element count from a scenario."""
-        angles = sc.angles if sc.angles is not None else chan.AngleSet.from_geometry(sc.geometry)
         m_h, m_v = upa_dims(sc, m)
-        gains = chan.link_gains(sc.geometry, sc.pathloss)
-        a_f = tuple(chan.steering_vector_upa(m_h, m_v, angles.aoa_azimuth[k],
-                                             angles.aoa_elevation[k])
-                    for k in range(len(angles.aoa_azimuth)))
-        b_g = chan.steering_vector_upa(m_h, m_v, angles.aod_azimuth, angles.aod_elevation)
-        noise = sc.noise()
-        src = sc.sources()
-        power = sc.power_model()
+        gains, los = chan.los_factors(sc, m_h, m_v)
+        noise, src, power = sc.noise(), sc.sources(), sc.power_model()
         return cls(n_antennas=sc.n_antennas, m=m, beta_g=gains.beta_g, beta_f=gains.beta_f,
                    p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
-                   b_g=b_g, a_f=a_f, m_v=m_v)
+                   b_g=los.b_ris, a_f=los.a_f, m_v=m_v)
 
     def prefix(self, m: int) -> "ClosedFormContext":
         """The context of the first m elements, equal to ``from_scenario`` at m.
@@ -116,8 +114,7 @@ class ClosedFormContext:
         """
         if not 1 <= m <= self.m or m % self.m_v:
             raise ValueError(f"cannot take {m} of {self.m} elements in columns of {self.m_v}")
-        return dataclasses.replace(self, m=m, b_g=self.b_g[:m],
-                                   a_f=tuple(a[:m] for a in self.a_f))
+        return dataclasses.replace(self, m=m, b_g=self.b_g[:m], a_f=self.a_f[:, :m])
 
     # interference-free constants
     @property
@@ -137,23 +134,18 @@ class ClosedFormContext:
         """Incident power per unit reflection gain."""
         return float(np.sum(self.zeta * self.beta_f * self.p) + self.sigma1_sq)
 
-    def f_vec(self, k: int) -> np.ndarray:
-        return np.sqrt(self.beta_f[k]) * self.a_f[k]
-
-    def q_vec(self, k: int) -> np.ndarray:
-        """q_k = B^H f_k with B = diag(b_g)."""
-        return self.b_g.conj() * self.f_vec(k)
+    def q_vec(self, k) -> np.ndarray:
+        """q_k = B^H f_k with B = diag(b_g); an index array or slice k gives one row per source."""
+        return self.b_g.conj() * (np.sqrt(self.beta_f[k])[..., np.newaxis] * self.a_f[k])
 
     def quad_d(self, x: np.ndarray) -> float:
         """x^H D x without building D.
 
         D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
         """
-        out = self.sigma1_sq * float(np.real(x.conj() @ x))
-        for k in range(1, len(self.a_f)):
-            w = self.zeta[k] * self.p[k]
-            if w > 0:
-                out += w * abs(np.vdot(self.f_vec(k), x)) ** 2
+        proj = x.conj() @ self.a_f[1:].T  # x^H a_f[k] per interferer, no (K, m) temporary
+        w = self.zeta[1:] * self.p[1:] * self.beta_f[1:]
+        out = self.sigma1_sq * float(np.real(x.conj() @ x)) + float(w @ np.abs(proj) ** 2)
         return out / self.sigma2_sq
 
     def solve_ball_system(self, c: float, rhs: np.ndarray) -> np.ndarray:
@@ -166,7 +158,7 @@ class ClosedFormContext:
         live = np.nonzero(weights > 0)[0]
         if live.size == 0:
             return rhs / c
-        u = np.column_stack([self.q_vec(k + 1) for k in live])
+        u = self.q_vec(live + 1).T
         z_inv = np.diag(1.0 / weights[live])
         core = z_inv + (u.conj().T @ u) / c
         y = np.linalg.solve(core, u.conj().T @ rhs)
@@ -308,7 +300,7 @@ def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> Z
     k = len(ctx.a_f) - 1
     if ctx.m < k + 1:
         raise ValueError(f"zero-forcing needs M >= K+1 = {k + 1}, got M = {ctx.m}")
-    q = np.column_stack([ctx.q_vec(i) for i in range(k + 1)])
+    q = ctx.q_vec(slice(None)).T  # columns q_0 ... q_K
     gram = q.conj().T @ q
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:

@@ -32,13 +32,14 @@ class Geometry:
     interferer_pos: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        for name, d in (("pu-su", self.dist_direct(0)), ("pu-ris", self.dist_to_ris(0)),
-                        ("ris-su", self.dist_ris_su())):
-            if not d > 0.0:
+        with np.errstate(over="ignore"):  # coordinates too far apart give an infinite distance
+            links = [("pu-su", self.dist_direct(0)), ("pu-ris", self.dist_to_ris(0)),
+                     ("ris-su", self.dist_ris_su())]
+            links += [(f"interferer {k}-{end}", dist(k)) for k in range(1, self.n_interferers + 1)
+                      for end, dist in (("su", self.dist_direct), ("ris", self.dist_to_ris))]
+        for name, d in links:
+            if not 0.0 < d < np.inf:
                 raise ConfigError(f"degenerate geometry: {name} distance is {d}")
-        for k in range(1, self.n_interferers + 1):
-            if not (self.dist_direct(k) > 0.0 and self.dist_to_ris(k) > 0.0):
-                raise ConfigError(f"degenerate geometry: interferer {k} coincides with a terminal")
 
     @property
     def n_interferers(self) -> int:
@@ -106,53 +107,57 @@ class AngleSet:
     def from_geometry(cls, geom: Geometry) -> "AngleSet":
         """Derive azimuths from the 2-D positions; elevations are zero."""
         ris = np.asarray(geom.ris_pos, dtype=float)
-        az = []
-        for k in range(geom.n_interferers + 1):
-            delta = geom.source_pos(k) - ris
-            az.append(np.arctan2(delta[1], delta[0]))
+        delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - ris
+        az = np.arctan2(delta[:, 1], delta[:, 0])
         d_su = np.asarray(geom.su_pos, dtype=float) - ris
         aod = np.arctan2(d_su[1], d_su[0])
         # AOA at the receiver, measured from its own broadside
         su_aoa = np.arctan2(-d_su[1], -d_su[0])
-        return cls(aoa_azimuth=np.asarray(az), aoa_elevation=np.zeros(len(az)),
+        return cls(aoa_azimuth=az, aoa_elevation=np.zeros(len(az)),
                    aod_azimuth=aod, aod_elevation=0.0, su_aoa=su_aoa)
 
 
 @dataclass(frozen=True)
 class LosFactors:
-    """Steering factors of a LoS channel set.
+    """Steering factors of a LoS channel set, one row of ``a_f`` per source.
 
-    g_matrix = sqrt(beta_g) * outer(a_su, conj(b_ris)); f_k = sqrt(beta_f[k]) * a_f[k].
+    g_matrix = sqrt(beta_g) * outer(a_su, conj(b_ris)); f[k] = sqrt(beta_f[k]) * a_f[k]
+    with a_f the (K+1) x M array of unit-modulus incident steering vectors.
     """
 
     a_su: np.ndarray
     b_ris: np.ndarray
-    a_f: tuple[np.ndarray, ...]
+    a_f: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All channels of one realization.
+    """All channels of one realization, one row per source (0 = primary).
 
-    d[k]: direct source->receiver links (length N), f[k]: source->surface
-    links (length M), g_matrix: surface->receiver matrix (N x M).
+    d: direct source->receiver links, (K+1) x N; f: source->surface links,
+    (K+1) x M; g_matrix: surface->receiver matrix, N x M. Sequences of
+    per-source vectors are stacked on construction.
     """
 
-    d: tuple[np.ndarray, ...]
-    f: tuple[np.ndarray, ...]
+    d: np.ndarray
+    f: np.ndarray
     g_matrix: np.ndarray
     gains: LinkGains
     los: LosFactors | None = None
 
     def __post_init__(self):
+        d = np.asarray(self.d, dtype=complex)
+        f = np.asarray(self.f, dtype=complex)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "f", f)
         n, m = self.g_matrix.shape
-        if len(self.d) != len(self.f):
-            raise ValueError("d and f must cover the same sources")
-        for dk, fk in zip(self.d, self.f):
-            if dk.shape != (n,) or fk.shape != (m,):
-                raise ValueError("channel vector dimensions inconsistent with G")
-        if not (np.all(np.isfinite(self.g_matrix.view(float)))
-                and all(np.all(np.isfinite(v.view(float))) for v in (*self.d, *self.f))):
+        if d.ndim != 2 or d.shape[1:] != (n,) or f.shape != (len(d), m):
+            raise ValueError("channel dimensions inconsistent with G: d must be (K+1) x N "
+                             "and f (K+1) x M")
+        if not all(np.all(np.isfinite(a)) for a in (self.g_matrix, d, f)):
             raise ValueError("channel entries must be finite")
 
     @property
@@ -215,38 +220,38 @@ def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
                  for r, a in zip(radii, angles))
 
 
-def _scenario_dims(sc) -> tuple[int, int, int]:
-    m_h = int(sc.m_h)
-    m_v = int(getattr(sc, "m_v", 1))
-    return int(sc.n_antennas), m_h, m_v
+def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
+    """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
+
+    Needs ``sc.geometry``, ``sc.pathloss``, ``sc.n_antennas`` and
+    ``sc.angles``. The one description of the LoS geometry: the channel set
+    and the planner's closed forms both start from it.
+    """
+    angles: AngleSet | None = getattr(sc, "angles", None)
+    if angles is None:
+        raise ConfigError("LoS channels need an angle set (derive one with AngleSet.from_geometry)")
+    k = sc.geometry.n_interferers
+    if len(angles.aoa_azimuth) != k + 1:
+        raise ConfigError(f"angle set covers {len(angles.aoa_azimuth)} sources, geometry has {k + 1}")
+    a_f = np.empty((k + 1, m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
+    for i in range(k + 1):
+        a_f[i] = steering_vector_upa(m_h, m_v, angles.aoa_azimuth[i], angles.aoa_elevation[i])
+    return link_gains(sc.geometry, sc.pathloss), LosFactors(
+        a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(angles.su_aoa)),
+        b_ris=steering_vector_upa(m_h, m_v, angles.aod_azimuth, angles.aod_elevation), a_f=a_f)
 
 
 def build_los_channelset(sc) -> ChannelSet:
     """Build the LoS channel set of a scenario (direct links neglected).
 
-    Needs ``sc.geometry``, ``sc.pathloss``, ``sc.n_antennas``, ``sc.m_h``,
-    ``sc.m_v`` and ``sc.angles``; the surface->receiver matrix comes out
-    rank one by construction.
+    Needs what ``los_factors`` needs plus ``sc.m_h`` and ``sc.m_v``; the
+    surface->receiver matrix comes out rank one by construction.
     """
-    angles: AngleSet | None = getattr(sc, "angles", None)
-    if angles is None:
-        raise ConfigError("LoS channels need an angle set (derive one with AngleSet.from_geometry)")
-    n, m_h, m_v = _scenario_dims(sc)
-    gains = link_gains(sc.geometry, sc.pathloss)
-    k = sc.geometry.n_interferers
-    if len(angles.aoa_azimuth) != k + 1:
-        raise ConfigError(f"angle set covers {len(angles.aoa_azimuth)} sources, geometry has {k + 1}")
-
-    a_f = tuple(steering_vector_upa(m_h, m_v, angles.aoa_azimuth[i], angles.aoa_elevation[i])
-                for i in range(k + 1))
-    a_su = steering_vector_ula(n, np.pi * np.sin(angles.su_aoa))
-    b_ris = steering_vector_upa(m_h, m_v, angles.aod_azimuth, angles.aod_elevation)
-
-    f = tuple(np.sqrt(gains.beta_f[i]) * a_f[i] for i in range(k + 1))
-    g = np.sqrt(gains.beta_g) * np.outer(a_su, b_ris.conj())
-    d = tuple(np.zeros(n, dtype=complex) for _ in range(k + 1))
-    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains,
-                      los=LosFactors(a_su=a_su, b_ris=b_ris, a_f=a_f))
+    gains, los = los_factors(sc, int(sc.m_h), int(getattr(sc, "m_v", 1)))
+    f = np.sqrt(gains.beta_f)[:, np.newaxis] * los.a_f
+    g = np.sqrt(gains.beta_g) * np.outer(los.a_su, los.b_ris.conj())
+    return ChannelSet(d=np.zeros((len(f), los.a_su.size), dtype=complex), f=f, g_matrix=g,
+                      gains=gains, los=los)
 
 
 def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
@@ -255,12 +260,11 @@ def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
     Every entry is an independent CN(0, beta) variate with beta the pathloss
     gain of its link.
     """
-    n, m_h, m_v = _scenario_dims(sc)
-    m = m_h * m_v
+    n, m = int(sc.n_antennas), int(sc.m_h) * int(getattr(sc, "m_v", 1))
     gains = link_gains(sc.geometry, sc.pathloss)
     k = sc.geometry.n_interferers
     rng = substream(rng_seed, 0xC4)
-    d = tuple(sample_cn(rng, gains.beta_d[i], n) for i in range(k + 1))
-    f = tuple(sample_cn(rng, gains.beta_f[i], m) for i in range(k + 1))
+    d = [sample_cn(rng, gains.beta_d[i], n) for i in range(k + 1)]
+    f = [sample_cn(rng, gains.beta_f[i], m) for i in range(k + 1)]
     g = sample_cn(rng, gains.beta_g, (n, m))
-    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains)
+    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains)  # stacked in order, one row per draw

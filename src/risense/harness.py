@@ -41,7 +41,7 @@ def watts_to_dbm(w: float) -> float:
 
 def _annulus_ok(annulus) -> bool:
     r_in, r_out = annulus
-    return 0 <= r_in <= r_out < math.inf
+    return 0 <= r_in <= r_out and math.isfinite(r_out * r_out)  # the draw squares the radii
 
 
 DEFAULT_GEOMETRY = chan.Geometry(pu_pos=(0.0, 0.0), ris_pos=(100.0, 50.0), su_pos=(500.0, 0.0))
@@ -82,6 +82,8 @@ class ScenarioConfig:
         if len(self.p_w) != k + 1 or len(self.zeta) != k + 1:
             problems.append(f"powers/activities must cover {k + 1} sources "
                             f"(got {len(self.p_w)}/{len(self.zeta)})")
+        if not all(0 <= z <= 1 for z in self.zeta) or list(self.zeta[:1]) != [1.0]:
+            problems.append("activities zeta must lie in [0, 1], with zeta = 1 for the primary")
         if not _annulus_ok(self.annulus):
             problems.append(f"annulus needs finite 0 <= r_in <= r_out, got {self.annulus}")
         if self.n_antennas < 1:
@@ -147,19 +149,30 @@ def _take(section: dict, key: str, default):
 
 
 def _convert(value, kind, key: str):
-    """``kind(value)``; a value that is not a number is a ConfigError naming ``key``."""
+    """``kind(value)``; a value that is not a finite number is a ConfigError naming ``key``."""
     if not isinstance(value, bool):  # int(True) == 1, but `trials: true` is no count
         try:
-            return kind(value)
+            out = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    what = "an integer" if kind is int else "a number"
+        else:
+            if kind is int or math.isfinite(out):  # int() already rejects nan and inf
+                return out
+    what = "an integer" if kind is int else "a finite number"
     raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def _number(section: dict, name: str, key: str, default, kind=float):
     """Take ``key`` from the section called ``name`` as a number of type ``kind``."""
     return _convert(_take(section, key, default), kind, f"{name}.{key}")
+
+
+def _watts(dbm: float, key: str) -> float:
+    """dBm to Watts; a power beyond the float range is a ConfigError naming ``key``."""
+    try:
+        return dbm_to_watts(dbm)
+    except OverflowError:
+        raise ConfigError(f"{key} = {dbm!r} dBm is too large a power") from None
 
 
 def _pair(value, key: str) -> tuple[float, float]:
@@ -245,16 +258,16 @@ def load_scenario(path: str) -> ScenarioConfig:
     m_h = _number(arr, "array", "m_h", 16, int)
     m_v = _number(arr, "array", "m_v", 1, int)
 
-    p_w = _broadcast(_take(pw, "p_dbm", 30.0), k, "powers.p_dbm")
-    p_w = tuple(dbm_to_watts(v) for v in p_w)
+    p_w = tuple(_watts(v, "powers.p_dbm")
+                for v in _broadcast(_take(pw, "p_dbm", 30.0), k, "powers.p_dbm"))
     zeta = _broadcast(_take(pw, "zeta", 1.0), k, "powers.zeta")
-    sigma1 = dbm_to_watts(_number(pw, "powers", "sigma1_dbm", -80.0))
-    sigma2 = dbm_to_watts(_number(pw, "powers", "sigma2_dbm", -80.0))
+    sigma1 = _watts(_number(pw, "powers", "sigma1_dbm", -80.0), "powers.sigma1_dbm")
+    sigma2 = _watts(_number(pw, "powers", "sigma2_dbm", -80.0), "powers.sigma2_dbm")
 
-    p_c = dbm_to_watts(_number(ris, "ris", "p_c_dbm", -10.0))
-    p_dc = dbm_to_watts(_number(ris, "ris", "p_dc_dbm", -5.0))
+    p_c = _watts(_number(ris, "ris", "p_c_dbm", -10.0), "ris.p_c_dbm")
+    p_dc = _watts(_number(ris, "ris", "p_dc_dbm", -5.0), "ris.p_dc_dbm")
     a_max = _number(ris, "ris", "a_max", 10.0)
-    budget = dbm_to_watts(_number(ris, "ris", "budget_dbm", 10.0))
+    budget = _watts(_number(ris, "ris", "budget_dbm", 10.0), "ris.budget_dbm")
 
     t_samples = _number(det, "detector", "t_samples", t_default, int)
     alpha = _number(det, "detector", "alpha", 0.1)

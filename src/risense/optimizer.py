@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSet
-from .errors import NumericalError
-from .sensing import NoiseModel, SourceModel, equivalent_channels, population_eta
+from .errors import InfeasibleError, NumericalError
+from .sensing import NoiseModel, SourceModel, covariance, equivalent_channels, population_eta
 
 MODES = ("active", "passive-relaxed", "passive-unit")
 FEAS_RTOL = 1e-9
@@ -90,10 +90,7 @@ def power_weights(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
                   forwards_noise: bool = True) -> np.ndarray:
     """Per-element output-power weights: power = sum_m w_m |phi_m|^2."""
     sigma1 = noise.sigma1_sq if forwards_noise else 0.0
-    w = np.full(channels.n_elements, sigma1)
-    for k, fk in enumerate(channels.f):
-        w = w + sources.zeta[k] * sources.p[k] * np.abs(fk) ** 2
-    return w
+    return sigma1 + (sources.zeta * sources.p) @ np.abs(channels.f) ** 2
 
 
 def ris_output_power(phi: np.ndarray, channels: ChannelSet, sources: SourceModel,
@@ -110,10 +107,9 @@ def mse_epsilon(u: np.ndarray, rcm: Rcm, channels: ChannelSet, sources: SourceMo
     p_0 |u^H h_0 - 1|^2 + sum_k zeta_k p_k |u^H h_k|^2
     + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2.
     """
-    h = equivalent_channels(channels, rcm.phi)
-    eps = sources.p[0] * abs(np.vdot(u, h[0]) - 1.0) ** 2
-    for k in range(1, len(h)):
-        eps += sources.zeta[k] * sources.p[k] * abs(np.vdot(u, h[k])) ** 2
+    uh = equivalent_channels(channels, rcm.phi) @ u.conj()  # u^H h_k per source
+    eps = sources.p[0] * abs(uh[0] - 1.0) ** 2
+    eps += float((sources.zeta[1:] * sources.p[1:]) @ np.abs(uh[1:]) ** 2)
     sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
     if sigma1 > 0:
         row = (u.conj() @ channels.g_matrix) * rcm.phi
@@ -129,19 +125,11 @@ def update_u(rcm: Rcm, channels: ChannelSet, sources: SourceModel,
     u = p_0 (sum_k zeta_k p_k h_k h_k^H + sigma1^2 GPhi(GPhi)^H + sigma2^2 I)^-1 h_0,
     the sum including the primary term k = 0.
     """
-    h = equivalent_channels(channels, rcm.phi)
-    n = channels.n_antennas
-    a = noise.sigma2_sq * np.eye(n, dtype=complex)
-    for k, hk in enumerate(h):
-        w = sources.zeta[k] * sources.p[k]
-        if w > 0:
-            a += w * np.outer(hk, hk.conj())
     sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
-    if sigma1 > 0:
-        g_phi = channels.g_matrix * rcm.phi[np.newaxis, :]
-        a += sigma1 * (g_phi @ g_phi.conj().T)
+    a = covariance(channels, rcm.phi, sources.zeta * sources.p, sigma1, noise.sigma2_sq)
+    h0 = equivalent_channels(channels, rcm.phi)[0]
     try:
-        return sources.p[0] * np.linalg.solve(a, h[0])
+        return sources.p[0] * np.linalg.solve(a, h0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("receiver update: covariance is singular") from exc
 
@@ -199,22 +187,14 @@ def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
                noise: NoiseModel, rcm: Rcm) -> QcqpInstance:
     """Assemble the reflecting-coefficient subproblem for a fixed receiver."""
     m = channels.n_elements
-    ug = u.conj() @ channels.g_matrix  # row u^H G
-    quad = np.zeros((m + 1, m + 1), dtype=complex)
+    # row k of V is v_k = A_k^H u, so u^H A_k phi_bar = v_k^H phi_bar
+    v = np.concatenate([channels.f.conj() * (channels.g_matrix.conj().T @ u),
+                        (channels.d.conj() @ u)[:, np.newaxis]], axis=1)
+    quad = (v.T * (sources.zeta * sources.p)) @ v.conj()  # zeta_0 = 1
     sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
     if sigma1 > 0:
-        quad[:m, :m] += sigma1 * np.diag(np.abs(ug) ** 2)
-    lin = np.zeros(m + 1, dtype=complex)
-    for k in range(len(channels.f)):
-        w = sources.p[k] if k == 0 else sources.zeta[k] * sources.p[k]
-        if w == 0:
-            continue
-        v = np.concatenate([channels.f[k].conj() * (channels.g_matrix.conj().T @ u),
-                            [np.vdot(channels.d[k], u)]])
-        # v = A_k^H u, so u^H A_k phi_bar = v^H phi_bar
-        quad += w * np.outer(v, v.conj())
-        if k == 0:
-            lin = sources.p[0] * v
+        quad[np.diag_indices(m)] += sigma1 * np.abs(u.conj() @ channels.g_matrix) ** 2
+    lin = sources.p[0] * v[0]
     j = np.zeros(m + 1)
     j[:m] = power_weights(channels, sources, noise, forwards_noise=rcm.forwards_noise)
     p_out = rcm.p_out_budget if rcm.mode == "active" else None
@@ -438,6 +418,8 @@ def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
     update until the weight's relative change drops below tol. The returned
     coefficients are feasible and the surrogate trace is nonincreasing.
     """
+    if not p_out_budget > 0:
+        raise InfeasibleError(f"the output budget must be positive, got {p_out_budget:.6g} W")
     if init_phi is None:
         init_phi = mf_init_phi(channels, sources, noise, p_out_budget, a_max)
     rcm0 = Rcm(phi=init_phi, mode="active", a_max=a_max, p_out_budget=p_out_budget)

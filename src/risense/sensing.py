@@ -114,10 +114,25 @@ class SpikedStats:
         return self.mu_a is not None
 
 
-def equivalent_channels(channels: ChannelSet, phi: np.ndarray) -> list[np.ndarray]:
-    """h_k = d_k + G diag(phi) f_k for every source k."""
+def equivalent_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """Rows h_k = d_k + G diag(phi) f_k, one per source: D + F (G Phi)^T."""
     g_phi = channels.g_matrix * phi[np.newaxis, :]
-    return [dk + g_phi @ fk for dk, fk in zip(channels.d, channels.f)]
+    return channels.d + channels.f @ g_phi.T
+
+
+def covariance(channels: ChannelSet, phi: np.ndarray, weights: np.ndarray,
+               sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
+    """sum_k w_k h_k h_k^H + sigma2^2 I + sigma1^2 (G Phi)(G Phi)^H.
+
+    One product A A^H with A = [h_0 sqrt(w_0) ... h_K sqrt(w_K) | sigma1 G Phi];
+    the weights are nonnegative, one per source.
+    """
+    h = equivalent_channels(channels, phi)
+    g_phi = channels.g_matrix * phi[np.newaxis, :]
+    a = np.concatenate([h.T * np.sqrt(weights), np.sqrt(sigma1_sq) * g_phi], axis=1)
+    r = a @ a.conj().T
+    r[np.diag_indices_from(r)] += sigma2_sq
+    return r
 
 
 def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
@@ -129,21 +144,14 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
     (their modes carry sigma1_sq = 0 through ``rcm.forwards_noise``).
     """
     phi = np.asarray(rcm.phi, dtype=complex)
-    n = channels.n_antennas
     if phi.shape != (channels.n_elements,):
         raise ValueError("reflecting coefficients do not match the channel set")
     if sources.n_interferers != channels.n_interferers:
         raise ValueError("source model does not match the channel set")
-    h = equivalent_channels(channels, phi)
-    r = noise.sigma2_sq * np.eye(n, dtype=complex)
-    for k in range(1, len(h)):
-        w = sources.zeta[k] * sources.p[k]
-        if w > 0:
-            r += w * np.outer(h[k], h[k].conj())
-    sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
-    if sigma1 > 0:
-        g_phi = channels.g_matrix * phi[np.newaxis, :]
-        r += sigma1 * (g_phi @ g_phi.conj().T)
+    weights = sources.zeta * sources.p
+    weights[0] = 0.0  # the primary is the signal, not noise
+    r = covariance(channels, phi, weights, noise.sigma1_sq if rcm.forwards_noise else 0.0,
+                   noise.sigma2_sq)
     return 0.5 * (r + r.conj().T)
 
 

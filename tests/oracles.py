@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computational paths:
 the Tracy-Widom CDF is evaluated as an Airy-kernel Fredholm determinant, the
 largest eigenvalue via characteristic-polynomial roots, optimizers are
 checked against exhaustive polar-grid searches and a projected-gradient
-QCQP solver, the closed forms against the dense interference matrix, and the
+QCQP solver, the closed forms against the dense interference matrix, the
+stacked covariance and QCQP builders against per-source loops, and the
 Monte Carlo harness against a plain per-hypothesis trial loop.
 """
 
@@ -105,6 +106,75 @@ def batch_population_eta(phis: np.ndarray, channels: ChannelSet, sources: Source
         r += noise.sigma1_sq * np.einsum("bim,bjm->bij", g_phi, g_phi.conj())
     z = np.linalg.solve(r, h[0][:, :, None])[:, :, 0]
     return sources.p[0] * np.real(np.einsum("bi,bi->b", h[0].conj(), z))
+
+
+def loop_channels(channels: ChannelSet, phi: np.ndarray) -> list[np.ndarray]:
+    """h_k = d_k + G (phi * f_k), one source at a time."""
+    return [dk + channels.g_matrix @ (phi * fk) for dk, fk in zip(channels.d, channels.f)]
+
+
+def loop_covariance(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                    primary: bool) -> np.ndarray:
+    """sigma2^2 I + sum_k zeta_k p_k h_k h_k^H + sigma1^2 (G Phi)(G Phi)^H, one outer
+    product per source; the primary's term only when ``primary`` (the receiver
+    update's matrix), without it the noise covariance R."""
+    phi = np.asarray(rcm.phi, dtype=complex)
+    h = loop_channels(channels, phi)
+    r = noise.sigma2_sq * np.eye(channels.n_antennas, dtype=complex)
+    for k in range(0 if primary else 1, len(h)):
+        w = sources.zeta[k] * sources.p[k]
+        if w > 0:
+            r += w * np.outer(h[k], h[k].conj())
+    if rcm.forwards_noise and noise.sigma1_sq > 0:
+        g_phi = channels.g_matrix * phi[np.newaxis, :]
+        r += noise.sigma1_sq * (g_phi @ g_phi.conj().T)
+    return r
+
+
+def loop_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
+              rcm) -> tuple[np.ndarray, np.ndarray]:
+    """(quad, lin) of the reflecting-coefficient subproblem, one source at a time.
+
+    v_k = A_k^H u = [conj(f_k) * (G^H u); d_k^H u]; quad = sum_k w_k v_k v_k^H
+    (w_0 = p_0) plus sigma1^2 diag(|u^H G|^2), and lin = p_0 v_0.
+    """
+    m = channels.n_elements
+    ug = u.conj() @ channels.g_matrix
+    quad = np.zeros((m + 1, m + 1), dtype=complex)
+    if rcm.forwards_noise and noise.sigma1_sq > 0:
+        quad[:m, :m] += noise.sigma1_sq * np.diag(np.abs(ug) ** 2)
+    lin = np.zeros(m + 1, dtype=complex)
+    for k in range(len(channels.f)):
+        w = sources.p[k] if k == 0 else sources.zeta[k] * sources.p[k]
+        v = np.concatenate([channels.f[k].conj() * (channels.g_matrix.conj().T @ u),
+                            [np.vdot(channels.d[k], u)]])
+        quad += w * np.outer(v, v.conj())
+        if k == 0:
+            lin = sources.p[0] * v
+    return quad, lin
+
+
+def loop_power_weights(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
+                       forwards_noise: bool) -> np.ndarray:
+    """sigma1^2 + sum_k zeta_k p_k |f_k|^2 per element, one source at a time."""
+    w = np.full(channels.n_elements, noise.sigma1_sq if forwards_noise else 0.0)
+    for k, fk in enumerate(channels.f):
+        w = w + sources.zeta[k] * sources.p[k] * np.abs(fk) ** 2
+    return w
+
+
+def loop_mse(u: np.ndarray, rcm, channels: ChannelSet, sources: SourceModel,
+             noise: NoiseModel) -> float:
+    """p_0 |u^H h_0 - 1|^2 + sum_k zeta_k p_k |u^H h_k|^2 + sigma1^2 ||u^H G Phi||^2
+    + sigma2^2 ||u||^2, one source at a time."""
+    h = loop_channels(channels, np.asarray(rcm.phi, dtype=complex))
+    eps = sources.p[0] * abs(np.vdot(u, h[0]) - 1.0) ** 2
+    for k in range(1, len(h)):
+        eps += sources.zeta[k] * sources.p[k] * abs(np.vdot(u, h[k])) ** 2
+    if rcm.forwards_noise:
+        eps += noise.sigma1_sq * float(np.sum(np.abs((u.conj() @ channels.g_matrix)
+                                                     * rcm.phi) ** 2))
+    return float(eps + noise.sigma2_sq * np.real(np.vdot(u, u)))
 
 
 def _polar_candidates(centers_a, centers_t, half_a, half_t, a_hi, na, nt):
@@ -276,7 +346,7 @@ def big_d(ctx: ClosedFormContext) -> np.ndarray:
     for k in range(1, len(ctx.a_f)):
         w = ctx.zeta[k] * ctx.p[k]
         if w > 0:
-            fk = ctx.f_vec(k)
+            fk = np.sqrt(ctx.beta_f[k]) * ctx.a_f[k]
             d += w * np.outer(fk, fk.conj())
     return d / ctx.sigma2_sq
 

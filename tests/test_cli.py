@@ -87,6 +87,19 @@ class TestExitCodes:
         assert "configuration error: scenario.seed must be an integer, got 'abc'" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, argv", [
+        ("pathloss.wavelength", ".nan", ["simulate", "--trials", "1"]),
+        ("ris.p_c_dbm", ".nan", ["budget", "--method", "mf"]),
+        ("powers.sigma1_dbm", ".nan", ["simulate", "--trials", "1"]),
+        ("ris.budget_dbm", ".nan", ["simulate", "--trials", "1"]),
+        ("ris.a_max", ".inf", ["simulate", "--trials", "1"])])
+    def test_non_finite_value(self, tmp_path, capsys, key, value, argv):
+        section, name = key.split(".")
+        cfg = write_config(tmp_path, f"{section}: {{{name}: {value}}}\n")
+        assert cli.main(argv + ["--config", cfg]) == 2
+        assert f"configuration error: {key} must be a finite number, got " \
+            in capsys.readouterr().err
+
     def test_negative_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
         assert cli.main(["simulate", "--config", cfg, "--seed", "-1", "--trials", "1"]) == 2

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_detection_mc
 from risense import budget as bdg
@@ -100,6 +103,19 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be"):
             hns.load_scenario(str(path))
 
+    @pytest.mark.parametrize("body, match", [
+        ("powers: {sigma1_dbm: 1.0e+308}", r"^powers\.sigma1_dbm = 1e\+308 dBm"),
+        ("powers: {p_dbm: [30, 1.0e+308, 0, 0, 0, 0]}", r"^powers\.p_dbm = 1e\+308 dBm"),
+        ("geometry: {pu: [1.0e+308, 0], su: [-1.0e+308, 0]}", "pu-su distance is inf"),
+        ("geometry: {annulus: [0, 1.0e+200]}", r"^geometry\.annulus"),
+        ("powers: {zeta: 0.5}", "zeta = 1 for the primary"),
+        ("powers: {zeta: [1, 2, 1, 1, 1, 1]}", r"zeta must lie in \[0, 1\]")])
+    def test_out_of_range_value_rejected(self, tmp_path, body, match):
+        path = tmp_path / "sc.yaml"
+        path.write_text(body + "\n")
+        with pytest.raises(ConfigError, match=match):
+            hns.load_scenario(str(path))
+
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "sc.yaml"
         path.write_text("scenario: {seed: -1}\n")
@@ -114,6 +130,40 @@ class TestLoadScenario:
         path.write_text(f"geometry: {{interferers: {interferers}}}\n")
         with pytest.raises(ConfigError, match="interferers"):
             hns.load_scenario(str(path))
+
+
+LOADER_KEYS = {
+    "scenario": ("seed", "trials", "full_scale", "channel_model", "method"),
+    "geometry": ("pu", "ris", "su", "annulus", "interferers"),
+    "pathloss": ("wavelength", "alpha_direct", "alpha_incident", "alpha_outgoing"),
+    "array": ("n_antennas", "m_h", "m_v"),
+    "powers": ("p_dbm", "zeta", "sigma1_dbm", "sigma2_dbm"),
+    "ris": ("p_c_dbm", "p_dc_dbm", "a_max", "budget_dbm"),
+    "detector": ("t_samples", "alpha", "pd_target"),
+    "planner": ("stop_tol", "p_high_w"),
+}
+# ints stay small: an interferer count is drawn at load time
+FUZZ_SCALARS = st.one_of(st.integers(-3, 40), st.floats(), st.text(max_size=4),
+                         st.booleans(), st.none())
+FUZZ_VALUES = st.one_of(FUZZ_SCALARS, st.lists(FUZZ_SCALARS, max_size=3))
+FUZZ_ENTRIES = st.lists(st.tuples(st.sampled_from([(s, k) for s, keys in LOADER_KEYS.items()
+                                                   for k in keys]), FUZZ_VALUES), max_size=6)
+
+
+class TestLoaderFuzz:
+    @given(entries=FUZZ_ENTRIES)
+    @settings(max_examples=150, deadline=None)
+    def test_returns_a_scenario_or_raises_config_error(self, tmp_path_factory, entries):
+        doc: dict = {}
+        for (section, key), value in entries:
+            doc.setdefault(section, {})[key] = value
+        path = tmp_path_factory.mktemp("fuzz") / "sc.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        try:
+            sc = hns.load_scenario(str(path))
+        except ConfigError:
+            return
+        assert isinstance(sc, hns.ScenarioConfig)
 
 
 def tiny_scenario(**kw):

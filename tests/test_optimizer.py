@@ -3,12 +3,14 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import make_noise, make_sources
-from oracles import (batch_population_eta, kkt_residual, make_los_channelset,
+from oracles import (batch_population_eta, kkt_residual, loop_channels, loop_covariance,
+                     loop_mse, loop_power_weights, loop_qcqp, make_los_channelset,
                      make_random_channelset, phase_grid_search, polar_grid_search,
                      project_feasible, solve_p22_pg)
 from risense import optimizer as opt
 from risense import sensing as sns
 from risense.budget import eta_active_no_interference, eta_passive
+from risense.errors import InfeasibleError
 
 
 def build_instance(rng, n=4, m=3, k=1, p_out=2.0, a_max=1.5, direct=True, zeta=0.8):
@@ -288,6 +290,17 @@ class TestWmmseActive:
         with pytest.raises(ValueError):
             opt.wmmse_active(ch, src, noise, p_out_budget=1e-3, a_max=0.5, init_phi=bad)
 
+    @pytest.mark.parametrize("p_out", [-1e-3, 0.0, np.nan])
+    def test_budget_without_output_power_rejected_before_init(self, rng, monkeypatch, p_out):
+        ch = make_random_channelset(rng, n=4, m=3, k=1)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("initialised before checking the budget")
+
+        monkeypatch.setattr(opt, "mf_init_phi", no_init)
+        with pytest.raises(InfeasibleError, match="budget must be positive"):
+            opt.wmmse_active(ch, make_sources(1), make_noise(), p_out, 1.0)
+
     def test_converged_surrogate_reproduces_eta(self, rng):
         # -log(eps* / p0) == log(1 + eta) at convergence
         ch = make_random_channelset(rng, n=5, m=4, k=1)
@@ -345,3 +358,48 @@ class TestProjection:
         y = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         x = project_feasible(y, j, p_out=10.0, a_max=1.0)
         assert np.allclose(x, y)
+
+
+STACKED_CASES = ("rayleigh", "los", "k0", "silent_interferer", "passive")
+
+
+def stacked_case(rng, name):
+    """(channels, sources, noise, rcm, u) of one builder check."""
+    k = 0 if name == "k0" else 2
+    if name == "los":
+        ch = make_los_channelset(rng, n=6, m=4, k=k, beta_f=0.7, beta_g=1.3)
+    else:
+        ch = make_random_channelset(rng, n=5, m=4, k=k)
+    p = [2.0] if k == 0 else [1.5, 0.0 if name == "silent_interferer" else 0.7, 2.0]
+    src = sns.SourceModel(p=p, zeta=[1.0, 0.6, 0.9][:k + 1])
+    phi = 0.5 * (rng.standard_normal(ch.n_elements) + 1j * rng.standard_normal(ch.n_elements))
+    mode = "passive-relaxed" if name == "passive" else "active"
+    u = rng.standard_normal(ch.n_antennas) + 1j * rng.standard_normal(ch.n_antennas)
+    return ch, src, make_noise(sigma1_sq=0.3), opt.Rcm(phi=phi, mode=mode, a_max=np.inf), u
+
+
+def assert_matches(got, want):
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+class TestStackedBuilders:
+    """The stacked (one row per source) builders equal their per-source loops."""
+
+    @pytest.mark.parametrize("name", STACKED_CASES)
+    def test_matches_per_source_loops(self, rng, name):
+        ch, src, noise, rcm, u = stacked_case(rng, name)
+        sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
+        assert_matches(sns.equivalent_channels(ch, rcm.phi), loop_channels(ch, rcm.phi))
+        assert_matches(sns.noise_covariance(ch, rcm, src, noise),
+                       loop_covariance(ch, rcm, src, noise, primary=False))
+        # the receiver update's matrix: the primary's term included
+        assert_matches(sns.covariance(ch, rcm.phi, src.zeta * src.p, sigma1, noise.sigma2_sq),
+                       loop_covariance(ch, rcm, src, noise, primary=True))
+        inst = opt.build_qcqp(u, ch, src, noise, rcm)
+        quad, lin = loop_qcqp(u, ch, src, noise, rcm)
+        assert_matches(inst.quad, quad)
+        assert_matches(inst.lin, lin)
+        assert_matches(opt.power_weights(ch, src, noise, rcm.forwards_noise),
+                       loop_power_weights(ch, src, noise, rcm.forwards_noise))
+        assert_matches(opt.mse_epsilon(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))
