@@ -545,6 +545,8 @@ def required_budget(method: str, pd_target: float, scenario, stop_tol: float | N
     best = (p_high, eta_hi, m_hi, rcm_hi)
     while p_high - p_low > stop_tol:
         mid = 0.5 * (p_low + p_high)
+        if mid in (p_low, p_high):  # the gap is down to the float spacing of the budget
+            break
         eta_mid, m_mid, rcm_mid = probe(mid)
         record(mid, eta_mid)
         if eta_mid > eta0:

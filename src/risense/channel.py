@@ -177,15 +177,23 @@ def pathloss(wavelength: float, dist: float, alpha: float) -> float:
     """Power-law pathloss gain wavelength^2 / ((4 pi)^2 dist^alpha)."""
     if dist <= 0:
         raise ValueError(f"pathloss needs a positive distance, got {dist}")
-    return wavelength**2 / (FOUR_PI_SQ * dist**alpha)
+    try:
+        return wavelength**2 / (FOUR_PI_SQ * dist**alpha)
+    except (OverflowError, ZeroDivisionError):  # a power beyond, or below, the float range
+        return float("inf")
 
 
 def link_gains(geom: Geometry, plm: PathlossModel) -> LinkGains:
-    """Evaluate the pathloss of every link in the scenario."""
+    """Evaluate the pathloss of every link; an infinite gain is a ConfigError."""
     ks = range(geom.n_interferers + 1)
     beta_d = np.array([pathloss(plm.wavelength, geom.dist_direct(k), plm.alpha_direct) for k in ks])
     beta_f = np.array([pathloss(plm.wavelength, geom.dist_to_ris(k), plm.alpha_incident) for k in ks])
     beta_g = pathloss(plm.wavelength, geom.dist_ris_su(), plm.alpha_outgoing)
+    for key, gain in (("alpha_direct", beta_d), ("alpha_incident", beta_f),
+                      ("alpha_outgoing", beta_g)):
+        if not np.all(np.isfinite(gain)):
+            raise ConfigError(f"pathloss.{key} = {getattr(plm, key)!r} with wavelength "
+                              f"{plm.wavelength!r} gives a link gain beyond the float range")
     return LinkGains(beta_d=beta_d, beta_f=beta_f, beta_g=beta_g)
 
 

@@ -63,24 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scenario(args) -> hns.ScenarioConfig:
     sc = hns.load_scenario(args.config)
-    patch = {}
-    if args.seed is not None:
-        patch["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        patch["trials"] = args.trials
+    patch = {key: getattr(args, key, None) for key in ("seed", "trials", "pd_target", "stop_tol")}
+    patch = {key: value for key, value in patch.items() if value is not None}
     if getattr(args, "method", None):
         patch["method"] = args.method.lower()
     return dataclasses.replace(sc, **patch) if patch else sc
 
 
 def _emit(rows, args) -> None:
-    text = hns.render_results(rows, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        hns.emit_results(rows, args.out, args.format)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(hns.render_results(rows, args.format))
 
 
 def cmd_threshold(args) -> int:
@@ -93,11 +88,11 @@ def cmd_threshold(args) -> int:
         if args.N is None or args.T is None:
             raise ConfigError("threshold needs --config or both -N and -T")
         n, t, alpha = args.N, args.T, args.alpha if args.alpha is not None else 0.1
-    try:
-        cfg = sns.DetectorConfig(n_antennas=n, n_samples=t, alpha=alpha)
-    except ValueError as exc:
+    try:  # an N or T beyond the float range overflows
+        gamma = sns.detection_threshold(sns.DetectorConfig(n_antennas=n, n_samples=t, alpha=alpha))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"gamma_th = {sns.detection_threshold(cfg):.9g}  (N={n}, T={t}, alpha={alpha})")
+    print(f"gamma_th = {gamma:.9g}  (N={n}, T={t}, alpha={alpha})")
     return 0
 
 
@@ -146,8 +141,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_budget(args) -> int:
     sc = _scenario(args)
-    pd_target = args.pd_target if args.pd_target is not None else sc.pd_target
-    res = bdg.required_budget(sc.method, pd_target, sc, stop_tol=args.stop_tol)
+    res = bdg.required_budget(sc.method, sc.pd_target, sc)
     print(f"required budget = {res.required_power:.9g} W "
           f"({hns.watts_to_dbm(res.required_power):.4f} dBm) with M = {res.m_star}, "
           f"eta = {res.eta_star:.6g} >= target {res.eta_target:.6g}")

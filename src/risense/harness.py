@@ -96,6 +96,8 @@ class ScenarioConfig:
             problems.append("alpha must lie in (0, 1) with its threshold quantile tabulated")
         if not 0 < self.pd_target < 1:
             problems.append("pd_target must lie in (0, 1)")
+        if not 0 < self.stop_tol < math.inf:  # the planner bisects down to it
+            problems.append(f"planner stop_tol must be positive and finite, got {self.stop_tol}")
         if self.trials < 1:
             problems.append("trials must be >= 1")
         if self.seed < 0:
@@ -144,10 +146,6 @@ def _expect_mapping(node, name: str):
     return dict(node)
 
 
-def _take(section: dict, key: str, default):
-    return section.pop(key, default)
-
-
 def _convert(value, kind, key: str):
     """``kind(value)``; a value that is not a finite number is a ConfigError naming ``key``."""
     if not isinstance(value, bool):  # int(True) == 1, but `trials: true` is no count
@@ -164,7 +162,7 @@ def _convert(value, kind, key: str):
 
 def _number(section: dict, name: str, key: str, default, kind=float):
     """Take ``key`` from the section called ``name`` as a number of type ``kind``."""
-    return _convert(_take(section, key, default), kind, f"{name}.{key}")
+    return _convert(section.pop(key, default), kind, f"{name}.{key}")
 
 
 def _watts(dbm: float, key: str) -> float:
@@ -225,18 +223,18 @@ def load_scenario(path: str) -> ScenarioConfig:
     if seed < 0:  # the interferer draw below needs it
         raise ConfigError(f"scenario.seed must be >= 0, got {seed}")
     trials = _number(sc, "scenario", "trials", 500, int)
-    full_scale = bool(_take(sc, "full_scale", False))
-    channel_model = str(_take(sc, "channel_model", "rayleigh"))
-    method = str(_take(sc, "method", "wmmse"))
+    full_scale = bool(sc.pop("full_scale", False))
+    channel_model = str(sc.pop("channel_model", "rayleigh"))
+    method = str(sc.pop("method", "wmmse"))
 
-    pu = _pair(_take(geo, "pu", (0.0, 0.0)), "geometry.pu")
-    ris_pos = _pair(_take(geo, "ris", (100.0, 50.0)), "geometry.ris")
-    su = _pair(_take(geo, "su", (500.0, 0.0)), "geometry.su")
-    annulus = _pair(_take(geo, "annulus", (50.0, 60.0)), "geometry.annulus")
+    pu = _pair(geo.pop("pu", (0.0, 0.0)), "geometry.pu")
+    ris_pos = _pair(geo.pop("ris", (100.0, 50.0)), "geometry.ris")
+    su = _pair(geo.pop("su", (500.0, 0.0)), "geometry.su")
+    annulus = _pair(geo.pop("annulus", (50.0, 60.0)), "geometry.annulus")
     if not _annulus_ok(annulus):  # checked before the interferer draw needs it
         raise ConfigError(f"geometry.annulus needs finite 0 <= r_in <= r_out in meters, "
                           f"got {list(annulus)}")
-    interferers = _take(geo, "interferers", 5)
+    interferers = geo.pop("interferers", 5)
     if isinstance(interferers, int) and not isinstance(interferers, bool) and interferers >= 0:
         positions = chan.draw_interferer_positions(ris_pos, interferers, *annulus, seed)
     elif isinstance(interferers, list):
@@ -252,6 +250,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         alpha_direct=_number(plo, "pathloss", "alpha_direct", 4.0),
         alpha_incident=_number(plo, "pathloss", "alpha_incident", 2.0),
         alpha_outgoing=_number(plo, "pathloss", "alpha_outgoing", 2.0))
+    chan.link_gains(geometry, pathloss)  # gains beyond the float range fail here, not mid-run
 
     n_default, t_default = (64, 6400) if full_scale else (32, 3200)
     n_antennas = _number(arr, "array", "n_antennas", n_default, int)
@@ -259,8 +258,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     m_v = _number(arr, "array", "m_v", 1, int)
 
     p_w = tuple(_watts(v, "powers.p_dbm")
-                for v in _broadcast(_take(pw, "p_dbm", 30.0), k, "powers.p_dbm"))
-    zeta = _broadcast(_take(pw, "zeta", 1.0), k, "powers.zeta")
+                for v in _broadcast(pw.pop("p_dbm", 30.0), k, "powers.p_dbm"))
+    zeta = _broadcast(pw.pop("zeta", 1.0), k, "powers.zeta")
     sigma1 = _watts(_number(pw, "powers", "sigma1_dbm", -80.0), "powers.sigma1_dbm")
     sigma2 = _watts(_number(pw, "powers", "sigma2_dbm", -80.0), "powers.sigma2_dbm")
 
@@ -303,36 +302,34 @@ class McResult(NamedTuple):
 
 
 def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1", "h0"),
-                      rcm: opt.Rcm | None = None, trials: int | None = None,
-                      seed: int | None = None) -> tuple[McResult, ...]:
+                      rcm: opt.Rcm | None = None,
+                      trials: int | None = None) -> tuple[McResult, ...]:
     """Empirical exceedance rates of the detection pipeline, one per hypothesis.
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
     optimize the reflecting coefficients, build the analytic covariance, its
-    whitening factor and the population excess, synthesize T snapshots,
-    whiten them and compare the largest sample eigenvalue against the
-    threshold. A trial's hypotheses share all of this (common random
-    numbers): H0 is scored on the noise-plus-interference draw, H1 on the
-    same array once the primary term is added in place.
+    whitening factor and the population excess, synthesize T snapshots and
+    compare the largest eigenvalue of their whitened sample covariance with
+    the threshold. A trial's hypotheses share all of this (common random
+    numbers): H0 is scored from the Gram matrix G0 = Y0 Y0^H of the
+    noise-plus-interference draw, H1 from its rank-2 update for Y0 + h0 s0^T.
     """
     if not hypotheses or not set(hypotheses) <= {"h0", "h1"}:
         raise ValueError("hypotheses must be 'h0' and/or 'h1'")
     trials = scenario.trials if trials is None else trials
-    seed = scenario.seed if seed is None else seed
     cfg = scenario.detector()
     gamma_th = sns.detection_threshold(cfg)
     sources, noise = scenario.sources(), scenario.noise()
     fixed_channels = scenario.build_channels() if scenario.channel_model == "los" else None
     m = scenario.n_elements
     p_out = scenario.power_model().p_out_budget(scenario.ris_budget_w, m)
-    score_h0, score_h1 = "h0" in hypotheses, "h1" in hypotheses
     hits = {"h0": 0, "h1": 0}
     etas = np.empty(trials)
     pd_pred = np.empty(trials)
     for t in range(trials):
         if fixed_channels is None or t == 0:  # fixed channels and coefficients: once
             channels = fixed_channels if fixed_channels is not None \
-                else chan.sample_rayleigh_channelset(scenario, (seed, t))
+                else chan.sample_rayleigh_channelset(scenario, (scenario.seed, t))
             rcm_t = rcm if rcm is not None else \
                 bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
             r = sns.noise_covariance(channels, rcm_t, sources, noise)
@@ -343,19 +340,16 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
                                                            gamma_th=gamma_th, alpha=cfg.alpha))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
-        if score_h1:
-            y, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "both",
-                                       scenario.t_samples, (seed, t, 1))
-        else:
-            y, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "h0",
-                                       scenario.t_samples, (seed, t, 1)), None
-        if score_h0:
-            hits["h0"] += sns.max_eig_statistic(sns.whiten(y, q_inv=q_inv)) > gamma_th
-        if score_h1:
-            if s0 is not None:
-                y += np.outer(h0, s0)
-            hits["h1"] += sns.max_eig_statistic(sns.whiten(y, q_inv=q_inv)) > gamma_th
-        del y  # one snapshot array at a time: the next trial's draw replaces it
+        y0, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1", scenario.t_samples,
+                                    (scenario.seed, t, 1))
+        g0 = sns.gram(y0)
+        g = {"h0": g0, "h1": g0}
+        if s0 is not None:  # (Y0 + h0 s0^T)(Y0 + h0 s0^T)^H, a rank-2 update of G0
+            hv = np.outer(h0, (y0 @ s0.conj()).conj())
+            g["h1"] = g0 + hv + hv.conj().T + np.vdot(s0, s0).real * np.outer(h0, h0.conj())
+        for h in hypotheses:
+            hits[h] += sns.max_eig_statistic(g[h], q_inv, scenario.t_samples) > gamma_th
+        del y0  # one snapshot array at a time: the next trial's draw replaces it
     mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())
     results = []
     for h in hypotheses:
@@ -367,10 +361,9 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
 
 
 def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
-                     hypothesis: str = "h1", trials: int | None = None,
-                     seed: int | None = None) -> McResult:
+                     hypothesis: str = "h1", trials: int | None = None) -> McResult:
     """Empirical exceedance rate under one hypothesis (see run_hypotheses_mc)."""
-    return run_hypotheses_mc(scenario, (hypothesis,), rcm, trials, seed)[0]
+    return run_hypotheses_mc(scenario, (hypothesis,), rcm, trials)[0]
 
 
 RESULT_COLUMNS = ("experiment", "sweep_name", "sweep_value", "method", "pd_emp",

@@ -24,6 +24,13 @@ def substream(seed, *path: int) -> np.random.Generator:
 
 
 def sample_cn(rng: np.random.Generator, variance: float, shape) -> np.ndarray:
-    """Draw i.i.d. circularly-symmetric complex Gaussians CN(0, variance)."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Draw i.i.d. circularly-symmetric complex Gaussians CN(0, variance).
+
+    One call draws the real parts, then the imaginary parts: the variates and
+    bytes of ``scale * (a + 1j * b)`` with a and b drawn by two calls.
+    """
+    z = rng.standard_normal((2, *np.broadcast_shapes(shape)))
+    z *= np.sqrt(variance / 2.0)
+    out = np.empty(z.shape[1:], dtype=complex)
+    out.real, out.imag = z
+    return out

@@ -3,10 +3,11 @@
 The receiver collects T snapshots, whitens them with the analytic
 noise-plus-interference covariance (the detector is genie-aided: channels
 are assumed known), and compares the largest eigenvalue of the whitened
-sample covariance against a Tracy-Widom threshold. Under the alternative,
-that eigenvalue separates from the bulk once the population excess ``eta``
-crosses the phase transition sqrt(chi), after which its law is Gaussian and
-the detection probability has a closed form.
+sample covariance, taken from the snapshots' N x N Gram matrix, against a
+Tracy-Widom threshold. Under the alternative, that eigenvalue separates from
+the bulk once the population excess ``eta`` crosses the phase transition
+sqrt(chi), after which its law is Gaussian and the detection probability has
+a closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg.blas import zherk
 from scipy.optimize import brentq
 from scipy.stats import norm
 
@@ -156,40 +158,39 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
 
 
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                   hypothesis: str, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Synthesize one sensing interval of T snapshots (columns).
+                   hypothesis: str, n_samples: int, rng_seed: int) -> tuple:
+    """Signal-free snapshots Y0 (N x T) of one sensing interval, and the primary's
+    symbols s0 under "h1" (None under "h0" or for a silent primary): Y0 + h_0 s0^T.
 
-    Interferer activity is drawn once per interval; symbol and noise
-    processes are i.i.d. across snapshots. Deterministic given the seed.
-    The primary's symbols are drawn last, so ``hypothesis="both"`` returns
-    the signal-free snapshots Y0 with the primary's symbol stream s0 (None
-    for a silent primary), and Y0 + outer(h_0, s0) is the "h1" draw bit for
-    bit.
+    Deterministic given the seed. Draw order: receiver noise, surface noise, the
+    interferers' activity (once per interval), active interferers, primary. One
+    product [G Phi | h_k ...] @ [Z_1; s_k ...] adds the surface noise and interferers.
     """
-    if hypothesis not in ("h0", "h1", "both"):
-        raise ValueError("hypothesis must be 'h0', 'h1' or 'both'")
+    if hypothesis not in ("h0", "h1"):
+        raise ValueError("hypothesis must be 'h0' or 'h1'")
     phi = np.asarray(rcm.phi, dtype=complex)
-    n, m = channels.n_antennas, channels.n_elements
     rng = substream(rng_seed, 0x51)
     h = equivalent_channels(channels, phi)
 
-    y = sample_cn(rng, noise.sigma2_sq, (n, n_samples))
-    sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
-    if sigma1 > 0:
-        g_phi = channels.g_matrix * phi[np.newaxis, :]
-        y += g_phi @ sample_cn(rng, sigma1, (m, n_samples))
+    y = sample_cn(rng, noise.sigma2_sq, (channels.n_antennas, n_samples))
+    cols, rows = [], []
+    if rcm.forwards_noise and noise.sigma1_sq > 0:
+        cols.append(channels.g_matrix * phi[np.newaxis, :])
+        rows.append(sample_cn(rng, noise.sigma1_sq, (channels.n_elements, n_samples)))
     active = rng.random(sources.n_interferers + 1) < sources.zeta
-    for k in range(1, len(h)):
-        if active[k] and sources.p[k] > 0:
-            y += np.outer(h[k], sample_cn(rng, sources.p[k], n_samples))
-    s0 = None
-    if hypothesis != "h0" and sources.p[0] > 0:
-        s0 = sample_cn(rng, sources.p[0], n_samples)
-    if hypothesis == "both":
-        return y, s0
-    if s0 is not None:
-        y += np.outer(h[0], s0)
-    return y
+    on = [k for k in range(1, len(h)) if active[k] and sources.p[k] > 0]
+    rows += [sample_cn(rng, sources.p[k], n_samples) for k in on]
+    if rows:
+        y += np.hstack(cols + [h[on].T]) @ np.vstack(rows)
+    primary = hypothesis == "h1" and sources.p[0] > 0
+    return y, sample_cn(rng, sources.p[0], n_samples) if primary else None
+
+
+def gram(y: np.ndarray) -> np.ndarray:
+    """Hermitian Gram matrix Y Y^H of snapshots Y (N x T), from one BLAS zherk on
+    the F-ordered view Y^T: no copy of Y and half the work of Y @ Y^H."""
+    c = zherk(1.0, y.T, trans=2)  # upper triangle of conj(Y Y^H), zeros below
+    return c.T + np.triu(c, 1).conj()
 
 
 def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:
@@ -201,20 +202,14 @@ def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(lam)) @ u.conj().T
 
 
-def whiten(y: np.ndarray, r: np.ndarray | None = None,
-           q_inv: np.ndarray | None = None) -> np.ndarray:
-    """Whiten snapshots with the PSD square root of r: X = Q^-1 Y.
-
-    Pass ``q_inv = psd_sqrt_inverse(r)`` instead of r to reuse the factor.
-    """
-    return (psd_sqrt_inverse(r) if q_inv is None else q_inv) @ y
+def whiten(g: np.ndarray, q_inv: np.ndarray) -> np.ndarray:
+    """Gram matrix Q^-1 G Q^-1 of the whitened snapshots Q^-1 Y, from G = Y Y^H."""
+    return q_inv @ g @ q_inv
 
 
-def max_eig_statistic(x: np.ndarray) -> float:
-    """Largest eigenvalue of the sample covariance (1/T) X X^H."""
-    n, t = x.shape
-    s = (x @ x.conj().T) / t
-    return float(np.linalg.eigvalsh(s)[-1])
+def max_eig_statistic(g: np.ndarray, q_inv: np.ndarray, n_samples: int) -> float:
+    """Largest eigenvalue of (1/T) Q^-1 G Q^-1: whitened, with Q^-1 = psd_sqrt_inverse(R)."""
+    return float(np.linalg.eigvalsh(whiten(g, q_inv) / n_samples)[-1])
 
 
 _TW2_INTERP: PchipInterpolator | None = None

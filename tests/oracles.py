@@ -6,7 +6,8 @@ largest eigenvalue via characteristic-polynomial roots, optimizers are
 checked against exhaustive polar-grid searches and a projected-gradient
 QCQP solver, the closed forms against the dense interference matrix, the
 stacked covariance and QCQP builders against per-source loops, and the
-Monte Carlo harness against a plain per-hypothesis trial loop.
+Monte Carlo harness against a plain per-hypothesis trial loop that
+synthesizes, whitens and scores the N x T snapshots themselves.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_
                              steering_vector_ula)
 from risense.errors import NumericalError
 from risense.optimizer import QcqpInstance
-from risense.sensing import (NoiseModel, SourceModel, detection_threshold, max_eig_statistic,
-                             noise_covariance, population_eta, predicted_pd, sample_signals,
-                             spiked_stats, whiten)
+from risense.rng import substream
+from risense.sensing import (NoiseModel, SourceModel, detection_threshold, noise_covariance,
+                             population_eta, predicted_pd, psd_sqrt_inverse, spiked_stats)
 
 
 def tw2_cdf_fredholm(s: float, n: int = 100, span: float = 30.0) -> float:
@@ -351,6 +352,54 @@ def big_d(ctx: ClosedFormContext) -> np.ndarray:
     return d / ctx.sigma2_sq
 
 
+def sample_cn_two_calls(rng: np.random.Generator, variance: float, shape) -> np.ndarray:
+    """CN(0, variance) variates: the real parts in one call, the imaginary in a second."""
+    scale = np.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                     hypothesis: str, n_samples: int, rng_seed) -> np.ndarray:
+    """sample_signals' snapshots of one hypothesis, one source term at a time.
+
+    Same substream and draw order (receiver noise, surface noise, activity,
+    active interferers, primary); each term is added to the array in turn,
+    the sources as outer products h_k s_k^T.
+    """
+    phi = np.asarray(rcm.phi, dtype=complex)
+    h = loop_channels(channels, phi)
+    rng = substream(rng_seed, 0x51)
+    y = sample_cn_two_calls(rng, noise.sigma2_sq, (channels.n_antennas, n_samples))
+    if rcm.forwards_noise and noise.sigma1_sq > 0:
+        g_phi = channels.g_matrix * phi[np.newaxis, :]
+        y += g_phi @ sample_cn_two_calls(rng, noise.sigma1_sq, (channels.n_elements, n_samples))
+    active = rng.random(len(h)) < sources.zeta
+    for k in range(1, len(h)):
+        if active[k] and sources.p[k] > 0:
+            y += np.outer(h[k], sample_cn_two_calls(rng, sources.p[k], n_samples))
+    if hypothesis == "h1" and sources.p[0] > 0:
+        y += np.outer(h[0], sample_cn_two_calls(rng, sources.p[0], n_samples))
+    return y
+
+
+def whiten(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whitened snapshots Q^-1 Y, with Q the PSD square root of r."""
+    return psd_sqrt_inverse(r) @ y
+
+
+def snapshot_max_eig(x: np.ndarray) -> float:
+    """Largest eigenvalue of the sample covariance (1/T) X X^H of the snapshots X."""
+    return float(np.linalg.eigvalsh((x @ x.conj().T) / x.shape[1])[-1])
+
+
+def reference_statistic(scenario, hypothesis: str, trial: int, channels, rcm) -> float:
+    """The detection statistic of one trial and hypothesis, from its whitened snapshots."""
+    r = noise_covariance(channels, rcm, scenario.sources(), scenario.noise())
+    y = snapshot_signals(channels, rcm, scenario.sources(), scenario.noise(), hypothesis,
+                         scenario.t_samples, (scenario.seed, trial, 1))
+    return snapshot_max_eig(whiten(y, r))
+
+
 def reference_detection_mc(scenario, hypothesis: str, rcm_for_trial) -> tuple[float, float, float]:
     """(rate, mean eta, mean predicted Pd) of one hypothesis, one trial at a time.
 
@@ -370,10 +419,7 @@ def reference_detection_mc(scenario, hypothesis: str, rcm_for_trial) -> tuple[fl
         channels = scenario.build_channels() if scenario.channel_model == "los" \
             else sample_rayleigh_channelset(scenario, (scenario.seed, t))
         rcm = rcm_for_trial(scenario, channels)
-        r = noise_covariance(channels, rcm, sources, noise)
-        y = sample_signals(channels, rcm, sources, noise, hypothesis, scenario.t_samples,
-                           (scenario.seed, t, 1))
-        hits += max_eig_statistic(whiten(y, r)) > gamma
+        hits += reference_statistic(scenario, hypothesis, t, channels, rcm) > gamma
         etas[t] = population_eta(channels, rcm, sources, noise)
         pds[t] = predicted_pd(spiked_stats(etas[t], cfg.c, cfg.n_antennas,
                                            gamma_th=gamma, alpha=cfg.alpha))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,22 @@ class TestRequiredBudget:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             bdg.required_budget("best", 0.9, budget_scenario())
+
+    def test_stop_tol_below_the_float_spacing_ends(self):
+        # the bisection stops once its midpoint equals an endpoint
+        def give_up(signum, frame):
+            raise TimeoutError("the bisection did not stop")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(30)
+        try:
+            res = bdg.required_budget("mf", 0.9, budget_scenario(k=1, stop_tol=1e-300))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        below = max(p for p, eta in res.probes if eta <= res.eta_target)
+        assert np.nextafter(below, np.inf) == res.required_power
+        assert res.eta_star > res.eta_target
 
     def test_amplitude_caps_converge_under_strong_interference(self):
         # with weak interference a larger cap saves real power; once the

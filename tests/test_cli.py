@@ -1,7 +1,11 @@
+import contextlib
+import io
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from risense import budget, channel, cli
 
@@ -107,6 +111,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "scenario: {seed: -1}\n")
         assert cli.main(["simulate", "--config", cfg, "--trials", "1"]) == 2
         assert "scenario.seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_budget_rejects_a_bad_stop_tol(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, TINY_LOS)
+        assert cli.main(["budget", "--config", cfg, "--stop-tol", value]) == 2
+        assert "stop_tol must be positive and finite" in capsys.readouterr().err
+        cfg = write_config(tmp_path, TINY_LOS.replace("stop_tol: 1.0e-5", f"stop_tol: {value}"))
+        assert cli.main(["budget", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("argv", [["simulate", "--trials", "1"], ["budget"]])
+    def test_pathloss_overflow(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, TINY_LOS + "    pathloss: {alpha_direct: 1.0e+300}\n")
+        assert cli.main([*argv, "--config", cfg]) == 2
+        assert "configuration error: pathloss.alpha_direct = 1e+300" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--method", "passive-unit"], []])
     def test_budget_rejects_methods_it_cannot_plan(self, tmp_path, capsys, argv):
@@ -241,3 +259,52 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "eta =" in out
         assert "phi[  0]" in out
+
+
+# argv values: numbers of every size and sign, non-finite spellings and junk
+FUZZ_VALUE = st.one_of(st.integers(-10**400, 10**400).map(str),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                       st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "1e400", "abc", ""]),
+                       st.text(max_size=4))
+FUZZ_OPTIONS = {
+    "threshold": ["-N", "-T", "--alpha", "--seed"],
+    "simulate": ["--seed", "--method", "--format"],
+    "budget": ["--seed", "--method", "--pd-target", "--stop-tol"],
+}
+FUZZ_METHOD = st.one_of(st.sampled_from(budget.METHODS), st.text(max_size=4))
+
+
+@st.composite
+def fuzz_argv(draw, config: str) -> list[str]:
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    if command != "threshold" or draw(st.booleans()):
+        argv += ["--config", config]
+    if command == "simulate":
+        argv += ["--trials", "1"]
+    for option in draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command]), max_size=3,
+                                unique=True)):
+        value = draw(FUZZ_METHOD if option == "--method" else
+                     st.sampled_from(["csv", "json", "xml"]) if option == "--format"
+                     else FUZZ_VALUE)
+        argv.append(f"{option}={value}")
+    return argv
+
+
+class TestCliFuzz:
+    """Any argv ends in a documented exit code with a message, never a traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_is_documented(self, tmp_path, data):
+        config = write_config(tmp_path, TINY_LOS)
+        argv = data.draw(fuzz_argv(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

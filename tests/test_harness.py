@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_detection_mc
+from oracles import reference_detection_mc, reference_statistic
 from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
@@ -109,7 +109,12 @@ class TestLoadScenario:
         ("geometry: {pu: [1.0e+308, 0], su: [-1.0e+308, 0]}", "pu-su distance is inf"),
         ("geometry: {annulus: [0, 1.0e+200]}", r"^geometry\.annulus"),
         ("powers: {zeta: 0.5}", "zeta = 1 for the primary"),
-        ("powers: {zeta: [1, 2, 1, 1, 1, 1]}", r"zeta must lie in \[0, 1\]")])
+        ("powers: {zeta: [1, 2, 1, 1, 1, 1]}", r"zeta must lie in \[0, 1\]"),
+        ("planner: {stop_tol: -1}", "stop_tol must be positive and finite"),
+        ("planner: {stop_tol: 0}", "stop_tol must be positive and finite"),
+        ("pathloss: {alpha_direct: 1.0e+300}", r"^pathloss\.alpha_direct = 1e\+300"),
+        ("pathloss: {alpha_incident: 1.0e+300}", r"^pathloss\.alpha_incident = 1e\+300"),
+        ("pathloss: {wavelength: 1.0e+200}", r"^pathloss\.alpha_direct = 4\.0 with wavelength")])
     def test_out_of_range_value_rejected(self, tmp_path, body, match):
         path = tmp_path / "sc.yaml"
         path.write_text(body + "\n")
@@ -123,6 +128,11 @@ class TestLoadScenario:
             hns.load_scenario(str(path))
         with pytest.raises(ConfigError, match="seed"):
             tiny_scenario(seed=-1)
+
+    @pytest.mark.parametrize("stop_tol", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_scenario_rejects_a_bad_stop_tol(self, stop_tol):
+        with pytest.raises(ConfigError, match="stop_tol must be positive and finite"):
+            tiny_scenario(stop_tol=stop_tol)
 
     @pytest.mark.parametrize("interferers", ["true", "2.5", "-1", "[[1, 2, 3]]"])
     def test_bad_interferers_rejected(self, tmp_path, interferers):
@@ -251,6 +261,61 @@ class TestSharedTrials:
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ValueError):
             hns.run_hypotheses_mc(tiny_scenario(), ("h2",), trials=1)
+
+
+def compact_scenario(k: int, **kw):
+    """A small scenario whose k interferers sit close to the surface."""
+    ris = (30.0, 15.0)
+    positions = hns.chan.draw_interferer_positions(ris, k, 15.0, 18.0, 3)
+    geom = hns.chan.Geometry(pu_pos=(0.0, 0.0), ris_pos=ris, su_pos=(150.0, 0.0),
+                             interferer_pos=positions)
+    defaults = dict(geometry=geom, p_w=(1.0,) * (k + 1), zeta=(1.0,) * (k + 1), trials=5,
+                    t_samples=200)
+    return tiny_scenario(**{**defaults, **kw})
+
+
+def active_rcm(m: int = 3) -> opt.Rcm:
+    return opt.Rcm(phi=2.0 * np.exp(1j * np.arange(m)), mode="active", a_max=10.0)
+
+
+# (scenario, fixed coefficients or None for the scenario's own method)
+STATISTIC_CASES = {
+    "rayleigh-direct-links": lambda: (compact_scenario(2), active_rcm()),
+    "los-mf": lambda: (compact_scenario(2, channel_model="los", method="mf"), None),
+    "no-interferers": lambda: (compact_scenario(0), active_rcm()),
+    "silent-primary": lambda: (compact_scenario(2, p_w=(0.0, 1.0, 1.0)), active_rcm()),
+    "inactive-interferers": lambda: (compact_scenario(3, zeta=(1.0, 0.4, 0.4, 0.4)),
+                                     active_rcm()),
+    "passive": lambda: (compact_scenario(2), opt.Rcm(phi=np.exp(1j * np.arange(3)),
+                                                    mode="passive-unit", a_max=1.0)),
+}
+
+
+class TestGramDomainStatistics:
+    """The trial loop's statistics, from one Gram matrix per trial, equal those of
+    the whitened snapshots synthesized one source at a time."""
+
+    @pytest.mark.parametrize("hypothesis", ["h0", "h1"])
+    @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
+    def test_statistics_match_the_snapshot_path(self, monkeypatch, case, hypothesis):
+        sc, rcm = STATISTIC_CASES[case]()
+        stats = []
+        statistic = hns.sns.max_eig_statistic
+
+        def recording(*args):
+            stats.append(statistic(*args))
+            return stats[-1]
+
+        monkeypatch.setattr(hns.sns, "max_eig_statistic", recording)
+        hns.run_hypotheses_mc(sc, (hypothesis,), rcm=rcm)
+        ref = []
+        for t in range(sc.trials):
+            channels = sc.build_channels() if sc.channel_model == "los" \
+                else hns.chan.sample_rayleigh_channelset(sc, (sc.seed, t))
+            ref.append(reference_statistic(sc, hypothesis, t, channels,
+                                           rcm or simulate_rcm(sc, channels)))
+        assert len(stats) == sc.trials
+        assert stats == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestOneMethodTable:

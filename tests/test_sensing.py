@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import make_noise, make_sources
 from oracles import (char_poly_max_eig, make_los_channelset, make_random_channelset,
-                     tw2_cdf_fredholm)
+                     sample_cn_two_calls, tw2_cdf_fredholm, whiten)
 from risense import _tw2_table
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
 from risense.optimizer import Rcm
+from risense.rng import sample_cn, substream
 
 
 def fixed_rcm(m, rng=None, mode="active", scale=1.0):
@@ -18,6 +19,11 @@ def fixed_rcm(m, rng=None, mode="active", scale=1.0):
     else:
         phi = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     return Rcm(phi=phi, mode=mode, a_max=np.inf)
+
+
+def max_eig(x):
+    """The detection statistic of snapshots x with no whitening: G = x x^H, Q^-1 = I."""
+    return sns.max_eig_statistic(x @ x.conj().T, np.eye(x.shape[0]), x.shape[1])
 
 
 class TestNoiseCovariance:
@@ -48,7 +54,7 @@ class TestNoiseCovariance:
         acc = np.zeros((4, 4), dtype=complex)
         intervals, t = 4000, 250
         for i in range(intervals):
-            y = sns.sample_signals(ch, rcm, src, noise, "h0", t, (99, i))
+            y, _ = sns.sample_signals(ch, rcm, src, noise, "h0", t, (99, i))
             acc += y @ y.conj().T
         emp = acc / (intervals * t)
         assert np.linalg.norm(emp - r, "fro") <= 0.02 * np.linalg.norm(r, "fro")
@@ -57,8 +63,8 @@ class TestNoiseCovariance:
 class TestSampleSignals:
     def test_h0_pure_awgn_covariance(self):
         ch = make_random_channelset(np.random.default_rng(2), n=4, m=3, k=0)
-        y = sns.sample_signals(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
-                               200_000, 5)
+        y, _ = sns.sample_signals(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
+                                  200_000, 5)
         emp = (y @ y.conj().T) / y.shape[1]
         assert np.linalg.norm(emp - 0.1 * np.eye(4), "fro") <= 0.02 * 0.1 * 2
 
@@ -68,9 +74,10 @@ class TestSampleSignals:
         src = make_sources(1, p0=0.0)
         noise = make_noise()
         rcm = fixed_rcm(3, rng, scale=0.3)
-        y0 = sns.sample_signals(ch, rcm, src, noise, "h0", 1000, 7)
-        y1 = sns.sample_signals(ch, rcm, src, noise, "h1", 1000, 7)
-        assert np.array_equal(y0, y1)  # same stream, no primary contribution
+        y0, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 1000, 7)
+        y1, s1 = sns.sample_signals(ch, rcm, src, noise, "h1", 1000, 7)
+        assert s1 is None  # no primary contribution: the H1 snapshots are Y0
+        assert np.array_equal(y0, y1)  # same stream
 
     def test_h1_sample_covariance_matches_analytic(self):
         rng = np.random.default_rng(4)
@@ -80,7 +87,8 @@ class TestSampleSignals:
         r = sns.noise_covariance(ch, rcm, src, noise)
         h0 = sns.equivalent_channels(ch, rcm.phi)[0]
         target = r + src.p[0] * np.outer(h0, h0.conj())
-        y = sns.sample_signals(ch, rcm, src, noise, "h1", 100_000, 11)
+        y0, s0 = sns.sample_signals(ch, rcm, src, noise, "h1", 100_000, 11)
+        y = y0 + np.outer(h0, s0)
         emp = (y @ y.conj().T) / y.shape[1]
         assert np.linalg.norm(emp - target, "fro") <= 0.02 * np.linalg.norm(target, "fro")
 
@@ -89,13 +97,39 @@ class TestSampleSignals:
         ch = make_random_channelset(rng, n=3, m=2, k=1)
         rcm = fixed_rcm(2, rng)
         args = (ch, rcm, make_sources(1, zeta=0.5), make_noise(), "h1", 64, 123)
-        assert np.array_equal(sns.sample_signals(*args), sns.sample_signals(*args))
+        (y_a, s_a), (y_b, s_b) = sns.sample_signals(*args), sns.sample_signals(*args)
+        assert np.array_equal(y_a, y_b) and np.array_equal(s_a, s_b)
+
+
+class TestSampleCn:
+    @pytest.mark.parametrize("shape", [7, np.int64(7), (7,), (3, 5)])
+    def test_bytes_equal_the_two_call_form(self, shape):
+        fast = sample_cn(substream(5, 1), 0.3, shape)
+        two_calls = sample_cn_two_calls(substream(5, 1), 0.3, shape)
+        assert fast.shape == two_calls.shape and fast.dtype == two_calls.dtype
+        assert fast.tobytes() == two_calls.tobytes()
+
+
+class TestGram:
+    def test_equals_y_y_conj_transpose(self, rng):
+        y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+        g = sns.gram(y)
+        assert np.allclose(g, y @ y.conj().T, rtol=1e-13, atol=0)
+        assert np.array_equal(g, g.conj().T)
+
+    def test_whitened_gram_is_the_gram_of_whitened_snapshots(self, rng):
+        y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        r = a @ a.conj().T + 0.1 * np.eye(5)
+        x = whiten(y, r)
+        assert np.allclose(sns.whiten(sns.gram(y), sns.psd_sqrt_inverse(r)), x @ x.conj().T,
+                           rtol=1e-10, atol=0)
 
 
 class TestWhiten:
     def test_scalar_covariance(self):
         y = np.ones((3, 5), dtype=complex)
-        x = sns.whiten(y, 4.0 * np.eye(3))
+        x = whiten(y, 4.0 * np.eye(3))
         assert np.allclose(x, y / 2.0)
 
     def test_sqrt_contract(self, rng):
@@ -111,29 +145,29 @@ class TestWhiten:
         rcm = fixed_rcm(3, rng, scale=0.5)
         src, noise = make_sources(1), make_noise()
         r = sns.noise_covariance(ch, rcm, src, noise)
-        y = sns.sample_signals(ch, rcm, src, noise, "h0", 200_000, 13)
-        x = sns.whiten(y, r)
+        y, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 200_000, 13)
+        x = whiten(y, r)
         emp = (x @ x.conj().T) / x.shape[1]
         assert np.linalg.norm(emp - np.eye(4), "fro") <= 0.02 * 2
 
     def test_indefinite_rejected(self):
         with pytest.raises(NumericalError):
-            sns.whiten(np.ones((2, 2), dtype=complex), np.diag([1.0, -1.0]))
+            whiten(np.ones((2, 2), dtype=complex), np.diag([1.0, -1.0]))
 
 
 class TestMaxEigStatistic:
     def test_zero_input(self):
-        assert sns.max_eig_statistic(np.zeros((3, 10), dtype=complex)) == 0.0
+        assert max_eig(np.zeros((3, 10), dtype=complex)) == 0.0
 
     def test_scalar_case_is_mean_power(self, rng):
         x = rng.standard_normal((1, 50)) + 1j * rng.standard_normal((1, 50))
-        assert sns.max_eig_statistic(x) == pytest.approx(np.mean(np.abs(x) ** 2))
+        assert max_eig(x) == pytest.approx(np.mean(np.abs(x) ** 2))
 
     def test_matches_characteristic_polynomial_oracle(self, rng):
         for _ in range(20):
             x = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
             s = (x @ x.conj().T) / 12
-            lam = sns.max_eig_statistic(x)
+            lam = max_eig(x)
             assert lam == pytest.approx(char_poly_max_eig(s), rel=1e-9)
 
 
@@ -186,7 +220,7 @@ class TestDetectionThreshold:
         hits = 0
         for _ in range(400):
             x = (rng.standard_normal((32, 3200)) + 1j * rng.standard_normal((32, 3200))) / np.sqrt(2)
-            hits += sns.max_eig_statistic(x) > gamma
+            hits += max_eig(x) > gamma
         assert abs(hits / 400 - 0.1) < 0.05
 
 
@@ -264,7 +298,7 @@ class TestSpikedStats:
         for i in range(lam.size):
             x = scale[:, None] * (rng.standard_normal((n, t))
                                   + 1j * rng.standard_normal((n, t))) / np.sqrt(2)
-            lam[i] = sns.max_eig_statistic(x)
+            lam[i] = max_eig(x)
         st_ = sns.spiked_stats(eta, n / t, n)
         assert lam.mean() == pytest.approx(st_.mu_a, rel=0.02)
 
