@@ -464,11 +464,11 @@ def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
     return [m_v * j for j in ms]
 
 
-def required_budget(method: str, pd_target: float, scenario, stop_tol: float | None = None,
-                    p_high: float | None = None) -> BudgetResult:
+def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     """Minimum surface power budget achieving the target detection probability.
 
-    Bisection on the budget; at each probe the element count is scanned in
+    Bisection on the budget, from the scenario's bisect_p_high down to its
+    stop_tol; at each probe the element count is scanned in
     whole columns of m_v elements (exhaustively up to 256 elements, on a
     geometric ladder above) and the best reachable excess compared against
     the target excess eta_0. A passive surface spends the whole budget on
@@ -478,8 +478,7 @@ def required_budget(method: str, pd_target: float, scenario, stop_tol: float | N
     solution there. The probe history is checked for monotonicity.
     """
     method = planner_method(method)
-    stop_tol = scenario.stop_tol if stop_tol is None else stop_tol
-    p_high = scenario.bisect_p_high if p_high is None else p_high
+    stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
     a_max = scenario.a_max

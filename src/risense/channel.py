@@ -217,9 +217,15 @@ def steering_vector_upa(mh: int, mv: int, theta: float, psi: float) -> np.ndarra
     return np.kron(a_h, a_v)
 
 
+MAX_DRAWN_INTERFERERS = 1000  # every channel array holds one row per source
+
+
 def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
                               seed: int) -> tuple[tuple[float, float], ...]:
     """Place k interferers uniformly on an annulus centered at the surface."""
+    if not 0 <= k <= MAX_DRAWN_INTERFERERS:
+        raise ConfigError(f"the interferer count must lie in [0, {MAX_DRAWN_INTERFERERS}], "
+                          f"got {k}")
     rng = substream(seed, 0xA17)
     radii = np.sqrt(rng.uniform(r_min**2, r_max**2, size=k))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=k)

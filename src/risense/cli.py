@@ -132,7 +132,7 @@ def cmd_sweep(args) -> int:
     else:
         if not args.values:
             raise ConfigError("budget sweeps need --values")
-        values = [float(v) for v in args.values.split(",")]
+        values = [hns._convert(v, float, "--values") for v in args.values.split(",")]
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         rows = hns.run_budget_sweep(sc, args.sweep, values, methods)
     _emit(rows, args)

@@ -90,14 +90,18 @@ class ScenarioConfig:
             problems.append("n_antennas must be >= 1")
         if self.m_h < 1 or self.m_v < 1:
             problems.append("array dimensions must be >= 1")
-        if self.t_samples < 1:
-            problems.append("t_samples must be >= 1")
+        if self.t_samples < max(1, self.n_antennas):  # else the spiked variance can go negative
+            problems.append("t_samples must be >= n_antennas: the spiked-model prediction "
+                            "needs c = N/T <= 1")
         if not sns.alpha_supported(self.alpha):
             problems.append("alpha must lie in (0, 1) with its threshold quantile tabulated")
         if not 0 < self.pd_target < 1:
             problems.append("pd_target must lie in (0, 1)")
         if not 0 < self.stop_tol < math.inf:  # the planner bisects down to it
             problems.append(f"planner stop_tol must be positive and finite, got {self.stop_tol}")
+        if not 0 < self.bisect_p_high < math.inf:  # and up from zero to it
+            problems.append(f"planner p_high_w must be positive and finite, "
+                            f"got {self.bisect_p_high}")
         if self.trials < 1:
             problems.append("trials must be >= 1")
         if self.seed < 0:
@@ -106,8 +110,10 @@ class ScenarioConfig:
             problems.append("channel_model must be 'rayleigh' or 'los'")
         if self.method not in bdg.METHODS:
             problems.append(f"method must be one of {bdg.METHODS}")
+        if not all(0 <= p < math.inf for p in self.p_w):
+            problems.append("source powers must be finite and nonnegative")
         if min(self.sigma1_sq_w, self.p_c_w, self.p_dc_w) < 0 or self.sigma2_sq_w <= 0 \
-                or min(self.p_w) < 0 or self.a_max <= 0:
+                or self.a_max <= 0:
             problems.append("powers must be nonnegative (sigma2 and a_max positive)")
         if problems:
             raise ConfigError("invalid scenario:\n  - " + "\n  - ".join(problems))
@@ -441,6 +447,8 @@ SWEEPABLE = ("t", "zeta", "p", "k")
 
 
 def _swept_scenario(scenario: ScenarioConfig, name: str, value) -> ScenarioConfig:
+    if name in ("t", "k") and not (float(value).is_integer() and value >= 0):
+        raise ConfigError(f"--sweep {name} values must be whole counts, got {value!r}")
     if name == "t":
         return dataclasses.replace(scenario, t_samples=int(value))
     if name == "zeta":

@@ -143,73 +143,61 @@ def update_omega(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class QcqpInstance:
-    """The convex reflecting-coefficient subproblem, in lifted coordinates.
+    """The convex reflecting-coefficient subproblem for a fixed receiver.
 
-    Objective over phi_bar = [phi; 1]:
-        eps_bar = phi_bar^H quad phi_bar - 2 Re(lin^H phi_bar) + offset,
-    subject to phi_bar^H diag(j_diag) phi_bar <= p_out (dropped when None)
-    and |phi_bar_m| <= a_max for m <= M. j_diag's last entry is zero.
+    Minimize the weighted MSE phi^H s phi + 2 Re(g^H phi) + const subject to
+    sum_m j_m |phi_m|^2 <= p_out (dropped when None) and |phi_m| <= a_max
+    (dropped when None).
     """
 
-    quad: np.ndarray
-    lin: np.ndarray
-    offset: float
-    j_diag: np.ndarray
+    s: np.ndarray
+    g: np.ndarray
+    const: float
+    j: np.ndarray
     p_out: float | None
     a_max: float | None
 
     def __post_init__(self):
-        q = np.asarray(self.quad, dtype=complex)
-        lam = np.linalg.eigvalsh(0.5 * (q + q.conj().T))
+        lam = np.linalg.eigvalsh(0.5 * (self.s + self.s.conj().T))
         if lam[0] < -1e-10 * max(lam[-1], 1e-300):
             raise NumericalError("QCQP quadratic form is not PSD")
-        if self.j_diag[-1] != 0.0 or np.any(self.j_diag < 0):
-            raise ValueError("j_diag must be nonnegative with a zero last entry")
 
-    @property
-    def m(self) -> int:
-        return self.quad.shape[0] - 1
-
-    def objective(self, phi_bar: np.ndarray) -> float:
-        q = float(np.real(phi_bar.conj() @ self.quad @ phi_bar))
-        return q - 2.0 * float(np.real(self.lin.conj() @ phi_bar)) + self.offset
-
-    def reduced(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(S, g, const) with eps_bar = x^H S x + 2 Re(g^H x) + const over x = phi."""
-        m = self.m
-        s = self.quad[:m, :m]
-        g = self.quad[:m, m] - self.lin[:m]
-        const = float(np.real(self.quad[m, m]) - 2.0 * np.real(self.lin[m]) + self.offset)
-        return s, g, const
+    def objective(self, phi: np.ndarray) -> float:
+        q = float(np.real(phi.conj() @ self.s @ phi))
+        return q + 2.0 * float(np.real(self.g.conj() @ phi)) + self.const
 
 
 def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
                noise: NoiseModel, rcm: Rcm) -> QcqpInstance:
     """Assemble the reflecting-coefficient subproblem for a fixed receiver."""
     m = channels.n_elements
-    # row k of V is v_k = A_k^H u, so u^H A_k phi_bar = v_k^H phi_bar
-    v = np.concatenate([channels.f.conj() * (channels.g_matrix.conj().T @ u),
-                        (channels.d.conj() @ u)[:, np.newaxis]], axis=1)
-    quad = (v.T * (sources.zeta * sources.p)) @ v.conj()  # zeta_0 = 1
+    # u^H h_k = conj(c_k) + v_k^H phi with c_k = d_k^H u and v_k = conj(f_k) * (G^H u),
+    # row k of V; the MSE sums w_k |u^H h_k|^2, -2 p_0 Re(u^H h_0) + p_0 and the noise
+    v = channels.f.conj() * (channels.g_matrix.conj().T @ u)
+    c = channels.d.conj() @ u
+    w = sources.zeta * sources.p  # zeta_0 = 1
+    vw = v.T * w
+    s = vw @ v.conj()
     sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
     if sigma1 > 0:
-        quad[np.diag_indices(m)] += sigma1 * np.abs(u.conj() @ channels.g_matrix) ** 2
-    lin = sources.p[0] * v[0]
-    j = np.zeros(m + 1)
-    j[:m] = power_weights(channels, sources, noise, forwards_noise=rcm.forwards_noise)
+        s[np.diag_indices(m)] += sigma1 * np.abs(u.conj() @ channels.g_matrix) ** 2
+    g = vw @ c.conj() - sources.p[0] * v[0]
+    const = float(w @ np.abs(c) ** 2) - 2.0 * float(sources.p[0] * np.real(c[0])) \
+        + float(sources.p[0]) + noise.sigma2_sq * float(np.real(np.vdot(u, u)))
+    j = power_weights(channels, sources, noise, forwards_noise=rcm.forwards_noise)
     p_out = rcm.p_out_budget if rcm.mode == "active" else None
     a_max = rcm.a_max if np.isfinite(rcm.a_max) else None
-    return QcqpInstance(quad=quad, lin=lin, offset=float(sources.p[0]),
-                        j_diag=j, p_out=p_out, a_max=a_max)
+    return QcqpInstance(s=s, g=g, const=const, j=j, p_out=p_out, a_max=a_max)
 
 
-def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None, x0: np.ndarray,
-               tol: float = 1e-13, max_sweeps: int = 2000) -> np.ndarray:
+def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None,
+               x0: np.ndarray) -> np.ndarray:
     """Cyclic exact coordinate descent for min x^H S x + 2 Re(g^H x), |x_m| <= a_max.
 
     Each coordinate problem is a paraboloid in one complex variable; its
     disk-constrained minimum is the radial clip of the unconstrained one.
-    Zero-curvature coordinates keep their previous value.
+    Zero-curvature coordinates keep their previous value. Sweeps stop when no
+    coordinate moves by more than 1e-13 of the iterate's scale, or after 2000.
     """
     x = x0.astype(complex).copy()
     if a_max is not None:
@@ -221,7 +209,7 @@ def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None, x0: np.ndarray
     diag = np.real(np.diag(s))
     floor = 1e-300
     r = s @ x + g
-    for _ in range(max_sweeps):
+    for _ in range(2000):
         delta = 0.0
         for i in range(m):
             if diag[i] <= floor:
@@ -237,19 +225,19 @@ def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None, x0: np.ndarray
                 r += s[:, i] * step
                 x[i] = xi
                 delta = max(delta, abs(step))
-        if delta <= tol * (1.0 + float(np.max(np.abs(x)))):
+        if delta <= 1e-13 * (1.0 + float(np.max(np.abs(x)))):
             break
     return x
 
 
-def _shifted_solve(s: np.ndarray, g: np.ndarray, j_diag: np.ndarray, mu: float,
+def _shifted_solve(s: np.ndarray, g: np.ndarray, j: np.ndarray, mu: float,
                    a_max: float | None, x0: np.ndarray | None) -> np.ndarray:
     """Minimize x^H (S + mu J) x + 2 Re(g^H x) under the amplitude caps.
 
     Tries the unconstrained solution first; falls back to coordinate descent
     only when a cap binds.
     """
-    h = s + np.diag(mu * j_diag) if mu > 0 else s
+    h = s + np.diag(mu * j) if mu > 0 else s
     m = s.shape[0]
     try:
         x = np.linalg.solve(h + 1e-14 * np.trace(h).real * np.eye(m) / max(m, 1), -g)
@@ -271,14 +259,11 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
 
     Lagrangian dual over the power-ball multiplier: for each multiplier the
     inner cap-constrained problem is solved exactly, and the multiplier is
-    bisected until the power constraint is tight (or slack at zero). Returns
-    the lifted vector [phi; 1].
+    bisected until the power constraint is tight (or slack at zero).
     """
-    s, g, _ = instance.reduced()
-    j = instance.j_diag[:-1]
-    a_max = instance.a_max
-    p_out = instance.p_out
-    start = None if x0 is None else np.asarray(x0, dtype=complex)[:instance.m]
+    s, g, j = instance.s, instance.g, instance.j
+    a_max, p_out = instance.a_max, instance.p_out
+    start = None if x0 is None else np.asarray(x0, dtype=complex)
 
     x = _shifted_solve(s, g, j, 0.0, a_max, start)
     if p_out is not None:
@@ -304,29 +289,28 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
                 if abs(power - p_out) <= 1e-11 * p_out or (mu_hi - mu_lo) <= 1e-15 * mu_hi:
                     if power <= p_out:
                         break
-    return np.concatenate([x, [1.0 + 0.0j]])
+    return x
 
 
-def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None,
-                            tol: float = 1e-12, max_sweeps: int = 500) -> np.ndarray:
+def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarray:
     """Cyclic exact per-element minimization on the unit circle.
 
     For each element the objective is linear in the phase once |phi_m| = 1,
     so the minimizer is the phase of the negated linear coefficient; elements
     with a vanishing coefficient keep their previous phase. Sweeps stop when
-    the per-sweep objective decrease drops below tol (relative).
+    the per-sweep objective decrease drops below 1e-12 (relative), or after 500.
     """
-    s, g, const = instance.reduced()
-    m = instance.m
+    s, g, const = instance.s, instance.g, instance.const
+    m = g.size
     if x0 is None:
         x = np.ones(m, dtype=complex)
     else:
-        x = np.asarray(x0, dtype=complex)[:m].copy()
+        x = np.asarray(x0, dtype=complex)
         mag = np.abs(x)
         x = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 1.0)
     r = s @ x + g
     obj = float(np.real(x.conj() @ (s @ x) + 2.0 * np.real(g.conj() @ x))) + const
-    for _ in range(max_sweeps):
+    for _ in range(500):
         prev = obj
         for i in range(m):
             c = r[i] - np.real(s[i, i]) * x[i]
@@ -338,19 +322,18 @@ def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None
                 r += s[:, i] * step
                 x[i] = xi
         obj = float(np.real(x.conj() @ (s @ x) + 2.0 * np.real(g.conj() @ x))) + const
-        if prev - obj <= tol * (abs(prev) + 1e-300):
+        if prev - obj <= 1e-12 * (abs(prev) + 1e-300):
             break
-    return np.concatenate([x, [1.0 + 0.0j]])
+    return x
 
 
 def mf_init_phi(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
-                p_out_budget: float | None, a_max: float,
-                margin: float = 0.9) -> np.ndarray:
+                p_out_budget: float | None, a_max: float) -> np.ndarray:
     """Matched-filter-style initialization.
 
     Phases align every element's cascaded contribution with the direct link
     (or with the surface-receiver principal direction when there is none); the
-    common amplitude fills the power budget to the given margin. For rank-one
+    common amplitude fills 90% of the power budget. For rank-one
     LoS surface channels this reproduces the closed-form optimal phases.
     """
     d0 = channels.d[0]
@@ -365,7 +348,7 @@ def mf_init_phi(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
     if p_out_budget is None or total <= 0:
         amp = a_max if np.isfinite(a_max) else 1.0
     else:
-        amp = min(a_max, float(np.sqrt(margin * p_out_budget / total)))
+        amp = min(a_max, float(np.sqrt(0.9 * p_out_budget / total)))
     return amp * phases
 
 
@@ -389,8 +372,7 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         trace.append(_surrogate(omega, eps))
 
         instance = build_qcqp(u, channels, sources, noise, rcm)
-        phi_bar = phi_step(instance, phi)
-        candidate = phi_bar[:-1]
+        candidate = phi_step(instance, phi)
         cand_rcm = Rcm(phi=candidate, mode=mode, a_max=a_max, p_out_budget=p_out)
         cand_eps = mse_epsilon(u, cand_rcm, channels, sources, noise)
         if cand_eps <= eps:  # solver returns a feasible point; keep only improvements
@@ -439,10 +421,7 @@ def wmmse_passive(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
     if mode not in ("passive-relaxed", "passive-unit"):
         raise ValueError("mode must be 'passive-relaxed' or 'passive-unit'")
     if init_phi is None:
-        init_phi = mf_init_phi(channels, sources, noise, None, 1.0)
-        if mode == "passive-unit":
-            mag = np.abs(init_phi)
-            init_phi = np.where(mag > 0, init_phi / np.where(mag > 0, mag, 1.0), 1.0)
+        init_phi = mf_init_phi(channels, sources, noise, None, 1.0)  # unit modulus
     rcm0 = Rcm(phi=init_phi, mode=mode, a_max=1.0, p_out_budget=None)
     rcm0.check_feasible(channels, sources, noise)
     if mode == "passive-unit":

@@ -133,26 +133,33 @@ def loop_covariance(channels: ChannelSet, rcm, sources: SourceModel, noise: Nois
 
 
 def loop_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
-              rcm) -> tuple[np.ndarray, np.ndarray]:
-    """(quad, lin) of the reflecting-coefficient subproblem, one source at a time.
+              rcm) -> tuple[np.ndarray, np.ndarray, float]:
+    """(s, g, const) of the reflecting-coefficient subproblem, one source at a time.
 
-    v_k = A_k^H u = [conj(f_k) * (G^H u); d_k^H u]; quad = sum_k w_k v_k v_k^H
-    (w_0 = p_0) plus sigma1^2 diag(|u^H G|^2), and lin = p_0 v_0.
+    u^H h_k = conj(c_k) + v_k^H phi with v_k = conj(f_k) * (G^H u) and
+    c_k = d_k^H u. Each source adds w_k |u^H h_k|^2 (w_0 = p_0), the primary
+    also -2 p_0 Re(u^H h_0) + p_0; the surface noise adds
+    sigma1^2 diag(|u^H G|^2) to s and the receiver noise sigma2^2 ||u||^2 to
+    const.
     """
     m = channels.n_elements
     ug = u.conj() @ channels.g_matrix
-    quad = np.zeros((m + 1, m + 1), dtype=complex)
+    s = np.zeros((m, m), dtype=complex)
     if rcm.forwards_noise and noise.sigma1_sq > 0:
-        quad[:m, :m] += noise.sigma1_sq * np.diag(np.abs(ug) ** 2)
-    lin = np.zeros(m + 1, dtype=complex)
+        s += noise.sigma1_sq * np.diag(np.abs(ug) ** 2)
+    g = np.zeros(m, dtype=complex)
+    const = sources.p[0] + noise.sigma2_sq * np.vdot(u, u).real
     for k in range(len(channels.f)):
         w = sources.p[k] if k == 0 else sources.zeta[k] * sources.p[k]
-        v = np.concatenate([channels.f[k].conj() * (channels.g_matrix.conj().T @ u),
-                            [np.vdot(channels.d[k], u)]])
-        quad += w * np.outer(v, v.conj())
+        v = channels.f[k].conj() * (channels.g_matrix.conj().T @ u)
+        c = np.vdot(channels.d[k], u)
+        s += w * np.outer(v, v.conj())
+        g += w * v * np.conj(c)
+        const += w * abs(c) ** 2
         if k == 0:
-            lin = sources.p[0] * v
-    return quad, lin
+            g -= sources.p[0] * v
+            const -= 2.0 * sources.p[0] * c.real
+    return s, g, float(const)
 
 
 def loop_power_weights(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
@@ -301,10 +308,8 @@ def project_feasible(y: np.ndarray, j_diag: np.ndarray, p_out: float | None,
 def solve_p22_pg(instance: QcqpInstance, x0: np.ndarray | None = None,
                  max_iter: int = 20000, tol: float = 1e-12) -> np.ndarray:
     """Accelerated projected gradient for the QCQP subproblem of ``solve_p22``."""
-    s, g, _ = instance.reduced()
-    j = instance.j_diag[:-1]
-    m = instance.m
-    x = np.zeros(m, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)[:m].copy()
+    s, g, j = instance.s, instance.g, instance.j
+    x = np.zeros(g.size, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
     x = project_feasible(x, j, instance.p_out, instance.a_max)
     lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
     step = 1.0 / (2.0 * lam + 1e-300)
@@ -318,21 +323,21 @@ def solve_p22_pg(instance: QcqpInstance, x0: np.ndarray | None = None,
             x = x_new
             break
         x, t = x_new, t_new
-    return np.concatenate([x, [1.0 + 0.0j]])
+    return x
 
 
-def kkt_residual(instance: QcqpInstance, phi_bar: np.ndarray) -> float:
+def kkt_residual(instance: QcqpInstance, phi: np.ndarray) -> float:
     """Fixed-point optimality residual, relative to the solution scale.
 
     ||x - P(x - grad/L)|| / (1 + ||x||) with P the exact projection onto the
     feasible set; zero exactly at the constrained minimizer.
     """
-    s, g, _ = instance.reduced()
-    x = np.asarray(phi_bar, dtype=complex)[:instance.m]
+    s, g = instance.s, instance.g
+    x = np.asarray(phi, dtype=complex)
     lam = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1])
-    lam = lam + float(np.max(instance.j_diag)) + 1e-300
+    lam = lam + float(np.max(instance.j)) + 1e-300
     step = 1.0 / (2.0 * lam)
-    proj = project_feasible(x - step * 2.0 * (s @ x + g), instance.j_diag[:-1],
+    proj = project_feasible(x - step * 2.0 * (s @ x + g), instance.j,
                             instance.p_out, instance.a_max)
     return float(np.linalg.norm(x - proj) / (1.0 + np.linalg.norm(x)))
 

@@ -152,6 +152,36 @@ class TestExitCodes:
         assert "required budget" in capsys.readouterr().out
 
 
+class TestSweepValues:
+    """Bad --values items and the scenarios they sweep to end in exit code 2."""
+
+    @pytest.mark.parametrize("sweep, values, message", [
+        ("t", "nan", "--values must be a finite number, got 'nan'"),
+        ("t", "abc", "--values must be a finite number, got 'abc'"),
+        ("t", "1e400", "--values must be a finite number, got '1e400'"),
+        ("t", "1600,,3200", "--values must be a finite number, got ''"),
+        ("p", "nan", "--values must be a finite number, got 'nan'"),
+        ("p", "inf", "--values must be a finite number, got 'inf'"),
+        ("k", "-1", "--sweep k values must be whole counts, got -1.0"),
+        ("k", "2.5", "--sweep k values must be whole counts, got 2.5"),
+        ("t", "1600.5", "--sweep t values must be whole counts, got 1600.5"),
+        ("t", "8", "t_samples must be >= n_antennas"),
+        ("k", "1001", "the interferer count must lie in [0, 1000], got 1001")])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, sweep, values, message):
+        cfg = write_config(tmp_path, TINY_LOS.replace("interferers: 0", "interferers: 1"))
+        assert cli.main(["sweep", "--config", cfg, "--sweep", sweep, f"--values={values}",
+                         "--methods", "mf"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_budget_ceiling(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, TINY_LOS.replace("p_high_w: 0.1", f"p_high_w: {value}"))
+        assert cli.main(["budget", "--config", cfg]) == 2
+        assert "planner p_high_w must be positive and finite" in capsys.readouterr().err
+
+
 class TestBudgetCommand:
     def test_prints_result(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_LOS)
@@ -268,20 +298,26 @@ FUZZ_VALUE = st.one_of(st.integers(-10**400, 10**400).map(str),
                        st.text(max_size=4))
 FUZZ_OPTIONS = {
     "threshold": ["-N", "-T", "--alpha", "--seed"],
+    "optimize": ["--seed", "--method"],
     "simulate": ["--seed", "--method", "--format"],
+    "sweep": ["--seed", "--format"],
     "budget": ["--seed", "--method", "--pd-target", "--stop-tol"],
 }
 FUZZ_METHOD = st.one_of(st.sampled_from(budget.METHODS), st.text(max_size=4))
 
 
 @st.composite
-def fuzz_argv(draw, config: str) -> list[str]:
+def fuzz_argv(draw, config: str, sweep_config: str) -> list[str]:
     command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
     argv = [command]
     if command != "threshold" or draw(st.booleans()):
-        argv += ["--config", config]
+        argv += ["--config", sweep_config if command == "sweep" else config]
     if command == "simulate":
         argv += ["--trials", "1"]
+    if command == "sweep":
+        values = ",".join(draw(st.lists(FUZZ_VALUE, min_size=1, max_size=2)))
+        argv += ["--sweep", draw(st.sampled_from(["t", "zeta", "p", "k"])),
+                 f"--values={values}", "--methods", "mf"]
     for option in draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command]), max_size=3,
                                 unique=True)):
         value = draw(FUZZ_METHOD if option == "--method" else
@@ -299,7 +335,11 @@ class TestCliFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_code_is_documented(self, tmp_path, data):
         config = write_config(tmp_path, TINY_LOS)
-        argv = data.draw(fuzz_argv(config))
+        # one interferer, so that zeta and p sweeps change the scenario
+        sweep_config = tmp_path / "sweep.yaml"
+        sweep_config.write_text(Path(config).read_text().replace("interferers: 0",
+                                                                 "interferers: 1"))
+        argv = data.draw(fuzz_argv(config, str(sweep_config)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:

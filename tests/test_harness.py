@@ -134,6 +134,13 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="stop_tol must be positive and finite"):
             tiny_scenario(stop_tol=stop_tol)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_scenario_rejects_a_non_finite_source_power(self, power):
+        # a p sweep used to plan with such a power and record the cell as infeasible
+        geometry = hns.chan.Geometry(interferer_pos=((120.0, 60.0),))
+        with pytest.raises(ConfigError, match="source powers must be finite"):
+            tiny_scenario(geometry=geometry, p_w=(1.0, power), zeta=(1.0, 1.0))
+
     @pytest.mark.parametrize("interferers", ["true", "2.5", "-1", "[[1, 2, 3]]"])
     def test_bad_interferers_rejected(self, tmp_path, interferers):
         path = tmp_path / "sc.yaml"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -116,25 +118,23 @@ class TestUpdateOmega:
 class TestSolveP22:
     def test_interior_optimum_is_regularized_least_squares(self, rng):
         inst, _ = build_instance(rng, p_out=1e6, a_max=1e6)
-        s, g, _ = inst.reduced()
-        phi_bar = opt.solve_p22(inst)
-        expected = np.linalg.solve(s, -g)
-        assert np.max(np.abs(phi_bar[:-1] - expected)) < 1e-8
-        assert phi_bar[-1] == 1.0
+        phi = opt.solve_p22(inst)
+        expected = np.linalg.solve(inst.s, -inst.g)
+        assert np.max(np.abs(phi - expected)) < 1e-8
 
     def test_power_only_active_isotropic_weights(self, rng):
         inst, _ = build_instance(rng, p_out=0.05, a_max=1e6)
-        j = np.full(inst.m, inst.j_diag[0])
-        object.__setattr__(inst, "j_diag", np.append(j, 0.0))
-        phi = opt.solve_p22(inst)[:-1]
+        j = np.full(inst.g.size, inst.j[0])
+        object.__setattr__(inst, "j", j)
+        phi = opt.solve_p22(inst)
         # dual-bisection oracle prediction: constraint tight
         assert np.linalg.norm(phi) ** 2 == pytest.approx(0.05 / j[0], rel=1e-9)
 
     def test_kkt_residual_small(self, rng):
         for pout, amax in [(0.05, 1e6), (1e6, 0.2), (0.08, 0.35), (1e6, 1e6)]:
             inst, _ = build_instance(rng, p_out=pout, a_max=amax)
-            phi_bar = opt.solve_p22(inst)
-            assert kkt_residual(inst, phi_bar) < 1e-7
+            phi = opt.solve_p22(inst)
+            assert kkt_residual(inst, phi) < 1e-7
 
     def test_matches_projected_gradient_fallback(self, rng):
         for pout, amax in [(0.05, 1e6), (1e6, 0.2), (0.08, 0.35)]:
@@ -145,16 +145,14 @@ class TestSolveP22:
 
     def test_matches_polar_grid_oracle_m2(self, rng):
         inst, _ = build_instance(rng, m=2, p_out=0.06, a_max=0.6)
-        phi_bar = opt.solve_p22(inst)
-        obj = inst.objective(phi_bar)
+        obj = inst.objective(opt.solve_p22(inst))
 
         def score(phis):
-            full = np.concatenate([phis, np.ones((phis.shape[0], 1))], axis=1)
-            quad = np.einsum("bi,ij,bj->b", full.conj(), inst.quad, full).real
-            lin = 2 * np.real(full.conj() @ inst.lin)
-            return quad - lin + inst.offset
+            quad = np.einsum("bi,ij,bj->b", phis.conj(), inst.s, phis).real
+            lin = 2 * np.real(phis @ inst.g.conj())
+            return quad + lin + inst.const
 
-        j = inst.j_diag[:2]
+        j = inst.j
         a_hi = np.minimum(inst.a_max, np.sqrt(inst.p_out / j))
         _, obj_grid = polar_grid_search(score, 2, a_hi, j_diag=j, p_out=inst.p_out,
                                         maximize=False, rounds=7)
@@ -162,17 +160,17 @@ class TestSolveP22:
 
     def test_feasibility_of_solution(self, rng):
         inst, _ = build_instance(rng, p_out=0.03, a_max=0.25)
-        phi = opt.solve_p22(inst)[:-1]
+        phi = opt.solve_p22(inst)
         assert np.all(np.abs(phi) <= 0.25 * (1 + 1e-10))
-        assert float(np.sum(inst.j_diag[:-1] * np.abs(phi) ** 2)) <= 0.03 * (1 + 1e-9)
+        assert float(np.sum(inst.j * np.abs(phi) ** 2)) <= 0.03 * (1 + 1e-9)
 
     def test_non_psd_instance_rejected(self, rng):
         inst, _ = build_instance(rng)
-        bad = inst.quad.copy()
+        bad = inst.s.copy()
         bad[0, 0] = -1.0
         with pytest.raises(Exception):
-            opt.QcqpInstance(quad=bad, lin=inst.lin, offset=inst.offset,
-                             j_diag=inst.j_diag, p_out=inst.p_out, a_max=inst.a_max)
+            opt.QcqpInstance(s=bad, g=inst.g, const=inst.const,
+                             j=inst.j, p_out=inst.p_out, a_max=inst.a_max)
 
 
 class TestUnitModulusStep:
@@ -206,13 +204,11 @@ class TestUnitModulusStep:
         rcm = opt.Rcm(phi=np.ones(2), mode="passive-unit", a_max=1.0)
         u = opt.update_u(rcm, ch, src, noise)
         inst = opt.build_qcqp(u, ch, src, noise, rcm)
-        phi_bar = opt.solve_p22p_unit_modulus(inst)
-        obj = inst.objective(phi_bar)
+        obj = inst.objective(opt.solve_p22p_unit_modulus(inst))
 
         def score(phis):
-            full = np.concatenate([phis, np.ones((phis.shape[0], 1))], axis=1)
-            quad = np.einsum("bi,ij,bj->b", full.conj(), inst.quad, full).real
-            return quad - 2 * np.real(full.conj() @ inst.lin) + inst.offset
+            quad = np.einsum("bi,ij,bj->b", phis.conj(), inst.s, phis).real
+            return quad + 2 * np.real(phis @ inst.g.conj()) + inst.const
 
         _, obj_grid = phase_grid_search(score, 2, maximize=False)
         # stationary-point heuristic: allow a small documented gap
@@ -220,7 +216,7 @@ class TestUnitModulusStep:
 
     def test_unit_modulus_exact(self, rng):
         inst, _ = build_instance(rng, m=4, k=1)
-        phi = opt.solve_p22p_unit_modulus(inst)[:-1]
+        phi = opt.solve_p22p_unit_modulus(inst)
         assert np.max(np.abs(np.abs(phi) - 1.0)) < 1e-12
 
 
@@ -397,9 +393,15 @@ class TestStackedBuilders:
         assert_matches(sns.covariance(ch, rcm.phi, src.zeta * src.p, sigma1, noise.sigma2_sq),
                        loop_covariance(ch, rcm, src, noise, primary=True))
         inst = opt.build_qcqp(u, ch, src, noise, rcm)
-        quad, lin = loop_qcqp(u, ch, src, noise, rcm)
-        assert_matches(inst.quad, quad)
-        assert_matches(inst.lin, lin)
+        s, g, const = loop_qcqp(u, ch, src, noise, rcm)
+        assert_matches(inst.s, s)
+        assert_matches(inst.g, g)
+        assert_matches(inst.const, const)
+        # the subproblem's objective is the weighted MSE of the coefficients
+        for _ in range(3):
+            phi = rng.standard_normal(ch.n_elements) + 1j * rng.standard_normal(ch.n_elements)
+            eps = opt.mse_epsilon(u, dataclasses.replace(rcm, phi=phi), ch, src, noise)
+            assert inst.objective(phi) == pytest.approx(eps, rel=1e-12)
         assert_matches(opt.power_weights(ch, src, noise, rcm.forwards_noise),
                        loop_power_weights(ch, src, noise, rcm.forwards_noise))
         assert_matches(opt.mse_epsilon(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))
