@@ -60,7 +60,7 @@ def m_max(p_aris: float, p_c: float, p_dc: float) -> int:
 
 def upa_dims(sc, m: int) -> tuple[int, int]:
     """(columns, rows) of an m-element surface with the scenario's m_v rows."""
-    m_v = int(getattr(sc, "m_v", 1))
+    m_v = int(sc.m_v)
     if m % m_v:
         raise ValueError(f"element count {m} not divisible by the vertical dimension {m_v}")
     return m // m_v, m_v

@@ -237,16 +237,12 @@ def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
 def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
 
-    Needs ``sc.geometry``, ``sc.pathloss``, ``sc.n_antennas`` and
-    ``sc.angles``. The one description of the LoS geometry: the channel set
-    and the planner's closed forms both start from it.
+    ``sc`` is a ScenarioConfig; its angles follow from ``sc.geometry``. The
+    one description of the LoS geometry: the channel set and the planner's
+    closed forms both start from it.
     """
-    angles: AngleSet | None = getattr(sc, "angles", None)
-    if angles is None:
-        raise ConfigError("LoS channels need an angle set (derive one with AngleSet.from_geometry)")
+    angles = AngleSet.from_geometry(sc.geometry)
     k = sc.geometry.n_interferers
-    if len(angles.aoa_azimuth) != k + 1:
-        raise ConfigError(f"angle set covers {len(angles.aoa_azimuth)} sources, geometry has {k + 1}")
     a_f = np.empty((k + 1, m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
     for i in range(k + 1):
         a_f[i] = steering_vector_upa(m_h, m_v, angles.aoa_azimuth[i], angles.aoa_elevation[i])
@@ -258,10 +254,10 @@ def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
 def build_los_channelset(sc) -> ChannelSet:
     """Build the LoS channel set of a scenario (direct links neglected).
 
-    Needs what ``los_factors`` needs plus ``sc.m_h`` and ``sc.m_v``; the
-    surface->receiver matrix comes out rank one by construction.
+    The surface has ``sc.m_h`` x ``sc.m_v`` elements; the surface->receiver
+    matrix comes out rank one by construction.
     """
-    gains, los = los_factors(sc, int(sc.m_h), int(getattr(sc, "m_v", 1)))
+    gains, los = los_factors(sc, int(sc.m_h), int(sc.m_v))
     f = np.sqrt(gains.beta_f)[:, np.newaxis] * los.a_f
     g = np.sqrt(gains.beta_g) * np.outer(los.a_su, los.b_ris.conj())
     return ChannelSet(d=np.zeros((len(f), los.a_su.size), dtype=complex), f=f, g_matrix=g,
@@ -274,7 +270,7 @@ def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
     Every entry is an independent CN(0, beta) variate with beta the pathloss
     gain of its link.
     """
-    n, m = int(sc.n_antennas), int(sc.m_h) * int(getattr(sc, "m_v", 1))
+    n, m = int(sc.n_antennas), int(sc.m_h) * int(sc.m_v)
     gains = link_gains(sc.geometry, sc.pathloss)
     k = sc.geometry.n_interferers
     rng = substream(rng_seed, 0xC4)

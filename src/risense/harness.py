@@ -1,8 +1,8 @@
 """Scenario ingestion, Monte Carlo experiments, sweeps and result serialization.
 
 A scenario file is a YAML document with nested sections (documented in the
-README and the shipped configs). Powers are written in dBm and converted to
-Watts on load; everything downstream works in SI units. All experiments are
+README and the shipped configs). Its ``*_dbm`` powers are converted to Watts
+on load; everything downstream works in SI units. All experiments are
 deterministic given (config, seed): trials draw from per-trial substreams,
 so results do not depend on execution order. A trial's H0 and H1 decisions
 share its channels, its coefficients and its noise-plus-interference draw
@@ -44,9 +44,6 @@ def _annulus_ok(annulus) -> bool:
     return 0 <= r_in <= r_out and math.isfinite(r_out * r_out)  # the draw squares the radii
 
 
-DEFAULT_GEOMETRY = chan.Geometry(pu_pos=(0.0, 0.0), ris_pos=(100.0, 50.0), su_pos=(500.0, 0.0))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Single source of truth for one experiment (all powers in Watts)."""
@@ -54,10 +51,9 @@ class ScenarioConfig:
     n_antennas: int = 32
     m_h: int = 16
     m_v: int = 1
-    geometry: chan.Geometry = DEFAULT_GEOMETRY
+    geometry: chan.Geometry = chan.Geometry()
     annulus: tuple[float, float] = (50.0, 60.0)  # where drawn interferers lie, in meters
     pathloss: chan.PathlossModel = chan.PathlossModel()
-    angles: chan.AngleSet | None = None
     p_w: tuple[float, ...] = (1.0,)
     zeta: tuple[float, ...] = (1.0,)
     sigma1_sq_w: float = 1e-11
@@ -117,8 +113,6 @@ class ScenarioConfig:
             problems.append("powers must be nonnegative (sigma2 and a_max positive)")
         if problems:
             raise ConfigError("invalid scenario:\n  - " + "\n  - ".join(problems))
-        if self.angles is None:
-            object.__setattr__(self, "angles", chan.AngleSet.from_geometry(self.geometry))
 
     @property
     def n_elements(self) -> int:
@@ -166,11 +160,6 @@ def _convert(value, kind, key: str):
     raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
-def _number(section: dict, name: str, key: str, default, kind=float):
-    """Take ``key`` from the section called ``name`` as a number of type ``kind``."""
-    return _convert(section.pop(key, default), kind, f"{name}.{key}")
-
-
 def _watts(dbm: float, key: str) -> float:
     """dBm to Watts; a power beyond the float range is a ConfigError naming ``key``."""
     try:
@@ -197,8 +186,48 @@ def _broadcast(value, k: int, name: str) -> tuple[float, ...]:
     raise ConfigError(f"'{name}' must be a scalar or a list of {k + 1} values")
 
 
+SECTIONS = ("scenario", "geometry", "pathloss", "array", "powers", "ris", "detector", "planner")
+# (section, key) -> (ScenarioConfig field, type) of every scalar key; a "dBm" key is
+# read in dBm and stored in Watts
+SCALAR_KEYS = {
+    ("scenario", "seed"): ("seed", int),
+    ("scenario", "trials"): ("trials", int),
+    ("scenario", "channel_model"): ("channel_model", str),
+    ("scenario", "method"): ("method", str),
+    ("array", "n_antennas"): ("n_antennas", int),
+    ("array", "m_h"): ("m_h", int),
+    ("array", "m_v"): ("m_v", int),
+    ("powers", "sigma1_dbm"): ("sigma1_sq_w", "dBm"),
+    ("powers", "sigma2_dbm"): ("sigma2_sq_w", "dBm"),
+    ("ris", "p_c_dbm"): ("p_c_w", "dBm"),
+    ("ris", "p_dc_dbm"): ("p_dc_w", "dBm"),
+    ("ris", "a_max"): ("a_max", float),
+    ("ris", "budget_dbm"): ("ris_budget_w", "dBm"),
+    ("detector", "t_samples"): ("t_samples", int),
+    ("detector", "alpha"): ("alpha", float),
+    ("detector", "pd_target"): ("pd_target", float),
+    ("planner", "stop_tol"): ("stop_tol", float),
+    ("planner", "p_high_w"): ("bisect_p_high", float),
+}
+
+
+def _scalar(value, kind, key: str):
+    """``value`` as ``kind`` (see SCALAR_KEYS); a bad number is a ConfigError naming ``key``."""
+    if kind is str:
+        return str(value)
+    if kind == "dBm":
+        return _watts(_convert(value, float, key), key)
+    return _convert(value, kind, key)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file; dBm fields become Watts."""
+    """Parse and validate a scenario file; dBm fields become Watts.
+
+    An omitted key takes its ScenarioConfig default (pathloss keys their
+    PathlossModel default, positions their Geometry default), except for the
+    loader's own: ``full_scale`` means 64 antennas and 6400 snapshots, five
+    interferers are drawn, and every source sends 30 dBm with activity 1.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -210,33 +239,23 @@ def load_scenario(path: str) -> ScenarioConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must be a mapping of sections")
-    known = {"scenario", "geometry", "pathloss", "array", "powers", "ris",
-             "detector", "planner"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown sections {sorted(unknown)}; expected {sorted(known)}")
+        raise ConfigError(f"unknown sections {sorted(unknown)}; expected {sorted(SECTIONS)}")
+    sections = {name: _expect_mapping(raw.get(name), name) for name in SECTIONS}
 
-    sc = _expect_mapping(raw.get("scenario"), "scenario")
-    geo = _expect_mapping(raw.get("geometry"), "geometry")
-    plo = _expect_mapping(raw.get("pathloss"), "pathloss")
-    arr = _expect_mapping(raw.get("array"), "array")
-    pw = _expect_mapping(raw.get("powers"), "powers")
-    ris = _expect_mapping(raw.get("ris"), "ris")
-    det = _expect_mapping(raw.get("detector"), "detector")
-    pln = _expect_mapping(raw.get("planner"), "planner")
-
-    seed = _number(sc, "scenario", "seed", 0, int)
+    fields = {field: _scalar(sections[name].pop(key), kind, f"{name}.{key}")
+              for (name, key), (field, kind) in SCALAR_KEYS.items() if key in sections[name]}
+    if sections["scenario"].pop("full_scale", False):
+        fields = {"n_antennas": 64, "t_samples": 6400, **fields}
+    seed = fields.get("seed", ScenarioConfig.seed)
     if seed < 0:  # the interferer draw below needs it
         raise ConfigError(f"scenario.seed must be >= 0, got {seed}")
-    trials = _number(sc, "scenario", "trials", 500, int)
-    full_scale = bool(sc.pop("full_scale", False))
-    channel_model = str(sc.pop("channel_model", "rayleigh"))
-    method = str(sc.pop("method", "wmmse"))
 
-    pu = _pair(geo.pop("pu", (0.0, 0.0)), "geometry.pu")
-    ris_pos = _pair(geo.pop("ris", (100.0, 50.0)), "geometry.ris")
-    su = _pair(geo.pop("su", (500.0, 0.0)), "geometry.su")
-    annulus = _pair(geo.pop("annulus", (50.0, 60.0)), "geometry.annulus")
+    geo = sections["geometry"]
+    pu, ris_pos, su = (_pair(geo.pop(key, getattr(chan.Geometry, f"{key}_pos")), f"geometry.{key}")
+                       for key in ("pu", "ris", "su"))
+    annulus = _pair(geo.pop("annulus", ScenarioConfig.annulus), "geometry.annulus")
     if not _annulus_ok(annulus):  # checked before the interferer draw needs it
         raise ConfigError(f"geometry.annulus needs finite 0 <= r_in <= r_out in meters, "
                           f"got {list(annulus)}")
@@ -251,52 +270,24 @@ def load_scenario(path: str) -> ScenarioConfig:
     geometry = chan.Geometry(pu_pos=pu, ris_pos=ris_pos, su_pos=su, interferer_pos=positions)
     k = geometry.n_interferers
 
-    pathloss = chan.PathlossModel(
-        wavelength=_number(plo, "pathloss", "wavelength", 0.12),
-        alpha_direct=_number(plo, "pathloss", "alpha_direct", 4.0),
-        alpha_incident=_number(plo, "pathloss", "alpha_incident", 2.0),
-        alpha_outgoing=_number(plo, "pathloss", "alpha_outgoing", 2.0))
+    plo = sections["pathloss"]
+    pathloss = chan.PathlossModel(**{f.name: _convert(plo.pop(f.name), float, f"pathloss.{f.name}")
+                                     for f in dataclasses.fields(chan.PathlossModel)
+                                     if f.name in plo})
     chan.link_gains(geometry, pathloss)  # gains beyond the float range fail here, not mid-run
 
-    n_default, t_default = (64, 6400) if full_scale else (32, 3200)
-    n_antennas = _number(arr, "array", "n_antennas", n_default, int)
-    m_h = _number(arr, "array", "m_h", 16, int)
-    m_v = _number(arr, "array", "m_v", 1, int)
-
+    pw = sections["powers"]
     p_w = tuple(_watts(v, "powers.p_dbm")
                 for v in _broadcast(pw.pop("p_dbm", 30.0), k, "powers.p_dbm"))
     zeta = _broadcast(pw.pop("zeta", 1.0), k, "powers.zeta")
-    sigma1 = _watts(_number(pw, "powers", "sigma1_dbm", -80.0), "powers.sigma1_dbm")
-    sigma2 = _watts(_number(pw, "powers", "sigma2_dbm", -80.0), "powers.sigma2_dbm")
 
-    p_c = _watts(_number(ris, "ris", "p_c_dbm", -10.0), "ris.p_c_dbm")
-    p_dc = _watts(_number(ris, "ris", "p_dc_dbm", -5.0), "ris.p_dc_dbm")
-    a_max = _number(ris, "ris", "a_max", 10.0)
-    budget = _watts(_number(ris, "ris", "budget_dbm", 10.0), "ris.budget_dbm")
-
-    t_samples = _number(det, "detector", "t_samples", t_default, int)
-    alpha = _number(det, "detector", "alpha", 0.1)
-    pd_target = _number(det, "detector", "pd_target", 0.9)
-
-    stop_tol = _number(pln, "planner", "stop_tol", 1e-6)
-    p_high = _number(pln, "planner", "p_high_w", 10.0)
-
-    leftovers = {name: sect for name, sect in
-                 (("scenario", sc), ("geometry", geo), ("pathloss", plo), ("array", arr),
-                  ("powers", pw), ("ris", ris), ("detector", det), ("planner", pln))
-                 if sect}
+    leftovers = {name: sect for name, sect in sections.items() if sect}
     if leftovers:
         details = "; ".join(f"{name}: {sorted(sect)}" for name, sect in leftovers.items())
         raise ConfigError(f"unknown keys in scenario file: {details}")
 
-    return ScenarioConfig(
-        n_antennas=n_antennas, m_h=m_h, m_v=m_v, geometry=geometry, annulus=annulus,
-        pathloss=pathloss,
-        p_w=p_w, zeta=tuple(zeta), sigma1_sq_w=sigma1, sigma2_sq_w=sigma2,
-        p_c_w=p_c, p_dc_w=p_dc, a_max=a_max, ris_budget_w=budget,
-        t_samples=t_samples, alpha=alpha, pd_target=pd_target, trials=trials,
-        seed=seed, method=method, channel_model=channel_model,
-        stop_tol=stop_tol, bisect_p_high=p_high)
+    return ScenarioConfig(geometry=geometry, annulus=annulus, pathloss=pathloss, p_w=p_w,
+                          zeta=zeta, **fields)
 
 
 class McResult(NamedTuple):
@@ -372,11 +363,6 @@ def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
     return run_hypotheses_mc(scenario, (hypothesis,), rcm, trials)[0]
 
 
-RESULT_COLUMNS = ("experiment", "sweep_name", "sweep_value", "method", "pd_emp",
-                  "pfa_emp", "pd_pred", "eta", "required_budget_w", "trials", "seed",
-                  "status", "note")
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One emitted experiment result (missing metrics stay None)."""
@@ -404,6 +390,9 @@ class ResultRow:
                 v = float(f"{v:.9g}")
             out[name] = v
         return out
+
+
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
@@ -449,24 +438,24 @@ SWEEPABLE = ("t", "zeta", "p", "k")
 def _swept_scenario(scenario: ScenarioConfig, name: str, value) -> ScenarioConfig:
     if name in ("t", "k") and not (float(value).is_integer() and value >= 0):
         raise ConfigError(f"--sweep {name} values must be whole counts, got {value!r}")
+    k = scenario.geometry.n_interferers
+    if name in ("zeta", "p") and k == 0:  # every row would plan the same scenario
+        raise ConfigError(f"--sweep {name} sets the interferers' {name}, and the scenario "
+                          "has none")
     if name == "t":
         return dataclasses.replace(scenario, t_samples=int(value))
     if name == "zeta":
-        z = (1.0,) + tuple(float(value) for _ in range(scenario.geometry.n_interferers))
-        return dataclasses.replace(scenario, zeta=z)
+        return dataclasses.replace(scenario, zeta=(1.0,) + (float(value),) * k)
     if name == "p":
-        p = (scenario.p_w[0],) + tuple(float(value) for _ in range(scenario.geometry.n_interferers))
-        return dataclasses.replace(scenario, p_w=p)
-    if name == "k":
-        k = int(value)
+        return dataclasses.replace(scenario, p_w=(scenario.p_w[0],) + (float(value),) * k)
+    if name == "k":  # new interferers copy interferer 1's power and activity, else the primary's
+        like, k = min(1, k), int(value)
         positions = chan.draw_interferer_positions(scenario.geometry.ris_pos, k,
                                                    *scenario.annulus, scenario.seed)
         geometry = dataclasses.replace(scenario.geometry, interferer_pos=positions)
-        p = (scenario.p_w[0],) + tuple(scenario.p_w[1] if len(scenario.p_w) > 1
-                                       else scenario.p_w[0] for _ in range(k))
-        z = (1.0,) + tuple(scenario.zeta[1] if len(scenario.zeta) > 1 else 1.0
-                           for _ in range(k))
-        return dataclasses.replace(scenario, geometry=geometry, p_w=p, zeta=z, angles=None)
+        return dataclasses.replace(scenario, geometry=geometry,
+                                   p_w=(scenario.p_w[0],) + (scenario.p_w[like],) * k,
+                                   zeta=(1.0,) + (scenario.zeta[like],) * k)
     raise ConfigError(f"sweep must be one of {SWEEPABLE}")
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risense import channel as chan
+from risense.budget import ClosedFormContext
 from risense.errors import ConfigError
 from risense.harness import ScenarioConfig
 
@@ -101,11 +102,28 @@ class TestLosChannelset:
         for d in cs.d:
             assert np.all(d == 0)
 
-    def test_missing_angles_raise(self):
-        sc = los_scenario()
-        object.__setattr__(sc, "angles", None)
-        with pytest.raises(ConfigError):
-            chan.build_los_channelset(sc)
+    def test_steering_follows_a_replaced_geometry(self):
+        # the primary moves from west-southwest of the surface to due south of it
+        sc = los_scenario(k=2)
+        moved = dataclasses.replace(sc.geometry, pu_pos=(100.0, -50.0))
+        replaced = dataclasses.replace(sc, geometry=moved)
+        fresh = ScenarioConfig(n_antennas=8, m_h=4, m_v=1, geometry=moved, p_w=sc.p_w,
+                               zeta=sc.zeta, channel_model="los")
+        for build in (chan.build_los_channelset,
+                      lambda s: ClosedFormContext.from_scenario(s, 4)):
+            assert same_bytes(build(replaced), build(fresh))
+            assert not same_bytes(build(replaced), build(sc))
+
+
+def same_bytes(a, b) -> bool:
+    """Dataclasses equal field by field, their arrays byte for byte."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same_bytes(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    return a == b
 
 
 class TestRayleighChannelset:

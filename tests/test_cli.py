@@ -175,6 +175,17 @@ class TestSweepValues:
         assert "configuration error: " in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sweep, values", [("zeta", "0.5"), ("p", "0.001,1e300")])
+    def test_interferer_sweep_without_interferers(self, tmp_path, capsys, sweep, values):
+        # every row would plan the same interferer-free scenario
+        cfg = write_config(tmp_path, TINY_LOS)
+        assert cli.main(["sweep", "--config", cfg, "--sweep", sweep, f"--values={values}",
+                         "--methods", "mf"]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: --sweep {sweep} sets the interferers' {sweep}, " \
+            "and the scenario has none" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_non_positive_budget_ceiling(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, TINY_LOS.replace("p_high_w: 0.1", f"p_high_w: {value}"))
@@ -304,20 +315,28 @@ FUZZ_OPTIONS = {
     "budget": ["--seed", "--method", "--pd-target", "--stop-tol"],
 }
 FUZZ_METHOD = st.one_of(st.sampled_from(budget.METHODS), st.text(max_size=4))
+# wmmse is left out: its planner branch solves up to 64 WMMSE problems per probe
+FUZZ_PLANNER_METHODS = ("mf", "zf", "mmse", "passive", "passive-unit", "passive-relaxed")
 
 
 @st.composite
-def fuzz_argv(draw, config: str, sweep_config: str) -> list[str]:
+def fuzz_argv(draw, config: str, sweep_config: str, m_config: str) -> list[str]:
     command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
     argv = [command]
+    sweep = draw(st.sampled_from(["m", "t", "zeta", "p", "k"])) if command == "sweep" else None
     if command != "threshold" or draw(st.booleans()):
-        argv += ["--config", sweep_config if command == "sweep" else config]
-    if command == "simulate":
+        argv += ["--config", m_config if sweep == "m" else sweep_config if sweep else config]
+    if command == "simulate" or sweep == "m":
         argv += ["--trials", "1"]
-    if command == "sweep":
+    if sweep == "m":
+        argv += ["--sweep", "m"]
+    elif sweep:
         values = ",".join(draw(st.lists(FUZZ_VALUE, min_size=1, max_size=2)))
-        argv += ["--sweep", draw(st.sampled_from(["t", "zeta", "p", "k"])),
-                 f"--values={values}", "--methods", "mf"]
+        # mmse solves in the K-dimensional interferer space: a swept k of 1000 takes 30 s
+        names = [m for m in FUZZ_PLANNER_METHODS if (sweep, m) != ("k", "mmse")]
+        methods = draw(st.lists(st.one_of(st.sampled_from(names), st.text(max_size=4)),
+                                min_size=1, max_size=3))
+        argv += ["--sweep", sweep, f"--values={values}", f"--methods={','.join(methods)}"]
     for option in draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command]), max_size=3,
                                 unique=True)):
         value = draw(FUZZ_METHOD if option == "--method" else
@@ -335,11 +354,14 @@ class TestCliFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_code_is_documented(self, tmp_path, data):
         config = write_config(tmp_path, TINY_LOS)
+        text = Path(config).read_text()
         # one interferer, so that zeta and p sweeps change the scenario
         sweep_config = tmp_path / "sweep.yaml"
-        sweep_config.write_text(Path(config).read_text().replace("interferers: 0",
-                                                                 "interferers: 1"))
-        argv = data.draw(fuzz_argv(config, str(sweep_config)))
+        sweep_config.write_text(text.replace("interferers: 0", "interferers: 1"))
+        # a budget that affords at most 3 active elements, for the element-count sweep
+        m_config = tmp_path / "sweep_m.yaml"
+        m_config.write_text(text.replace("a_max: 100}", "a_max: 100, budget_dbm: 2}"))
+        argv = data.draw(fuzz_argv(config, str(sweep_config), str(m_config)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:

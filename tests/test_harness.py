@@ -16,6 +16,8 @@ from risense import harness as hns
 from risense import optimizer as opt
 from risense.errors import ConfigError
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestUnits:
     @pytest.mark.parametrize("dbm,watts", [(-80, 1e-11), (-10, 1e-4),
@@ -53,6 +55,24 @@ class TestLoadScenario:
                      "configs/los_budget.yaml"):
             sc = hns.load_scenario(name)
             assert sc.n_antennas in (32, 64)
+
+    def test_empty_sections_take_the_scenario_defaults(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text("".join(f"{name}: {{}}\n" for name in (
+            "scenario", "geometry", "pathloss", "array", "powers", "ris", "detector",
+            "planner")))
+        default = hns.ScenarioConfig()
+        drawn = hns.chan.draw_interferer_positions(default.geometry.ris_pos, 5,
+                                                   *default.annulus, seed=0)
+        assert hns.load_scenario(str(path)) == dataclasses.replace(
+            default, geometry=dataclasses.replace(default.geometry, interferer_pos=drawn),
+            p_w=(1.0,) * 6, zeta=(1.0,) * 6)
+
+    @pytest.mark.parametrize("path", sorted(str(p.relative_to(ROOT)) for p in
+                                            [*ROOT.glob("configs/*.yaml"),
+                                             *ROOT.glob("perfbench/scenarios/*.yaml")]))
+    def test_two_loads_compare_equal(self, path):
+        assert hns.load_scenario(str(ROOT / path)) == hns.load_scenario(str(ROOT / path))
 
     def test_negative_samples_rejected(self, tmp_path):
         path = tmp_path / "sc.yaml"
