@@ -26,7 +26,7 @@ from . import budget as bdg
 from . import channel as chan
 from . import optimizer as opt
 from . import sensing as sns
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, NumericalError
 
 
 def dbm_to_watts(x: float) -> float:
@@ -305,11 +305,12 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
     optimize the reflecting coefficients, build the analytic covariance, its
-    whitening factor and the population excess, synthesize T snapshots and
-    compare the largest eigenvalue of their whitened sample covariance with
-    the threshold. A trial's hypotheses share all of this (common random
-    numbers): H0 is scored from the Gram matrix G0 = Y0 Y0^H of the
-    noise-plus-interference draw, H1 from its rank-2 update for Y0 + h0 s0^T.
+    whitening factor and the population excess, draw the Gram matrix of the
+    trial's T whitened snapshots (``sensing.sample_signals``, one complex
+    Wishart draw) and compare its largest eigenvalue over T with the threshold.
+    A trial's hypotheses share all of this (common random numbers): H0 is
+    scored from W0 = X0 X0^H, H1 from its rank-2 update for the snapshots
+    X0 + b s0^T, b = Q^-1 h0.
     """
     if not hypotheses or not set(hypotheses) <= {"h0", "h1"}:
         raise ValueError("hypotheses must be 'h0' and/or 'h1'")
@@ -320,6 +321,7 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
     fixed_channels = scenario.build_channels() if scenario.channel_model == "los" else None
     m = scenario.n_elements
     p_out = scenario.power_model().p_out_budget(scenario.ris_budget_w, m)
+    draw = "h1" if "h1" in hypotheses else "h0"  # W0 is the same under both draws
     hits = {"h0": 0, "h1": 0}
     etas = np.empty(trials)
     pd_pred = np.empty(trials)
@@ -332,21 +334,20 @@ def run_hypotheses_mc(scenario: ScenarioConfig, hypotheses: Sequence[str] = ("h1
             r = sns.noise_covariance(channels, rcm_t, sources, noise)
             q_inv = sns.psd_sqrt_inverse(r)
             h0 = sns.equivalent_channels(channels, np.asarray(rcm_t.phi, dtype=complex))[0]
+            b = q_inv @ h0
             etas[t] = sns.eta_from_covariance(r, h0, sources.p[0])
             pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
                                                            gamma_th=gamma_th, alpha=cfg.alpha))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
-        y0, s0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1", scenario.t_samples,
-                                    (scenario.seed, t, 1))
-        g0 = sns.gram(y0)
-        g = {"h0": g0, "h1": g0}
-        if s0 is not None:  # (Y0 + h0 s0^T)(Y0 + h0 s0^T)^H, a rank-2 update of G0
-            hv = np.outer(h0, (y0 @ s0.conj()).conj())
-            g["h1"] = g0 + hv + hv.conj().T + np.vdot(s0, s0).real * np.outer(h0, h0.conj())
+        w0, v, s2 = sns.sample_signals(channels, rcm_t, sources, noise, draw,
+                                       scenario.t_samples, (scenario.seed, t, 1), q_inv)
+        w = {"h0": w0}
+        if v is not None:  # (X0 + b s0^T)(X0 + b s0^T)^H, a rank-2 update of W0
+            bv = np.outer(b, v.conj())
+            w["h1"] = w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())
         for h in hypotheses:
-            hits[h] += sns.max_eig_statistic(g[h], q_inv, scenario.t_samples) > gamma_th
-        del y0  # one snapshot array at a time: the next trial's draw replaces it
+            hits[h] += sns.max_eig_statistic(w[h], scenario.t_samples) > gamma_th
     mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())
     results = []
     for h in hypotheses:
@@ -463,8 +464,8 @@ def run_budget_sweep(scenario: ScenarioConfig, sweep_name: str, values: Sequence
                      methods: Sequence[str]) -> list[ResultRow]:
     """Required power budget per method over a parameter grid.
 
-    Infeasible cells are recorded with an explicit marker instead of aborting
-    the sweep.
+    Infeasible and numerically failed cells are recorded with an explicit
+    status (``infeasible``, ``numerical``) instead of aborting the sweep.
     """
     if sweep_name not in SWEEPABLE:
         raise ConfigError(f"sweep must be one of {SWEEPABLE}")
@@ -472,18 +473,16 @@ def run_budget_sweep(scenario: ScenarioConfig, sweep_name: str, values: Sequence
     for value in values:
         sc_v = _swept_scenario(scenario, sweep_name, value)
         for method in methods:
+            cell = dict(experiment=f"budget_vs_{sweep_name}", sweep_name=sweep_name,
+                        sweep_value=float(value), method=method, trials=0, seed=sc_v.seed)
             try:
                 res = bdg.required_budget(method, sc_v.pd_target, sc_v)
-                rows.append(ResultRow(
-                    experiment=f"budget_vs_{sweep_name}", sweep_name=sweep_name,
-                    sweep_value=float(value), method=method, eta=res.eta_star,
-                    required_budget_w=res.required_power, trials=0, seed=sc_v.seed,
-                    note=res.note))
-            except InfeasibleError as exc:
-                rows.append(ResultRow(
-                    experiment=f"budget_vs_{sweep_name}", sweep_name=sweep_name,
-                    sweep_value=float(value), method=method, trials=0, seed=sc_v.seed,
-                    status="infeasible", note=str(exc)))
+            except (InfeasibleError, NumericalError) as exc:
+                status = "infeasible" if isinstance(exc, InfeasibleError) else "numerical"
+                rows.append(ResultRow(**cell, status=status, note=str(exc)))
+            else:
+                rows.append(ResultRow(**cell, eta=res.eta_star,
+                                      required_budget_w=res.required_power, note=res.note))
     return rows
 
 

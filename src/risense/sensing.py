@@ -3,11 +3,12 @@
 The receiver collects T snapshots, whitens them with the analytic
 noise-plus-interference covariance (the detector is genie-aided: channels
 are assumed known), and compares the largest eigenvalue of the whitened
-sample covariance, taken from the snapshots' N x N Gram matrix, against a
-Tracy-Widom threshold. Under the alternative, that eigenvalue separates from
-the bulk once the population excess ``eta`` crosses the phase transition
-sqrt(chi), after which its law is Gaussian and the detection probability has
-a closed form.
+sample covariance against a Tracy-Widom threshold. The statistic depends on
+the snapshots only through their N x N Gram matrix, which is drawn directly
+as a complex Wishart matrix. Under the alternative, that eigenvalue
+separates from the bulk once the population excess ``eta`` crosses the
+phase transition sqrt(chi), after which its law is Gaussian and the
+detection probability has a closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg.blas import zherk
 from scipy.optimize import brentq
 from scipy.stats import norm
 
@@ -158,39 +158,48 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
 
 
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                   hypothesis: str, n_samples: int, rng_seed: int) -> tuple:
-    """Signal-free snapshots Y0 (N x T) of one sensing interval, and the primary's
-    symbols s0 under "h1" (None under "h0" or for a silent primary): Y0 + h_0 s0^T.
+                   hypothesis: str, n_samples: int, rng_seed,
+                   q_inv: np.ndarray | None = None) -> tuple:
+    """Whitened Gram blocks (W0, v, ||s0||^2) of one sensing interval, no N x T array.
 
-    Deterministic given the seed. Draw order: receiver noise, surface noise, the
-    interferers' activity (once per interval), active interferers, primary. One
-    product [G Phi | h_k ...] @ [Z_1; s_k ...] adds the surface noise and interferers.
+    With X0 = Q^-1 Y0 the whitened signal-free snapshots (N x T) and s0 the
+    primary's T symbols, W0 = X0 X0^H and v = X0 conj(s0). Given the interval's
+    activity draw the columns of [X0; s0^T] are i.i.d. CN(0, blockdiag(C, p_0)),
+    C = Q^-1 R_active Q^-1, so their Gram is complex Wishart CW_{N+1}(T, .)
+    (Goodman 1963). It is drawn from its Bartlett factor L, lower triangular with
+    |L_ii|^2 ~ Gamma(T - i) and L_ij ~ CN(0, 1) below the diagonal.
+
+    Deterministic given the seed. Draw order: the interferers' activity (once per
+    interval), the N x N block's Bartlett variates, the primary's row. Under "h0"
+    the primary's row is not drawn and v is None; W0 is the same under both
+    hypotheses. ``q_inv`` defaults to the whitening factor of noise_covariance.
     """
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
-    phi = np.asarray(rcm.phi, dtype=complex)
+    n = channels.n_antennas
+    if n_samples < n:
+        raise ValueError("the Bartlett draw needs n_samples >= n_antennas")
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
     rng = substream(rng_seed, 0x51)
-    h = equivalent_channels(channels, phi)
-
-    y = sample_cn(rng, noise.sigma2_sq, (channels.n_antennas, n_samples))
-    cols, rows = [], []
-    if rcm.forwards_noise and noise.sigma1_sq > 0:
-        cols.append(channels.g_matrix * phi[np.newaxis, :])
-        rows.append(sample_cn(rng, noise.sigma1_sq, (channels.n_elements, n_samples)))
     active = rng.random(sources.n_interferers + 1) < sources.zeta
-    on = [k for k in range(1, len(h)) if active[k] and sources.p[k] > 0]
-    rows += [sample_cn(rng, sources.p[k], n_samples) for k in on]
-    if rows:
-        y += np.hstack(cols + [h[on].T]) @ np.vstack(rows)
-    primary = hypothesis == "h1" and sources.p[0] > 0
-    return y, sample_cn(rng, sources.p[0], n_samples) if primary else None
-
-
-def gram(y: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix Y Y^H of snapshots Y (N x T), from one BLAS zherk on
-    the F-ordered view Y^T: no copy of Y and half the work of Y @ Y^H."""
-    c = zherk(1.0, y.T, trans=2)  # upper triangle of conj(Y Y^H), zeros below
-    return c.T + np.triu(c, 1).conj()
+    weights = np.where(active, sources.p, 0.0)
+    weights[0] = 0.0  # the primary is the signal, not noise
+    r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
+                          noise.sigma1_sq if rcm.forwards_noise else 0.0, noise.sigma2_sq)
+    try:
+        factor = np.linalg.cholesky(whiten(r_active, q_inv))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("whitened interval covariance is not positive definite") from exc
+    bartlett = np.diag(np.sqrt(rng.standard_gamma(n_samples - np.arange(n)))).astype(complex)
+    bartlett[np.tril_indices(n, -1)] = sample_cn(rng, 1.0, n * (n - 1) // 2)
+    x = factor @ bartlett  # X0 X0^H = x x^H in distribution
+    w0 = x @ x.conj().T
+    if hypothesis == "h0":
+        return w0, None, 0.0
+    row = sample_cn(rng, sources.p[0], n)  # sqrt(p_0) times the primary's Bartlett row
+    s2 = float(np.vdot(row, row).real + sources.p[0] * rng.standard_gamma(n_samples - n))
+    return w0, x @ row.conj(), s2
 
 
 def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:
@@ -203,13 +212,13 @@ def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:
 
 
 def whiten(g: np.ndarray, q_inv: np.ndarray) -> np.ndarray:
-    """Gram matrix Q^-1 G Q^-1 of the whitened snapshots Q^-1 Y, from G = Y Y^H."""
+    """Q^-1 G Q^-1: a covariance or Gram matrix G of vectors y, for the whitened Q^-1 y."""
     return q_inv @ g @ q_inv
 
 
-def max_eig_statistic(g: np.ndarray, q_inv: np.ndarray, n_samples: int) -> float:
-    """Largest eigenvalue of (1/T) Q^-1 G Q^-1: whitened, with Q^-1 = psd_sqrt_inverse(R)."""
-    return float(np.linalg.eigvalsh(whiten(g, q_inv) / n_samples)[-1])
+def max_eig_statistic(w: np.ndarray, n_samples: int) -> float:
+    """Largest eigenvalue of (1/T) W, W the Gram matrix of T whitened snapshots."""
+    return float(np.linalg.eigvalsh(w / n_samples)[-1])
 
 
 _TW2_INTERP: PchipInterpolator | None = None

@@ -363,13 +363,14 @@ def sample_cn_two_calls(rng: np.random.Generator, variance: float, shape) -> np.
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                     hypothesis: str, n_samples: int, rng_seed) -> np.ndarray:
-    """sample_signals' snapshots of one hypothesis, one source term at a time.
+def snapshot_draw(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                  n_samples: int, rng_seed) -> tuple[np.ndarray, np.ndarray | None]:
+    """Signal-free snapshots Y0 (N x T), one source term at a time, and the
+    primary's T symbols s0 (None for a silent primary).
 
-    Same substream and draw order (receiver noise, surface noise, activity,
-    active interferers, primary); each term is added to the array in turn,
-    the sources as outer products h_k s_k^T.
+    Draw order: receiver noise, surface noise, activity, active interferers,
+    primary; each term is added to the array in turn, the interferers as outer
+    products h_k s_k^T.
     """
     phi = np.asarray(rcm.phi, dtype=complex)
     h = loop_channels(channels, phi)
@@ -382,9 +383,32 @@ def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noi
     for k in range(1, len(h)):
         if active[k] and sources.p[k] > 0:
             y += np.outer(h[k], sample_cn_two_calls(rng, sources.p[k], n_samples))
-    if hypothesis == "h1" and sources.p[0] > 0:
-        y += np.outer(h[0], sample_cn_two_calls(rng, sources.p[0], n_samples))
+    return y, sample_cn_two_calls(rng, sources.p[0], n_samples) if sources.p[0] > 0 else None
+
+
+def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                     hypothesis: str, n_samples: int, rng_seed) -> np.ndarray:
+    """The snapshots of one hypothesis: Y0 under "h0", Y0 + h_0 s0^T under "h1"."""
+    y, s0 = snapshot_draw(channels, rcm, sources, noise, n_samples, rng_seed)
+    if hypothesis == "h1" and s0 is not None:
+        y += np.outer(loop_channels(channels, np.asarray(rcm.phi, dtype=complex))[0], s0)
     return y
+
+
+def snapshot_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                    hypothesis: str, n_samples: int, rng_seed,
+                    q_inv: np.ndarray | None = None) -> tuple:
+    """sample_signals' (W0, v, ||s0||^2), formed from snapshot_draw's snapshots:
+    W0 = X0 X0^H and v = X0 conj(s0) with X0 = Q^-1 Y0 (v is None under "h0")."""
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    y0, s0 = snapshot_draw(channels, rcm, sources, noise, n_samples, rng_seed)
+    x0 = q_inv @ y0
+    if hypothesis == "h0":
+        return x0 @ x0.conj().T, None, 0.0
+    if s0 is None:
+        s0 = np.zeros(n_samples, dtype=complex)
+    return x0 @ x0.conj().T, x0 @ s0.conj(), float(np.vdot(s0, s0).real)
 
 
 def whiten(y: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
-from oracles import reference_detection_mc, reference_statistic
+from oracles import reference_detection_mc, reference_statistic, snapshot_blocks
 from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
@@ -262,10 +263,12 @@ def simulate_rcm(sc, channels):
 
 
 class TestSharedTrials:
-    """The fused loop reproduces independent per-hypothesis runs exactly."""
+    """The fused loop reproduces independent per-hypothesis runs exactly, when it
+    draws each trial's Gram blocks from the reference loop's snapshots."""
 
     @pytest.mark.parametrize("case", sorted(FUSED_CASES))
-    def test_simulate_matches_reference_loop(self, tmp_path, capsys, case):
+    def test_simulate_matches_reference_loop(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setattr(hns.sns, "sample_signals", snapshot_blocks)
         path = tmp_path / "sc.yaml"
         path.write_text(textwrap.dedent(FUSED_CASES[case]))
         sc = hns.load_scenario(str(path))
@@ -318,22 +321,30 @@ STATISTIC_CASES = {
 }
 
 
+def record_statistics(monkeypatch) -> list:
+    """Collects every statistic the trial loop computes, in call order."""
+    stats = []
+    statistic = hns.sns.max_eig_statistic
+
+    def recording(*args):
+        stats.append(statistic(*args))
+        return stats[-1]
+
+    monkeypatch.setattr(hns.sns, "max_eig_statistic", recording)
+    return stats
+
+
 class TestGramDomainStatistics:
     """The trial loop's statistics, from one Gram matrix per trial, equal those of
-    the whitened snapshots synthesized one source at a time."""
+    the whitened snapshots synthesized one source at a time, when it draws the
+    Gram blocks from those snapshots."""
 
     @pytest.mark.parametrize("hypothesis", ["h0", "h1"])
     @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
     def test_statistics_match_the_snapshot_path(self, monkeypatch, case, hypothesis):
         sc, rcm = STATISTIC_CASES[case]()
-        stats = []
-        statistic = hns.sns.max_eig_statistic
-
-        def recording(*args):
-            stats.append(statistic(*args))
-            return stats[-1]
-
-        monkeypatch.setattr(hns.sns, "max_eig_statistic", recording)
+        monkeypatch.setattr(hns.sns, "sample_signals", snapshot_blocks)
+        stats = record_statistics(monkeypatch)
         hns.run_hypotheses_mc(sc, (hypothesis,), rcm=rcm)
         ref = []
         for t in range(sc.trials):
@@ -343,6 +354,45 @@ class TestGramDomainStatistics:
                                            rcm or simulate_rcm(sc, channels)))
         assert len(stats) == sc.trials
         assert stats == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+class TestWishartTrials:
+    """The trial loop's Wishart draw against the snapshot path it replaces."""
+
+    @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
+    def test_statistics_follow_the_snapshot_law(self, monkeypatch, case):
+        # two-sample Kolmogorov-Smirnov test per hypothesis; the seeds are fixed
+        sc, rcm = STATISTIC_CASES[case]()
+        stats = record_statistics(monkeypatch)
+        samples = {}
+        for sampler, seed in ((hns.sns.sample_signals, 801), (snapshot_blocks, 802)):
+            monkeypatch.setattr(hns.sns, "sample_signals", sampler)
+            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), ("h0", "h1"), rcm=rcm,
+                                  trials=400)
+            samples[sampler] = np.reshape(stats[-800:], (400, 2)).T
+        for wishart, snapshot in zip(*samples.values()):
+            assert ks_2samp(wishart, snapshot).pvalue > 1e-3
+
+    @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
+    def test_one_hypothesis_reproduces_the_joint_run(self, case):
+        sc, rcm = STATISTIC_CASES[case]()
+        sc = dataclasses.replace(sc, trials=60)
+        h1, h0 = hns.run_hypotheses_mc(sc, rcm=rcm)
+        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h0") == h0
+        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h1") == h1
+
+    def test_simulate_with_as_many_snapshots_as_antennas(self, tmp_path, capsys):
+        # T = N: the primary's last Bartlett diagonal is Gamma(0) = 0
+        path = tmp_path / "sc.yaml"
+        path.write_text(textwrap.dedent("""
+            scenario: {seed: 3, trials: 20, channel_model: los, method: mf}
+            geometry: {interferers: 2}
+            array: {n_antennas: 8, m_h: 3}
+            detector: {t_samples: 8}
+        """))
+        assert cli.main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["trials"] == 20 and 0 <= row["pfa_emp"] <= 1 and 0 <= row["pd_emp"] <= 1
 
 
 class TestOneMethodTable:
@@ -431,6 +481,19 @@ class TestSweeps:
         rows2 = hns.run_budget_sweep(sc2, "t", [1600], ["passive"])
         assert rows2[0].status == "ok"
         assert rows2[0].required_budget_w > 0
+
+    def test_budget_sweep_records_numerical_cells(self):
+        geom = hns.chan.Geometry(interferer_pos=hns.chan.draw_interferer_positions(
+            (100.0, 50.0), 1, 50.0, 60.0, 1))
+        sc = hns.ScenarioConfig(n_antennas=16, m_h=16, geometry=geom, p_w=(1.0, 1.0),
+                                zeta=(1.0, 1.0), t_samples=3200, seed=1, channel_model="los",
+                                bisect_p_high=0.1)
+        # zero-forcing 50 interferers with 16 elements: a degenerate geometry
+        rows = hns.run_budget_sweep(sc, "k", [2, 50], ["mf", "zf"])
+        assert [(r.sweep_value, r.method, r.status) for r in rows] == [
+            (2.0, "mf", "ok"), (2.0, "zf", "ok"), (50.0, "mf", "ok"), (50.0, "zf", "numerical")]
+        assert rows[-1].note == "zero-forcing geometry is degenerate (ill-conditioned Gram)"
+        assert rows[-1].required_budget_w is None and rows[-1].eta is None
 
     def test_budget_sweep_t_trend(self):
         sc = hns.ScenarioConfig(n_antennas=16, m_h=4, geometry=hns.chan.Geometry(),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_noise, make_sources
 from oracles import (char_poly_max_eig, make_los_channelset, make_random_channelset,
-                     sample_cn_two_calls, tw2_cdf_fredholm, whiten)
+                     sample_cn_two_calls, snapshot_signals, tw2_cdf_fredholm, whiten)
 from risense import _tw2_table
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
@@ -22,8 +22,8 @@ def fixed_rcm(m, rng=None, mode="active", scale=1.0):
 
 
 def max_eig(x):
-    """The detection statistic of snapshots x with no whitening: G = x x^H, Q^-1 = I."""
-    return sns.max_eig_statistic(x @ x.conj().T, np.eye(x.shape[0]), x.shape[1])
+    """The detection statistic of snapshots x taken as already whitened."""
+    return sns.max_eig_statistic(x @ x.conj().T, x.shape[1])
 
 
 class TestNoiseCovariance:
@@ -54,51 +54,82 @@ class TestNoiseCovariance:
         acc = np.zeros((4, 4), dtype=complex)
         intervals, t = 4000, 250
         for i in range(intervals):
-            y, _ = sns.sample_signals(ch, rcm, src, noise, "h0", t, (99, i))
+            y = snapshot_signals(ch, rcm, src, noise, "h0", t, (99, i))
             acc += y @ y.conj().T
         emp = acc / (intervals * t)
         assert np.linalg.norm(emp - r, "fro") <= 0.02 * np.linalg.norm(r, "fro")
 
 
 class TestSampleSignals:
+    """The Wishart draw of a sensing interval's whitened Gram blocks (W0, v, ||s0||^2)."""
+
     def test_h0_pure_awgn_covariance(self):
         ch = make_random_channelset(np.random.default_rng(2), n=4, m=3, k=0)
-        y, _ = sns.sample_signals(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
-                                  200_000, 5)
-        emp = (y @ y.conj().T) / y.shape[1]
-        assert np.linalg.norm(emp - 0.1 * np.eye(4), "fro") <= 0.02 * 0.1 * 2
+        w0, v, s2 = sns.sample_signals(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
+                                       200_000, 5)
+        assert v is None and s2 == 0.0
+        assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
 
     def test_h1_with_zero_primary_power_matches_h0(self):
         rng = np.random.default_rng(3)
         ch = make_random_channelset(rng, n=4, m=3, k=1)
-        src = make_sources(1, p0=0.0)
+        src = make_sources(1, p0=0.0, zeta=0.5)
         noise = make_noise()
         rcm = fixed_rcm(3, rng, scale=0.3)
-        y0, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 1000, 7)
-        y1, s1 = sns.sample_signals(ch, rcm, src, noise, "h1", 1000, 7)
-        assert s1 is None  # no primary contribution: the H1 snapshots are Y0
-        assert np.array_equal(y0, y1)  # same stream
+        w0, _, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 1000, 7)
+        w1, v, s2 = sns.sample_signals(ch, rcm, src, noise, "h1", 1000, 7)
+        assert np.array_equal(w0, w1)  # same stream: the primary's row is drawn last
+        assert not v.any() and s2 == 0.0  # no primary contribution
 
     def test_h1_sample_covariance_matches_analytic(self):
         rng = np.random.default_rng(4)
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         rcm = fixed_rcm(3, rng, scale=0.4)
         src, noise = make_sources(1), make_noise()
-        r = sns.noise_covariance(ch, rcm, src, noise)
-        h0 = sns.equivalent_channels(ch, rcm.phi)[0]
-        target = r + src.p[0] * np.outer(h0, h0.conj())
-        y0, s0 = sns.sample_signals(ch, rcm, src, noise, "h1", 100_000, 11)
-        y = y0 + np.outer(h0, s0)
-        emp = (y @ y.conj().T) / y.shape[1]
+        q_inv = sns.psd_sqrt_inverse(sns.noise_covariance(ch, rcm, src, noise))
+        b = q_inv @ sns.equivalent_channels(ch, rcm.phi)[0]
+        target = np.eye(4) + src.p[0] * np.outer(b, b.conj())
+        w0, v, s2 = sns.sample_signals(ch, rcm, src, noise, "h1", 100_000, 11)
+        bv = np.outer(b, v.conj())
+        emp = (w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())) / 100_000
         assert np.linalg.norm(emp - target, "fro") <= 0.02 * np.linalg.norm(target, "fro")
+        assert s2 / 100_000 == pytest.approx(src.p[0], rel=0.02)
+
+    def test_mean_is_t_times_the_whitened_covariance(self):
+        # E[W0] = T Q^-1 R Q^-1 over the activity draws; any Hermitian Q^-1 will do
+        rng = np.random.default_rng(8)
+        ch = make_random_channelset(rng, n=4, m=3, k=2)
+        rcm = fixed_rcm(3, rng, scale=0.5)
+        src, noise = make_sources(2, zeta=0.4), make_noise()
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q_inv = sns.psd_sqrt_inverse(a @ a.conj().T + np.eye(4))
+        target = q_inv @ sns.noise_covariance(ch, rcm, src, noise) @ q_inv
+        intervals, t = 4000, 50
+        acc = sum(sns.sample_signals(ch, rcm, src, noise, "h0", t, (17, i), q_inv)[0]
+                  for i in range(intervals))
+        assert np.linalg.norm(acc / (intervals * t) - target, "fro") \
+            <= 0.02 * np.linalg.norm(target, "fro")
+
+    def test_as_many_snapshots_as_antennas(self):
+        # T = N: W has rank N, and the primary's last Bartlett diagonal is Gamma(0) = 0
+        rng = np.random.default_rng(9)
+        ch = make_random_channelset(rng, n=4, m=3, k=1)
+        src = make_sources(1)
+        rcm = fixed_rcm(3, rng, scale=0.3)
+        w0, v, s2 = sns.sample_signals(ch, rcm, src, make_noise(), "h1", 4, 3)
+        w = np.block([[w0, v[:, np.newaxis]], [v.conj()[np.newaxis, :], np.array([[s2]])]])
+        lam = np.linalg.eigvalsh(w)
+        assert abs(lam[0]) <= 1e-12 * lam[-1] and lam[1] > 1e-6 * lam[-1]
+        with pytest.raises(ValueError, match="n_samples >= n_antennas"):
+            sns.sample_signals(ch, rcm, src, make_noise(), "h1", 3, 3)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
         ch = make_random_channelset(rng, n=3, m=2, k=1)
         rcm = fixed_rcm(2, rng)
         args = (ch, rcm, make_sources(1, zeta=0.5), make_noise(), "h1", 64, 123)
-        (y_a, s_a), (y_b, s_b) = sns.sample_signals(*args), sns.sample_signals(*args)
-        assert np.array_equal(y_a, y_b) and np.array_equal(s_a, s_b)
+        (w_a, v_a, s_a), (w_b, v_b, s_b) = sns.sample_signals(*args), sns.sample_signals(*args)
+        assert np.array_equal(w_a, w_b) and np.array_equal(v_a, v_b) and s_a == s_b
 
 
 class TestSampleCn:
@@ -111,18 +142,12 @@ class TestSampleCn:
 
 
 class TestGram:
-    def test_equals_y_y_conj_transpose(self, rng):
-        y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
-        g = sns.gram(y)
-        assert np.allclose(g, y @ y.conj().T, rtol=1e-13, atol=0)
-        assert np.array_equal(g, g.conj().T)
-
     def test_whitened_gram_is_the_gram_of_whitened_snapshots(self, rng):
         y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         r = a @ a.conj().T + 0.1 * np.eye(5)
         x = whiten(y, r)
-        assert np.allclose(sns.whiten(sns.gram(y), sns.psd_sqrt_inverse(r)), x @ x.conj().T,
+        assert np.allclose(sns.whiten(y @ y.conj().T, sns.psd_sqrt_inverse(r)), x @ x.conj().T,
                            rtol=1e-10, atol=0)
 
 
@@ -144,11 +169,8 @@ class TestWhiten:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         rcm = fixed_rcm(3, rng, scale=0.5)
         src, noise = make_sources(1), make_noise()
-        r = sns.noise_covariance(ch, rcm, src, noise)
-        y, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 200_000, 13)
-        x = whiten(y, r)
-        emp = (x @ x.conj().T) / x.shape[1]
-        assert np.linalg.norm(emp - np.eye(4), "fro") <= 0.02 * 2
+        w0, _, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 200_000, 13)
+        assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
 
     def test_indefinite_rejected(self):
         with pytest.raises(NumericalError):
