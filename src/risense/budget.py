@@ -1,11 +1,10 @@
 """Power-budget analysis for the no-direct-link LoS regime.
 
 Closed forms for the interference-free optimum (amplification factor and
-element count splitting a fixed budget), matched-filter / zero-forcing /
-minimum-MSE coefficient configurations with interferers, a bisection
-planner for the minimum budget that reaches a target detection probability,
-and ``coefficients``: the one method table that simulate, optimize and the
-planner share.
+excess), matched-filter / zero-forcing / minimum-MSE coefficient
+configurations with interferers, a bisection planner for the minimum budget
+that reaches a target detection probability, and ``coefficients``: the one
+method table that simulate, optimize and the planner share.
 """
 
 from __future__ import annotations
@@ -36,26 +35,22 @@ class RisPowerModel:
     p_dc: float
 
     def __post_init__(self):
-        if self.p_c < 0 or self.p_dc < 0 or self.p_c + self.p_dc <= 0:
-            raise ValueError("element powers must be nonnegative with a positive sum")
+        if not (self.p_c >= 0 and self.p_dc >= 0 and self.p_c + self.p_dc > 0):
+            raise ConfigError(f"element powers p_c = {self.p_c!r} W and p_dc = {self.p_dc!r} W "
+                              "must be nonnegative with a positive sum")
 
     def p_out_budget(self, p_aris: float, m: int) -> float:
         return p_aris - m * (self.p_c + self.p_dc)
 
     def m_max(self, p_aris: float) -> int:
-        return m_max(p_aris, self.p_c, self.p_dc)
+        """Largest active element count whose circuit power fits the budget."""
+        return int(math.floor(p_aris / (self.p_c + self.p_dc)))
 
     def passive_m(self, p_pris: float) -> int:
         if self.p_c <= 0:
-            raise ValueError("passive element count needs p_c > 0")
+            raise ConfigError(f"a passive surface needs p_c > 0 to size its elements, "
+                              f"got p_c = {self.p_c!r} W")
         return int(math.floor(p_pris / self.p_c))
-
-
-def m_max(p_aris: float, p_c: float, p_dc: float) -> int:
-    """Largest element count whose circuit power fits the budget."""
-    if p_c + p_dc <= 0:
-        raise ValueError("p_c + p_dc must be positive")
-    return int(math.floor(p_aris / (p_c + p_dc)))
 
 
 def upa_dims(sc, m: int) -> tuple[int, int]:
@@ -182,52 +177,6 @@ def optimal_amplitude(ctx: ClosedFormContext, p_aris: float,
     return float(a0), float(min(a_max, np.sqrt(a0)))
 
 
-class OptimalM(NamedTuple):
-    m_opt: float
-    m_bar: int
-    a_bar: float
-
-
-def _xi(ctx: ClosedFormContext, p_aris: float, m: int) -> float:
-    """Amplitude that makes M elements consume the whole budget."""
-    rem = p_aris - m * ctx.c1
-    return float(np.sqrt(rem / (m * ctx.c2))) if rem > 0 else 0.0
-
-
-def _q_gain(ctx: ClosedFormContext, m: float, a: float) -> float:
-    """Coherent-combination figure of merit M^2 a^2 / (1 + C0 M a^2)."""
-    return m * m * a * a / (1.0 + ctx.c0 * m * a * a)
-
-
-def optimal_m(ctx: ClosedFormContext, p_aris: float, a_opt: float,
-              a_max: float) -> OptimalM:
-    """Element count consuming the whole budget at a_opt, and its integer recovery.
-
-    The real optimum satisfies M (C1 + C2 a_opt^2) = P. When it is fractional,
-    the figure of merit q(M, min(a_max, xi(M))) increases up to floor(M) and
-    decreases beyond, so the integer optimum is whichever neighbor scores
-    higher. (Keeping the floor unconditionally whenever the amplitude cap
-    binds can lose badly: the budget-exhausting M0+1 configuration often
-    dominates; the exhaustive-scan test pins this down.)
-    """
-    denom = ctx.c1 + ctx.c2 * a_opt**2
-    if denom <= 0:
-        raise ValueError("nonpositive per-element consumption")
-    m_opt = p_aris / denom
-    if m_opt < 1.0:
-        if p_aris <= ctx.c1:
-            raise InfeasibleError("budget cannot power a single element")
-        return OptimalM(m_opt, 1, min(a_max, _xi(ctx, p_aris, 1)))
-    if float(m_opt).is_integer():
-        return OptimalM(m_opt, int(m_opt), a_opt)
-    m0 = int(math.floor(m_opt))
-    a_lo = min(a_max, _xi(ctx, p_aris, m0))
-    a_hi = min(a_max, _xi(ctx, p_aris, m0 + 1))
-    if a_hi <= 0 or _q_gain(ctx, m0, a_lo) > _q_gain(ctx, m0 + 1, a_hi):
-        return OptimalM(m_opt, m0, a_lo)
-    return OptimalM(m_opt, m0 + 1, a_hi)
-
-
 def eta_active_no_interference(ctx: ClosedFormContext, n: int, m: float, a: float) -> float:
     """Population excess of the interference-free active configuration.
 
@@ -239,26 +188,19 @@ def eta_active_no_interference(ctx: ClosedFormContext, n: int, m: float, a: floa
     return float(num / den)
 
 
-def eta_passive(n: int, m: float, beta_f0: float, beta_g: float, p0: float,
-                sigma2_sq: float) -> float:
-    """Population excess of the passive surface with aligned phases."""
-    return float(n * m * m * beta_f0 * beta_g * p0 / sigma2_sq)
+def _over(p_out: float, p_in: float) -> float:
+    """p_out / p_in, or infinity when nothing is incident: the surface then radiates nothing."""
+    return p_out / p_in if p_in > 0 else math.inf
 
 
-def passive_m_for_eta(eta_target: float, n: int, beta_f0: float, beta_g: float,
-                      p0: float, sigma2_sq: float) -> int:
-    """Smallest passive element count reaching the target excess."""
-    m = np.sqrt(eta_target * sigma2_sq / (n * beta_f0 * beta_g * p0))
-    return int(math.ceil(m - 1e-12))
+class ClosedForm(NamedTuple):
+    """Coefficients diag(Phi) of a closed-form design and their excess."""
 
-
-class MmseSolution(NamedTuple):
     phi: np.ndarray
     eta: float
-    rho: float
 
 
-def mmse_phi(ctx: ClosedFormContext, rho1: float) -> MmseSolution:
+def mmse_phi(ctx: ClosedFormContext, rho1: float) -> ClosedForm:
     """Balanced (MMSE-style) coefficients under the relaxed norm-ball cap.
 
     phi = (I/rho1 + N beta_g B^H D B)^-1 B^H f_0; the excess is evaluated
@@ -281,25 +223,19 @@ def mmse_phi(ctx: ClosedFormContext, rho1: float) -> MmseSolution:
     # ||phi||^2 = rho1 the achieved excess equals the value computed above
     phi = raw * np.sqrt(rho1 / float(np.real(raw.conj() @ raw)))
     # the ball-coordinate vector is the diagonal of Phi^H; return diag(Phi)
-    return MmseSolution(phi=phi.conj(), eta=eta, rho=rho1)
+    return ClosedForm(phi=phi.conj(), eta=eta)
 
 
-class ZfSolution(NamedTuple):
-    phi: np.ndarray
-    eta: float
-    rho: float
-
-
-def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ZfSolution:
+def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
     """Interference-nulling coefficients.
 
     phi = sqrt(rho2) w / ||w|| with w the first column of Q (Q^H Q)^-1,
     Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
-    Needs M >= K+1.
+    Needs M >= K+1 (a ConfigError otherwise).
     """
     k = len(ctx.a_f) - 1
     if ctx.m < k + 1:
-        raise ValueError(f"zero-forcing needs M >= K+1 = {k + 1}, got M = {ctx.m}")
+        raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {ctx.m}")
     q = ctx.q_vec(slice(None)).T  # columns q_0 ... q_K
     gram = q.conj().T @ q
     cond = np.linalg.cond(gram)
@@ -309,30 +245,24 @@ def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> Z
     e1[0] = 1.0
     w = q @ np.linalg.solve(gram, e1)
     norm_w_sq = float(np.real(w.conj() @ w))
-    rho2 = min(p_out / p_in, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2))
+    rho2 = min(_over(p_out, p_in), a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2))
     phi = np.sqrt(rho2) * w / np.sqrt(norm_w_sq)
     # [(Q^H Q)^-1]_{11} equals ||w||^2
     eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
         (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * norm_w_sq)
     # phi above is the diagonal of Phi^H; return diag(Phi)
-    return ZfSolution(phi=phi.conj(), eta=float(eta), rho=float(rho2))
+    return ClosedForm(phi=phi.conj(), eta=float(eta))
 
 
-class MfSolution(NamedTuple):
-    phi: np.ndarray
-    eta: float
-    a: float
-
-
-def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> MfSolution:
+def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
     """Signal-aligned coefficients: phi = a B^H a_f with the budget-filling a."""
     m = ctx.m
-    a = min(a_max, np.sqrt(p_out / (m * p_in))) if p_out > 0 else 0.0
+    a = min(a_max, np.sqrt(_over(p_out, m * p_in))) if p_out > 0 else 0.0
     a_f0 = ctx.a_f[0]
     phi = a * ctx.b_g * a_f0.conj()  # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
     denom = (1.0 + ctx.n_antennas * a * a * ctx.beta_g * ctx.quad_d(a_f0)) * ctx.sigma2_sq
     eta = ctx.n_antennas * m * m * a * a * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom
-    return MfSolution(phi=phi, eta=float(eta), a=float(a))
+    return ClosedForm(phi=phi, eta=float(eta))
 
 
 def passive_mf_eta(ctx: ClosedFormContext) -> float:
@@ -404,9 +334,6 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
             res = wmmse_active(channels, sources, noise, p_out, a_max,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
-    k = scenario.geometry.n_interferers
-    if method == "zf" and m < k + 1:
-        raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {m}")
     ctx = (ctx or ClosedFormContext.from_scenario(scenario, m)).prefix(m)
     if method == "passive":  # a passive surface forwards no noise
         ctx = dataclasses.replace(ctx, sigma1_sq=0.0)
@@ -414,7 +341,7 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
         return Design(Rcm(phi=phi, mode="passive-unit", a_max=1.0), passive_mf_eta(ctx))
     p_in = ctx.p_in_bar
     if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
-        sol = mmse_phi(ctx, min(p_out / p_in, m * a_max**2))
+        sol = mmse_phi(ctx, min(_over(p_out, p_in), m * a_max**2))
         return Design(Rcm(phi=sol.phi, mode="active", a_max=np.inf), sol.eta)
     sol = (zf_phi if method == "zf" else mf_phi)(ctx, a_max, p_out, p_in)
     return Design(Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out), sol.eta)
@@ -492,11 +419,14 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
 
     # Every probe scans element counts up to those of p_high, and the closed
     # forms read their first m elements: one context serves the whole plan.
+    m_top = columns(power.passive_m(p_high) if method == "passive" else power.m_max(p_high))
+    if (k + 1) * m_top > chan.MAX_PLANNED_STEERING:
+        raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
+                          f"for {k + 1} sources that exceeds the planner's ceiling of "
+                          f"{chan.MAX_PLANNED_STEERING} steering entries")
     ctx = None
-    if method != "wmmse":
-        m_top = columns(power.passive_m(p_high) if method == "passive" else power.m_max(p_high))
-        if m_top >= 1:
-            ctx = ClosedFormContext.from_scenario(scenario, m_top)
+    if method != "wmmse" and m_top >= 1:
+        ctx = ClosedFormContext.from_scenario(scenario, m_top)
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         if method == "passive":

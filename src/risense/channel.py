@@ -184,16 +184,16 @@ def pathloss(wavelength: float, dist: float, alpha: float) -> float:
 
 
 def link_gains(geom: Geometry, plm: PathlossModel) -> LinkGains:
-    """Evaluate the pathloss of every link; an infinite gain is a ConfigError."""
+    """Evaluate the pathloss of every link; an infinite or zero gain is a ConfigError."""
     ks = range(geom.n_interferers + 1)
     beta_d = np.array([pathloss(plm.wavelength, geom.dist_direct(k), plm.alpha_direct) for k in ks])
     beta_f = np.array([pathloss(plm.wavelength, geom.dist_to_ris(k), plm.alpha_incident) for k in ks])
     beta_g = pathloss(plm.wavelength, geom.dist_ris_su(), plm.alpha_outgoing)
     for key, gain in (("alpha_direct", beta_d), ("alpha_incident", beta_f),
                       ("alpha_outgoing", beta_g)):
-        if not np.all(np.isfinite(gain)):
+        if not np.all(np.isfinite(gain) & (gain > 0)):
             raise ConfigError(f"pathloss.{key} = {getattr(plm, key)!r} with wavelength "
-                              f"{plm.wavelength!r} gives a link gain beyond the float range")
+                              f"{plm.wavelength!r} gives a link gain outside the float range")
     return LinkGains(beta_d=beta_d, beta_f=beta_f, beta_g=beta_g)
 
 
@@ -218,6 +218,8 @@ def steering_vector_upa(mh: int, mv: int, theta: float, psi: float) -> np.ndarra
 
 
 MAX_DRAWN_INTERFERERS = 1000  # every channel array holds one row per source
+# complex entries of the planner's (K+1) x M steering array: 2**27 take 2 GiB
+MAX_PLANNED_STEERING = 2**27
 
 
 def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,

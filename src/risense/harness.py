@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -108,9 +109,15 @@ class ScenarioConfig:
             problems.append(f"method must be one of {bdg.METHODS}")
         if not all(0 <= p < math.inf for p in self.p_w):
             problems.append("source powers must be finite and nonnegative")
-        if min(self.sigma1_sq_w, self.p_c_w, self.p_dc_w) < 0 or self.sigma2_sq_w <= 0 \
-                or self.a_max <= 0:
-            problems.append("powers must be nonnegative (sigma2 and a_max positive)")
+        if self.sigma1_sq_w < 0 or self.sigma2_sq_w <= 0:
+            problems.append("noise powers must be nonnegative (sigma2 positive)")
+        if not (self.a_max > 0 and sys.float_info.min <= self.a_max * self.a_max < math.inf):
+            problems.append(f"a_max must be positive with a_max^2 a normal float, "
+                            f"got {self.a_max!r}")
+        try:
+            self.power_model()
+        except ConfigError as exc:
+            problems.append(str(exc))
         if problems:
             raise ConfigError("invalid scenario:\n  - " + "\n  - ".join(problems))
 
@@ -274,7 +281,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     pathloss = chan.PathlossModel(**{f.name: _convert(plo.pop(f.name), float, f"pathloss.{f.name}")
                                      for f in dataclasses.fields(chan.PathlossModel)
                                      if f.name in plo})
-    chan.link_gains(geometry, pathloss)  # gains beyond the float range fail here, not mid-run
+    chan.link_gains(geometry, pathloss)  # gains outside the float range fail here, not mid-run
 
     pw = sections["powers"]
     p_w = tuple(_watts(v, "powers.p_dbm")
@@ -404,6 +411,7 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     a summary row recording whether the curve came out unimodal.
     """
     power = scenario.power_model()
+    m_passive = power.passive_m(scenario.ris_budget_w)  # a ConfigError before any trial
     m_top = power.m_max(scenario.ris_budget_w)
     if m_top < 1:
         raise InfeasibleError("budget cannot power a single active element")
@@ -416,7 +424,6 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
         rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m,
                               method="wmmse", pd_emp=res.rate, pd_pred=res.mean_pd_pred,
                               eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
-    m_passive = power.passive_m(scenario.ris_budget_w)
     if m_passive >= 1:
         sc_p = dataclasses.replace(scenario, m_h=m_passive, m_v=1, method="passive-unit")
         res = run_detection_mc(sc_p, hypothesis="h1")

@@ -162,10 +162,6 @@ class QcqpInstance:
         if lam[0] < -1e-10 * max(lam[-1], 1e-300):
             raise NumericalError("QCQP quadratic form is not PSD")
 
-    def objective(self, phi: np.ndarray) -> float:
-        q = float(np.real(phi.conj() @ self.s @ phi))
-        return q + 2.0 * float(np.real(self.g.conj() @ phi)) + self.const
-
 
 def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
                noise: NoiseModel, rcm: Rcm) -> QcqpInstance:
@@ -358,6 +354,9 @@ def _surrogate(omega: float, eps: float) -> float:
 
 def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
                 rcm0: Rcm, phi_step, tol: float, max_iter: int) -> WmmseResult:
+    if sources.p[0] == 0:  # a silent primary: every coefficient vector gives eta = 0
+        u = np.zeros(channels.n_antennas, dtype=complex)  # and zero MSE, at u = 0
+        return WmmseResult(rcm=rcm0, eta=0.0, trace=[], state=WmmseState(u=u, omega=np.inf))
     phi = rcm0.phi.copy()
     mode, a_max, p_out = rcm0.mode, rcm0.a_max, rcm0.p_out_budget
     omega = None
@@ -398,7 +397,8 @@ def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
 
     Alternates receiver update, convex coefficient subproblem and weight
     update until the weight's relative change drops below tol. The returned
-    coefficients are feasible and the surrogate trace is nonincreasing.
+    coefficients are feasible and the surrogate trace is nonincreasing. With a
+    silent primary (p_0 = 0) the feasible start is returned with an empty trace.
     """
     if not p_out_budget > 0:
         raise InfeasibleError(f"the output budget must be positive, got {p_out_budget:.6g} W")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import _tw2_table
 from .channel import ChannelSet
@@ -103,9 +103,6 @@ class SpikedStats:
     false-alarm level).
     """
 
-    eta: float
-    chi: float
-    n_antennas: int
     mu_a: float | None
     v_a: float | None
     gamma_th: float | None = None
@@ -289,13 +286,11 @@ def spiked_stats(eta: float, chi: float, n_antennas: int,
     if eta < 0 or chi <= 0 or n_antennas < 1:
         raise ValueError("need eta >= 0, chi > 0, n_antennas >= 1")
     if eta <= np.sqrt(chi):
-        return SpikedStats(eta=eta, chi=chi, n_antennas=n_antennas, mu_a=None, v_a=None,
-                           gamma_th=gamma_th, alpha=alpha)
+        return SpikedStats(mu_a=None, v_a=None, gamma_th=gamma_th, alpha=alpha)
     t = n_antennas / chi
     mu = eta + 1.0 + chi + chi / eta
     v = (eta + 1.0) ** 2 / t * (1.0 - chi / eta)
-    return SpikedStats(eta=eta, chi=chi, n_antennas=n_antennas, mu_a=mu, v_a=v,
-                       gamma_th=gamma_th, alpha=alpha)
+    return SpikedStats(mu_a=mu, v_a=v, gamma_th=gamma_th, alpha=alpha)
 
 
 def spiked_stats_for(cfg: DetectorConfig, eta: float) -> SpikedStats:
@@ -316,7 +311,7 @@ def predicted_pd(stats: SpikedStats) -> float:
         if stats.alpha is None:
             raise ValueError("Tracy-Widom branch needs the false-alarm level alpha")
         return stats.alpha
-    return float(norm.sf((stats.gamma_th - stats.mu_a) / np.sqrt(stats.v_a)))
+    return float(ndtr((stats.mu_a - stats.gamma_th) / np.sqrt(stats.v_a)))
 
 
 def solve_min_eta(pd_target: float, cfg: DetectorConfig) -> float:

@@ -5,6 +5,7 @@ the Tracy-Widom CDF is evaluated as an Airy-kernel Fredholm determinant, the
 largest eigenvalue via characteristic-polynomial roots, optimizers are
 checked against exhaustive polar-grid searches and a projected-gradient
 QCQP solver, the closed forms against the dense interference matrix, the
+planner's element counts against the paper's interference-free forms, the
 stacked covariance and QCQP builders against per-source loops, and the
 Monte Carlo harness against a plain per-hypothesis trial loop that
 synthesizes, whitens and scores the N x T snapshots themselves.
@@ -12,13 +13,16 @@ synthesizes, whitens and scores the N x T snapshots themselves.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 from scipy.special import airy
 
 from risense.budget import ClosedFormContext
 from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
                              steering_vector_ula)
-from risense.errors import NumericalError
+from risense.errors import InfeasibleError, NumericalError
 from risense.optimizer import QcqpInstance
 from risense.rng import substream
 from risense.sensing import (NoiseModel, SourceModel, detection_threshold, noise_covariance,
@@ -305,6 +309,12 @@ def project_feasible(y: np.ndarray, j_diag: np.ndarray, p_out: float | None,
     return phase * shrink(hi)
 
 
+def qcqp_objective(instance: QcqpInstance, phi: np.ndarray) -> float:
+    """The subproblem's objective phi^H S phi + 2 Re(g^H phi) + const."""
+    q = float(np.real(phi.conj() @ instance.s @ phi))
+    return q + 2.0 * float(np.real(instance.g.conj() @ phi)) + instance.const
+
+
 def solve_p22_pg(instance: QcqpInstance, x0: np.ndarray | None = None,
                  max_iter: int = 20000, tol: float = 1e-12) -> np.ndarray:
     """Accelerated projected gradient for the QCQP subproblem of ``solve_p22``."""
@@ -355,6 +365,66 @@ def big_d(ctx: ClosedFormContext) -> np.ndarray:
             fk = np.sqrt(ctx.beta_f[k]) * ctx.a_f[k]
             d += w * np.outer(fk, fk.conj())
     return d / ctx.sigma2_sq
+
+
+class OptimalM(NamedTuple):
+    m_opt: float
+    m_bar: int
+    a_bar: float
+
+
+def xi(ctx: ClosedFormContext, p_aris: float, m: int) -> float:
+    """Amplitude that makes M elements consume the whole budget."""
+    rem = p_aris - m * ctx.c1
+    return float(np.sqrt(rem / (m * ctx.c2))) if rem > 0 else 0.0
+
+
+def q_gain(ctx: ClosedFormContext, m: float, a: float) -> float:
+    """Coherent-combination figure of merit M^2 a^2 / (1 + C0 M a^2)."""
+    return m * m * a * a / (1.0 + ctx.c0 * m * a * a)
+
+
+def optimal_m(ctx: ClosedFormContext, p_aris: float, a_opt: float,
+              a_max: float) -> OptimalM:
+    """Interference-free element count spending the whole budget at a_opt, made integer.
+
+    The real optimum satisfies M (C1 + C2 a_opt^2) = P. When it is fractional,
+    the figure of merit q(M, min(a_max, xi(M))) increases up to floor(M) and
+    decreases beyond, so the integer optimum is whichever neighbor scores
+    higher. (Keeping the floor unconditionally whenever the amplitude cap
+    binds can lose badly: the budget-exhausting M0+1 configuration often
+    dominates; the exhaustive-scan test pins this down.) With no interferer
+    the planner's matched-filter count maximizes the same figure of merit.
+    """
+    denom = ctx.c1 + ctx.c2 * a_opt**2
+    if denom <= 0:
+        raise ValueError("nonpositive per-element consumption")
+    m_opt = p_aris / denom
+    if m_opt < 1.0:
+        if p_aris <= ctx.c1:
+            raise InfeasibleError("budget cannot power a single element")
+        return OptimalM(m_opt, 1, min(a_max, xi(ctx, p_aris, 1)))
+    if float(m_opt).is_integer():
+        return OptimalM(m_opt, int(m_opt), a_opt)
+    m0 = int(math.floor(m_opt))
+    a_lo = min(a_max, xi(ctx, p_aris, m0))
+    a_hi = min(a_max, xi(ctx, p_aris, m0 + 1))
+    if a_hi <= 0 or q_gain(ctx, m0, a_lo) > q_gain(ctx, m0 + 1, a_hi):
+        return OptimalM(m_opt, m0, a_lo)
+    return OptimalM(m_opt, m0 + 1, a_hi)
+
+
+def eta_passive(n: int, m: float, beta_f0: float, beta_g: float, p0: float,
+                sigma2_sq: float) -> float:
+    """Population excess of the interference-free passive surface with aligned phases."""
+    return float(n * m * m * beta_f0 * beta_g * p0 / sigma2_sq)
+
+
+def passive_m_for_eta(eta_target: float, n: int, beta_f0: float, beta_g: float,
+                      p0: float, sigma2_sq: float) -> int:
+    """Smallest interference-free passive element count reaching the target excess."""
+    m = np.sqrt(eta_target * sigma2_sq / (n * beta_f0 * beta_g * p0))
+    return int(math.ceil(m - 1e-12))
 
 
 def sample_cn_two_calls(rng: np.random.Generator, variance: float, shape) -> np.ndarray:

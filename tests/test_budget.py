@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_noise, make_sources
-from oracles import big_d
+from oracles import big_d, eta_passive, optimal_m, passive_m_for_eta, q_gain, xi
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
@@ -112,7 +112,7 @@ class TestOptimalM:
         ctx = reference_ctx()
         p = 0.01
         _, a_opt = bdg.optimal_amplitude(ctx, p, a_max=10.0)
-        res = bdg.optimal_m(ctx, p, a_opt, a_max=10.0)
+        res = optimal_m(ctx, p, a_opt, a_max=10.0)
         assert res.m_opt * (ctx.c1 + ctx.c2 * a_opt**2) == pytest.approx(p, rel=1e-9)
 
     def test_recovery_beats_rejected_neighbor(self):
@@ -120,12 +120,12 @@ class TestOptimalM:
         p = 0.01
         a0, a_opt = bdg.optimal_amplitude(ctx, p, a_max=10.0)
         assert a_opt == 10.0  # sqrt(A0) ~ 236 so the cap binds
-        res = bdg.optimal_m(ctx, p, a_opt, a_max=10.0)
+        res = optimal_m(ctx, p, a_opt, a_max=10.0)
         m0 = math.floor(res.m_opt)
-        cand = {m0: min(10.0, bdg._xi(ctx, p, m0)),
-                m0 + 1: min(10.0, bdg._xi(ctx, p, m0 + 1))}
+        cand = {m0: min(10.0, xi(ctx, p, m0)),
+                m0 + 1: min(10.0, xi(ctx, p, m0 + 1))}
         rejected = [m for m in cand if m != res.m_bar][0]
-        assert bdg._q_gain(ctx, res.m_bar, res.a_bar) >= bdg._q_gain(
+        assert q_gain(ctx, res.m_bar, res.a_bar) >= q_gain(
             ctx, rejected, cand[rejected])
 
     def test_recovery_matches_exhaustive_scan(self, rng):
@@ -136,15 +136,15 @@ class TestOptimalM:
             a_max = 10 ** rng.uniform(0.5, 2.5)
             _, a_opt = bdg.optimal_amplitude(ctx, p, a_max)
             try:
-                res = bdg.optimal_m(ctx, p, a_opt, a_max)
+                res = optimal_m(ctx, p, a_opt, a_max)
             except InfeasibleError:
                 assert p <= ctx.c1
                 continue
             best_q = -1.0
-            for m in range(1, bdg.m_max(p, ctx.p_c, ctx.p_dc) + 1):
-                a = min(a_max, bdg._xi(ctx, p, m))
-                best_q = max(best_q, bdg._q_gain(ctx, m, a))
-            got_q = bdg._q_gain(ctx, res.m_bar, res.a_bar)
+            for m in range(1, bdg.RisPowerModel(ctx.p_c, ctx.p_dc).m_max(p) + 1):
+                a = min(a_max, xi(ctx, p, m))
+                best_q = max(best_q, q_gain(ctx, m, a))
+            got_q = q_gain(ctx, res.m_bar, res.a_bar)
             assert got_q == pytest.approx(best_q, rel=1e-9)
 
 
@@ -153,7 +153,7 @@ class TestEtaClosedForms:
         ctx = reference_ctx()
         object.__setattr__(ctx, "sigma1_sq", 0.0)
         eta = bdg.eta_active_no_interference(ctx, 64, 10, 3.0)
-        expected = 9.0 * bdg.eta_passive(64, 10, ctx.beta_f[0], ctx.beta_g, 1.0,
+        expected = 9.0 * eta_passive(64, 10, ctx.beta_f[0], ctx.beta_g, 1.0,
                                          ctx.sigma2_sq)
         assert eta == pytest.approx(expected, rel=1e-12)
 
@@ -175,8 +175,8 @@ class TestEtaClosedForms:
     def test_passive_count_and_scaling(self):
         model = bdg.RisPowerModel(p_c=1e-4, p_dc=10 ** (-3.5))
         assert model.passive_m(0.01) == 100  # 10 dBm budget, -10 dBm circuits
-        eta1 = bdg.eta_passive(8, 8, 0.5, 0.8, 1.0, 0.1)
-        eta2 = bdg.eta_passive(8, 16, 0.5, 0.8, 1.0, 0.1)
+        eta1 = eta_passive(8, 8, 0.5, 0.8, 1.0, 0.1)
+        eta2 = eta_passive(8, 16, 0.5, 0.8, 1.0, 0.1)
         assert eta2 == pytest.approx(4 * eta1, rel=1e-12)
 
     def test_passive_form_matches_population_eta(self, rng):
@@ -185,20 +185,20 @@ class TestEtaClosedForms:
         phi = np.exp(1j * bdg.mf_phases(ctx.b_g, ctx.a_f[0]))
         rcm = Rcm(phi=phi, mode="passive-unit", a_max=1.0)
         eta_pop = sns.population_eta(cs, rcm, make_sources(0), make_noise(0.0, 0.1))
-        assert bdg.eta_passive(n, m, 1.0, 1.0, 1.0, 0.1) == pytest.approx(eta_pop, rel=1e-10)
+        assert eta_passive(n, m, 1.0, 1.0, 1.0, 0.1) == pytest.approx(eta_pop, rel=1e-10)
 
     def test_passive_m_for_eta_inverts(self):
         args = (8, 0.5, 0.8, 1.0, 0.1)
-        eta = bdg.eta_passive(8, 13, *args[1:])
-        assert bdg.passive_m_for_eta(eta, *args) == 13
-        assert bdg.passive_m_for_eta(eta * 1.01, *args) == 14
+        eta = eta_passive(8, 13, *args[1:])
+        assert passive_m_for_eta(eta, *args) == 13
+        assert passive_m_for_eta(eta * 1.01, *args) == 14
 
     def test_both_passive_forms_agree(self):
         # NM^2 form vs budget form with P = M p_c
         model = bdg.RisPowerModel(p_c=2e-4, p_dc=0.0)
         m = 50
         p_pris = m * model.p_c
-        direct = bdg.eta_passive(8, m, 0.5, 0.8, 1.0, 0.1)
+        direct = eta_passive(8, m, 0.5, 0.8, 1.0, 0.1)
         via_budget = 8 * p_pris**2 * 0.5 * 0.8 * 1.0 / (model.p_c**2 * 0.1)
         assert direct == pytest.approx(via_budget, rel=1e-12)
 
@@ -276,8 +276,9 @@ class TestZf:
             q0, q_bar = q[:, 0], q[:, 1:]
             proj = np.eye(m, dtype=complex) - q_bar @ np.linalg.solve(
                 q_bar.conj().T @ q_bar, q_bar.conj().T)
-            second = (ctx.n_antennas * ctx.beta_g * zf.rho * ctx.p[0]
-                      / (ctx.sigma2_sq + ctx.n_antennas * ctx.beta_g * zf.rho * ctx.sigma1_sq)
+            rho = float(np.real(np.vdot(zf.phi, zf.phi)))  # ||phi||^2 = rho2
+            second = (ctx.n_antennas * ctx.beta_g * rho * ctx.p[0]
+                      / (ctx.sigma2_sq + ctx.n_antennas * ctx.beta_g * rho * ctx.sigma1_sq)
                       * np.real(q0.conj() @ proj @ q0))
             assert zf.eta == pytest.approx(second, rel=1e-9)
 
@@ -303,7 +304,8 @@ class TestMf:
     def test_silent_interferers_collapse_to_interference_free_form(self, rng):
         ctx, _ = make_ctx_and_channels(rng, 8, 4, k=2, zeta=0.0)
         sol = bdg.mf_phi(ctx, a_max=1.5, p_out=0.5, p_in=ctx.p_in_bar)
-        eta_cf = bdg.eta_active_no_interference(ctx, 8, 4, sol.a)
+        a = float(np.abs(sol.phi[0]))  # the common amplitude
+        eta_cf = bdg.eta_active_no_interference(ctx, 8, 4, a)
         assert sol.eta == pytest.approx(eta_cf, rel=1e-12)
 
     def test_eta_matches_population(self, rng):
@@ -317,14 +319,15 @@ class TestMf:
 
 class TestMMax:
     def test_reference_budget(self):
-        assert bdg.m_max(0.01, 1e-4, 10 ** (-3.5)) == 24
+        assert bdg.RisPowerModel(1e-4, 10 ** (-3.5)).m_max(0.01) == 24
 
     def test_below_single_element(self):
-        assert bdg.m_max(1e-5, 1e-4, 10 ** (-3.5)) == 0
+        assert bdg.RisPowerModel(1e-4, 10 ** (-3.5)).m_max(1e-5) == 0
 
     def test_doubling(self):
         for p in [0.003, 0.01, 0.02]:
-            assert bdg.m_max(2 * p, 1e-4, 1e-4) >= 2 * bdg.m_max(p, 1e-4, 1e-4) - 1
+            model = bdg.RisPowerModel(1e-4, 1e-4)
+            assert model.m_max(2 * p) >= 2 * model.m_max(p) - 1
 
 
 def budget_scenario(k=0, **kw):
@@ -423,6 +426,40 @@ class TestRequiredBudget:
         strong = budgets_at(64.0)
         assert weak[0] > weak[1] * 1.5  # caps matter when interference is weak
         assert abs(strong[0] - strong[1]) <= 2 * sc.stop_tol  # and wash out
+
+
+class TestInterferenceFreePlans:
+    """With no interferer the planner's element counts are the paper's closed forms."""
+
+    @staticmethod
+    def random_scenario(rng):
+        return budget_scenario(
+            k=0, n_antennas=int(rng.integers(8, 65)), t_samples=6400,
+            p_c_w=10 ** rng.uniform(-5, -3.5), p_dc_w=10 ** rng.uniform(-5, -3.5),
+            sigma1_sq_w=10 ** rng.uniform(-12, -10), sigma2_sq_w=10 ** rng.uniform(-12, -10),
+            a_max=10 ** rng.uniform(0, 3), bisect_p_high=1.0, stop_tol=1e-7)
+
+    def test_mf_count_is_the_integer_optimum(self, rng):
+        checked = 0
+        for _ in range(12):
+            sc = self.random_scenario(rng)
+            res = bdg.required_budget("mf", 0.9, sc)
+            ctx = bdg.ClosedFormContext.from_scenario(sc, 1)
+            _, a_opt = bdg.optimal_amplitude(ctx, res.required_power, sc.a_max)
+            want = optimal_m(ctx, res.required_power, a_opt, sc.a_max).m_bar
+            if want <= bdg.EXACT_SCAN_CAP:  # the ladder scans every count up to here
+                assert res.m_star == want
+                checked += 1
+        assert checked >= 6
+
+    def test_passive_count_inverts_the_excess(self, rng):
+        for _ in range(12):
+            sc = self.random_scenario(rng)
+            res = bdg.required_budget("passive", 0.9, sc)
+            gains = chan.link_gains(sc.geometry, sc.pathloss)
+            assert res.m_star == passive_m_for_eta(res.eta_target, sc.n_antennas,
+                                                   gains.beta_f[0], gains.beta_g, sc.p_w[0],
+                                                   sc.sigma2_sq_w)
 
 
 def assert_same_context(got: bdg.ClosedFormContext, want: bdg.ClosedFormContext) -> None:

@@ -1,9 +1,11 @@
 import contextlib
+import copy
 import io
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -346,6 +348,41 @@ def fuzz_argv(draw, config: str, sweep_config: str, m_config: str) -> list[str]:
     return argv
 
 
+# scenario keys at magnitudes that overflow, underflow to zero, or exceed the planner
+EXTREME_VALUES = {
+    **{key: st.sampled_from([-4000, 4000]) for key in (
+        "powers.p_dbm", "powers.sigma1_dbm", "powers.sigma2_dbm", "ris.p_c_dbm", "ris.p_dc_dbm",
+        "ris.budget_dbm")},
+    "ris.a_max": st.sampled_from([1e-300, 1e300]),
+    "pathloss.wavelength": st.sampled_from([1e-300, 1e300]),
+    "planner.p_high_w": st.sampled_from([1e-300, 1e20, 1e100, 1e300]),
+}
+EXTREME_LOS = {"scenario": {"seed": 4, "channel_model": "los"},
+               "geometry": {"interferers": 1}, "array": {"n_antennas": 8, "m_h": 4},
+               "detector": {"t_samples": 400}, "planner": {"p_high_w": 0.01, "stop_tol": 1e-5}}
+EXTREME_RAYLEIGH = {"scenario": {"seed": 4, "channel_model": "rayleigh"},
+                    "geometry": {"interferers": 1}, "array": {"n_antennas": 4, "m_h": 3},
+                    "detector": {"t_samples": 100}}
+# (scenario, argv): the closed forms plan LoS channels, the iterative methods Rayleigh ones
+EXTREME_COMMANDS = (
+    [(EXTREME_LOS, ["simulate", "--trials", "1", "--method", "mf"]),
+     (EXTREME_RAYLEIGH, ["simulate", "--trials", "1", "--method", "wmmse"])]
+    + [(EXTREME_RAYLEIGH, ["optimize", "--method", m])
+       for m in ("wmmse", "passive-unit", "passive-relaxed")]
+    + [(EXTREME_LOS, ["budget", "--method", m]) for m in ("mf", "zf", "mmse", "passive")])
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestCliFuzz:
     """Any argv ends in a documented exit code with a message, never a traceback."""
 
@@ -362,11 +399,21 @@ class TestCliFuzz:
         m_config = tmp_path / "sweep_m.yaml"
         m_config.write_text(text.replace("a_max: 100}", "a_max: 100, budget_dbm: 2}"))
         argv = data.draw(fuzz_argv(config, str(sweep_config), str(m_config)))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, err = run_cli(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_extreme_magnitudes(self, tmp_path, data):
+        base, argv = data.draw(st.sampled_from(EXTREME_COMMANDS))
+        scenario = copy.deepcopy(base)
+        for key in data.draw(st.lists(st.sampled_from(sorted(EXTREME_VALUES)), min_size=1,
+                                      max_size=3, unique=True)):
+            section, name = key.split(".")
+            scenario.setdefault(section, {})[name] = data.draw(EXTREME_VALUES[key])
+        body = yaml.safe_dump(scenario)
+        code, err = run_cli(argv + ["--config", write_config(tmp_path, body)])
+        assert code in (0, 2, 3, 4), (argv, body, err)
+        assert "Traceback" not in err

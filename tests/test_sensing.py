@@ -327,13 +327,11 @@ class TestSpikedStats:
 
 class TestPredictedPd:
     def test_half_at_threshold(self):
-        st_ = sns.SpikedStats(eta=1.0, chi=0.01, n_antennas=32, mu_a=1.5, v_a=1e-4,
-                              gamma_th=1.5, alpha=0.1)
+        st_ = sns.SpikedStats(mu_a=1.5, v_a=1e-4, gamma_th=1.5, alpha=0.1)
         assert sns.predicted_pd(st_) == pytest.approx(0.5)
 
     def test_far_mean_saturates(self):
-        st_ = sns.SpikedStats(eta=5.0, chi=0.01, n_antennas=32, mu_a=10.0, v_a=1e-4,
-                              gamma_th=1.2, alpha=0.1)
+        st_ = sns.SpikedStats(mu_a=10.0, v_a=1e-4, gamma_th=1.2, alpha=0.1)
         assert sns.predicted_pd(st_) == pytest.approx(1.0, abs=1e-12)
 
     def test_tw_branch_returns_false_alarm_level(self):
