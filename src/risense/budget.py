@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import channel as chan
 from .errors import ConfigError, InfeasibleError, NumericalError
@@ -42,15 +43,23 @@ class RisPowerModel:
     def p_out_budget(self, p_aris: float, m: int) -> float:
         return p_aris - m * (self.p_c + self.p_dc)
 
-    def m_max(self, p_aris: float) -> int:
-        """Largest active element count whose circuit power fits the budget."""
-        return int(math.floor(p_aris / (self.p_c + self.p_dc)))
+    def elements(self, p: float, passive: bool = False) -> float:
+        """Budget p over the per-element draw (p_c alone when passive), not rounded.
 
-    def passive_m(self, p_pris: float) -> int:
-        if self.p_c <= 0:
+        Infinite for a budget near the float maximum, so compare it with a
+        ceiling before rounding it to a count.
+        """
+        if passive and self.p_c <= 0:
             raise ConfigError(f"a passive surface needs p_c > 0 to size its elements, "
                               f"got p_c = {self.p_c!r} W")
-        return int(math.floor(p_pris / self.p_c))
+        return p / (self.p_c if passive else self.p_c + self.p_dc)
+
+    def m_max(self, p_aris: float) -> int:
+        """Largest active element count whose circuit power fits the budget."""
+        return int(math.floor(self.elements(p_aris)))
+
+    def passive_m(self, p_pris: float) -> int:
+        return int(math.floor(self.elements(p_pris, passive=True)))
 
 
 def upa_dims(sc, m: int) -> tuple[int, int]:
@@ -226,12 +235,11 @@ def mmse_phi(ctx: ClosedFormContext, rho1: float) -> ClosedForm:
     return ClosedForm(phi=phi.conj(), eta=eta)
 
 
-def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
-    """Interference-nulling coefficients.
+def _zf_direction(ctx: ClosedFormContext, a_max: float) -> tuple[np.ndarray, float, float]:
+    """w, the first column of Q (Q^H Q)^-1 with Q = [q_0 ... q_K], ||w||^2 and the cap on rho2.
 
-    phi = sqrt(rho2) w / ||w|| with w the first column of Q (Q^H Q)^-1,
-    Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
-    Needs M >= K+1 (a ConfigError otherwise).
+    rho2 is ||phi||^2; the cap is the largest rho2 whose peak amplitude stays
+    within a_max. Needs M >= K+1 (a ConfigError otherwise).
     """
     k = len(ctx.a_f) - 1
     if ctx.m < k + 1:
@@ -245,13 +253,28 @@ def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> C
     e1[0] = 1.0
     w = q @ np.linalg.solve(gram, e1)
     norm_w_sq = float(np.real(w.conj() @ w))
-    rho2 = min(_over(p_out, p_in), a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2))
-    phi = np.sqrt(rho2) * w / np.sqrt(norm_w_sq)
+    return w, norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
+
+
+def _zf_eta(ctx: ClosedFormContext, rho2: float, norm_w_sq: float) -> float:
+    """Excess of the zero-forcing coefficients with ||phi||^2 = rho2."""
     # [(Q^H Q)^-1]_{11} equals ||w||^2
-    eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
-        (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * norm_w_sq)
+    return float(ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
+        (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * norm_w_sq))
+
+
+def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
+    """Interference-nulling coefficients.
+
+    phi = sqrt(rho2) w / ||w|| with w the first column of Q (Q^H Q)^-1,
+    Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
+    Needs M >= K+1 (a ConfigError otherwise).
+    """
+    w, norm_w_sq, rho2_cap = _zf_direction(ctx, a_max)
+    rho2 = min(_over(p_out, p_in), rho2_cap)
+    phi = np.sqrt(rho2) * w / np.sqrt(norm_w_sq)
     # phi above is the diagonal of Phi^H; return diag(Phi)
-    return ClosedForm(phi=phi.conj(), eta=float(eta))
+    return ClosedForm(phi=phi.conj(), eta=_zf_eta(ctx, rho2, norm_w_sq))
 
 
 def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
@@ -358,7 +381,12 @@ def planner_method(method: str) -> str:
 
 @dataclass(frozen=True)
 class BudgetResult:
-    """Outcome of the bisection planner."""
+    """Outcome of the bisection planner.
+
+    ``probes`` holds the (budget, best excess) pairs that were scanned: every
+    probe of a wmmse or passive plan, and for the closed forms the returned
+    budget, the last probe below it and any probe near the inverted budget.
+    """
 
     method: str
     required_power: float
@@ -391,18 +419,76 @@ def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
     return [m_v * j for j in ms]
 
 
+CLOSED_FORMS = ("mf", "zf", "mmse")
+INVERSION_GUARD = 1e-9  # budgets this close (relative) to the inverted one are scanned
+
+
+def _least_budget_at(method: str, ctx: ClosedFormContext, eta0: float, a_max: float) -> float:
+    """p_m(eta0): the budget above which the m-element closed form beats eta0.
+
+    Each excess rises with the output power until the amplitude cap: mf
+    through a^2, zf through rho2 = ||phi||^2, mmse through rho1. The output
+    power needed is inverted from the excess and the circuit power added;
+    the result is infinite when even the cap stays at or below eta0, and
+    NaN when the inversion cannot tell.
+    """
+    m, p_in = ctx.m, ctx.p_in_bar
+    if method == "mf":  # eta = A a^2 / (1 + B a^2), with p_out = m p_in a^2
+        if not mf_phi(ctx, a_max, math.inf, p_in).eta > eta0:
+            return math.inf
+        gain = ctx.n_antennas * m * m * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq
+        gap = gain - eta0 * ctx.n_antennas * ctx.beta_g * ctx.quad_d(ctx.a_f[0])
+        ratio = m * min(eta0 / gap if gap > 0 else math.inf, a_max**2)
+    elif method == "zf":  # eta rises through rho2 = p_out / p_in
+        _, norm_w_sq, cap = _zf_direction(ctx, a_max)
+        if not _zf_eta(ctx, cap, norm_w_sq) > eta0:
+            return math.inf
+        nb = ctx.n_antennas * ctx.beta_g
+        gap = nb * ctx.p[0] / (eta0 * norm_w_sq) - nb * ctx.sigma1_sq
+        ratio = min(ctx.sigma2_sq / gap if gap > 0 else math.inf, cap)
+    else:  # mmse: eta rises through rho1 = p_out / p_in
+        cap = m * a_max**2
+        if not mmse_phi(ctx, cap).eta > eta0:
+            return math.inf
+        t_cap = 1.0 / cap
+
+        def short(t: float) -> float:  # eta0 / eta - 1 at rho1 = 1/t, rising in t
+            return eta0 / mmse_phi(ctx, cap if t <= t_cap else 1.0 / t).eta - 1.0
+
+        # 1/eta is concave and near linear in t; with the interferers silent
+        # eta would be N beta_g p_0 ||q_0||^2 / (sigma2^2 (t + const)), a bound
+        q0 = ctx.q_vec(0)
+        t_hi = ctx.n_antennas * ctx.beta_g * ctx.p[0] * float(np.real(q0.conj() @ q0)) / (
+            ctx.sigma2_sq * eta0)
+        while math.isfinite(t_hi) and t_hi > 0 and short(t_hi) < 0:  # rounding only
+            t_hi *= 2.0
+        if not (math.isfinite(t_hi) and t_hi > 0):
+            return math.nan
+        ratio = 1.0 / brentq(short, t_cap, t_hi, xtol=1e-300, rtol=1e-13, disp=False)
+    if not 0 <= ratio < math.inf:
+        return math.nan
+    return m * ctx.c1 + p_in * ratio
+
+
 def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     """Minimum surface power budget achieving the target detection probability.
 
     Bisection on the budget, from the scenario's bisect_p_high down to its
-    stop_tol; at each probe the element count is scanned in
-    whole columns of m_v elements (exhaustively up to 256 elements, on a
-    geometric ladder above) and the best reachable excess compared against
-    the target excess eta_0. A passive surface spends the whole budget on
-    element circuits instead, rounded down to whole columns. The closed
-    forms share one context, built at the largest count p_high affords.
-    WMMSE solves at each element count start from the previous probe's
-    solution there. The probe history is checked for monotonicity.
+    stop_tol. A probe scans the element count in whole columns of m_v
+    elements (exhaustively up to 256 elements, on a geometric ladder above)
+    and compares the best reachable excess with the target excess eta_0. A
+    passive surface spends the whole budget on element circuits instead,
+    rounded down to whole columns; WMMSE solves at each element count start
+    from the previous probe's solution there.
+
+    The closed forms (mf, zf, mmse) instead invert each count for p_m, the
+    least budget that beats eta_0, walking the ladder upwards until the
+    circuit power alone exceeds the best p_m. A probe beats eta_0 exactly
+    when it lies above p* = min p_m, so it is scanned only within a guard
+    band around p*, at the returned budget and at the last probe below it.
+    A probe the inversion misjudged would show in those two scans, and the
+    plan then reruns with a scan at every probe. The scanned probe history
+    is checked for monotonicity.
     """
     method = planner_method(method)
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
@@ -418,22 +504,29 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         return m // m_v * m_v
 
     # Every probe scans element counts up to those of p_high, and the closed
-    # forms read their first m elements: one context serves the whole plan.
-    m_top = columns(power.passive_m(p_high) if method == "passive" else power.m_max(p_high))
+    # forms read their first m elements from one context, grown as needed.
+    affords = power.elements(p_high, passive=method == "passive")
+    m_top = columns(math.floor(affords)) if affords < math.inf else affords
     if (k + 1) * m_top > chan.MAX_PLANNED_STEERING:
         raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
                           f"for {k + 1} sources that exceeds the planner's ceiling of "
                           f"{chan.MAX_PLANNED_STEERING} steering entries")
     ctx = None
-    if method != "wmmse" and m_top >= 1:
-        ctx = ClosedFormContext.from_scenario(scenario, m_top)
+
+    def context(m: int) -> ClosedFormContext:
+        """A context of at least m elements: doubled, from 256 elements, up to m_top."""
+        nonlocal ctx
+        if ctx is None or ctx.m < m:
+            grown = 2 * ctx.m if ctx is not None else columns(EXACT_SCAN_CAP)
+            ctx = ClosedFormContext.from_scenario(scenario, min(m_top, max(m, grown)))
+        return ctx
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         if method == "passive":
             m = columns(power.passive_m(p))
             if m < 1:
                 return 0.0, 0, None
-            res = coefficients(method, scenario, m, None, ctx=ctx)
+            res = coefficients(method, scenario, m, None, ctx=context(m))
             return res.eta, m, res.rcm
         best = (0.0, 0, None)
         # iterative optimization above the exact region is impractical; the
@@ -443,51 +536,80 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
             p_out = power.p_out_budget(p, m)
             if p_out <= 0 or (method == "zf" and m < k + 1):
                 continue
-            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m), ctx=ctx)
+            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m),
+                               ctx=None if method == "wmmse" else context(m))
             if method == "wmmse":
                 warm[m] = res.rcm.phi
             if res.eta > best[0]:
                 best = (res.eta, m, res.rcm)
         return best
 
-    history: list[tuple[float, float]] = []
+    def least_budget() -> float:
+        """p* = min over the ladder of p_high of p_m(eta0); NaN when a count cannot tell."""
+        best = math.inf
+        for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
+            if power.p_out_budget(min(best, p_high), m) <= 0:
+                break  # p_m > m (p_c + p_dc) >= best, and counts only grow
+            if method == "zf" and m < k + 1:
+                continue
+            p_m = _least_budget_at(method, context(m).prefix(m), eta0, a_max)
+            if math.isnan(p_m):
+                return p_m
+            best = min(best, p_m)
+        return best
 
-    def record(p: float, eta: float) -> None:
-        history.append((p, eta))
-        ordered = sorted(history)
-        slack = 1e-6 if method == "wmmse" else 1e-9
-        for (p1, e1), (p2, e2) in zip(ordered, ordered[1:]):
-            if e2 < e1 * (1 - slack) - 1e-300:
-                raise NumericalError(
-                    f"excess not monotone in the budget: eta({p1})={e1}, eta({p2})={e2}")
+    scans: dict[float, tuple[float, int, Rcm | None]] = {}
 
-    eta_hi, m_hi, rcm_hi = probe(p_high)
-    record(p_high, eta_hi)
-    if eta_hi <= eta0:
-        floor = (k + 1) * (power.p_c + power.p_dc)
-        hint = f" (zero-forcing needs at least {floor:.6g} W for K+1 elements)" \
-            if method == "zf" else ""
-        raise InfeasibleError(
-            f"target Pd {pd_target} unreachable with budget {p_high} W: "
-            f"best excess {eta_hi:.6g} < required {eta0:.6g}{hint}")
-    p_low = 0.0
-    best = (p_high, eta_hi, m_hi, rcm_hi)
-    while p_high - p_low > stop_tol:
-        mid = 0.5 * (p_low + p_high)
-        if mid in (p_low, p_high):  # the gap is down to the float spacing of the budget
-            break
-        eta_mid, m_mid, rcm_mid = probe(mid)
-        record(mid, eta_mid)
-        if eta_mid > eta0:
-            p_high = mid
-            best = (mid, eta_mid, m_mid, rcm_mid)
-        else:
-            p_low = mid
+    def scan(p: float) -> tuple[float, int, Rcm | None]:
+        """The probe at budget p, once; the history is checked for monotonicity."""
+        if p not in scans:
+            scans[p] = probe(p)
+            ordered = sorted((q, res[0]) for q, res in scans.items())
+            slack = 1e-6 if method == "wmmse" else 1e-9
+            for (p1, e1), (p2, e2) in zip(ordered, ordered[1:]):
+                if e2 < e1 * (1 - slack) - 1e-300:
+                    raise NumericalError(
+                        f"excess not monotone in the budget: eta({p1})={e1}, eta({p2})={e2}")
+        return scans[p]
+
+    def bisect(p_star: float) -> tuple[float, float]:
+        """The final (p_low, p_high); a NaN p_star leaves every probe to a scan."""
+        def beats(p: float) -> bool:
+            if abs(p - p_star) > INVERSION_GUARD * p_star:
+                return p > p_star
+            return scan(p)[0] > eta0
+
+        if not beats(p_high):
+            eta_hi = scan(p_high)[0]  # the message reports the scanned excess
+            if eta_hi <= eta0:
+                floor = (k + 1) * (power.p_c + power.p_dc)
+                hint = f" (zero-forcing needs at least {floor:.6g} W for K+1 elements)" \
+                    if method == "zf" else ""
+                raise InfeasibleError(
+                    f"target Pd {pd_target} unreachable with budget {p_high} W: "
+                    f"best excess {eta_hi:.6g} < required {eta0:.6g}{hint}")
+        p_low, p_top = 0.0, p_high
+        while p_top - p_low > stop_tol:
+            mid = 0.5 * (p_low + p_top)
+            if mid in (p_low, p_top):  # the gap is down to the float spacing of the budget
+                break
+            if beats(mid):
+                p_top = mid
+            else:
+                p_low = mid
+        return p_low, p_top
+
+    p_low, p_top = bisect(least_budget() if method in CLOSED_FORMS else math.nan)
+    if not (scan(p_top)[0] > eta0 and (p_low == 0 or scan(p_low)[0] <= eta0)):
+        scans.clear()  # a misjudged probe: replay the plan with a scan at every probe
+        p_low, p_top = bisect(math.nan)
+    eta_star, m_star, rcm_star = scan(p_top)
     note = ""
-    if method == "mmse" and best[3] is not None:
-        over = float(np.max(np.abs(best[3].phi))) / a_max
+    if method == "mmse" and rcm_star is not None:
+        over = float(np.max(np.abs(rcm_star.phi))) / a_max
         if over > 1.0:
             note = f"relaxed norm-ball solution exceeds the per-element cap by x{over:.3f}"
-    return BudgetResult(method=method, required_power=best[0], m_star=best[2],
-                        phi_star=best[3], eta_star=best[1], eta_target=eta0,
-                        probes=tuple(sorted(history)), note=note)
+    return BudgetResult(method=method, required_power=p_top, m_star=m_star,
+                        phi_star=rcm_star, eta_star=eta_star, eta_target=eta0,
+                        probes=tuple(sorted((p, res[0]) for p, res in scans.items())),
+                        note=note)

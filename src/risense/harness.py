@@ -403,6 +403,11 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
+# an m sweep runs one Monte Carlo experiment per active element count and
+# one passive baseline; the budget may afford at most this many of either
+MAX_SWEPT_ELEMENTS = 4096
+
+
 def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     """Detection probability versus element count at a fixed budget.
 
@@ -411,7 +416,13 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     a summary row recording whether the curve came out unimodal.
     """
     power = scenario.power_model()
-    m_passive = power.passive_m(scenario.ris_budget_w)  # a ConfigError before any trial
+    # ConfigErrors before any trial; the passive count bounds the active one
+    affords = power.elements(scenario.ris_budget_w, passive=True)
+    if affords > MAX_SWEPT_ELEMENTS:
+        raise ConfigError(f"ris.budget_dbm = {watts_to_dbm(scenario.ris_budget_w):.6g} dBm "
+                          f"affords {affords:.4g} passive elements; an m sweep allows at most "
+                          f"{MAX_SWEPT_ELEMENTS}")
+    m_passive = power.passive_m(scenario.ris_budget_w)
     m_top = power.m_max(scenario.ris_budget_w)
     if m_top < 1:
         raise InfeasibleError("budget cannot power a single active element")

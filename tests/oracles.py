@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import airy
 
+from risense import budget as bdg
 from risense.budget import ClosedFormContext
 from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
                              steering_vector_ula)
@@ -26,7 +27,8 @@ from risense.errors import InfeasibleError, NumericalError
 from risense.optimizer import QcqpInstance
 from risense.rng import substream
 from risense.sensing import (NoiseModel, SourceModel, detection_threshold, noise_covariance,
-                             population_eta, predicted_pd, psd_sqrt_inverse, spiked_stats)
+                             population_eta, predicted_pd, psd_sqrt_inverse, solve_min_eta,
+                             spiked_stats)
 
 
 def tw2_cdf_fredholm(s: float, n: int = 100, span: float = 30.0) -> float:
@@ -425,6 +427,65 @@ def passive_m_for_eta(eta_target: float, n: int, beta_f0: float, beta_g: float,
     """Smallest interference-free passive element count reaching the target excess."""
     m = np.sqrt(eta_target * sigma2_sq / (n * beta_f0 * beta_g * p0))
     return int(math.ceil(m - 1e-12))
+
+
+def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.BudgetResult:
+    """The closed-form planner as a plain bisection that rescans the ladder at every probe.
+
+    Each probe scans every element count that the probed budget affords and
+    keeps the best excess; the bisection on the budget runs exactly as the
+    planner's, so its result fields must match the planner's bit for bit.
+    """
+    if method not in ("mf", "zf", "mmse"):
+        raise ValueError(f"the reference plans the closed forms only, got {method!r}")
+    stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
+    eta0 = solve_min_eta(pd_target, scenario.detector())
+    power = scenario.power_model()
+    k, m_v = scenario.geometry.n_interferers, scenario.m_v
+    m_top = power.m_max(p_high) // m_v * m_v
+    ctx = ClosedFormContext.from_scenario(scenario, m_top) if m_top >= 1 else None
+
+    def probe(p: float):
+        best = (0.0, 0, None)
+        for m in bdg._m_ladder(power.m_max(p), bdg.EXACT_SCAN_CAP, m_v):
+            p_out = power.p_out_budget(p, m)
+            if p_out <= 0 or (method == "zf" and m < k + 1):
+                continue
+            res = bdg.coefficients(method, scenario, m, p_out, ctx=ctx)
+            if res.eta > best[0]:
+                best = (res.eta, m, res.rcm)
+        return best
+
+    eta_hi, m_hi, rcm_hi = probe(p_high)
+    probes = [(p_high, eta_hi)]
+    if eta_hi <= eta0:
+        floor = (k + 1) * (power.p_c + power.p_dc)
+        hint = f" (zero-forcing needs at least {floor:.6g} W for K+1 elements)" \
+            if method == "zf" else ""
+        raise InfeasibleError(
+            f"target Pd {pd_target} unreachable with budget {p_high} W: "
+            f"best excess {eta_hi:.6g} < required {eta0:.6g}{hint}")
+    p_low = 0.0
+    best = (p_high, eta_hi, m_hi, rcm_hi)
+    while p_high - p_low > stop_tol:
+        mid = 0.5 * (p_low + p_high)
+        if mid in (p_low, p_high):
+            break
+        eta_mid, m_mid, rcm_mid = probe(mid)
+        probes.append((mid, eta_mid))
+        if eta_mid > eta0:
+            p_high = mid
+            best = (mid, eta_mid, m_mid, rcm_mid)
+        else:
+            p_low = mid
+    note = ""
+    if method == "mmse":
+        over = float(np.max(np.abs(best[3].phi))) / scenario.a_max
+        if over > 1.0:
+            note = f"relaxed norm-ball solution exceeds the per-element cap by x{over:.3f}"
+    return bdg.BudgetResult(method=method, required_power=best[0], m_star=best[2],
+                            phi_star=best[3], eta_star=best[1], eta_target=eta0,
+                            probes=tuple(sorted(probes)), note=note)
 
 
 def sample_cn_two_calls(rng: np.random.Generator, variance: float, shape) -> np.ndarray:

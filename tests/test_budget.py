@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import make_noise, make_sources
-from oracles import big_d, eta_passive, optimal_m, passive_m_for_eta, q_gain, xi
+from oracles import (big_d, eta_passive, optimal_m, passive_m_for_eta, q_gain,
+                     scan_per_probe_budget, xi)
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
-from risense.errors import InfeasibleError
+from risense.errors import ConfigError, InfeasibleError, RisenseError
 from risense.harness import ScenarioConfig, load_scenario
 from risense.optimizer import Rcm
 
@@ -409,6 +410,12 @@ class TestRequiredBudget:
         assert np.nextafter(below, np.inf) == res.required_power
         assert res.eta_star > res.eta_target
 
+    @pytest.mark.parametrize("method", ["mf", "passive"])
+    def test_a_ceiling_near_the_float_maximum_is_a_config_error(self, method):
+        # p_high / (p_c + p_dc) overflows to inf before it is rounded to a count
+        with pytest.raises(ConfigError, match="affords inf elements"):
+            bdg.required_budget(method, 0.9, budget_scenario(bisect_p_high=1e308))
+
     def test_amplitude_caps_converge_under_strong_interference(self):
         # with weak interference a larger cap saves real power; once the
         # incident power dominates, the optimal amplitude falls below both
@@ -514,8 +521,10 @@ class TestPlannerContexts:
         for method in ("mf", "mmse", "zf", "passive"):
             built.clear()
             bdg.required_budget(method, sc.pd_target, sc)
-            top = power.passive_m if method == "passive" else power.m_max
-            assert built == [top(sc.bisect_p_high)], method
+            if method == "passive":  # its first probe reads the count of p_high
+                assert built == [power.passive_m(sc.bisect_p_high)]
+            else:  # the closed forms read far fewer than the 24,025 counts of p_high
+                assert built == [bdg.EXACT_SCAN_CAP], method
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_two_row_surface_plans_whole_columns(self, method):
@@ -535,3 +544,66 @@ class TestPlannerContexts:
         assert alone.eta == given.eta
         with pytest.raises(ValueError, match="not divisible"):
             bdg.coefficients("wmmse", sc, 7, p_out, max_iter=20)
+
+
+def plan_outcome(plan, method: str, pd_target: float, sc) -> tuple[tuple, int]:
+    """A plan's result fields as bytes, or its exception type and message; and its scan count."""
+    try:
+        res = plan(method, pd_target, sc)
+    except RisenseError as exc:
+        return (type(exc).__name__, str(exc)), 0
+    rcm = res.phi_star
+    return (res.required_power.hex(), res.m_star, res.eta_star.hex(), rcm.phi.tobytes(),
+            rcm.mode, rcm.a_max, rcm.p_out_budget, res.note), len(res.probes)
+
+
+def oracle_grid():
+    """Scenarios over K, m_v, a_max (caps that bind), stop_tol, Pd and p_high."""
+    rng = np.random.default_rng(7)
+    for i in range(30):
+        k = int(rng.choice([0, 1, 2, 5]))
+        geom = chan.Geometry() if k == 0 else chan.Geometry(
+            interferer_pos=chan.draw_interferer_positions((100.0, 50.0), k, 5.0, 60.0,
+                                                          seed=i))
+        stop_tol = float(rng.choice([1e-6, 1e-9, 1e-300]))
+        sc = budget_scenario(
+            k, geometry=geom, m_v=int(rng.choice([1, 2])),
+            a_max=float(rng.choice([0.3, 1.0, 10.0, 1e4])),
+            p_w=(1.0,) + tuple(10 ** rng.uniform(-2, 2, size=k)),
+            zeta=(1.0,) + tuple(rng.choice([0.0, 0.5, 1.0], size=k)),
+            p_c_w=10 ** rng.uniform(-4.5, -3), p_dc_w=10 ** rng.uniform(-4.5, -3),
+            sigma1_sq_w=10 ** rng.uniform(-13, -9), sigma2_sq_w=10 ** rng.uniform(-12, -10),
+            stop_tol=stop_tol, bisect_p_high=float(rng.choice([0.01, 0.1, 1.0])))
+        yield sc, float(rng.choice([0.6, 0.9, 0.99]))
+    # an interferer on the primary's line of sight: zero-forcing is degenerate
+    yield budget_scenario(1, geometry=chan.Geometry(interferer_pos=((50.0, 25.0),))), 0.9
+
+
+class TestPlannerInversion:
+    """The inverted closed-form plans equal a scan of every count at every probe."""
+
+    def test_bit_for_bit_with_the_scanning_bisection(self):
+        kinds = set()
+        for sc, pd_target in oracle_grid():
+            for method in bdg.CLOSED_FORMS:
+                want, scanned = plan_outcome(scan_per_probe_budget, method, pd_target, sc)
+                got, inverted = plan_outcome(bdg.required_budget, method, pd_target, sc)
+                assert got == want, (method, pd_target, sc)
+                # the inversion decided probes: no rerun with a scan at every probe
+                assert inverted < scanned or not scanned, (method, pd_target, sc)
+                kinds.add(want[0] if len(want) == 2 else "plan")
+        assert kinds == {"plan", "InfeasibleError", "NumericalError"}
+
+    def test_a_plan_makes_a_tenth_of_the_scanning_calls(self, monkeypatch):
+        # scanning every count at every probe made 2,634 closed-form calls
+        # per mf or mmse plan on this config (2,574 per zf plan)
+        calls = []
+        for name in ("mf_phi", "zf_phi", "mmse_phi"):
+            solve = getattr(bdg, name)
+            monkeypatch.setattr(bdg, name, lambda *a, _solve=solve, **kw: (
+                calls.append(1), _solve(*a, **kw))[1])
+        sc = load_scenario(str(LOS_BUDGET))
+        for method in bdg.CLOSED_FORMS:
+            calls.clear()
+            bdg.required_budget(method, sc.pd_target, sc)
+            assert 0 < len(calls) < 263, method

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,20 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) > 2
 
+    def test_m_sweep_budget_beyond_the_ceiling_is_rejected(self, tmp_path, capsys):
+        # 3000 dBm affords ~1e301 elements: rejected before any trial runs
+        cfg = write_config(tmp_path, """
+            scenario: {seed: 2, trials: 4, channel_model: rayleigh, method: wmmse}
+            geometry: {interferers: 0}
+            array: {n_antennas: 8, m_h: 3}
+            detector: {t_samples: 200}
+            ris: {budget_dbm: 3000}
+        """)
+        start = time.perf_counter()
+        assert cli.main(["sweep", "--config", cfg, "--sweep", "m"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "ris.budget_dbm" in capsys.readouterr().err
+
     def test_budget_sweep_needs_values(self, tmp_path):
         cfg = write_config(tmp_path, TINY_LOS)
         assert cli.main(["sweep", "--config", cfg, "--sweep", "t"]) == 2
@@ -355,7 +370,7 @@ EXTREME_VALUES = {
         "ris.budget_dbm")},
     "ris.a_max": st.sampled_from([1e-300, 1e300]),
     "pathloss.wavelength": st.sampled_from([1e-300, 1e300]),
-    "planner.p_high_w": st.sampled_from([1e-300, 1e20, 1e100, 1e300]),
+    "planner.p_high_w": st.sampled_from([1e-300, 1e20, 1e100, 1e300, 1e308]),
 }
 EXTREME_LOS = {"scenario": {"seed": 4, "channel_model": "los"},
                "geometry": {"interferers": 1}, "array": {"n_antennas": 8, "m_h": 4},
