@@ -1,7 +1,6 @@
 """Power-budget analysis for the no-direct-link LoS regime.
 
-Closed forms for the interference-free optimum (amplification factor and
-excess), matched-filter / zero-forcing / minimum-MSE coefficient
+Closed forms for the matched-filter / zero-forcing / minimum-MSE coefficient
 configurations with interferers, a bisection planner for the minimum budget
 that reaches a target detection probability, and ``coefficients``: the one
 method table that simulate, optimize and the planner share.
@@ -120,18 +119,10 @@ class ClosedFormContext:
             raise ValueError(f"cannot take {m} of {self.m} elements in columns of {self.m_v}")
         return dataclasses.replace(self, m=m, b_g=self.b_g[:m], a_f=self.a_f[:, :m])
 
-    # interference-free constants
-    @property
-    def c0(self) -> float:
-        return self.n_antennas * self.beta_g * self.sigma1_sq / self.sigma2_sq
-
     @property
     def c1(self) -> float:
+        """Circuit power per active element."""
         return self.p_c + self.p_dc
-
-    @property
-    def c2(self) -> float:
-        return self.beta_f[0] * self.p[0] + self.sigma1_sq
 
     @property
     def p_in_bar(self) -> float:
@@ -172,29 +163,6 @@ class ClosedFormContext:
 def mf_phases(b_g: np.ndarray, a_f: np.ndarray) -> np.ndarray:
     """Phases aligning every reflected path: theta_m = arg(b_g_m) - arg(a_f_m)."""
     return np.angle(b_g) - np.angle(a_f)
-
-
-def optimal_amplitude(ctx: ClosedFormContext, p_aris: float,
-                      a_max: float) -> tuple[float, float]:
-    """Interference-free optimal squared amplitude A0 and the capped a_opt.
-
-    A0 = C1 C2^(-1/2) (C2 + C0 P)^(-1/2); a_opt = min(a_max, sqrt(A0)).
-    """
-    if p_aris < 0:
-        raise ValueError("budget must be nonnegative")
-    a0 = ctx.c1 / np.sqrt(ctx.c2 * (ctx.c2 + ctx.c0 * p_aris))
-    return float(a0), float(min(a_max, np.sqrt(a0)))
-
-
-def eta_active_no_interference(ctx: ClosedFormContext, n: int, m: float, a: float) -> float:
-    """Population excess of the interference-free active configuration.
-
-    eta = a^2 M^2 N beta_f0 beta_g p_0 / (M N sigma1^2 a^2 beta_g + sigma2^2);
-    continuous at sigma1 = 0, where it matches the passive form.
-    """
-    num = a * a * m * m * n * ctx.beta_f[0] * ctx.beta_g * ctx.p[0]
-    den = m * n * ctx.sigma1_sq * a * a * ctx.beta_g + ctx.sigma2_sq
-    return float(num / den)
 
 
 def _over(p_out: float, p_in: float) -> float:
@@ -429,8 +397,8 @@ def _least_budget_at(method: str, ctx: ClosedFormContext, eta0: float, a_max: fl
     Each excess rises with the output power until the amplitude cap: mf
     through a^2, zf through rho2 = ||phi||^2, mmse through rho1. The output
     power needed is inverted from the excess and the circuit power added;
-    the result is infinite when even the cap stays at or below eta0, and
-    NaN when the inversion cannot tell.
+    the result is infinite when even the cap stays at or below eta0. A
+    count whose excess cannot be inverted is a NumericalError.
     """
     m, p_in = ctx.m, ctx.p_in_bar
     if method == "mf":  # eta = A a^2 / (1 + B a^2), with p_out = m p_in a^2
@@ -462,11 +430,11 @@ def _least_budget_at(method: str, ctx: ClosedFormContext, eta0: float, a_max: fl
             ctx.sigma2_sq * eta0)
         while math.isfinite(t_hi) and t_hi > 0 and short(t_hi) < 0:  # rounding only
             t_hi *= 2.0
-        if not (math.isfinite(t_hi) and t_hi > 0):
-            return math.nan
-        ratio = 1.0 / brentq(short, t_cap, t_hi, xtol=1e-300, rtol=1e-13, disp=False)
+        ratio = 1.0 / brentq(short, t_cap, t_hi, xtol=1e-300, rtol=1e-13, disp=False) \
+            if math.isfinite(t_hi) and t_hi > 0 else math.nan
     if not 0 <= ratio < math.inf:
-        return math.nan
+        raise NumericalError(f"{method}: the excess at M = {m} cannot be inverted for the "
+                             f"budget (output-power ratio {ratio})")
     return m * ctx.c1 + p_in * ratio
 
 
@@ -486,9 +454,8 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     circuit power alone exceeds the best p_m. A probe beats eta_0 exactly
     when it lies above p* = min p_m, so it is scanned only within a guard
     band around p*, at the returned budget and at the last probe below it.
-    A probe the inversion misjudged would show in those two scans, and the
-    plan then reruns with a scan at every probe. The scanned probe history
-    is checked for monotonicity.
+    End scans that contradict the inversion are a NumericalError. The
+    scanned probe history is checked for monotonicity.
     """
     method = planner_method(method)
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
@@ -545,17 +512,14 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         return best
 
     def least_budget() -> float:
-        """p* = min over the ladder of p_high of p_m(eta0); NaN when a count cannot tell."""
+        """p* = min over the ladder of p_high of p_m(eta0)."""
         best = math.inf
         for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
             if power.p_out_budget(min(best, p_high), m) <= 0:
                 break  # p_m > m (p_c + p_dc) >= best, and counts only grow
             if method == "zf" and m < k + 1:
                 continue
-            p_m = _least_budget_at(method, context(m).prefix(m), eta0, a_max)
-            if math.isnan(p_m):
-                return p_m
-            best = min(best, p_m)
+            best = min(best, _least_budget_at(method, context(m).prefix(m), eta0, a_max))
         return best
 
     scans: dict[float, tuple[float, int, Rcm | None]] = {}
@@ -572,37 +536,39 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                         f"excess not monotone in the budget: eta({p1})={e1}, eta({p2})={e2}")
         return scans[p]
 
-    def bisect(p_star: float) -> tuple[float, float]:
-        """The final (p_low, p_high); a NaN p_star leaves every probe to a scan."""
+    if method in CLOSED_FORMS:
+        p_star = least_budget()
+
         def beats(p: float) -> bool:
             if abs(p - p_star) > INVERSION_GUARD * p_star:
                 return p > p_star
             return scan(p)[0] > eta0
+    else:
+        def beats(p: float) -> bool:
+            return scan(p)[0] > eta0
 
-        if not beats(p_high):
-            eta_hi = scan(p_high)[0]  # the message reports the scanned excess
-            if eta_hi <= eta0:
-                floor = (k + 1) * (power.p_c + power.p_dc)
-                hint = f" (zero-forcing needs at least {floor:.6g} W for K+1 elements)" \
-                    if method == "zf" else ""
-                raise InfeasibleError(
-                    f"target Pd {pd_target} unreachable with budget {p_high} W: "
-                    f"best excess {eta_hi:.6g} < required {eta0:.6g}{hint}")
-        p_low, p_top = 0.0, p_high
-        while p_top - p_low > stop_tol:
-            mid = 0.5 * (p_low + p_top)
-            if mid in (p_low, p_top):  # the gap is down to the float spacing of the budget
-                break
-            if beats(mid):
-                p_top = mid
-            else:
-                p_low = mid
-        return p_low, p_top
-
-    p_low, p_top = bisect(least_budget() if method in CLOSED_FORMS else math.nan)
-    if not (scan(p_top)[0] > eta0 and (p_low == 0 or scan(p_low)[0] <= eta0)):
-        scans.clear()  # a misjudged probe: replay the plan with a scan at every probe
-        p_low, p_top = bisect(math.nan)
+    if not beats(p_high):
+        eta_hi = scan(p_high)[0]  # the message reports the scanned excess
+        if eta_hi <= eta0:
+            floor = (k + 1) * (power.p_c + power.p_dc)
+            hint = f" (zero-forcing needs at least {floor:.6g} W for K+1 elements)" \
+                if method == "zf" else ""
+            raise InfeasibleError(
+                f"target Pd {pd_target} unreachable with budget {p_high} W: "
+                f"best excess {eta_hi:.6g} < required {eta0:.6g}{hint}")
+    p_low, p_top = 0.0, p_high
+    while p_top - p_low > stop_tol:
+        mid = 0.5 * (p_low + p_top)
+        if mid in (p_low, p_top):  # the gap is down to the float spacing of the budget
+            break
+        if beats(mid):
+            p_top = mid
+        else:
+            p_low = mid
+    if method in CLOSED_FORMS and not (
+            scan(p_top)[0] > eta0 and (p_low == 0 or scan(p_low)[0] <= eta0)):
+        raise NumericalError(f"the end scans contradict the inverted budget p* = {p_star!r} W: "
+                             f"p_low = {p_low!r} W, p_top = {p_top!r} W")
     eta_star, m_star, rcm_star = scan(p_top)
     note = ""
     if method == "mmse" and rcm_star is not None:

@@ -90,34 +90,6 @@ class LinkGains:
 
 
 @dataclass(frozen=True)
-class AngleSet:
-    """Angles (radians) used to build LoS steering vectors.
-
-    ``aoa_azimuth``/``aoa_elevation`` index sources 0..K as seen from the
-    surface. Elevations default to zero for the planar geometry.
-    """
-
-    aoa_azimuth: np.ndarray
-    aoa_elevation: np.ndarray
-    aod_azimuth: float
-    aod_elevation: float
-    su_aoa: float
-
-    @classmethod
-    def from_geometry(cls, geom: Geometry) -> "AngleSet":
-        """Derive azimuths from the 2-D positions; elevations are zero."""
-        ris = np.asarray(geom.ris_pos, dtype=float)
-        delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - ris
-        az = np.arctan2(delta[:, 1], delta[:, 0])
-        d_su = np.asarray(geom.su_pos, dtype=float) - ris
-        aod = np.arctan2(d_su[1], d_su[0])
-        # AOA at the receiver, measured from its own broadside
-        su_aoa = np.arctan2(-d_su[1], -d_su[0])
-        return cls(aoa_azimuth=az, aoa_elevation=np.zeros(len(az)),
-                   aod_azimuth=aod, aod_elevation=0.0, su_aoa=su_aoa)
-
-
-@dataclass(frozen=True)
 class LosFactors:
     """Steering factors of a LoS channel set, one row of ``a_f`` per source.
 
@@ -239,18 +211,22 @@ def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
 def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
 
-    ``sc`` is a ScenarioConfig; its angles follow from ``sc.geometry``. The
-    one description of the LoS geometry: the channel set and the planner's
-    closed forms both start from it.
+    ``sc`` is a ScenarioConfig. The azimuths follow from the 2-D positions of
+    ``sc.geometry`` as seen from the surface, the receiver's from its own
+    broadside; every elevation is zero. The one description of the LoS
+    geometry: the channel set and the planner's closed forms both start from it.
     """
-    angles = AngleSet.from_geometry(sc.geometry)
-    k = sc.geometry.n_interferers
-    a_f = np.empty((k + 1, m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
-    for i in range(k + 1):
-        a_f[i] = steering_vector_upa(m_h, m_v, angles.aoa_azimuth[i], angles.aoa_elevation[i])
-    return link_gains(sc.geometry, sc.pathloss), LosFactors(
-        a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(angles.su_aoa)),
-        b_ris=steering_vector_upa(m_h, m_v, angles.aod_azimuth, angles.aod_elevation), a_f=a_f)
+    geom = sc.geometry
+    ris = np.asarray(geom.ris_pos, dtype=float)
+    delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - ris
+    d_su = np.asarray(geom.su_pos, dtype=float) - ris
+    a_f = np.empty((len(delta), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
+    for i, az in enumerate(np.arctan2(delta[:, 1], delta[:, 0])):
+        a_f[i] = steering_vector_upa(m_h, m_v, az, 0.0)
+    su_aoa = np.arctan2(-d_su[1], -d_su[0])
+    return link_gains(geom, sc.pathloss), LosFactors(
+        a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(su_aoa)),
+        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f)
 
 
 def build_los_channelset(sc) -> ChannelSet:

@@ -115,7 +115,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _scenario(args)
-    h1, h0 = hns.run_hypotheses_mc(sc, ("h1", "h0"))
+    h1, h0 = hns.run_hypotheses_mc(sc)
     row = hns.ResultRow(experiment="simulate", method=sc.method, pd_emp=h1.rate,
                         pfa_emp=h0.rate, pd_pred=h1.mean_pd_pred, eta=h1.mean_eta,
                         trials=sc.trials, seed=sc.seed)

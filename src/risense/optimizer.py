@@ -43,9 +43,9 @@ class Rcm:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
-    @property
-    def forwards_noise(self) -> bool:
-        return self.mode == "active"
+    def sigma1_sq(self, noise: NoiseModel) -> float:
+        """The surface thermal noise it forwards: sigma1^2 if active, none if passive."""
+        return noise.sigma1_sq if self.mode == "active" else 0.0
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -86,17 +86,18 @@ class WmmseResult(NamedTuple):
     state: WmmseState
 
 
-def power_weights(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
-                  forwards_noise: bool = True) -> np.ndarray:
-    """Per-element output-power weights: power = sum_m w_m |phi_m|^2."""
-    sigma1 = noise.sigma1_sq if forwards_noise else 0.0
-    return sigma1 + (sources.zeta * sources.p) @ np.abs(channels.f) ** 2
+def power_weights(channels: ChannelSet, sources: SourceModel, sigma1_sq: float) -> np.ndarray:
+    """Per-element output-power weights: power = sum_m w_m |phi_m|^2.
+
+    sigma1_sq is the surface thermal noise forwarded (``Rcm.sigma1_sq``).
+    """
+    return sigma1_sq + (sources.zeta * sources.p) @ np.abs(channels.f) ** 2
 
 
 def ris_output_power(phi: np.ndarray, channels: ChannelSet, sources: SourceModel,
                      noise: NoiseModel) -> float:
     """Radiated power of the surface: sum_k zeta_k p_k ||Phi f_k||^2 + sigma1^2 ||Phi 1||^2."""
-    w = power_weights(channels, sources, noise, forwards_noise=True)
+    w = power_weights(channels, sources, noise.sigma1_sq)
     return float(np.sum(w * np.abs(np.asarray(phi)) ** 2))
 
 
@@ -110,7 +111,7 @@ def mse_epsilon(u: np.ndarray, rcm: Rcm, channels: ChannelSet, sources: SourceMo
     uh = equivalent_channels(channels, rcm.phi) @ u.conj()  # u^H h_k per source
     eps = sources.p[0] * abs(uh[0] - 1.0) ** 2
     eps += float((sources.zeta[1:] * sources.p[1:]) @ np.abs(uh[1:]) ** 2)
-    sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
+    sigma1 = rcm.sigma1_sq(noise)
     if sigma1 > 0:
         row = (u.conj() @ channels.g_matrix) * rcm.phi
         eps += sigma1 * float(np.sum(np.abs(row) ** 2))
@@ -125,8 +126,8 @@ def update_u(rcm: Rcm, channels: ChannelSet, sources: SourceModel,
     u = p_0 (sum_k zeta_k p_k h_k h_k^H + sigma1^2 GPhi(GPhi)^H + sigma2^2 I)^-1 h_0,
     the sum including the primary term k = 0.
     """
-    sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
-    a = covariance(channels, rcm.phi, sources.zeta * sources.p, sigma1, noise.sigma2_sq)
+    a = covariance(channels, rcm.phi, sources.zeta * sources.p, rcm.sigma1_sq(noise),
+                   noise.sigma2_sq)
     h0 = equivalent_channels(channels, rcm.phi)[0]
     try:
         return sources.p[0] * np.linalg.solve(a, h0)
@@ -174,13 +175,13 @@ def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
     w = sources.zeta * sources.p  # zeta_0 = 1
     vw = v.T * w
     s = vw @ v.conj()
-    sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
+    sigma1 = rcm.sigma1_sq(noise)
     if sigma1 > 0:
         s[np.diag_indices(m)] += sigma1 * np.abs(u.conj() @ channels.g_matrix) ** 2
     g = vw @ c.conj() - sources.p[0] * v[0]
     const = float(w @ np.abs(c) ** 2) - 2.0 * float(sources.p[0] * np.real(c[0])) \
         + float(sources.p[0]) + noise.sigma2_sq * float(np.real(np.vdot(u, u)))
-    j = power_weights(channels, sources, noise, forwards_noise=rcm.forwards_noise)
+    j = power_weights(channels, sources, sigma1)
     p_out = rcm.p_out_budget if rcm.mode == "active" else None
     a_max = rcm.a_max if np.isfinite(rcm.a_max) else None
     return QcqpInstance(s=s, g=g, const=const, j=j, p_out=p_out, a_max=a_max)
@@ -339,7 +340,7 @@ def mf_init_phi(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         w = np.linalg.svd(channels.g_matrix, compute_uv=True)[0][:, 0]
     t = (w.conj() @ channels.g_matrix) * channels.f[0]
     phases = np.where(np.abs(t) > 0, np.exp(-1j * np.angle(t)), 1.0)
-    weights = power_weights(channels, sources, noise)
+    weights = power_weights(channels, sources, noise.sigma1_sq)
     total = float(np.sum(weights))
     if p_out_budget is None or total <= 0:
         amp = a_max if np.isfinite(a_max) else 1.0

@@ -36,8 +36,8 @@ class NoiseModel:
     sigma2_sq: float
 
     def __post_init__(self):
-        if self.sigma1_sq < 0 or self.sigma2_sq <= 0:
-            raise ValueError("need sigma1_sq >= 0 and sigma2_sq > 0")
+        if not (self.sigma1_sq >= 0 and self.sigma2_sq > 0):
+            raise ValueError("noise powers must be nonnegative (sigma2 positive)")
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,14 @@ class SourceModel:
         object.__setattr__(self, "zeta", z)
         if p.shape != z.shape or p.ndim != 1 or p.size < 1:
             raise ValueError("p and zeta must be 1-D arrays of equal length >= 1")
-        if np.any(p < 0) or np.any((z < 0) | (z > 1)):
-            raise ValueError("powers must be >= 0 and activities in [0, 1]")
-        if z[0] != 1.0:
-            raise ValueError("the primary source must have zeta[0] = 1")
+        if not np.all((0 <= p) & (p < np.inf)):
+            raise ValueError("source powers must be finite and nonnegative")
+        if not (np.all((0 <= z) & (z <= 1)) and z[0] == 1.0):
+            raise ValueError("activities zeta must lie in [0, 1], with zeta = 1 for the primary")
 
     @property
     def n_interferers(self) -> int:
         return self.p.size - 1
-
-
-def alpha_supported(alpha: float) -> bool:
-    """Whether alpha is a probability whose threshold quantile 1 - alpha is tabulated."""
-    return 0.0 < alpha < 1.0 and _tw2_table.CDF[0] <= 1.0 - alpha <= _tw2_table.CDF[-1]
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.n_antennas < 1 or self.n_samples < 1:
             raise ValueError("n_antennas and n_samples must be >= 1")
-        if not alpha_supported(self.alpha):
+        if not _tw2_table.CDF[0] <= 1.0 - self.alpha <= _tw2_table.CDF[-1]:
             raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha inside the Tracy-Widom "
                              f"table, i.e. in [{1 - _tw2_table.CDF[-1]:.3g}, "
                              f"{1 - _tw2_table.CDF[0]:.12g}]; got {self.alpha}")
@@ -100,13 +95,14 @@ class SpikedStats:
     On the Gaussian branch (eta > sqrt(chi)) ``mu_a``/``v_a`` hold the mean
     and variance; below the transition they are None and the Tracy-Widom
     branch applies (the detector is then blind: Pd collapses to the
-    false-alarm level).
+    false-alarm level). ``gamma_th`` and ``alpha`` are the detector's
+    threshold and false-alarm level.
     """
 
     mu_a: float | None
     v_a: float | None
-    gamma_th: float | None = None
-    alpha: float | None = None
+    gamma_th: float
+    alpha: float
 
     @property
     def gaussian_branch(self) -> bool:
@@ -140,7 +136,7 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
 
     R = sum_k zeta_k p_k h_k h_k^H  +  sigma2^2 I  +  sigma1^2 (G Phi)(G Phi)^H,
     summing over interferers only. Passive surfaces forward no thermal noise
-    (their modes carry sigma1_sq = 0 through ``rcm.forwards_noise``).
+    (``rcm.sigma1_sq``).
     """
     phi = np.asarray(rcm.phi, dtype=complex)
     if phi.shape != (channels.n_elements,):
@@ -149,8 +145,7 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
         raise ValueError("source model does not match the channel set")
     weights = sources.zeta * sources.p
     weights[0] = 0.0  # the primary is the signal, not noise
-    r = covariance(channels, phi, weights, noise.sigma1_sq if rcm.forwards_noise else 0.0,
-                   noise.sigma2_sq)
+    r = covariance(channels, phi, weights, rcm.sigma1_sq(noise), noise.sigma2_sq)
     return 0.5 * (r + r.conj().T)
 
 
@@ -183,7 +178,7 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
     weights = np.where(active, sources.p, 0.0)
     weights[0] = 0.0  # the primary is the signal, not noise
     r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
-                          noise.sigma1_sq if rcm.forwards_noise else 0.0, noise.sigma2_sq)
+                          rcm.sigma1_sq(noise), noise.sigma2_sq)
     try:
         factor = np.linalg.cholesky(whiten(r_active, q_inv))
     except np.linalg.LinAlgError as exc:
@@ -274,8 +269,8 @@ def eta_from_covariance(r: np.ndarray, h0: np.ndarray, p0: float) -> float:
     return float(p0 * np.real(h0.conj() @ z))
 
 
-def spiked_stats(eta: float, chi: float, n_antennas: int,
-                 gamma_th: float | None = None, alpha: float | None = None) -> SpikedStats:
+def spiked_stats(eta: float, chi: float, n_antennas: int, gamma_th: float,
+                 alpha: float) -> SpikedStats:
     """Mean/variance of the largest sample eigenvalue for population excess eta.
 
     Gaussian branch (eta > sqrt(chi)):
@@ -295,8 +290,7 @@ def spiked_stats(eta: float, chi: float, n_antennas: int,
 
 def spiked_stats_for(cfg: DetectorConfig, eta: float) -> SpikedStats:
     """Spiked statistics bundled with the detector's threshold."""
-    return spiked_stats(eta, cfg.c, cfg.n_antennas,
-                        gamma_th=detection_threshold(cfg), alpha=cfg.alpha)
+    return spiked_stats(eta, cfg.c, cfg.n_antennas, detection_threshold(cfg), cfg.alpha)
 
 
 def predicted_pd(stats: SpikedStats) -> float:
@@ -305,11 +299,7 @@ def predicted_pd(stats: SpikedStats) -> float:
     On the Tracy-Widom branch the statistic is distributed as under the
     null, so the prediction collapses to the false-alarm probability.
     """
-    if stats.gamma_th is None:
-        raise ValueError("stats carry no threshold; build them with spiked_stats_for")
     if not stats.gaussian_branch:
-        if stats.alpha is None:
-            raise ValueError("Tracy-Widom branch needs the false-alarm level alpha")
         return stats.alpha
     return float(ndtr((stats.mu_a - stats.gamma_th) / np.sqrt(stats.v_a)))
 
@@ -331,8 +321,7 @@ def solve_min_eta(pd_target: float, cfg: DetectorConfig) -> float:
     gamma_th = detection_threshold(cfg)
 
     def pd_of(eta: float) -> float:
-        return predicted_pd(spiked_stats(eta, chi, cfg.n_antennas,
-                                         gamma_th=gamma_th, alpha=cfg.alpha))
+        return predicted_pd(spiked_stats(eta, chi, cfg.n_antennas, gamma_th, cfg.alpha))
 
     lo = np.sqrt(chi) * (1 + 1e-12) + 1e-300
     pd_lo = pd_of(lo)

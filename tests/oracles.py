@@ -132,7 +132,7 @@ def loop_covariance(channels: ChannelSet, rcm, sources: SourceModel, noise: Nois
         w = sources.zeta[k] * sources.p[k]
         if w > 0:
             r += w * np.outer(h[k], h[k].conj())
-    if rcm.forwards_noise and noise.sigma1_sq > 0:
+    if rcm.mode == "active" and noise.sigma1_sq > 0:
         g_phi = channels.g_matrix * phi[np.newaxis, :]
         r += noise.sigma1_sq * (g_phi @ g_phi.conj().T)
     return r
@@ -151,7 +151,7 @@ def loop_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel, noise: 
     m = channels.n_elements
     ug = u.conj() @ channels.g_matrix
     s = np.zeros((m, m), dtype=complex)
-    if rcm.forwards_noise and noise.sigma1_sq > 0:
+    if rcm.mode == "active" and noise.sigma1_sq > 0:
         s += noise.sigma1_sq * np.diag(np.abs(ug) ** 2)
     g = np.zeros(m, dtype=complex)
     const = sources.p[0] + noise.sigma2_sq * np.vdot(u, u).real
@@ -185,7 +185,7 @@ def loop_mse(u: np.ndarray, rcm, channels: ChannelSet, sources: SourceModel,
     eps = sources.p[0] * abs(np.vdot(u, h[0]) - 1.0) ** 2
     for k in range(1, len(h)):
         eps += sources.zeta[k] * sources.p[k] * abs(np.vdot(u, h[k])) ** 2
-    if rcm.forwards_noise:
+    if rcm.mode == "active":
         eps += noise.sigma1_sq * float(np.sum(np.abs((u.conj() @ channels.g_matrix)
                                                      * rcm.phi) ** 2))
     return float(eps + noise.sigma2_sq * np.real(np.vdot(u, u)))
@@ -369,6 +369,40 @@ def big_d(ctx: ClosedFormContext) -> np.ndarray:
     return d / ctx.sigma2_sq
 
 
+def c0(ctx: ClosedFormContext) -> float:
+    """Interference-free constant C0 = N beta_g sigma1^2 / sigma2^2."""
+    return ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq / ctx.sigma2_sq
+
+
+def c2(ctx: ClosedFormContext) -> float:
+    """Interference-free constant C2 = beta_f0 p_0 + sigma1^2, the incident power."""
+    return ctx.beta_f[0] * ctx.p[0] + ctx.sigma1_sq
+
+
+def optimal_amplitude(ctx: ClosedFormContext, p_aris: float,
+                      a_max: float) -> tuple[float, float]:
+    """Interference-free optimal squared amplitude A0 and the capped a_opt.
+
+    A0 = C1 C2^(-1/2) (C2 + C0 P)^(-1/2); a_opt = min(a_max, sqrt(A0)).
+    """
+    if p_aris < 0:
+        raise ValueError("budget must be nonnegative")
+    a0 = ctx.c1 / np.sqrt(c2(ctx) * (c2(ctx) + c0(ctx) * p_aris))
+    return float(a0), float(min(a_max, np.sqrt(a0)))
+
+
+def eta_active_no_interference(ctx, n: int, m: float, a: float) -> float:
+    """Population excess of the interference-free active configuration.
+
+    eta = a^2 M^2 N beta_f0 beta_g p_0 / (M N sigma1^2 a^2 beta_g + sigma2^2);
+    continuous at sigma1 = 0, where it matches the passive form. ``ctx`` needs
+    only beta_f, beta_g, p, sigma1_sq and sigma2_sq.
+    """
+    num = a * a * m * m * n * ctx.beta_f[0] * ctx.beta_g * ctx.p[0]
+    den = m * n * ctx.sigma1_sq * a * a * ctx.beta_g + ctx.sigma2_sq
+    return float(num / den)
+
+
 class OptimalM(NamedTuple):
     m_opt: float
     m_bar: int
@@ -378,12 +412,12 @@ class OptimalM(NamedTuple):
 def xi(ctx: ClosedFormContext, p_aris: float, m: int) -> float:
     """Amplitude that makes M elements consume the whole budget."""
     rem = p_aris - m * ctx.c1
-    return float(np.sqrt(rem / (m * ctx.c2))) if rem > 0 else 0.0
+    return float(np.sqrt(rem / (m * c2(ctx)))) if rem > 0 else 0.0
 
 
 def q_gain(ctx: ClosedFormContext, m: float, a: float) -> float:
     """Coherent-combination figure of merit M^2 a^2 / (1 + C0 M a^2)."""
-    return m * m * a * a / (1.0 + ctx.c0 * m * a * a)
+    return m * m * a * a / (1.0 + c0(ctx) * m * a * a)
 
 
 def optimal_m(ctx: ClosedFormContext, p_aris: float, a_opt: float,
@@ -398,7 +432,7 @@ def optimal_m(ctx: ClosedFormContext, p_aris: float, a_opt: float,
     dominates; the exhaustive-scan test pins this down.) With no interferer
     the planner's matched-filter count maximizes the same figure of merit.
     """
-    denom = ctx.c1 + ctx.c2 * a_opt**2
+    denom = ctx.c1 + c2(ctx) * a_opt**2
     if denom <= 0:
         raise ValueError("nonpositive per-element consumption")
     m_opt = p_aris / denom
@@ -507,7 +541,7 @@ def snapshot_draw(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseM
     h = loop_channels(channels, phi)
     rng = substream(rng_seed, 0x51)
     y = sample_cn_two_calls(rng, noise.sigma2_sq, (channels.n_antennas, n_samples))
-    if rcm.forwards_noise and noise.sigma1_sq > 0:
+    if rcm.mode == "active" and noise.sigma1_sq > 0:
         g_phi = channels.g_matrix * phi[np.newaxis, :]
         y += g_phi @ sample_cn_two_calls(rng, noise.sigma1_sq, (channels.n_elements, n_samples))
     active = rng.random(len(h)) < sources.zeta

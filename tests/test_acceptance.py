@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from conftest import make_noise, make_sources
-from oracles import batch_population_eta, make_los_channelset, make_random_channelset, \
-    polar_grid_search
+from oracles import batch_population_eta, c0, c2, eta_active_no_interference, \
+    make_los_channelset, make_random_channelset, optimal_amplitude, polar_grid_search
 from risense import budget as bdg
 from risense import channel as chan
 from risense import cli
@@ -37,7 +37,7 @@ def batched_spiked_lams(eta: float, n: int, t: int, trials: int, seed: int,
         b = min(chunk, trials - done)
         x = (rng.standard_normal((b, n, t)) + 1j * rng.standard_normal((b, n, t)))
         x *= scale[None, :, None] / np.sqrt(2.0)
-        s = np.einsum("bit,bjt->bij", x, x.conj()) / t
+        s = (x @ x.conj().swapaxes(1, 2)) / t
         out[done:done + b] = np.linalg.eigvalsh(s)[:, -1]
         done += b
     return out
@@ -91,9 +91,9 @@ def test_criterion_03_sqrt_a0_reproduction():
         sigma1_sq=1e-11, sigma2_sq=1e-11, p_c=1e-4, p_dc=10 ** (-3.5),
         b_g=chan.steering_vector_ula(4, 0.5), a_f=(chan.steering_vector_ula(4, 0.2),))
     p_aris = 1e-3  # C0 * P << C2 regime in which the value is quoted
-    a0, _ = bdg.optimal_amplitude(ctx, p_aris, a_max=1e9)
+    a0, _ = optimal_amplitude(ctx, p_aris, a_max=1e9)
     root = np.sqrt(a0)
-    assert ctx.c0 * p_aris < 0.01 * ctx.c2
+    assert c0(ctx) * p_aris < 0.01 * c2(ctx)
     report(3, 236.0 <= root <= 241.0,
            f"sqrt(A0) = {root:.2f} with published constants (gate [236, 241])")
 
@@ -129,7 +129,7 @@ def test_criterion_05_wmmse_optimality():
             best = max(best, opt.wmmse_active(ch, src, noise, p_out, a_max,
                                               init_phi=init, tol=1e-10,
                                               max_iter=2000).eta)
-        j = opt.power_weights(ch, src, noise)
+        j = opt.power_weights(ch, src, noise.sigma1_sq)
         a_hi = np.minimum(a_max, np.sqrt(p_out / j))
 
         def score(phis):
@@ -155,7 +155,7 @@ def test_criterion_05_wmmse_optimality():
             beta_f, p = ch.gains.beta_f, src.p
             sigma1_sq, sigma2_sq = noise.sigma1_sq, noise.sigma2_sq
 
-        eta_cf = bdg.eta_active_no_interference(Ctx, n, m, a)
+        eta_cf = eta_active_no_interference(Ctx, n, m, a)
         gap = abs(res.eta - eta_cf) / eta_cf
         ok = ok and gap <= 0.005
         lines.append(f"closed-form M={m}: gap {gap:.3%}")

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import make_noise, make_sources
-from oracles import (big_d, eta_passive, optimal_m, passive_m_for_eta, q_gain,
-                     scan_per_probe_budget, xi)
+from oracles import (big_d, c0, c2, eta_active_no_interference, eta_passive, optimal_amplitude,
+                     optimal_m, passive_m_for_eta, q_gain, scan_per_probe_budget, xi)
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
-from risense.errors import ConfigError, InfeasibleError, RisenseError
+from risense.errors import ConfigError, InfeasibleError, NumericalError, RisenseError
 from risense.harness import ScenarioConfig, load_scenario
 from risense.optimizer import Rcm
 
@@ -85,23 +85,23 @@ class TestMfPhases:
 class TestOptimalAmplitude:
     def test_reference_value_when_budget_term_negligible(self):
         ctx = reference_ctx()
-        a0, a_opt = bdg.optimal_amplitude(ctx, p_aris=1e-3, a_max=1e6)
-        assert ctx.c0 * 1e-3 < 0.01 * ctx.c2  # the regime the value is quoted in
+        a0, a_opt = optimal_amplitude(ctx, p_aris=1e-3, a_max=1e6)
+        assert c0(ctx) * 1e-3 < 0.01 * c2(ctx)  # the regime the value is quoted in
         assert 236.0 <= np.sqrt(a0) <= 241.0
         assert a_opt == pytest.approx(np.sqrt(a0))
 
     def test_cap_binds(self):
         ctx = reference_ctx()
-        _, a_opt = bdg.optimal_amplitude(ctx, p_aris=1e-3, a_max=1.0)
+        _, a_opt = optimal_amplitude(ctx, p_aris=1e-3, a_max=1.0)
         assert a_opt == 1.0
 
     def test_first_order_optimality(self):
         ctx = reference_ctx()
         p = 0.01
-        a0, _ = bdg.optimal_amplitude(ctx, p, a_max=1e9)
+        a0, _ = optimal_amplitude(ctx, p, a_max=1e9)
 
         def denom(a_sq):  # objective denominator after dividing through by A
-            return ctx.c1**2 / a_sq + ctx.c2 * (ctx.c2 + ctx.c0 * p) * a_sq
+            return ctx.c1**2 / a_sq + c2(ctx) * (c2(ctx) + c0(ctx) * p) * a_sq
 
         h = a0 * 1e-6
         deriv = (denom(a0 + h) - denom(a0 - h)) / (2 * h)
@@ -112,14 +112,14 @@ class TestOptimalM:
     def test_full_budget_identity(self):
         ctx = reference_ctx()
         p = 0.01
-        _, a_opt = bdg.optimal_amplitude(ctx, p, a_max=10.0)
+        _, a_opt = optimal_amplitude(ctx, p, a_max=10.0)
         res = optimal_m(ctx, p, a_opt, a_max=10.0)
-        assert res.m_opt * (ctx.c1 + ctx.c2 * a_opt**2) == pytest.approx(p, rel=1e-9)
+        assert res.m_opt * (ctx.c1 + c2(ctx) * a_opt**2) == pytest.approx(p, rel=1e-9)
 
     def test_recovery_beats_rejected_neighbor(self):
         ctx = reference_ctx()
         p = 0.01
-        a0, a_opt = bdg.optimal_amplitude(ctx, p, a_max=10.0)
+        a0, a_opt = optimal_amplitude(ctx, p, a_max=10.0)
         assert a_opt == 10.0  # sqrt(A0) ~ 236 so the cap binds
         res = optimal_m(ctx, p, a_opt, a_max=10.0)
         m0 = math.floor(res.m_opt)
@@ -135,7 +135,7 @@ class TestOptimalM:
             object.__setattr__(ctx, "sigma1_sq", 10 ** rng.uniform(-12, -10))
             p = 10 ** rng.uniform(-3, -1)
             a_max = 10 ** rng.uniform(0.5, 2.5)
-            _, a_opt = bdg.optimal_amplitude(ctx, p, a_max)
+            _, a_opt = optimal_amplitude(ctx, p, a_max)
             try:
                 res = optimal_m(ctx, p, a_opt, a_max)
             except InfeasibleError:
@@ -153,7 +153,7 @@ class TestEtaClosedForms:
     def test_passive_limit_of_active_form(self):
         ctx = reference_ctx()
         object.__setattr__(ctx, "sigma1_sq", 0.0)
-        eta = bdg.eta_active_no_interference(ctx, 64, 10, 3.0)
+        eta = eta_active_no_interference(ctx, 64, 10, 3.0)
         expected = 9.0 * eta_passive(64, 10, ctx.beta_f[0], ctx.beta_g, 1.0,
                                          ctx.sigma2_sq)
         assert eta == pytest.approx(expected, rel=1e-12)
@@ -161,8 +161,8 @@ class TestEtaClosedForms:
     def test_amplitude_scaling_without_forwarded_noise(self):
         ctx = reference_ctx()
         object.__setattr__(ctx, "sigma1_sq", 0.0)
-        assert bdg.eta_active_no_interference(ctx, 64, 10, 2.0) == pytest.approx(
-            4 * bdg.eta_active_no_interference(ctx, 64, 10, 1.0), rel=1e-12)
+        assert eta_active_no_interference(ctx, 64, 10, 2.0) == pytest.approx(
+            4 * eta_active_no_interference(ctx, 64, 10, 1.0), rel=1e-12)
 
     def test_active_form_matches_population_eta(self, rng):
         n, m, a = 8, 4, 2.0
@@ -170,7 +170,7 @@ class TestEtaClosedForms:
         phi = a * np.exp(1j * bdg.mf_phases(ctx.b_g, ctx.a_f[0]))
         rcm = Rcm(phi=phi, mode="active", a_max=np.inf)
         eta_pop = sns.population_eta(cs, rcm, make_sources(0), make_noise(0.01, 0.1))
-        eta_cf = bdg.eta_active_no_interference(ctx, n, m, a)
+        eta_cf = eta_active_no_interference(ctx, n, m, a)
         assert eta_cf == pytest.approx(eta_pop, rel=1e-10)
 
     def test_passive_count_and_scaling(self):
@@ -306,7 +306,7 @@ class TestMf:
         ctx, _ = make_ctx_and_channels(rng, 8, 4, k=2, zeta=0.0)
         sol = bdg.mf_phi(ctx, a_max=1.5, p_out=0.5, p_in=ctx.p_in_bar)
         a = float(np.abs(sol.phi[0]))  # the common amplitude
-        eta_cf = bdg.eta_active_no_interference(ctx, 8, 4, a)
+        eta_cf = eta_active_no_interference(ctx, 8, 4, a)
         assert sol.eta == pytest.approx(eta_cf, rel=1e-12)
 
     def test_eta_matches_population(self, rng):
@@ -356,9 +356,9 @@ class TestRequiredBudget:
         ctx = bdg.ClosedFormContext.from_scenario(sc, 1)
 
         def eta_cf(p):
-            _, a_opt = bdg.optimal_amplitude(ctx, p, sc.a_max)
-            m_opt = p / (ctx.c1 + ctx.c2 * a_opt**2)
-            return bdg.eta_active_no_interference(ctx, sc.n_antennas, m_opt, a_opt)
+            _, a_opt = optimal_amplitude(ctx, p, sc.a_max)
+            m_opt = p / (ctx.c1 + c2(ctx) * a_opt**2)
+            return eta_active_no_interference(ctx, sc.n_antennas, m_opt, a_opt)
 
         from scipy.optimize import brentq
         p_cf = brentq(lambda p: eta_cf(p) - eta0, 1e-8, 0.1, xtol=1e-12)
@@ -452,7 +452,7 @@ class TestInterferenceFreePlans:
             sc = self.random_scenario(rng)
             res = bdg.required_budget("mf", 0.9, sc)
             ctx = bdg.ClosedFormContext.from_scenario(sc, 1)
-            _, a_opt = bdg.optimal_amplitude(ctx, res.required_power, sc.a_max)
+            _, a_opt = optimal_amplitude(ctx, res.required_power, sc.a_max)
             want = optimal_m(ctx, res.required_power, a_opt, sc.a_max).m_bar
             if want <= bdg.EXACT_SCAN_CAP:  # the ladder scans every count up to here
                 assert res.m_star == want
@@ -593,6 +593,35 @@ class TestPlannerInversion:
                 assert inverted < scanned or not scanned, (method, pd_target, sc)
                 kinds.add(want[0] if len(want) == 2 else "plan")
         assert kinds == {"plan", "InfeasibleError", "NumericalError"}
+
+    def test_an_end_scan_against_the_inversion_is_a_numerical_error(self, monkeypatch):
+        sc = load_scenario(str(LOS_BUDGET))
+        plan = bdg.required_budget("mf", sc.pd_target, sc)
+        least = bdg._least_budget_at
+
+        def low_at_m_star(method, ctx, eta0, a_max):  # p* 0.1% low, from one count
+            p_m = least(method, ctx, eta0, a_max)
+            return p_m * (1 - 1e-3) if ctx.m == plan.m_star else p_m
+
+        monkeypatch.setattr(bdg, "_least_budget_at", low_at_m_star)
+        with pytest.raises(NumericalError, match=r"contradict the inverted budget p\* = \S+ W: "
+                                                 r"p_low = \S+ W, p_top = \S+ W"):
+            bdg.required_budget("mf", sc.pd_target, sc)
+
+    def test_a_count_that_cannot_be_inverted_is_a_numerical_error(self, monkeypatch):
+        sc = load_scenario(str(LOS_BUDGET))
+        counts = []
+        least = bdg._least_budget_at
+
+        def recording(method, ctx, eta0, a_max):
+            counts.append(ctx.m)
+            return least(method, ctx, eta0, a_max)
+
+        monkeypatch.setattr(bdg, "_least_budget_at", recording)
+        monkeypatch.setattr(bdg, "brentq", lambda *args, **kwargs: math.nan)
+        with pytest.raises(NumericalError) as err:
+            bdg.required_budget("mmse", sc.pd_target, sc)
+        assert f"mmse: the excess at M = {counts[-1]} cannot be inverted" in str(err.value)
 
     def test_a_plan_makes_a_tenth_of_the_scanning_calls(self, monkeypatch):
         # scanning every count at every probe made 2,634 closed-form calls

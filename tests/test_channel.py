@@ -165,7 +165,11 @@ class TestGeometry:
 
     def test_angles_derived_from_positions(self):
         geom = chan.Geometry(pu_pos=(0.0, 50.0), ris_pos=(100.0, 50.0), su_pos=(200.0, 50.0))
-        ang = chan.AngleSet.from_geometry(geom)
-        assert ang.aoa_azimuth[0] == pytest.approx(np.pi)  # PU due west of the surface
-        assert ang.aod_azimuth == pytest.approx(0.0)       # receiver due east
-        assert np.all(ang.aoa_elevation == 0.0)
+        sc = ScenarioConfig(n_antennas=4, geometry=geom, t_samples=400)
+        _, los = chan.los_factors(sc, 3, 2)
+        # PU due west of the surface, receiver due east; every elevation zero
+        np.testing.assert_allclose(los.a_f[0], chan.steering_vector_upa(3, 2, np.pi, 0.0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(los.b_ris, chan.steering_vector_upa(3, 2, 0.0, 0.0))
+        # the surface lies on the receiver's axis (AOA pi): no phase progression
+        np.testing.assert_allclose(los.a_su, np.ones(4), atol=1e-12)

@@ -135,7 +135,12 @@ class TestLoadScenario:
         ("planner: {stop_tol: 0}", "stop_tol must be positive and finite"),
         ("pathloss: {alpha_direct: 1.0e+300}", r"^pathloss\.alpha_direct = 1e\+300"),
         ("pathloss: {alpha_incident: 1.0e+300}", r"^pathloss\.alpha_incident = 1e\+300"),
-        ("pathloss: {wavelength: 1.0e+200}", r"^pathloss\.alpha_direct = 4\.0 with wavelength")])
+        ("pathloss: {wavelength: 1.0e+200}", r"^pathloss\.alpha_direct = 4\.0 with wavelength"),
+        # -1e308 dBm is 0 W: the receiver noise must be positive
+        ("powers: {sigma2_dbm: -1.0e+308}", r"noise powers must be nonnegative \(sigma2 positive"),
+        ("detector: {alpha: 1.0e-20}", "alpha must lie in .* Tracy-Widom table"),
+        ("array: {n_antennas: 0}", "n_antennas and n_samples must be >= 1"),
+        ("powers: {p_dbm: .inf}", r"^powers\.p_dbm must be a finite number")])
     def test_out_of_range_value_rejected(self, tmp_path, body, match):
         path = tmp_path / "sc.yaml"
         path.write_text(body + "\n")
@@ -232,6 +237,19 @@ class TestRunDetectionMc:
         b = hns.run_detection_mc(sc, hypothesis="h1")
         assert a == b
 
+    @pytest.mark.parametrize("hypothesis", ["h1", "h0"])
+    def test_one_hypothesis_is_its_entry_of_the_pair(self, hypothesis):
+        # criterion 01's scenario and fixed coefficients, at a tenth of its trials
+        geom = hns.chan.Geometry(interferer_pos=hns.chan.draw_interferer_positions(
+            (100.0, 50.0), 2, 50.0, 60.0, 7))
+        sc = hns.ScenarioConfig(n_antennas=32, m_h=8, geometry=geom, p_w=(1.0, 1.0, 1.0),
+                                zeta=(1.0, 1.0, 1.0), t_samples=3200, alpha=0.1, trials=200,
+                                seed=11, channel_model="rayleigh")
+        phi = 2.0 * np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, 8))
+        rcm = opt.Rcm(phi=phi, mode="active", a_max=10.0, p_out_budget=None)
+        pair = dict(zip(("h1", "h0"), hns.run_hypotheses_mc(sc, rcm=rcm)))
+        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis=hypothesis) == pair[hypothesis]
+
     def test_closed_form_methods_need_los(self):
         sc = tiny_scenario(method="mf")
         with pytest.raises(ConfigError):
@@ -290,7 +308,7 @@ class TestSharedTrials:
 
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ValueError):
-            hns.run_hypotheses_mc(tiny_scenario(), ("h2",), trials=1)
+            hns.run_detection_mc(tiny_scenario(), hypothesis="h2", trials=1)
 
 
 def compact_scenario(k: int, **kw):
@@ -345,15 +363,16 @@ class TestGramDomainStatistics:
         sc, rcm = STATISTIC_CASES[case]()
         monkeypatch.setattr(hns.sns, "sample_signals", snapshot_blocks)
         stats = record_statistics(monkeypatch)
-        hns.run_hypotheses_mc(sc, (hypothesis,), rcm=rcm)
+        hns.run_hypotheses_mc(sc, rcm=rcm)
         ref = []
         for t in range(sc.trials):
             channels = sc.build_channels() if sc.channel_model == "los" \
                 else hns.chan.sample_rayleigh_channelset(sc, (sc.seed, t))
             ref.append(reference_statistic(sc, hypothesis, t, channels,
                                            rcm or simulate_rcm(sc, channels)))
-        assert len(stats) == sc.trials
-        assert stats == pytest.approx(ref, rel=1e-12, abs=0)
+        assert len(stats) == 2 * sc.trials  # H1, then H0, per trial
+        got = stats[0::2] if hypothesis == "h1" else stats[1::2]
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestWishartTrials:
@@ -367,8 +386,7 @@ class TestWishartTrials:
         samples = {}
         for sampler, seed in ((hns.sns.sample_signals, 801), (snapshot_blocks, 802)):
             monkeypatch.setattr(hns.sns, "sample_signals", sampler)
-            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), ("h0", "h1"), rcm=rcm,
-                                  trials=400)
+            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
             samples[sampler] = np.reshape(stats[-800:], (400, 2)).T
         for wishart, snapshot in zip(*samples.values()):
             assert ks_2samp(wishart, snapshot).pvalue > 1e-3

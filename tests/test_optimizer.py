@@ -5,13 +5,13 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import make_noise, make_sources
-from oracles import (batch_population_eta, eta_passive, kkt_residual, loop_channels,
-                     loop_covariance, loop_mse, loop_power_weights, loop_qcqp,
-                     make_los_channelset, make_random_channelset, phase_grid_search,
-                     polar_grid_search, project_feasible, qcqp_objective, solve_p22_pg)
+from oracles import (batch_population_eta, eta_active_no_interference, eta_passive,
+                     kkt_residual, loop_channels, loop_covariance, loop_mse,
+                     loop_power_weights, loop_qcqp, make_los_channelset, make_random_channelset,
+                     phase_grid_search, polar_grid_search, project_feasible, qcqp_objective,
+                     solve_p22_pg)
 from risense import optimizer as opt
 from risense import sensing as sns
-from risense.budget import eta_active_no_interference
 from risense.errors import InfeasibleError
 
 
@@ -245,7 +245,7 @@ class TestWmmseActive:
         src, noise = make_sources(1), make_noise()
         p_out, a_max = 0.3, 1.2
         res = opt.wmmse_active(ch, src, noise, p_out, a_max)
-        j = opt.power_weights(ch, src, noise)
+        j = opt.power_weights(ch, src, noise.sigma1_sq)
         a_hi = [min(a_max, np.sqrt(p_out / j[0]))]
 
         def score(phis):
@@ -386,7 +386,7 @@ class TestStackedBuilders:
     @pytest.mark.parametrize("name", STACKED_CASES)
     def test_matches_per_source_loops(self, rng, name):
         ch, src, noise, rcm, u = stacked_case(rng, name)
-        sigma1 = noise.sigma1_sq if rcm.forwards_noise else 0.0
+        sigma1 = rcm.sigma1_sq(noise)
         assert_matches(sns.equivalent_channels(ch, rcm.phi), loop_channels(ch, rcm.phi))
         assert_matches(sns.noise_covariance(ch, rcm, src, noise),
                        loop_covariance(ch, rcm, src, noise, primary=False))
@@ -403,6 +403,6 @@ class TestStackedBuilders:
             phi = rng.standard_normal(ch.n_elements) + 1j * rng.standard_normal(ch.n_elements)
             eps = opt.mse_epsilon(u, dataclasses.replace(rcm, phi=phi), ch, src, noise)
             assert qcqp_objective(inst, phi) == pytest.approx(eps, rel=1e-12)
-        assert_matches(opt.power_weights(ch, src, noise, rcm.forwards_noise),
-                       loop_power_weights(ch, src, noise, rcm.forwards_noise))
+        assert_matches(opt.power_weights(ch, src, sigma1),
+                       loop_power_weights(ch, src, noise, rcm.mode == "active"))
         assert_matches(opt.mse_epsilon(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))

@@ -298,16 +298,16 @@ class TestPopulationEta:
 
 class TestSpikedStats:
     def test_mean_substitution(self):
-        st_ = sns.spiked_stats(1.0, 0.01, 64)
+        st_ = sns.spiked_stats(1.0, 0.01, 64, 2.0, 0.1)
         assert st_.mu_a == pytest.approx(2.02)
 
     def test_variance_substitution(self):
-        st_ = sns.spiked_stats(1.0, 0.01, 64)
+        st_ = sns.spiked_stats(1.0, 0.01, 64, 2.0, 0.1)
         assert st_.v_a == pytest.approx((4 / 6400) * 0.99, rel=1e-12)
         assert st_.v_a == pytest.approx(6.1875e-4, rel=1e-6)
 
     def test_below_transition_marks_tw_branch(self):
-        st_ = sns.spiked_stats(0.05, 0.01, 64, alpha=0.1)
+        st_ = sns.spiked_stats(0.05, 0.01, 64, 2.0, 0.1)
         assert not st_.gaussian_branch
         assert st_.mu_a is None and st_.v_a is None
 
@@ -321,7 +321,7 @@ class TestSpikedStats:
             x = scale[:, None] * (rng.standard_normal((n, t))
                                   + 1j * rng.standard_normal((n, t))) / np.sqrt(2)
             lam[i] = max_eig(x)
-        st_ = sns.spiked_stats(eta, n / t, n)
+        st_ = sns.spiked_stats(eta, n / t, n, 2.0, 0.1)
         assert lam.mean() == pytest.approx(st_.mu_a, rel=0.02)
 
 
