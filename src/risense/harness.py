@@ -228,10 +228,11 @@ def load_scenario(path: str) -> ScenarioConfig:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser when PyYAML has it: the same mapping, parsed ~7x faster
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # the file is read as UTF-8
         raise ConfigError(f"scenario file {path} is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
@@ -302,12 +303,16 @@ def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
     optimize the reflecting coefficients, build the analytic covariance, its
-    whitening factor and the population excess, draw the Gram matrix of the
-    trial's T whitened snapshots (``sensing.sample_signals``, one complex
-    Wishart draw) and compare its largest eigenvalue over T with the threshold.
-    A trial's hypotheses share all of this (common random numbers): H0 is
-    scored from W0 = X0 X0^H, H1 from its rank-2 update for the snapshots
-    X0 + b s0^T, b = Q^-1 h0.
+    whitening factor and the population excess, draw the trial's largest
+    whitened sample eigenvalues over T under H1 and H0
+    (``sensing.sample_signals``) and compare each with the threshold. A
+    trial's hypotheses share all of this (common random numbers). When the
+    trial's activity draw leaves the interference covariance at its mean
+    (always, when every zeta is 1), the pair comes from one spiked-Laguerre
+    tridiagonal draw: 2N - 1 gamma variates and two tridiagonal top
+    eigenvalues. Otherwise it comes from one complex-Wishart Bartlett draw of
+    the Gram matrix, H1 from its rank-2 update, with two full
+    eigendecompositions.
     """
     trials = scenario.trials if trials is None else trials
     cfg = scenario.detector()
@@ -328,18 +333,15 @@ def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
             r = sns.noise_covariance(channels, rcm_t, sources, noise)
             q_inv = sns.psd_sqrt_inverse(r)
             h0 = sns.equivalent_channels(channels, np.asarray(rcm_t.phi, dtype=complex))[0]
-            b = q_inv @ h0
             etas[t] = sns.eta_from_covariance(r, h0, sources.p[0])
             pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
                                                            gamma_th, cfg.alpha))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
-        w0, v, s2 = sns.sample_signals(channels, rcm_t, sources, noise, "h1",
-                                       scenario.t_samples, (scenario.seed, t, 1), q_inv)
-        bv = np.outer(b, v.conj())  # (X0 + b s0^T)(X0 + b s0^T)^H, a rank-2 update of W0
-        w1 = w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())
-        hits_h1 += sns.max_eig_statistic(w1, scenario.t_samples) > gamma_th
-        hits_h0 += sns.max_eig_statistic(w0, scenario.t_samples) > gamma_th
+        lam1, lam0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1",
+                                        scenario.t_samples, (scenario.seed, t, 1), q_inv)
+        hits_h1 += lam1 > gamma_th
+        hits_h0 += lam0 > gamma_th
     mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())
 
     def result(hits: int) -> McResult:

@@ -3,12 +3,21 @@
 The receiver collects T snapshots, whitens them with the analytic
 noise-plus-interference covariance (the detector is genie-aided: channels
 are assumed known), and compares the largest eigenvalue of the whitened
-sample covariance against a Tracy-Widom threshold. The statistic depends on
-the snapshots only through their N x N Gram matrix, which is drawn directly
-as a complex Wishart matrix. Under the alternative, that eigenvalue
-separates from the bulk once the population excess ``eta`` crosses the
-phase transition sqrt(chi), after which its law is Gaussian and the
-detection probability has a closed form.
+sample covariance against a Tracy-Widom threshold. A sensing interval's
+statistics are drawn without its N x T snapshots, by one of two samplers:
+
+- when the interval's activity draw leaves the interference covariance equal
+  to its mean (always, when every activity zeta is 1), the whitened
+  snapshots are white under H0 and carry one spike under H1, and each
+  statistic is the top eigenvalue of an N x N tridiagonal spiked-Laguerre
+  matrix (2N - 1 gamma variates, shared by both hypotheses);
+- otherwise the whitened Gram matrix is drawn as a complex Wishart matrix
+  from its Bartlett factor, H1 from its rank-2 update, and both are
+  diagonalized in full.
+
+Under the alternative, the largest eigenvalue separates from the bulk once
+the population excess ``eta`` crosses the phase transition sqrt(chi), after
+which its law is Gaussian and the detection probability has a closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -143,15 +153,109 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
         raise ValueError("reflecting coefficients do not match the channel set")
     if sources.n_interferers != channels.n_interferers:
         raise ValueError("source model does not match the channel set")
+    r = covariance(channels, phi, _mean_weights(sources), rcm.sigma1_sq(noise), noise.sigma2_sq)
+    return 0.5 * (r + r.conj().T)
+
+
+def _mean_weights(sources: SourceModel) -> np.ndarray:
+    """Weights zeta_k p_k of the interferers' terms in the noise covariance R."""
     weights = sources.zeta * sources.p
     weights[0] = 0.0  # the primary is the signal, not noise
-    r = covariance(channels, phi, weights, rcm.sigma1_sq(noise), noise.sigma2_sq)
-    return 0.5 * (r + r.conj().T)
+    return weights
+
+
+def _interval(sources: SourceModel, hypothesis: str, n_antennas: int, n_samples: int,
+              rng_seed) -> tuple[np.random.Generator, np.ndarray]:
+    """The interval's substream after its activity draw, and the drawn interferer weights."""
+    if hypothesis not in ("h0", "h1"):
+        raise ValueError("hypothesis must be 'h0' or 'h1'")
+    if n_samples < n_antennas:
+        raise ValueError("the Wishart draw needs n_samples >= n_antennas")
+    rng = substream(rng_seed, 0x51)
+    active = rng.random(sources.n_interferers + 1) < sources.zeta
+    weights = np.where(active, sources.p, 0.0)
+    weights[0] = 0.0  # the primary is the signal, not noise
+    return rng, weights
 
 
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                    hypothesis: str, n_samples: int, rng_seed,
                    q_inv: np.ndarray | None = None) -> tuple:
+    """The statistics (lambda_1, lambda_0) of one sensing interval, no N x T array.
+
+    lambda is the largest eigenvalue of (1/T) X X^H for the interval's whitened
+    snapshots X: X0 = Q^-1 Y0 under H0 and X0 + b s0^T, b = Q^-1 h0, under H1.
+    Given the activity draw the columns of X0 are i.i.d. CN(0, C) with
+    C = Q^-1 R_active Q^-1. When the draw leaves R_active = R, C = I, and under
+    H1 the covariance is I plus one spike eta = p_0 ||b||^2, so the spectrum of
+    X X^H is that of B B^T with B lower bidiagonal, |B_ii|^2 ~ Gamma(T - i) and
+    |B_i+1,i|^2 ~ Gamma(N - 1 - i) (Dumitriu & Edelman 2002); the spike along
+    e_1 scales B_11 by sqrt(1 + eta) (Bloemendal & Virag 2013). Both hypotheses
+    share these 2N - 1 variates. Any other draw goes to bartlett_statistics,
+    which replays the substream.
+
+    Deterministic given the seed. Draw order: the interferers' activity (once per
+    interval), then the sampler's variates. Under "h0" lambda_1 is None, and
+    lambda_0 is the same under both hypotheses. ``q_inv`` is the whitening factor
+    psd_sqrt_inverse(noise_covariance(...)), computed when not given.
+    """
+    rng, weights = _interval(sources, hypothesis, channels.n_antennas, n_samples, rng_seed)
+    if not np.array_equal(weights, _mean_weights(sources)):  # R_active != R
+        return bartlett_statistics(channels, rcm, sources, noise, hypothesis, n_samples,
+                                   rng_seed, q_inv)
+    n = channels.n_antennas
+    diag = rng.standard_gamma(n_samples - np.arange(n))  # |B_ii|^2
+    sub = rng.standard_gamma(n - 1 - np.arange(n - 1))  # |B_i+1,i|^2
+    d = diag.copy()  # B B^T: the tridiagonal matrix (d, e)
+    d[1:] += sub
+    e = np.sqrt(diag[:-1] * sub)
+    lam0 = _top_eigenvalue(d, e) / n_samples
+    if hypothesis == "h0":
+        return None, lam0
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    b = q_inv @ equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
+    spike = 1.0 + sources.p[0] * float(np.vdot(b, b).real)
+    d[0] *= spike
+    e[:1] *= np.sqrt(spike)
+    return _top_eigenvalue(d, e) / n_samples, lam0
+
+
+def _top_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, by bisection (LAPACK dstebz)."""
+    n = d.size
+    e = e if n > 1 else np.zeros(1)  # the wrapper rejects an empty off-diagonal
+    found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "E")
+    if info != 0 or found != 1:
+        raise NumericalError(f"tridiagonal eigenvalue bisection failed (info {info})")
+    return float(w[0])
+
+
+def bartlett_statistics(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                        hypothesis: str, n_samples: int, rng_seed,
+                        q_inv: np.ndarray | None = None) -> tuple:
+    """sample_signals' (lambda_1, lambda_0) from the interval's Gram blocks (gram_blocks).
+
+    H0 is scored from W0 = X0 X0^H, H1 from its rank-2 update
+    (X0 + b s0^T)(X0 + b s0^T)^H; both by a full eigendecomposition.
+    """
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    w0, v, s2 = gram_blocks(channels, rcm, sources, noise, hypothesis, n_samples, rng_seed,
+                            q_inv)
+    lam0 = max_eig_statistic(w0, n_samples)
+    if v is None:
+        return None, lam0
+    b = q_inv @ equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
+    bv = np.outer(b, v.conj())
+    w1 = w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())
+    return max_eig_statistic(w1, n_samples), lam0
+
+
+def gram_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                hypothesis: str, n_samples: int, rng_seed,
+                q_inv: np.ndarray | None = None) -> tuple:
     """Whitened Gram blocks (W0, v, ||s0||^2) of one sensing interval, no N x T array.
 
     With X0 = Q^-1 Y0 the whitened signal-free snapshots (N x T) and s0 the
@@ -166,17 +270,10 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
     the primary's row is not drawn and v is None; W0 is the same under both
     hypotheses. ``q_inv`` defaults to the whitening factor of noise_covariance.
     """
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError("hypothesis must be 'h0' or 'h1'")
     n = channels.n_antennas
-    if n_samples < n:
-        raise ValueError("the Bartlett draw needs n_samples >= n_antennas")
+    rng, weights = _interval(sources, hypothesis, n, n_samples, rng_seed)
     if q_inv is None:
         q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
-    rng = substream(rng_seed, 0x51)
-    active = rng.random(sources.n_interferers + 1) < sources.zeta
-    weights = np.where(active, sources.p, 0.0)
-    weights[0] = 0.0  # the primary is the signal, not noise
     r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
                           rcm.sigma1_sq(noise), noise.sigma2_sq)
     try:

@@ -563,7 +563,7 @@ def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noi
 def snapshot_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                     hypothesis: str, n_samples: int, rng_seed,
                     q_inv: np.ndarray | None = None) -> tuple:
-    """sample_signals' (W0, v, ||s0||^2), formed from snapshot_draw's snapshots:
+    """gram_blocks' (W0, v, ||s0||^2), formed from snapshot_draw's snapshots:
     W0 = X0 X0^H and v = X0 conj(s0) with X0 = Q^-1 Y0 (v is None under "h0")."""
     if q_inv is None:
         q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
@@ -574,6 +574,23 @@ def snapshot_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: Nois
     if s0 is None:
         s0 = np.zeros(n_samples, dtype=complex)
     return x0 @ x0.conj().T, x0 @ s0.conj(), float(np.vdot(s0, s0).real)
+
+
+def snapshot_statistics(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                        hypothesis: str, n_samples: int, rng_seed,
+                        q_inv: np.ndarray | None = None) -> tuple:
+    """sample_signals' (lambda_1, lambda_0), from snapshot_draw's N x T snapshots:
+    the largest eigenvalues of (1/T) X X^H for X0 = Q^-1 Y0 and X1 = Q^-1 (Y0 + h_0 s0^T)
+    (lambda_1 is None under "h0")."""
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    y0, s0 = snapshot_draw(channels, rcm, sources, noise, n_samples, rng_seed)
+    lam0 = snapshot_max_eig(q_inv @ y0)
+    if hypothesis == "h0":
+        return None, lam0
+    if s0 is not None:
+        y0 = y0 + np.outer(loop_channels(channels, np.asarray(rcm.phi, dtype=complex))[0], s0)
+    return snapshot_max_eig(q_inv @ y0), lam0
 
 
 def whiten(y: np.ndarray, r: np.ndarray) -> np.ndarray:

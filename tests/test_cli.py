@@ -66,6 +66,15 @@ class TestExitCodes:
     def test_bad_config_file(self):
         assert cli.main(["simulate", "--config", "/does/not/exist.yaml"]) == 2
 
+    @pytest.mark.parametrize("text", [b"detector: {t_samples: [1, 2}\n",
+                                      b"scenario: {seed: 1}\n# \xff\n"])
+    def test_malformed_file_is_not_valid_yaml(self, tmp_path, capsys, text):
+        # an unclosed flow sequence, and bytes that are not UTF-8
+        path = tmp_path / "sc.yaml"
+        path.write_bytes(text)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"scenario file {path} is not valid YAML" in capsys.readouterr().err
+
     def test_invalid_yaml_key(self, tmp_path):
         cfg = write_config(tmp_path, "detector: {bogus: 1}\n")
         assert cli.main(["simulate", "--config", cfg]) == 2

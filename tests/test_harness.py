@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import reference_detection_mc, reference_statistic, snapshot_blocks
+from oracles import (reference_detection_mc, reference_statistic, snapshot_blocks,
+                     snapshot_statistics)
 from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
 from risense import optimizer as opt
 from risense.errors import ConfigError
+from risense.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -282,11 +284,11 @@ def simulate_rcm(sc, channels):
 
 class TestSharedTrials:
     """The fused loop reproduces independent per-hypothesis runs exactly, when it
-    draws each trial's Gram blocks from the reference loop's snapshots."""
+    scores each trial on the Bartlett path from the reference loop's snapshots."""
 
     @pytest.mark.parametrize("case", sorted(FUSED_CASES))
     def test_simulate_matches_reference_loop(self, tmp_path, capsys, monkeypatch, case):
-        monkeypatch.setattr(hns.sns, "sample_signals", snapshot_blocks)
+        bartlett_on_snapshots(monkeypatch)
         path = tmp_path / "sc.yaml"
         path.write_text(textwrap.dedent(FUSED_CASES[case]))
         sc = hns.load_scenario(str(path))
@@ -339,21 +341,32 @@ STATISTIC_CASES = {
 }
 
 
-def record_statistics(monkeypatch) -> list:
-    """Collects every statistic the trial loop computes, in call order."""
-    stats = []
-    statistic = hns.sns.max_eig_statistic
+# the cases whose activity draw always leaves R_active = R (every zeta is 1)
+ALL_ACTIVE_CASES = sorted(set(STATISTIC_CASES) - {"inactive-interferers"})
+
+
+def record_pairs(monkeypatch, sampler) -> list:
+    """Draws the trial loop's statistics with ``sampler`` in place of sample_signals,
+    and collects each trial's (lambda_1, lambda_0) in call order."""
+    pairs = []
 
     def recording(*args):
-        stats.append(statistic(*args))
-        return stats[-1]
+        pairs.append(sampler(*args))
+        return pairs[-1]
 
-    monkeypatch.setattr(hns.sns, "max_eig_statistic", recording)
-    return stats
+    monkeypatch.setattr(hns.sns, "sample_signals", recording)
+    return pairs
+
+
+def bartlett_on_snapshots(monkeypatch) -> list:
+    """Scores every trial on the Bartlett path (rank-2 update, full eigendecompositions),
+    with its Gram blocks formed from the snapshot oracle's snapshots; records the pairs."""
+    monkeypatch.setattr(hns.sns, "gram_blocks", snapshot_blocks)
+    return record_pairs(monkeypatch, hns.sns.bartlett_statistics)
 
 
 class TestGramDomainStatistics:
-    """The trial loop's statistics, from one Gram matrix per trial, equal those of
+    """The Bartlett path's statistics, from one Gram matrix per trial, equal those of
     the whitened snapshots synthesized one source at a time, when it draws the
     Gram blocks from those snapshots."""
 
@@ -361,8 +374,7 @@ class TestGramDomainStatistics:
     @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
     def test_statistics_match_the_snapshot_path(self, monkeypatch, case, hypothesis):
         sc, rcm = STATISTIC_CASES[case]()
-        monkeypatch.setattr(hns.sns, "sample_signals", snapshot_blocks)
-        stats = record_statistics(monkeypatch)
+        pairs = bartlett_on_snapshots(monkeypatch)
         hns.run_hypotheses_mc(sc, rcm=rcm)
         ref = []
         for t in range(sc.trials):
@@ -370,26 +382,37 @@ class TestGramDomainStatistics:
                 else hns.chan.sample_rayleigh_channelset(sc, (sc.seed, t))
             ref.append(reference_statistic(sc, hypothesis, t, channels,
                                            rcm or simulate_rcm(sc, channels)))
-        assert len(stats) == 2 * sc.trials  # H1, then H0, per trial
-        got = stats[0::2] if hypothesis == "h1" else stats[1::2]
+        assert len(pairs) == sc.trials  # one (H1, H0) pair per trial
+        got = [pair[0 if hypothesis == "h1" else 1] for pair in pairs]
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestWishartTrials:
-    """The trial loop's Wishart draw against the snapshot path it replaces."""
+    """The trial loop's draws against the snapshot path they replace."""
 
     @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
     def test_statistics_follow_the_snapshot_law(self, monkeypatch, case):
         # two-sample Kolmogorov-Smirnov test per hypothesis; the seeds are fixed
         sc, rcm = STATISTIC_CASES[case]()
-        stats = record_statistics(monkeypatch)
-        samples = {}
-        for sampler, seed in ((hns.sns.sample_signals, 801), (snapshot_blocks, 802)):
-            monkeypatch.setattr(hns.sns, "sample_signals", sampler)
+        samples = []
+        for sampler, seed in ((hns.sns.sample_signals, 801), (snapshot_statistics, 802)):
+            pairs = record_pairs(monkeypatch, sampler)
             hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
-            samples[sampler] = np.reshape(stats[-800:], (400, 2)).T
-        for wishart, snapshot in zip(*samples.values()):
-            assert ks_2samp(wishart, snapshot).pvalue > 1e-3
+            samples.append(np.array(pairs).T)
+        for drawn, snapshot in zip(*samples):
+            assert ks_2samp(drawn, snapshot).pvalue > 1e-3
+
+    @pytest.mark.parametrize("case", ALL_ACTIVE_CASES)
+    def test_tridiagonal_statistics_follow_the_bartlett_law(self, monkeypatch, case):
+        # the Bartlett path is the tridiagonal draw's law oracle; the seeds are fixed
+        sc, rcm = STATISTIC_CASES[case]()
+        samples = []
+        for sampler, seed in ((hns.sns.sample_signals, 803), (hns.sns.bartlett_statistics, 804)):
+            pairs = record_pairs(monkeypatch, sampler)
+            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
+            samples.append(np.array(pairs).T)
+        for tridiagonal, bartlett in zip(*samples):
+            assert ks_2samp(tridiagonal, bartlett).pvalue > 1e-3
 
     @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
     def test_one_hypothesis_reproduces_the_joint_run(self, case):
@@ -398,6 +421,40 @@ class TestWishartTrials:
         h1, h0 = hns.run_hypotheses_mc(sc, rcm=rcm)
         assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h0") == h0
         assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h1") == h1
+
+    # an interferer with zeta strictly inside (0, 1) moves R_active off R on every draw,
+    # so it sends every trial to the Bartlett path; one whose mean weight zeta * p rounds
+    # to 0 (p = 5e-324 W, zeta = 1/2) leaves R_active = R whenever it is drawn silent
+    @pytest.mark.parametrize("zeta,p,takes_bartlett,takes_tridiagonal", [
+        ((1.0, 0.4, 0.4), (1.0, 1.0, 1.0), True, False),
+        ((1.0, 0.0, 1.0), (1.0, 1.0, 1.0), False, True),
+        ((1.0, 0.5, 1.0), (1.0, 5e-324, 1.0), True, True),
+    ])
+    def test_a_zeta_below_one_takes_the_path_of_each_draw(self, monkeypatch, zeta, p,
+                                                          takes_bartlett, takes_tridiagonal):
+        sc = compact_scenario(2, zeta=zeta, p_w=p, trials=30)
+        bartlett = []
+        draw = hns.sns.bartlett_statistics
+
+        def counted(*args):
+            bartlett.append(args[6])  # the trial's seed
+            return draw(*args)
+
+        monkeypatch.setattr(hns.sns, "bartlett_statistics", counted)
+        pairs = record_pairs(monkeypatch, hns.sns.sample_signals)
+        first = hns.run_hypotheses_mc(sc, rcm=active_rcm())
+        expected = []
+        for t in range(sc.trials):
+            active = substream((sc.seed, t, 1), 0x51).random(3) < np.array(zeta)
+            if not np.array_equal(np.where(active, p, 0.0)[1:], (np.array(zeta) * p)[1:]):
+                expected.append((sc.seed, t, 1))
+        assert bartlett == expected
+        assert (len(bartlett) > 0, len(bartlett) < sc.trials) == (takes_bartlett,
+                                                                  takes_tridiagonal)
+        drawn = np.array(pairs).tobytes()
+        del pairs[:]
+        assert hns.run_hypotheses_mc(sc, rcm=active_rcm()) == first
+        assert np.array(pairs).tobytes() == drawn
 
     def test_simulate_with_as_many_snapshots_as_antennas(self, tmp_path, capsys):
         # T = N: the primary's last Bartlett diagonal is Gamma(0) = 0
@@ -552,6 +609,17 @@ class TestSweeps:
         res = hns.run_detection_mc(sc, hypothesis="h1")
         assert res.mean_eta > 3 * np.sqrt(sc.n_antennas / sc.t_samples)
         assert abs(res.rate - res.mean_pd_pred) <= 0.03
+
+    def test_p_sweep_sets_the_interferers_power(self):
+        sc = compact_scenario(2, channel_model="los", method="mf", a_max=100.0,
+                              bisect_p_high=0.1)
+        swept = hns._swept_scenario(sc, "p", 0.25)
+        assert swept.p_w == (sc.p_w[0], 0.25, 0.25) and swept.zeta == sc.zeta
+        rows = hns.run_budget_sweep(sc, "p", [0.5, 2.0], ["mf"])
+        assert [(r.experiment, r.sweep_name, r.sweep_value, r.method) for r in rows] == [
+            ("budget_vs_p", "p", 0.5, "mf"), ("budget_vs_p", "p", 2.0, "mf")]
+        assert all(r.status == "ok" for r in rows)
+        assert rows[0].required_budget_w < rows[1].required_budget_w
 
     def test_k_sweep_rebuilds_geometry(self):
         sc = tiny_scenario(channel_model="los", a_max=100.0, bisect_p_high=0.1)

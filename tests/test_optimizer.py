@@ -306,6 +306,20 @@ class TestWmmseActive:
         eps_star = 1.0 / res.state.omega
         assert -np.log(eps_star / src.p[0]) == pytest.approx(np.log1p(res.eta), abs=1e-6)
 
+    def test_silent_primary_returns_the_start(self, rng):
+        # p_0 = 0: every coefficient vector gives eta = 0, so no step is taken
+        ch = make_random_channelset(rng, n=4, m=3, k=1)
+        src, noise = make_sources(1, p0=0.0), make_noise()
+        rcm0 = opt.Rcm(phi=np.full(3, 0.1 + 0.2j), mode="active", a_max=1.0, p_out_budget=0.5)
+
+        def no_step(instance, phi):
+            raise AssertionError("a coefficient step was taken for a silent primary")
+
+        res = opt._wmmse_loop(ch, src, noise, rcm0, no_step, tol=1e-6, max_iter=50)
+        assert res.rcm is rcm0 and res.eta == 0.0 and res.trace == []
+        assert not res.state.u.any() and res.state.omega == np.inf
+        assert opt.wmmse_active(ch, src, noise, 0.5, 1.0, init_phi=rcm0.phi).trace == []
+
 
 class TestWmmsePassive:
     def test_unit_mode_contract(self, rng):

@@ -61,11 +61,11 @@ class TestNoiseCovariance:
 
 
 class TestSampleSignals:
-    """The Wishart draw of a sensing interval's whitened Gram blocks (W0, v, ||s0||^2)."""
+    """The Bartlett draw of a sensing interval's whitened Gram blocks (W0, v, ||s0||^2)."""
 
     def test_h0_pure_awgn_covariance(self):
         ch = make_random_channelset(np.random.default_rng(2), n=4, m=3, k=0)
-        w0, v, s2 = sns.sample_signals(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
+        w0, v, s2 = sns.gram_blocks(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
                                        200_000, 5)
         assert v is None and s2 == 0.0
         assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
@@ -76,8 +76,8 @@ class TestSampleSignals:
         src = make_sources(1, p0=0.0, zeta=0.5)
         noise = make_noise()
         rcm = fixed_rcm(3, rng, scale=0.3)
-        w0, _, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 1000, 7)
-        w1, v, s2 = sns.sample_signals(ch, rcm, src, noise, "h1", 1000, 7)
+        w0, _, _ = sns.gram_blocks(ch, rcm, src, noise, "h0", 1000, 7)
+        w1, v, s2 = sns.gram_blocks(ch, rcm, src, noise, "h1", 1000, 7)
         assert np.array_equal(w0, w1)  # same stream: the primary's row is drawn last
         assert not v.any() and s2 == 0.0  # no primary contribution
 
@@ -89,7 +89,7 @@ class TestSampleSignals:
         q_inv = sns.psd_sqrt_inverse(sns.noise_covariance(ch, rcm, src, noise))
         b = q_inv @ sns.equivalent_channels(ch, rcm.phi)[0]
         target = np.eye(4) + src.p[0] * np.outer(b, b.conj())
-        w0, v, s2 = sns.sample_signals(ch, rcm, src, noise, "h1", 100_000, 11)
+        w0, v, s2 = sns.gram_blocks(ch, rcm, src, noise, "h1", 100_000, 11)
         bv = np.outer(b, v.conj())
         emp = (w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())) / 100_000
         assert np.linalg.norm(emp - target, "fro") <= 0.02 * np.linalg.norm(target, "fro")
@@ -105,7 +105,7 @@ class TestSampleSignals:
         q_inv = sns.psd_sqrt_inverse(a @ a.conj().T + np.eye(4))
         target = q_inv @ sns.noise_covariance(ch, rcm, src, noise) @ q_inv
         intervals, t = 4000, 50
-        acc = sum(sns.sample_signals(ch, rcm, src, noise, "h0", t, (17, i), q_inv)[0]
+        acc = sum(sns.gram_blocks(ch, rcm, src, noise, "h0", t, (17, i), q_inv)[0]
                   for i in range(intervals))
         assert np.linalg.norm(acc / (intervals * t) - target, "fro") \
             <= 0.02 * np.linalg.norm(target, "fro")
@@ -116,20 +116,77 @@ class TestSampleSignals:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         src = make_sources(1)
         rcm = fixed_rcm(3, rng, scale=0.3)
-        w0, v, s2 = sns.sample_signals(ch, rcm, src, make_noise(), "h1", 4, 3)
+        w0, v, s2 = sns.gram_blocks(ch, rcm, src, make_noise(), "h1", 4, 3)
         w = np.block([[w0, v[:, np.newaxis]], [v.conj()[np.newaxis, :], np.array([[s2]])]])
         lam = np.linalg.eigvalsh(w)
         assert abs(lam[0]) <= 1e-12 * lam[-1] and lam[1] > 1e-6 * lam[-1]
-        with pytest.raises(ValueError, match="n_samples >= n_antennas"):
-            sns.sample_signals(ch, rcm, src, make_noise(), "h1", 3, 3)
+        for draw in (sns.gram_blocks, sns.sample_signals):
+            with pytest.raises(ValueError, match="n_samples >= n_antennas"):
+                draw(ch, rcm, src, make_noise(), "h1", 3, 3)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
         ch = make_random_channelset(rng, n=3, m=2, k=1)
         rcm = fixed_rcm(2, rng)
         args = (ch, rcm, make_sources(1, zeta=0.5), make_noise(), "h1", 64, 123)
-        (w_a, v_a, s_a), (w_b, v_b, s_b) = sns.sample_signals(*args), sns.sample_signals(*args)
+        (w_a, v_a, s_a), (w_b, v_b, s_b) = sns.gram_blocks(*args), sns.gram_blocks(*args)
         assert np.array_equal(w_a, w_b) and np.array_equal(v_a, v_b) and s_a == s_b
+        assert sns.sample_signals(*args) == sns.sample_signals(*args)
+
+
+class TestSpikedLaguerreDraw:
+    """sample_signals' tridiagonal draw, for intervals that leave R_active = R."""
+
+    @staticmethod
+    def replay(seed, k, n, t, eta):
+        """The draw by hand: K + 1 uniforms, N then N - 1 gammas, and the dense B B^T."""
+        rng = substream(seed, 0x51)
+        rng.random(k + 1)
+        diag = rng.standard_gamma(t - np.arange(n))
+        sub = rng.standard_gamma(n - 1 - np.arange(n - 1))
+        bidiagonal = np.diag(np.sqrt(diag)) + np.diag(np.sqrt(sub), -1)
+        lams = []
+        for spike in (1.0 + eta, 1.0):
+            scaled = bidiagonal.copy()
+            scaled[0, 0] *= np.sqrt(spike)
+            lams.append(np.linalg.eigvalsh(scaled @ scaled.T)[-1] / t)
+        return tuple(lams)
+
+    @pytest.mark.parametrize("n,t", [(5, 40), (1, 30), (4, 4)])
+    def test_variate_budget(self, monkeypatch, n, t):
+        # N = 1 has no subdiagonal; T = N puts Gamma(1) last on the diagonal
+        rng = np.random.default_rng(n + t)
+        ch = make_random_channelset(rng, n=n, m=3, k=2)
+        rcm = fixed_rcm(3, rng, scale=0.4)
+        src, noise = make_sources(2), make_noise()
+
+        def no_gaussians(*args):
+            raise AssertionError("the tridiagonal draw drew complex Gaussians")
+
+        monkeypatch.setattr(sns, "sample_cn", no_gaussians)
+        lam1, lam0 = sns.sample_signals(ch, rcm, src, noise, "h1", t, (4, 1))
+        eta = sns.population_eta(ch, rcm, src, noise)
+        assert eta > 0.1
+        want1, want0 = self.replay((4, 1), 2, n, t, eta)
+        assert lam0 == pytest.approx(want0, rel=1e-12, abs=0)
+        assert lam1 == pytest.approx(want1, rel=1e-12, abs=0)
+        assert sns.sample_signals(ch, rcm, src, noise, "h0", t, (4, 1)) == (None, lam0)
+
+    def test_silent_primary_scores_h1_as_h0(self):
+        rng = np.random.default_rng(12)
+        ch = make_random_channelset(rng, n=6, m=3, k=1)
+        lam1, lam0 = sns.sample_signals(ch, fixed_rcm(3, rng, scale=0.4),
+                                        make_sources(1, p0=0.0), make_noise(), "h1", 60, 8)
+        assert lam1 == lam0
+
+    def test_whitening_factor_is_optional(self):
+        rng = np.random.default_rng(13)
+        ch = make_random_channelset(rng, n=4, m=3, k=1)
+        rcm = fixed_rcm(3, rng, scale=0.4)
+        src, noise = make_sources(1), make_noise()
+        q_inv = sns.psd_sqrt_inverse(sns.noise_covariance(ch, rcm, src, noise))
+        assert sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2) == \
+            sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2, q_inv)
 
 
 class TestSampleCn:
@@ -169,7 +226,7 @@ class TestWhiten:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         rcm = fixed_rcm(3, rng, scale=0.5)
         src, noise = make_sources(1), make_noise()
-        w0, _, _ = sns.sample_signals(ch, rcm, src, noise, "h0", 200_000, 13)
+        w0, _, _ = sns.gram_blocks(ch, rcm, src, noise, "h0", 200_000, 13)
         assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
 
     def test_indefinite_rejected(self):
