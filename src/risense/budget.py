@@ -259,8 +259,7 @@ def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> C
 def passive_mf_eta(ctx: ClosedFormContext) -> float:
     """Excess of the unit-amplitude aligned passive surface, interferers included.
 
-    Reduces to the closed passive form when no interferer is active. Build
-    the context with sigma1_sq = 0 (a passive surface forwards no noise).
+    Reduces to the closed passive form when no interferer is active.
     """
     a_f0 = ctx.a_f[0]
     denom = (1.0 + ctx.n_antennas * ctx.beta_g * ctx.quad_d(a_f0)) * ctx.sigma2_sq
@@ -326,10 +325,10 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
     ctx = (ctx or ClosedFormContext.from_scenario(scenario, m)).prefix(m)
-    if method == "passive":  # a passive surface forwards no noise
-        ctx = dataclasses.replace(ctx, sigma1_sq=0.0)
-        phi = np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0]))
-        return Design(Rcm(phi=phi, mode="passive-unit", a_max=1.0), passive_mf_eta(ctx))
+    if method == "passive":
+        rcm = Rcm(phi=np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0])), mode="passive-unit", a_max=1.0)
+        ctx = dataclasses.replace(ctx, sigma1_sq=rcm.sigma1_sq(scenario.noise()))
+        return Design(rcm, passive_mf_eta(ctx))
     p_in = ctx.p_in_bar
     if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
         sol = mmse_phi(ctx, min(_over(p_out, p_in), m * a_max**2))

@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -155,7 +156,7 @@ def _convert(value, kind, key: str):
             if kind is int or math.isfinite(out):  # int() already rejects nan and inf
                 return out
     what = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"{key} must be {what}, got {value!r}")
+    raise ConfigError(f"{key} must be {what}, got {reprlib.repr(value)}")
 
 
 def _watts(dbm: float, key: str) -> float:
@@ -169,7 +170,7 @@ def _watts(dbm: float, key: str) -> float:
 def _pair(value, key: str) -> tuple[float, float]:
     """Two numbers such as [x, y]; anything else is a ConfigError naming ``key``."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{key} must be a list of two numbers, got {value!r}")
+        raise ConfigError(f"{key} must be a list of two numbers, got {reprlib.repr(value)}")
     return tuple(_convert(v, float, key) for v in value)
 
 
@@ -210,9 +211,11 @@ SCALAR_KEYS = {
 
 
 def _scalar(value, kind, key: str):
-    """``value`` as ``kind`` (see SCALAR_KEYS); a bad number is a ConfigError naming ``key``."""
+    """``value`` as ``kind`` (see SCALAR_KEYS); a bad value is a ConfigError naming ``key``."""
     if kind is str:
-        return str(value)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {reprlib.repr(value)}")
+        return value
     if kind == "dBm":
         return _watts(_convert(value, float, key), key)
     return _convert(value, kind, key)
@@ -265,7 +268,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         positions = tuple(_pair(xy, "geometry.interferers") for xy in interferers)
     else:
         raise ConfigError("geometry.interferers must be a count >= 0 or a list of [x, y] "
-                          f"positions, got {interferers!r}")
+                          f"positions, got {reprlib.repr(interferers)}")
     geometry = chan.Geometry(pu_pos=pu, ris_pos=ris_pos, su_pos=su, interferer_pos=positions)
     k = geometry.n_interferers
 
@@ -305,29 +308,23 @@ def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
     optimize the reflecting coefficients, build the analytic covariance, its
     whitening factor and the population excess, draw the trial's largest
     whitened sample eigenvalues over T under H1 and H0
-    (``sensing.sample_signals``) and compare each with the threshold. A
-    trial's hypotheses share all of this (common random numbers). When the
-    trial's activity draw leaves the interference covariance at its mean
-    (always, when every zeta is 1), the pair comes from one spiked-Laguerre
-    tridiagonal draw: 2N - 1 gamma variates and two tridiagonal top
-    eigenvalues. Otherwise it comes from one complex-Wishart Bartlett draw of
-    the Gram matrix, H1 from its rank-2 update, with two full
-    eigendecompositions.
+    (``sensing.sample_signals``, which documents its two paths) and compare
+    each with the threshold. A trial's hypotheses share all of this (common
+    random numbers).
     """
     trials = scenario.trials if trials is None else trials
     cfg = scenario.detector()
     gamma_th = sns.detection_threshold(cfg)
     sources, noise = scenario.sources(), scenario.noise()
-    fixed_channels = scenario.build_channels() if scenario.channel_model == "los" else None
+    fixed = scenario.channel_model == "los"  # fixed channels and coefficients: set up once
     m = scenario.n_elements
     p_out = scenario.power_model().p_out_budget(scenario.ris_budget_w, m)
     hits_h1 = hits_h0 = 0
     etas = np.empty(trials)
     pd_pred = np.empty(trials)
     for t in range(trials):
-        if fixed_channels is None or t == 0:  # fixed channels and coefficients: once
-            channels = fixed_channels if fixed_channels is not None \
-                else chan.sample_rayleigh_channelset(scenario, (scenario.seed, t))
+        if t == 0 or not fixed:
+            channels = scenario.build_channels(t)
             rcm_t = rcm if rcm is not None else \
                 bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
             r = sns.noise_covariance(channels, rcm_t, sources, noise)

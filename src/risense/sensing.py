@@ -3,17 +3,22 @@
 The receiver collects T snapshots, whitens them with the analytic
 noise-plus-interference covariance (the detector is genie-aided: channels
 are assumed known), and compares the largest eigenvalue of the whitened
-sample covariance against a Tracy-Widom threshold. A sensing interval's
-statistics are drawn without its N x T snapshots, by one of two samplers:
+sample covariance against a Tracy-Widom threshold. sample_signals draws a
+sensing interval's statistics without its N x T snapshots. It draws the
+interval's interferer activity once, and that draw selects one of two paths
+on the same generator:
 
-- when the interval's activity draw leaves the interference covariance equal
-  to its mean (always, when every activity zeta is 1), the whitened
-  snapshots are white under H0 and carry one spike under H1, and each
-  statistic is the top eigenvalue of an N x N tridiagonal spiked-Laguerre
-  matrix (2N - 1 gamma variates, shared by both hypotheses);
-- otherwise the whitened Gram matrix is drawn as a complex Wishart matrix
-  from its Bartlett factor, H1 from its rank-2 update, and both are
-  diagonalized in full.
+- when the draw leaves the interference covariance equal to its mean
+  (always, when every activity zeta is 1), the whitened snapshots are white
+  under H0 and carry one spike under H1, and each statistic is the top
+  eigenvalue of an N x N tridiagonal spiked-Laguerre matrix (2N - 1 gamma
+  variates, shared by both hypotheses);
+- otherwise gram_blocks draws the whitened Gram blocks as a complex Wishart
+  matrix from its Bartlett factor, and bartlett_statistics scores the given
+  blocks: H0 from W0, H1 from its rank-2 update, both diagonalized in full.
+
+The tests' forced-Bartlett sampler, which takes the second path on every
+draw, lives in tests/oracles.py.
 
 Under the alternative, the largest eigenvalue separates from the bulk once
 the population excess ``eta`` crosses the phase transition sqrt(chi), after
@@ -164,20 +169,6 @@ def _mean_weights(sources: SourceModel) -> np.ndarray:
     return weights
 
 
-def _interval(sources: SourceModel, hypothesis: str, n_antennas: int, n_samples: int,
-              rng_seed) -> tuple[np.random.Generator, np.ndarray]:
-    """The interval's substream after its activity draw, and the drawn interferer weights."""
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError("hypothesis must be 'h0' or 'h1'")
-    if n_samples < n_antennas:
-        raise ValueError("the Wishart draw needs n_samples >= n_antennas")
-    rng = substream(rng_seed, 0x51)
-    active = rng.random(sources.n_interferers + 1) < sources.zeta
-    weights = np.where(active, sources.p, 0.0)
-    weights[0] = 0.0  # the primary is the signal, not noise
-    return rng, weights
-
-
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                    hypothesis: str, n_samples: int, rng_seed,
                    q_inv: np.ndarray | None = None) -> tuple:
@@ -191,34 +182,45 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
     X X^H is that of B B^T with B lower bidiagonal, |B_ii|^2 ~ Gamma(T - i) and
     |B_i+1,i|^2 ~ Gamma(N - 1 - i) (Dumitriu & Edelman 2002); the spike along
     e_1 scales B_11 by sqrt(1 + eta) (Bloemendal & Virag 2013). Both hypotheses
-    share these 2N - 1 variates. Any other draw goes to bartlett_statistics,
-    which replays the substream.
+    share these 2N - 1 variates. Any other draw continues on the same generator
+    with the Bartlett draw of the Gram blocks (gram_blocks), scored by
+    bartlett_statistics.
 
     Deterministic given the seed. Draw order: the interferers' activity (once per
     interval), then the sampler's variates. Under "h0" lambda_1 is None, and
     lambda_0 is the same under both hypotheses. ``q_inv`` is the whitening factor
     psd_sqrt_inverse(noise_covariance(...)), computed when not given.
     """
-    rng, weights = _interval(sources, hypothesis, channels.n_antennas, n_samples, rng_seed)
-    if not np.array_equal(weights, _mean_weights(sources)):  # R_active != R
-        return bartlett_statistics(channels, rcm, sources, noise, hypothesis, n_samples,
-                                   rng_seed, q_inv)
+    if hypothesis not in ("h0", "h1"):
+        raise ValueError("hypothesis must be 'h0' or 'h1'")
     n = channels.n_antennas
-    diag = rng.standard_gamma(n_samples - np.arange(n))  # |B_ii|^2
-    sub = rng.standard_gamma(n - 1 - np.arange(n - 1))  # |B_i+1,i|^2
-    d = diag.copy()  # B B^T: the tridiagonal matrix (d, e)
-    d[1:] += sub
-    e = np.sqrt(diag[:-1] * sub)
-    lam0 = _top_eigenvalue(d, e) / n_samples
-    if hypothesis == "h0":
-        return None, lam0
+    if n_samples < n:
+        raise ValueError("the Wishart draw needs n_samples >= n_antennas")
     if q_inv is None:
         q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
-    b = q_inv @ equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
-    spike = 1.0 + sources.p[0] * float(np.vdot(b, b).real)
-    d[0] *= spike
-    e[:1] *= np.sqrt(spike)
-    return _top_eigenvalue(d, e) / n_samples, lam0
+    phi = np.asarray(rcm.phi, dtype=complex)
+    b = q_inv @ equivalent_channels(channels, phi)[0]
+    rng = substream(rng_seed, 0x51)
+    active = rng.random(sources.n_interferers + 1) < sources.zeta
+    weights = np.where(active, sources.p, 0.0)
+    weights[0] = 0.0  # the primary is the signal, not noise
+    if np.array_equal(weights, _mean_weights(sources)):  # R_active = R: the tridiagonal draw
+        diag = rng.standard_gamma(n_samples - np.arange(n))  # |B_ii|^2
+        sub = rng.standard_gamma(n - 1 - np.arange(n - 1))  # |B_i+1,i|^2
+        d = diag.copy()  # B B^T: the tridiagonal matrix (d, e)
+        d[1:] += sub
+        e = np.sqrt(diag[:-1] * sub)
+        lam0 = _top_eigenvalue(d, e) / n_samples
+        spike = 1.0 + sources.p[0] * float(np.vdot(b, b).real)
+        d[0] *= spike
+        e[:1] *= np.sqrt(spike)
+        lam1 = _top_eigenvalue(d, e) / n_samples
+    else:
+        c = whiten(covariance(channels, phi, weights, rcm.sigma1_sq(noise), noise.sigma2_sq),
+                   q_inv)
+        lam1, lam0 = bartlett_statistics(*gram_blocks(rng, c, sources.p[0], n_samples), b,
+                                         n_samples)
+    return (lam1 if hypothesis == "h1" else None), lam0
 
 
 def _top_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
@@ -232,63 +234,39 @@ def _top_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
     return float(w[0])
 
 
-def bartlett_statistics(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                        hypothesis: str, n_samples: int, rng_seed,
-                        q_inv: np.ndarray | None = None) -> tuple:
-    """sample_signals' (lambda_1, lambda_0) from the interval's Gram blocks (gram_blocks).
-
-    H0 is scored from W0 = X0 X0^H, H1 from its rank-2 update
-    (X0 + b s0^T)(X0 + b s0^T)^H; both by a full eigendecomposition.
-    """
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
-    w0, v, s2 = gram_blocks(channels, rcm, sources, noise, hypothesis, n_samples, rng_seed,
-                            q_inv)
-    lam0 = max_eig_statistic(w0, n_samples)
-    if v is None:
-        return None, lam0
-    b = q_inv @ equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
-    bv = np.outer(b, v.conj())
-    w1 = w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())
-    return max_eig_statistic(w1, n_samples), lam0
-
-
-def gram_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                hypothesis: str, n_samples: int, rng_seed,
-                q_inv: np.ndarray | None = None) -> tuple:
+def gram_blocks(rng: np.random.Generator, c: np.ndarray, p0: float, n_samples: int) -> tuple:
     """Whitened Gram blocks (W0, v, ||s0||^2) of one sensing interval, no N x T array.
 
-    With X0 = Q^-1 Y0 the whitened signal-free snapshots (N x T) and s0 the
-    primary's T symbols, W0 = X0 X0^H and v = X0 conj(s0). Given the interval's
-    activity draw the columns of [X0; s0^T] are i.i.d. CN(0, blockdiag(C, p_0)),
-    C = Q^-1 R_active Q^-1, so their Gram is complex Wishart CW_{N+1}(T, .)
-    (Goodman 1963). It is drawn from its Bartlett factor L, lower triangular with
-    |L_ii|^2 ~ Gamma(T - i) and L_ij ~ CN(0, 1) below the diagonal.
-
-    Deterministic given the seed. Draw order: the interferers' activity (once per
-    interval), the N x N block's Bartlett variates, the primary's row. Under "h0"
-    the primary's row is not drawn and v is None; W0 is the same under both
-    hypotheses. ``q_inv`` defaults to the whitening factor of noise_covariance.
+    With X0 the whitened signal-free snapshots (N x T), i.i.d. CN(0, C) columns,
+    and s0 the primary's T symbols, W0 = X0 X0^H and v = X0 conj(s0). The columns
+    of [X0; s0^T] are i.i.d. CN(0, blockdiag(C, p_0)), so their Gram is complex
+    Wishart CW_{N+1}(T, .) (Goodman 1963). It is drawn from its Bartlett factor L,
+    lower triangular with |L_ii|^2 ~ Gamma(T - i) and L_ij ~ CN(0, 1) below the
+    diagonal. Draw order: the N x N block's Bartlett variates, then the primary's row.
     """
-    n = channels.n_antennas
-    rng, weights = _interval(sources, hypothesis, n, n_samples, rng_seed)
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
-    r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
-                          rcm.sigma1_sq(noise), noise.sigma2_sq)
+    n = c.shape[0]
     try:
-        factor = np.linalg.cholesky(whiten(r_active, q_inv))
+        factor = np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("whitened interval covariance is not positive definite") from exc
     bartlett = np.diag(np.sqrt(rng.standard_gamma(n_samples - np.arange(n)))).astype(complex)
     bartlett[np.tril_indices(n, -1)] = sample_cn(rng, 1.0, n * (n - 1) // 2)
     x = factor @ bartlett  # X0 X0^H = x x^H in distribution
-    w0 = x @ x.conj().T
-    if hypothesis == "h0":
-        return w0, None, 0.0
-    row = sample_cn(rng, sources.p[0], n)  # sqrt(p_0) times the primary's Bartlett row
-    s2 = float(np.vdot(row, row).real + sources.p[0] * rng.standard_gamma(n_samples - n))
-    return w0, x @ row.conj(), s2
+    row = sample_cn(rng, p0, n)  # sqrt(p_0) times the primary's Bartlett row
+    s2 = float(np.vdot(row, row).real + p0 * rng.standard_gamma(n_samples - n))
+    return x @ x.conj().T, x @ row.conj(), s2
+
+
+def bartlett_statistics(w0: np.ndarray, v: np.ndarray, s2: float, b: np.ndarray,
+                        n_samples: int) -> tuple:
+    """(lambda_1, lambda_0) of given Gram blocks (gram_blocks) and whitened channel b.
+
+    H0 is scored from W0 = X0 X0^H, H1 from its rank-2 update
+    (X0 + b s0^T)(X0 + b s0^T)^H; both by a full eigendecomposition.
+    """
+    bv = np.outer(b, v.conj())
+    w1 = w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())
+    return max_eig_statistic(w1, n_samples), max_eig_statistic(w0, n_samples)
 
 
 def psd_sqrt_inverse(r: np.ndarray) -> np.ndarray:

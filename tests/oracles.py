@@ -8,7 +8,10 @@ QCQP solver, the closed forms against the dense interference matrix, the
 planner's element counts against the paper's interference-free forms, the
 stacked covariance and QCQP builders against per-source loops, and the
 Monte Carlo harness against a plain per-hypothesis trial loop that
-synthesizes, whitens and scores the N x T snapshots themselves.
+synthesizes, whitens and scores the N x T snapshots themselves. The one
+exception is the forced-Bartlett sampler (bartlett_blocks, bartlett_signals):
+a seed-level composition of the package's Bartlett draw and scorer that takes
+that path on every activity draw, for the law and exactness tests.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.special import airy
 
 from risense import budget as bdg
+from risense import sensing
 from risense.budget import ClosedFormContext
 from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
                              steering_vector_ula)
@@ -561,19 +565,54 @@ def snapshot_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noi
 
 
 def snapshot_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
-                    hypothesis: str, n_samples: int, rng_seed,
-                    q_inv: np.ndarray | None = None) -> tuple:
+                    n_samples: int, rng_seed, q_inv: np.ndarray) -> tuple:
     """gram_blocks' (W0, v, ||s0||^2), formed from snapshot_draw's snapshots:
-    W0 = X0 X0^H and v = X0 conj(s0) with X0 = Q^-1 Y0 (v is None under "h0")."""
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    W0 = X0 X0^H and v = X0 conj(s0) with X0 = Q^-1 Y0 (v = 0 for a silent primary)."""
     y0, s0 = snapshot_draw(channels, rcm, sources, noise, n_samples, rng_seed)
     x0 = q_inv @ y0
-    if hypothesis == "h0":
-        return x0 @ x0.conj().T, None, 0.0
     if s0 is None:
         s0 = np.zeros(n_samples, dtype=complex)
     return x0 @ x0.conj().T, x0 @ s0.conj(), float(np.vdot(s0, s0).real)
+
+
+def bartlett_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                    hypothesis: str, n_samples: int, rng_seed,
+                    q_inv: np.ndarray | None = None) -> tuple:
+    """Whitened Gram blocks (W0, v, ||s0||^2) of one sensing interval on sample_signals'
+    Bartlett path, whatever its activity draw: the interferers' activity from
+    substream(seed, 0x51), then sensing.gram_blocks on the same generator with
+    C = Q^-1 R_active Q^-1. Under "h0" v is None and ||s0||^2 is 0; W0 is the same
+    under both hypotheses. ``q_inv`` defaults to the whitening factor of noise_covariance.
+    """
+    if hypothesis not in ("h0", "h1"):
+        raise ValueError("hypothesis must be 'h0' or 'h1'")
+    if n_samples < channels.n_antennas:
+        raise ValueError("the Wishart draw needs n_samples >= n_antennas")
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    rng = substream(rng_seed, 0x51)
+    active = rng.random(sources.n_interferers + 1) < sources.zeta
+    weights = np.where(active, sources.p, 0.0)
+    weights[0] = 0.0  # the primary is the signal, not noise
+    r_active = sensing.covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
+                                  rcm.sigma1_sq(noise), noise.sigma2_sq)
+    w0, v, s2 = sensing.gram_blocks(rng, sensing.whiten(r_active, q_inv), sources.p[0],
+                                    n_samples)
+    return (w0, v, s2) if hypothesis == "h1" else (w0, None, 0.0)
+
+
+def bartlett_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                     hypothesis: str, n_samples: int, rng_seed,
+                     q_inv: np.ndarray | None = None) -> tuple:
+    """sample_signals' (lambda_1, lambda_0) on its Bartlett path, whatever the activity
+    draw: bartlett_blocks scored by sensing.bartlett_statistics (lambda_1 is None
+    under "h0")."""
+    if q_inv is None:
+        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    w0, v, s2 = bartlett_blocks(channels, rcm, sources, noise, "h1", n_samples, rng_seed, q_inv)
+    b = q_inv @ sensing.equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
+    lam1, lam0 = sensing.bartlett_statistics(w0, v, s2, b, n_samples)
+    return (lam1 if hypothesis == "h1" else None), lam0
 
 
 def snapshot_statistics(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,

@@ -103,6 +103,16 @@ class TestExitCodes:
         assert "configuration error: scenario.seed must be an integer, got 'abc'" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["scenario.seed", "geometry.pu", "powers.p_dbm",
+                                     "scenario.method"])
+    def test_deeply_nested_value(self, tmp_path, capsys, key):
+        # nested past the recursion limit: the message abbreviates the value
+        section, name = key.split(".")
+        nested = "[" * 1500 + "1" + "]" * 1500
+        cfg = write_config(tmp_path, f"{section}: {{{name}: {nested}}}\n")
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1"]) == 2
+        assert f"configuration error: {key} must be a" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, argv", [
         ("pathloss.wavelength", ".nan", ["simulate", "--trials", "1"]),
         ("ris.p_c_dbm", ".nan", ["budget", "--method", "mf"]),

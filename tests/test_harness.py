@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import (reference_detection_mc, reference_statistic, snapshot_blocks,
-                     snapshot_statistics)
+from oracles import (bartlett_signals, reference_detection_mc, reference_statistic,
+                     snapshot_blocks, snapshot_statistics)
 from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
@@ -358,11 +358,22 @@ def record_pairs(monkeypatch, sampler) -> list:
     return pairs
 
 
-def bartlett_on_snapshots(monkeypatch) -> list:
-    """Scores every trial on the Bartlett path (rank-2 update, full eigendecompositions),
-    with its Gram blocks formed from the snapshot oracle's snapshots; records the pairs."""
-    monkeypatch.setattr(hns.sns, "gram_blocks", snapshot_blocks)
-    return record_pairs(monkeypatch, hns.sns.bartlett_statistics)
+def bartlett_on_snapshots(monkeypatch, sampler=bartlett_signals) -> list:
+    """Draws the trial loop's statistics with ``sampler`` on the Bartlett path (rank-2
+    update, full eigendecompositions), gram_blocks handing it the Gram blocks formed
+    from the snapshot oracle's snapshots of the interval; records the pairs."""
+    intervals = []
+
+    def snapshot_gram_blocks(rng, c, p0, n_samples):
+        channels, rcm, sources, noise, _, _, rng_seed, q_inv = intervals[-1]
+        return snapshot_blocks(channels, rcm, sources, noise, n_samples, rng_seed, q_inv)
+
+    def tracked(*args):
+        intervals.append(args)
+        return sampler(*args)
+
+    monkeypatch.setattr(hns.sns, "gram_blocks", snapshot_gram_blocks)
+    return record_pairs(monkeypatch, tracked)
 
 
 class TestGramDomainStatistics:
@@ -374,17 +385,21 @@ class TestGramDomainStatistics:
     @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
     def test_statistics_match_the_snapshot_path(self, monkeypatch, case, hypothesis):
         sc, rcm = STATISTIC_CASES[case]()
-        pairs = bartlett_on_snapshots(monkeypatch)
-        hns.run_hypotheses_mc(sc, rcm=rcm)
         ref = []
         for t in range(sc.trials):
             channels = sc.build_channels() if sc.channel_model == "los" \
                 else hns.chan.sample_rayleigh_channelset(sc, (sc.seed, t))
             ref.append(reference_statistic(sc, hypothesis, t, channels,
                                            rcm or simulate_rcm(sc, channels)))
-        assert len(pairs) == sc.trials  # one (H1, H0) pair per trial
-        got = [pair[0 if hypothesis == "h1" else 1] for pair in pairs]
-        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        samplers = [bartlett_signals]
+        if case not in ALL_ACTIVE_CASES:  # zeta inside (0, 1): sample_signals' own Bartlett path
+            samplers.append(hns.sns.sample_signals)
+        for sampler in samplers:
+            pairs = bartlett_on_snapshots(monkeypatch, sampler)
+            hns.run_hypotheses_mc(sc, rcm=rcm)
+            assert len(pairs) == sc.trials  # one (H1, H0) pair per trial
+            got = [pair[0 if hypothesis == "h1" else 1] for pair in pairs]
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestWishartTrials:
@@ -407,7 +422,7 @@ class TestWishartTrials:
         # the Bartlett path is the tridiagonal draw's law oracle; the seeds are fixed
         sc, rcm = STATISTIC_CASES[case]()
         samples = []
-        for sampler, seed in ((hns.sns.sample_signals, 803), (hns.sns.bartlett_statistics, 804)):
+        for sampler, seed in ((hns.sns.sample_signals, 803), (bartlett_signals, 804)):
             pairs = record_pairs(monkeypatch, sampler)
             hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
             samples.append(np.array(pairs).T)
@@ -433,15 +448,15 @@ class TestWishartTrials:
     def test_a_zeta_below_one_takes_the_path_of_each_draw(self, monkeypatch, zeta, p,
                                                           takes_bartlett, takes_tridiagonal):
         sc = compact_scenario(2, zeta=zeta, p_w=p, trials=30)
+        pairs = record_pairs(monkeypatch, hns.sns.sample_signals)
         bartlett = []
-        draw = hns.sns.bartlett_statistics
+        draw = hns.sns.gram_blocks
 
         def counted(*args):
-            bartlett.append(args[6])  # the trial's seed
+            bartlett.append((sc.seed, len(pairs), 1))  # the trial's seed; its pair comes next
             return draw(*args)
 
-        monkeypatch.setattr(hns.sns, "bartlett_statistics", counted)
-        pairs = record_pairs(monkeypatch, hns.sns.sample_signals)
+        monkeypatch.setattr(hns.sns, "gram_blocks", counted)
         first = hns.run_hypotheses_mc(sc, rcm=active_rcm())
         expected = []
         for t in range(sc.trials):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_noise, make_sources
-from oracles import (char_poly_max_eig, make_los_channelset, make_random_channelset,
-                     sample_cn_two_calls, snapshot_signals, tw2_cdf_fredholm, whiten)
+from oracles import (bartlett_blocks, bartlett_signals, char_poly_max_eig,
+                     make_los_channelset, make_random_channelset, sample_cn_two_calls,
+                     snapshot_signals, tw2_cdf_fredholm, whiten)
 from risense import _tw2_table
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
@@ -61,11 +62,12 @@ class TestNoiseCovariance:
 
 
 class TestSampleSignals:
-    """The Bartlett draw of a sensing interval's whitened Gram blocks (W0, v, ||s0||^2)."""
+    """The Bartlett draw of a sensing interval's whitened Gram blocks (W0, v, ||s0||^2),
+    forced on every activity draw (oracles.bartlett_blocks)."""
 
     def test_h0_pure_awgn_covariance(self):
         ch = make_random_channelset(np.random.default_rng(2), n=4, m=3, k=0)
-        w0, v, s2 = sns.gram_blocks(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
+        w0, v, s2 = bartlett_blocks(ch, fixed_rcm(3), make_sources(0), make_noise(), "h0",
                                        200_000, 5)
         assert v is None and s2 == 0.0
         assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
@@ -76,8 +78,8 @@ class TestSampleSignals:
         src = make_sources(1, p0=0.0, zeta=0.5)
         noise = make_noise()
         rcm = fixed_rcm(3, rng, scale=0.3)
-        w0, _, _ = sns.gram_blocks(ch, rcm, src, noise, "h0", 1000, 7)
-        w1, v, s2 = sns.gram_blocks(ch, rcm, src, noise, "h1", 1000, 7)
+        w0, _, _ = bartlett_blocks(ch, rcm, src, noise, "h0", 1000, 7)
+        w1, v, s2 = bartlett_blocks(ch, rcm, src, noise, "h1", 1000, 7)
         assert np.array_equal(w0, w1)  # same stream: the primary's row is drawn last
         assert not v.any() and s2 == 0.0  # no primary contribution
 
@@ -89,7 +91,7 @@ class TestSampleSignals:
         q_inv = sns.psd_sqrt_inverse(sns.noise_covariance(ch, rcm, src, noise))
         b = q_inv @ sns.equivalent_channels(ch, rcm.phi)[0]
         target = np.eye(4) + src.p[0] * np.outer(b, b.conj())
-        w0, v, s2 = sns.gram_blocks(ch, rcm, src, noise, "h1", 100_000, 11)
+        w0, v, s2 = bartlett_blocks(ch, rcm, src, noise, "h1", 100_000, 11)
         bv = np.outer(b, v.conj())
         emp = (w0 + bv + bv.conj().T + s2 * np.outer(b, b.conj())) / 100_000
         assert np.linalg.norm(emp - target, "fro") <= 0.02 * np.linalg.norm(target, "fro")
@@ -105,7 +107,7 @@ class TestSampleSignals:
         q_inv = sns.psd_sqrt_inverse(a @ a.conj().T + np.eye(4))
         target = q_inv @ sns.noise_covariance(ch, rcm, src, noise) @ q_inv
         intervals, t = 4000, 50
-        acc = sum(sns.gram_blocks(ch, rcm, src, noise, "h0", t, (17, i), q_inv)[0]
+        acc = sum(bartlett_blocks(ch, rcm, src, noise, "h0", t, (17, i), q_inv)[0]
                   for i in range(intervals))
         assert np.linalg.norm(acc / (intervals * t) - target, "fro") \
             <= 0.02 * np.linalg.norm(target, "fro")
@@ -116,11 +118,11 @@ class TestSampleSignals:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         src = make_sources(1)
         rcm = fixed_rcm(3, rng, scale=0.3)
-        w0, v, s2 = sns.gram_blocks(ch, rcm, src, make_noise(), "h1", 4, 3)
+        w0, v, s2 = bartlett_blocks(ch, rcm, src, make_noise(), "h1", 4, 3)
         w = np.block([[w0, v[:, np.newaxis]], [v.conj()[np.newaxis, :], np.array([[s2]])]])
         lam = np.linalg.eigvalsh(w)
         assert abs(lam[0]) <= 1e-12 * lam[-1] and lam[1] > 1e-6 * lam[-1]
-        for draw in (sns.gram_blocks, sns.sample_signals):
+        for draw in (bartlett_blocks, sns.sample_signals):
             with pytest.raises(ValueError, match="n_samples >= n_antennas"):
                 draw(ch, rcm, src, make_noise(), "h1", 3, 3)
 
@@ -129,7 +131,7 @@ class TestSampleSignals:
         ch = make_random_channelset(rng, n=3, m=2, k=1)
         rcm = fixed_rcm(2, rng)
         args = (ch, rcm, make_sources(1, zeta=0.5), make_noise(), "h1", 64, 123)
-        (w_a, v_a, s_a), (w_b, v_b, s_b) = sns.gram_blocks(*args), sns.gram_blocks(*args)
+        (w_a, v_a, s_a), (w_b, v_b, s_b) = bartlett_blocks(*args), bartlett_blocks(*args)
         assert np.array_equal(w_a, w_b) and np.array_equal(v_a, v_b) and s_a == s_b
         assert sns.sample_signals(*args) == sns.sample_signals(*args)
 
@@ -189,6 +191,67 @@ class TestSpikedLaguerreDraw:
             sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2, q_inv)
 
 
+class TestOneDrawPerInterval:
+    """sample_signals draws the interval's activity once, on one generator, and scores
+    the path that draw selects; a zeta strictly inside (0, 1) selects the Bartlett path."""
+
+    @staticmethod
+    def interval(seed, zeta):
+        rng = np.random.default_rng(seed)
+        ch = make_random_channelset(rng, n=4, m=3, k=2)
+        return ch, fixed_rcm(3, rng, scale=0.4), make_sources(2, zeta=zeta), make_noise()
+
+    @pytest.mark.parametrize("zeta,bartlett_draws", [(1.0, 0), (0.5, 1)])
+    def test_one_substream_per_call(self, monkeypatch, zeta, bartlett_draws):
+        streams, blocks = [], []
+        substream_of, gram_blocks = sns.substream, sns.gram_blocks
+
+        def counted_substream(*args):
+            streams.append(args)
+            return substream_of(*args)
+
+        def counted_blocks(*args):
+            blocks.append(args)
+            return gram_blocks(*args)
+
+        monkeypatch.setattr(sns, "substream", counted_substream)
+        monkeypatch.setattr(sns, "gram_blocks", counted_blocks)
+        sns.sample_signals(*self.interval(14, zeta), "h1", 50, (6, 1))
+        assert streams == [((6, 1), 0x51)]
+        assert len(blocks) == bartlett_draws
+
+    def test_bartlett_branch_scores_h0_as_in_the_joint_call(self):
+        args = self.interval(15, 0.5)
+        lam1, lam0 = sns.sample_signals(*args, "h1", 40, 9)
+        assert lam1 is not None and lam1 != lam0
+        assert sns.sample_signals(*args, "h0", 40, 9) == (None, lam0)
+
+    def test_bartlett_branch_is_the_forced_bartlett_sampler(self):
+        # on a draw that moves R_active off R, sample_signals and the oracle coincide
+        args = self.interval(16, 0.5)
+        for seed in range(5):
+            assert sns.sample_signals(*args, "h1", 40, seed) == \
+                bartlett_signals(*args, "h1", 40, seed)
+
+    def test_gram_blocks_draw_the_primary_row_last(self):
+        # by hand: N gammas and N(N-1)/2 Gaussians for the N x N block, then the row
+        n, t, p0 = 3, 20, 2.0
+        w0, v, s2 = sns.gram_blocks(substream(7, 0x51), np.eye(n, dtype=complex), p0, t)
+        rng = substream(7, 0x51)
+        bartlett = np.diag(np.sqrt(rng.standard_gamma(t - np.arange(n)))).astype(complex)
+        bartlett[np.tril_indices(n, -1)] = sample_cn(rng, 1.0, n * (n - 1) // 2)
+        row = sample_cn(rng, p0, n)
+        assert np.allclose(w0, bartlett @ bartlett.conj().T, rtol=1e-12, atol=0)
+        assert np.allclose(v, bartlett @ row.conj(), rtol=1e-12, atol=0)
+        assert s2 == pytest.approx(np.vdot(row, row).real + p0 * rng.standard_gamma(t - n),
+                                   rel=1e-12, abs=0)
+
+    def test_indefinite_covariance_rejected(self):
+        c = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            sns.gram_blocks(substream(1, 0x51), c, 1.0, 10)
+
+
 class TestSampleCn:
     @pytest.mark.parametrize("shape", [7, np.int64(7), (7,), (3, 5)])
     def test_bytes_equal_the_two_call_form(self, shape):
@@ -226,7 +289,7 @@ class TestWhiten:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         rcm = fixed_rcm(3, rng, scale=0.5)
         src, noise = make_sources(1), make_noise()
-        w0, _, _ = sns.gram_blocks(ch, rcm, src, noise, "h0", 200_000, 13)
+        w0, _, _ = bartlett_blocks(ch, rcm, src, noise, "h0", 200_000, 13)
         assert np.linalg.norm(w0 / 200_000 - np.eye(4), "fro") <= 0.02 * 2
 
     def test_indefinite_rejected(self):
