@@ -9,6 +9,7 @@ method table that simulate, optimize and the planner share.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,6 +70,18 @@ def upa_dims(sc, m: int) -> tuple[int, int]:
     return m // m_v, m_v
 
 
+def dirichlet(n, delta):
+    """sin(n delta / 2) / sin(delta / 2), exactly n at delta = 0.
+
+    Times exp(j (n - 1) delta / 2) it is the Dirichlet kernel sum_{i<n}
+    exp(j i delta), the array factor of an n-element line; the quotient
+    (1 - z^n) / (1 - z) would lose digits as delta -> 0.
+    """
+    half = 0.5 * np.asarray(delta, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(half == 0, n, np.sin(n * half) / np.sin(half))
+
+
 @dataclass(frozen=True)
 class ClosedFormContext:
     """LoS constants and M-dependent pieces used by the closed forms.
@@ -77,7 +90,8 @@ class ClosedFormContext:
     channel; a_f the (K+1) x m array whose row k is the unit-modulus incident
     steering of source k (f_k = sqrt(beta_f[k]) a_f[k]). Only these factored
     vectors are kept, never an N x m matrix. The m elements form m // m_v
-    columns of m_v.
+    columns of m_v. ``steps`` holds each source's (psi_h, psi_v), a_f[k] =
+    exp(-j i_h psi_h[k]) kron exp(-j i_v psi_v[k]), for the kernels at any count.
     """
 
     n_antennas: int
@@ -93,6 +107,7 @@ class ClosedFormContext:
     b_g: np.ndarray
     a_f: np.ndarray
     m_v: int = 1
+    steps: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
@@ -100,24 +115,42 @@ class ClosedFormContext:
     @classmethod
     def from_scenario(cls, sc, m: int) -> "ClosedFormContext":
         """Build the context at a given element count from a scenario."""
-        m_h, m_v = upa_dims(sc, m)
-        gains, los = chan.los_factors(sc, m_h, m_v)
+        return cls.from_factors(sc, m, *chan.los_factors(sc, *upa_dims(sc, m)))
+
+    @classmethod
+    def from_factors(cls, sc, m: int, gains: chan.LinkGains,
+                     los: chan.LosFactors) -> "ClosedFormContext":
+        """The context of a scenario's m-element LoS channels from their gains and factors."""
         noise, src, power = sc.noise(), sc.sources(), sc.power_model()
         return cls(n_antennas=sc.n_antennas, m=m, beta_g=gains.beta_g, beta_f=gains.beta_f,
                    p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
-                   b_g=los.b_ris, a_f=los.a_f, m_v=m_v)
+                   b_g=los.b_ris, a_f=los.a_f, m_v=upa_dims(sc, m)[1],
+                   steps=los.steps)
 
-    def prefix(self, m: int) -> "ClosedFormContext":
-        """The context of the first m elements, equal to ``from_scenario`` at m.
+    def gram(self, m: int) -> np.ndarray:
+        """The (K+1) x (K+1) Gram q_k^H q_l over the first m elements, from the kernels.
 
-        The horizontal index is the outer one of the planar steering vectors,
-        so for whole columns (m a multiple of m_v) their first m entries are
-        the m-element vectors, bit for bit.
+        m is a whole-column count. |b_g| = 1, so q_k^H q_l = sqrt(beta_f[k]
+        beta_f[l]) D_{m_h'}(psi_h[k] - psi_h[l]) D_{m_v}(psi_v[k] - psi_v[l])
+        over m_h' = m // m_v columns, whatever m; the diagonal is m exactly.
         """
-        if not 1 <= m <= self.m or m % self.m_v:
-            raise ValueError(f"cannot take {m} of {self.m} elements in columns of {self.m_v}")
-        return dataclasses.replace(self, m=m, b_g=self.b_g[:m], a_f=self.a_f[:, :m])
+        n_h, root = m // self.m_v, np.sqrt(self.beta_f)
+        i, j = np.triu_indices(len(root), 1)
+        d_h, d_v = (psi[i] - psi[j] for psi in self.steps.T)
+        upper = root[i] * root[j] * np.exp(0.5j * (n_h - 1) * d_h) * dirichlet(n_h, d_h)
+        if self.m_v > 1:
+            upper *= np.exp(0.5j * (self.m_v - 1) * d_v) * dirichlet(self.m_v, d_v)
+        gram = np.diag(self.beta_f * float(m)).astype(complex)
+        gram[i, j], gram[j, i] = upper, upper.conj()
+        return gram
+
+    def kernel_quad_d(self, m):
+        """quad_d(a_f[0]) over the first m elements (an int or an array of counts)."""
+        d_h, d_v = (self.steps[0] - self.steps[1:]).T
+        amp = dirichlet((np.asarray(m) // self.m_v)[..., None], d_h) * dirichlet(self.m_v, d_v)
+        w = self.zeta[1:] * self.p[1:] * self.beta_f[1:]
+        return (self.sigma1_sq * np.asarray(m) + amp**2 @ w) / self.sigma2_sq
 
     @property
     def c1(self) -> float:
@@ -143,21 +176,31 @@ class ClosedFormContext:
         out = self.sigma1_sq * float(np.real(x.conj() @ x)) + float(w @ np.abs(proj) ** 2)
         return out / self.sigma2_sq
 
+    def ball_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interferers with a positive w_k = N beta_g zeta_k p_k / sigma2^2, and their w_k."""
+        weights = self.n_antennas * self.beta_g * self.zeta[1:] * self.p[1:] / self.sigma2_sq
+        live = np.nonzero(weights > 0)[0]
+        return live, weights[live]
+
     def solve_ball_system(self, c: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (c I + sum_k w_k q_k q_k^H) x = rhs over the interferers.
 
         w_k = N beta_g zeta_k p_k / sigma2^2; the Woodbury identity keeps the
         work in the K-dimensional interferer space, never forming M x M.
         """
-        weights = self.n_antennas * self.beta_g * self.zeta[1:] * self.p[1:] / self.sigma2_sq
-        live = np.nonzero(weights > 0)[0]
+        live, weights = self.ball_weights()
         if live.size == 0:
             return rhs / c
         u = self.q_vec(live + 1).T
-        z_inv = np.diag(1.0 / weights[live])
-        core = z_inv + (u.conj().T @ u) / c
-        y = np.linalg.solve(core, u.conj().T @ rhs)
-        return rhs / c - (u @ y) / c**2
+        return rhs / c - (u @ _woodbury(c, weights, u.conj().T @ u, u.conj().T @ rhs)) / c**2
+
+
+def _woodbury(c: float, weights: np.ndarray, uu: np.ndarray, u_rhs: np.ndarray) -> np.ndarray:
+    """y = (diag(1/w) + U^H U / c)^-1 U^H rhs: Woodbury's solve in the interferer space."""
+    try:
+        return np.linalg.solve(np.diag(1.0 / weights) + uu / c, u_rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("MMSE system is singular") from exc
 
 
 def mf_phases(b_g: np.ndarray, a_f: np.ndarray) -> np.ndarray:
@@ -190,10 +233,7 @@ def mmse_phi(ctx: ClosedFormContext, rho1: float) -> ClosedForm:
     # B^H D B = (sigma1^2 I + sum_k zeta_k p_k q_k q_k^H) / sigma2^2 since |b_g| = 1
     c = 1.0 / rho1 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq / ctx.sigma2_sq
     q0 = ctx.q_vec(0)
-    try:
-        raw = ctx.solve_ball_system(c, q0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("MMSE system is singular") from exc
+    raw = ctx.solve_ball_system(c, q0)
     eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq * float(
         np.real(q0.conj() @ raw))
     # the closed form fixes only the direction; on the ball boundary
@@ -213,15 +253,19 @@ def _zf_direction(ctx: ClosedFormContext, a_max: float) -> tuple[np.ndarray, flo
     if ctx.m < k + 1:
         raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {ctx.m}")
     q = ctx.q_vec(slice(None)).T  # columns q_0 ... q_K
-    gram = q.conj().T @ q
+    w = q @ _zf_solve(q.conj().T @ q)
+    norm_w_sq = float(np.real(w.conj() @ w))
+    return w, norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
+
+
+def _zf_solve(gram: np.ndarray) -> np.ndarray:
+    """(Q^H Q)^-1 e_1 from the Gram; a NumericalError when it is ill-conditioned."""
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError("zero-forcing geometry is degenerate (ill-conditioned Gram)")
-    e1 = np.zeros(k + 1, dtype=complex)
+    e1 = np.zeros(len(gram), dtype=complex)
     e1[0] = 1.0
-    w = q @ np.linalg.solve(gram, e1)
-    norm_w_sq = float(np.real(w.conj() @ w))
-    return w, norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
+    return np.linalg.solve(gram, e1)
 
 
 def _zf_eta(ctx: ClosedFormContext, rho2: float, norm_w_sq: float) -> float:
@@ -245,15 +289,17 @@ def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> C
     return ClosedForm(phi=phi.conj(), eta=_zf_eta(ctx, rho2, norm_w_sq))
 
 
+def _aligned_eta(ctx: ClosedFormContext, m, a: float, quad):
+    """Excess of m aligned elements of amplitude a, given quad = quad_d(a_f[0]); arrays allowed."""
+    denom = (1.0 + ctx.n_antennas * a * a * ctx.beta_g * quad) * ctx.sigma2_sq
+    return ctx.n_antennas * m * m * a * a * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom
+
+
 def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
     """Signal-aligned coefficients: phi = a B^H a_f with the budget-filling a."""
-    m = ctx.m
-    a = min(a_max, np.sqrt(_over(p_out, m * p_in))) if p_out > 0 else 0.0
-    a_f0 = ctx.a_f[0]
-    phi = a * ctx.b_g * a_f0.conj()  # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
-    denom = (1.0 + ctx.n_antennas * a * a * ctx.beta_g * ctx.quad_d(a_f0)) * ctx.sigma2_sq
-    eta = ctx.n_antennas * m * m * a * a * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom
-    return ClosedForm(phi=phi, eta=float(eta))
+    a = min(a_max, np.sqrt(_over(p_out, ctx.m * p_in))) if p_out > 0 else 0.0
+    phi = a * ctx.b_g * ctx.a_f[0].conj()  # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
+    return ClosedForm(phi=phi, eta=float(_aligned_eta(ctx, ctx.m, a, ctx.quad_d(ctx.a_f[0]))))
 
 
 def passive_mf_eta(ctx: ClosedFormContext) -> float:
@@ -261,9 +307,7 @@ def passive_mf_eta(ctx: ClosedFormContext) -> float:
 
     Reduces to the closed passive form when no interferer is active.
     """
-    a_f0 = ctx.a_f[0]
-    denom = (1.0 + ctx.n_antennas * ctx.beta_g * ctx.quad_d(a_f0)) * ctx.sigma2_sq
-    return float(ctx.n_antennas * ctx.m**2 * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom)
+    return float(_aligned_eta(ctx, ctx.m, 1.0, ctx.quad_d(ctx.a_f[0])))
 
 
 METHODS = ("wmmse", "mf", "zf", "mmse", "passive", "passive-unit", "passive-relaxed")
@@ -294,8 +338,8 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) follow
     from the LoS geometry, so ``channels``, when given, must be LoS; they
-    read the first m elements of ``ctx``, a context of the scenario at m or
-    more elements, or of a context built at m when none is given.
+    read ``ctx``, a context of the scenario at m elements, built from the
+    factors of ``channels`` or else from the scenario when none is given.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -324,7 +368,9 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
             res = wmmse_active(channels, sources, noise, p_out, a_max,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
-    ctx = (ctx or ClosedFormContext.from_scenario(scenario, m)).prefix(m)
+    if ctx is None:
+        ctx = ClosedFormContext.from_scenario(scenario, m) if channels is None else \
+            ClosedFormContext.from_factors(scenario, m, channels.gains, channels.los)
     if method == "passive":
         rcm = Rcm(phi=np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0])), mode="passive-unit", a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=rcm.sigma1_sq(scenario.noise()))
@@ -351,7 +397,7 @@ class BudgetResult:
     """Outcome of the bisection planner.
 
     ``probes`` holds the (budget, best excess) pairs that were scanned: every
-    probe of a wmmse or passive plan, and for the closed forms the returned
+    probe of a wmmse plan, and for the closed forms and passive the returned
     budget, the last probe below it and any probe near the inverted budget.
     """
 
@@ -390,71 +436,112 @@ CLOSED_FORMS = ("mf", "zf", "mmse")
 INVERSION_GUARD = 1e-9  # budgets this close (relative) to the inverted one are scanned
 
 
-def _least_budget_at(method: str, ctx: ClosedFormContext, eta0: float, a_max: float) -> float:
+def _kernel_terms(method: str, ctx: ClosedFormContext, m: int, a_max: float):
+    """The budget-free part of closed form ``method`` at count m, from the kernels.
+
+    quad_d(a_f[0]) for mf; for mmse the Gram's G_00 and its blocks G_UU,
+    G_U0 and G_0U on the interferers with a ball weight. For zf, ||w||^2 =
+    [(Q^H Q)^-1]_00 and the cap on rho2, whose max_i |w_i| needs w: the
+    m_h' x m_v matrix sum_k coef_k sqrt(beta_f[k]) a_h,k[i_h] a_v,k[i_v].
+    """
+    if method == "mf":
+        return float(ctx.kernel_quad_d(m))
+    gram = ctx.gram(m)
+    if method == "mmse":
+        u = ctx.ball_weights()[0] + 1
+        return gram[0, 0], gram[np.ix_(u, u)], gram[u, 0], gram[0, u]
+    coef = _zf_solve(gram)
+    a_h, a_v = (np.exp(-1j * psi[:, None] * np.arange(n))
+                for psi, n in zip(ctx.steps.T, (m // ctx.m_v, ctx.m_v)))
+    w = a_h.T @ ((coef * np.sqrt(ctx.beta_f))[:, None] * a_v)  # |w_i|, as |b_g| = 1
+    norm_w_sq = float(np.real(coef[0]))
+    return norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
+
+
+def _kernel_eta(method: str, ctx: ClosedFormContext, m: int, terms, ratio: float,
+                a_max: float) -> float:
+    """The excess of closed form ``method`` at count m and output-power ratio p_out / p_in."""
+    if method == "mf":  # p_out = m p_in a^2
+        return float(_aligned_eta(ctx, m, min(a_max, math.sqrt(ratio / m)), terms))
+    if method == "zf":  # rho2 = ||phi||^2
+        return _zf_eta(ctx, min(ratio, terms[1]), terms[0])
+    (g_00, g_uu, g_u0, g_0u), weights = terms, ctx.ball_weights()[1]
+    nb = ctx.n_antennas * ctx.beta_g
+    c = 1.0 / min(ratio, m * a_max**2) + nb * ctx.sigma1_sq / ctx.sigma2_sq  # rho1 = ||phi||^2
+    quad = g_00 / c  # q_0^H (c I + U W U^H)^-1 q_0, by Woodbury on the Gram
+    if weights.size:
+        quad -= g_0u @ _woodbury(c, weights, g_uu, g_u0) / c**2
+    return nb * ctx.p[0] / ctx.sigma2_sq * float(np.real(quad))
+
+
+def _passive_blocks(ctx: ClosedFormContext, m_top: int):
+    """(counts, excess) of the aligned passive surface over whole columns up to m_top.
+
+    From the kernels, in growing blocks: a walk that stops early evaluates
+    few counts, and a long one holds at most 2^16 of them at a time.
+    """
+    start, size, top = 1, 256, m_top // ctx.m_v
+    while start <= top:
+        counts = ctx.m_v * np.arange(start, min(start + size, top + 1))
+        yield counts, _aligned_eta(ctx, counts * 1.0, 1.0, ctx.kernel_quad_d(counts))
+        start, size = start + size, min(2 * size, 2**16)
+
+
+def _least_budget_at(method: str, ctx: ClosedFormContext, m: int, terms, eta0: float,
+                     a_max: float) -> float:
     """p_m(eta0): the budget above which the m-element closed form beats eta0.
 
-    Each excess rises with the output power until the amplitude cap: mf
-    through a^2, zf through rho2 = ||phi||^2, mmse through rho1. The output
-    power needed is inverted from the excess and the circuit power added;
-    the result is infinite when even the cap stays at or below eta0. A
-    count whose excess cannot be inverted is a NumericalError.
+    ``terms`` are the count's ``_kernel_terms``. Each excess rises with the
+    output power until the amplitude cap (mf through a^2, zf through
+    rho2 = ||phi||^2, mmse through rho1), so the power ratio p_out / p_in
+    that reaches eta0 is a root, and the circuit power is added; the result
+    is infinite when even the cap stays at or below eta0. A count whose
+    excess cannot be inverted is a NumericalError.
     """
-    m, p_in = ctx.m, ctx.p_in_bar
-    if method == "mf":  # eta = A a^2 / (1 + B a^2), with p_out = m p_in a^2
-        if not mf_phi(ctx, a_max, math.inf, p_in).eta > eta0:
-            return math.inf
-        gain = ctx.n_antennas * m * m * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq
-        gap = gain - eta0 * ctx.n_antennas * ctx.beta_g * ctx.quad_d(ctx.a_f[0])
-        ratio = m * min(eta0 / gap if gap > 0 else math.inf, a_max**2)
-    elif method == "zf":  # eta rises through rho2 = p_out / p_in
-        _, norm_w_sq, cap = _zf_direction(ctx, a_max)
-        if not _zf_eta(ctx, cap, norm_w_sq) > eta0:
-            return math.inf
-        nb = ctx.n_antennas * ctx.beta_g
-        gap = nb * ctx.p[0] / (eta0 * norm_w_sq) - nb * ctx.sigma1_sq
-        ratio = min(ctx.sigma2_sq / gap if gap > 0 else math.inf, cap)
-    else:  # mmse: eta rises through rho1 = p_out / p_in
-        cap = m * a_max**2
-        if not mmse_phi(ctx, cap).eta > eta0:
-            return math.inf
-        t_cap = 1.0 / cap
+    def excess(t: float) -> float:  # at p_out / p_in = 1/t, falling in t
+        return _kernel_eta(method, ctx, m, terms, 1.0 / t if t > 0 else math.inf, a_max)
 
-        def short(t: float) -> float:  # eta0 / eta - 1 at rho1 = 1/t, rising in t
-            return eta0 / mmse_phi(ctx, cap if t <= t_cap else 1.0 / t).eta - 1.0
+    if not excess(0.0) > eta0:
+        return math.inf
 
-        # 1/eta is concave and near linear in t; with the interferers silent
-        # eta would be N beta_g p_0 ||q_0||^2 / (sigma2^2 (t + const)), a bound
-        q0 = ctx.q_vec(0)
-        t_hi = ctx.n_antennas * ctx.beta_g * ctx.p[0] * float(np.real(q0.conj() @ q0)) / (
-            ctx.sigma2_sq * eta0)
-        while math.isfinite(t_hi) and t_hi > 0 and short(t_hi) < 0:  # rounding only
-            t_hi *= 2.0
-        ratio = 1.0 / brentq(short, t_cap, t_hi, xtol=1e-300, rtol=1e-13, disp=False) \
-            if math.isfinite(t_hi) and t_hi > 0 else math.nan
+    def short(t: float) -> float:  # eta0 / eta - 1, rising in t
+        return eta0 / excess(t) - 1.0
+
+    # 1/eta is concave and near linear in t; with the interferers silent
+    # eta would be N beta_g p_0 ||q_0||^2 / (sigma2^2 (t + const)), a bound
+    t_hi = ctx.n_antennas * ctx.beta_g * ctx.p[0] * ctx.beta_f[0] * m / (ctx.sigma2_sq * eta0)
+    while math.isfinite(t_hi) and t_hi > 0 and short(t_hi) < 0:  # rounding only
+        t_hi *= 2.0
+    ratio = 1.0 / brentq(short, 0.0, t_hi, xtol=1e-300, rtol=1e-13, disp=False) \
+        if math.isfinite(t_hi) and t_hi > 0 else math.nan
     if not 0 <= ratio < math.inf:
         raise NumericalError(f"{method}: the excess at M = {m} cannot be inverted for the "
                              f"budget (output-power ratio {ratio})")
-    return m * ctx.c1 + p_in * ratio
+    return m * ctx.c1 + ctx.p_in_bar * ratio
 
 
 def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     """Minimum surface power budget achieving the target detection probability.
 
     Bisection on the budget, from the scenario's bisect_p_high down to its
-    stop_tol. A probe scans the element count in whole columns of m_v
-    elements (exhaustively up to 256 elements, on a geometric ladder above)
-    and compares the best reachable excess with the target excess eta_0. A
-    passive surface spends the whole budget on element circuits instead,
-    rounded down to whole columns; WMMSE solves at each element count start
-    from the previous probe's solution there.
+    stop_tol. A probe's excess is the best over the element counts, in whole
+    columns of m_v, that its budget affords: active surfaces scan them up to
+    256 elements and on a geometric ladder above (WMMSE solves start from
+    the previous probe's solution there); a passive surface spends the whole
+    budget on element circuits and takes every count up to passive_m(p), so
+    its excess never falls as the budget grows.
 
-    The closed forms (mf, zf, mmse) instead invert each count for p_m, the
-    least budget that beats eta_0, walking the ladder upwards until the
-    circuit power alone exceeds the best p_m. A probe beats eta_0 exactly
-    when it lies above p* = min p_m, so it is scanned only within a guard
-    band around p*, at the returned budget and at the last probe below it.
-    End scans that contradict the inversion are a NumericalError. The
-    scanned probe history is checked for monotonicity.
+    mf, zf, mmse and passive are inverted on the array-factor kernels of
+    ``ClosedFormContext.gram``: each closed-form count gives p_m, the least
+    budget that beats eta_0, walking the ladder upwards until the circuit
+    power alone exceeds the best p_m, and passive walks every count for
+    m_1, the first that beats eta_0. A probe beats eta_0 exactly when it
+    lies above p* = min p_m (scanned within a guard band around p*) or
+    affords m_1 passive elements. A scan takes the count the kernels rank
+    best and evaluates the vector closed form there, at the returned budget,
+    the last probe below it and any guard-band probe; end scans that
+    contradict the inversion are a NumericalError. The scanned probe
+    history is checked for monotonicity.
     """
     method = planner_method(method)
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
@@ -469,57 +556,50 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         """m rounded down to whole columns of m_v elements."""
         return m // m_v * m_v
 
-    # Every probe scans element counts up to those of p_high, and the closed
-    # forms read their first m elements from one context, grown as needed.
+    # Every probe reads element counts up to those of p_high; the ceiling
+    # bounds the kernel terms of the walk over them.
     affords = power.elements(p_high, passive=method == "passive")
     m_top = columns(math.floor(affords)) if affords < math.inf else affords
     if (k + 1) * m_top > chan.MAX_PLANNED_STEERING:
         raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
                           f"for {k + 1} sources that exceeds the planner's ceiling of "
-                          f"{chan.MAX_PLANNED_STEERING} steering entries")
-    ctx = None
+                          f"{chan.MAX_PLANNED_STEERING} array-factor terms")
+    ctx = ClosedFormContext.from_scenario(scenario, m_v)  # one column: kernels serve any count
+    p_in = ctx.p_in_bar
+    if method == "passive":
+        unit = Rcm(phi=np.ones(1), mode="passive-unit", a_max=1.0)
+        ctx = dataclasses.replace(ctx, sigma1_sq=unit.sigma1_sq(scenario.noise()))
 
-    def context(m: int) -> ClosedFormContext:
-        """A context of at least m elements: doubled, from 256 elements, up to m_top."""
-        nonlocal ctx
-        if ctx is None or ctx.m < m:
-            grown = 2 * ctx.m if ctx is not None else columns(EXACT_SCAN_CAP)
-            ctx = ClosedFormContext.from_scenario(scenario, min(m_top, max(m, grown)))
-        return ctx
+    count_terms = functools.cache(lambda m: _kernel_terms(method, ctx, m, a_max))  # per plan
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
-        if method == "passive":
-            m = columns(power.passive_m(p))
-            if m < 1:
-                return 0.0, 0, None
-            res = coefficients(method, scenario, m, None, ctx=context(m))
-            return res.eta, m, res.rcm
         best = (0.0, 0, None)
-        # iterative optimization above the exact region is impractical; the
-        # planner's WMMSE branch is meant for budgets with modest m_max
-        cap = EXACT_SCAN_CAP if method != "wmmse" else 64
-        for m in _m_ladder(power.m_max(p), cap, m_v):
-            p_out = power.p_out_budget(p, m)
-            if p_out <= 0 or (method == "zf" and m < k + 1):
-                continue
-            res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m),
-                               ctx=None if method == "wmmse" else context(m))
-            if method == "wmmse":
-                warm[m] = res.rcm.phi
-            if res.eta > best[0]:
-                best = (res.eta, m, res.rcm)
-        return best
-
-    def least_budget() -> float:
-        """p* = min over the ladder of p_high of p_m(eta0)."""
-        best = math.inf
-        for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
-            if power.p_out_budget(min(best, p_high), m) <= 0:
-                break  # p_m > m (p_c + p_dc) >= best, and counts only grow
-            if method == "zf" and m < k + 1:
-                continue
-            best = min(best, _least_budget_at(method, context(m).prefix(m), eta0, a_max))
-        return best
+        if method == "passive":  # the kernels pick the count, the vector form scores it
+            for counts, etas in _passive_blocks(ctx, columns(power.passive_m(p))):
+                i = int(np.argmax(etas))
+                if etas[i] > best[0]:
+                    best = (etas[i], int(counts[i]), None)
+        else:
+            # iterative optimization above the exact region is impractical; the
+            # planner's WMMSE branch is meant for budgets with modest m_max
+            for m in _m_ladder(power.m_max(p), EXACT_SCAN_CAP if method != "wmmse" else 64, m_v):
+                p_out = power.p_out_budget(p, m)
+                if p_out <= 0 or (method == "zf" and m < k + 1):
+                    continue
+                if method == "wmmse":
+                    res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m))
+                    warm[m], eta, rcm = res.rcm.phi, res.eta, res.rcm
+                else:
+                    eta = _kernel_eta(method, ctx, m, count_terms(m), _over(p_out, p_in), a_max)
+                    rcm = None
+                if eta > best[0]:
+                    best = (eta, m, rcm)
+        if method == "wmmse" or best[1] == 0:
+            return best
+        m = best[1]
+        res = coefficients(method, scenario, m,
+                           None if method == "passive" else power.p_out_budget(p, m))
+        return res.eta, m, res.rcm
 
     scans: dict[float, tuple[float, int, Rcm | None]] = {}
 
@@ -535,8 +615,20 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                         f"excess not monotone in the budget: eta({p1})={e1}, eta({p2})={e2}")
         return scans[p]
 
-    if method in CLOSED_FORMS:
-        p_star = least_budget()
+    if method == "passive":
+        m_1 = next((int(counts[np.argmax(etas > eta0)]) for counts, etas
+                    in _passive_blocks(ctx, m_top) if np.any(etas > eta0)), math.inf)
+        p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
+
+        def beats(p: float) -> bool:
+            return columns(power.passive_m(p)) >= m_1
+    elif method in CLOSED_FORMS:
+        p_star = math.inf
+        for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
+            if power.p_out_budget(min(p_star, p_high), m) <= 0:
+                break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
+            if not (method == "zf" and m < k + 1):
+                p_star = min(p_star, _least_budget_at(method, ctx, m, count_terms(m), eta0, a_max))
 
         def beats(p: float) -> bool:
             if abs(p - p_star) > INVERSION_GUARD * p_star:
@@ -564,7 +656,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
             p_top = mid
         else:
             p_low = mid
-    if method in CLOSED_FORMS and not (
+    if method != "wmmse" and not (
             scan(p_top)[0] > eta0 and (p_low == 0 or scan(p_low)[0] <= eta0)):
         raise NumericalError(f"the end scans contradict the inverted budget p* = {p_star!r} W: "
                              f"p_low = {p_low!r} W, p_top = {p_top!r} W")

@@ -94,12 +94,14 @@ class LosFactors:
     """Steering factors of a LoS channel set, one row of ``a_f`` per source.
 
     g_matrix = sqrt(beta_g) * outer(a_su, conj(b_ris)); f[k] = sqrt(beta_f[k]) * a_f[k]
-    with a_f the (K+1) x M array of unit-modulus incident steering vectors.
+    with a_f the (K+1) x M array of unit-modulus incident steering vectors;
+    ``steps`` holds their (K+1) x 2 horizontal and vertical phase steps.
     """
 
     a_su: np.ndarray
     b_ris: np.ndarray
     a_f: np.ndarray
+    steps: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
@@ -184,13 +186,17 @@ def steering_vector_upa(mh: int, mv: int, theta: float, psi: float) -> np.ndarra
     """
     if mh < 1 or mv < 1:
         raise ValueError("planar array dimensions must be >= 1")
-    a_h = steering_vector_ula(mh, np.pi * np.sin(theta) * np.cos(psi))
-    a_v = steering_vector_ula(mv, np.pi * np.cos(theta) * np.cos(psi))
-    return np.kron(a_h, a_v)
+    step_h, step_v = upa_phase_steps(theta, psi)
+    return np.kron(steering_vector_ula(mh, step_h), steering_vector_ula(mv, step_v))
+
+
+def upa_phase_steps(theta: float, psi: float) -> tuple[float, float]:
+    """Horizontal and vertical per-element phase steps of a half-wavelength planar array."""
+    return np.pi * np.sin(theta) * np.cos(psi), np.pi * np.cos(theta) * np.cos(psi)
 
 
 MAX_DRAWN_INTERFERERS = 1000  # every channel array holds one row per source
-# complex entries of the planner's (K+1) x M steering array: 2**27 take 2 GiB
+# (K+1) x M array-factor terms of the planner's element-count walk
 MAX_PLANNED_STEERING = 2**27
 
 
@@ -220,13 +226,15 @@ def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     ris = np.asarray(geom.ris_pos, dtype=float)
     delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - ris
     d_su = np.asarray(geom.su_pos, dtype=float) - ris
+    steps = np.array([upa_phase_steps(az, 0.0) for az in np.arctan2(delta[:, 1], delta[:, 0])])
     a_f = np.empty((len(delta), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
-    for i, az in enumerate(np.arctan2(delta[:, 1], delta[:, 0])):
-        a_f[i] = steering_vector_upa(m_h, m_v, az, 0.0)
+    for i, (step_h, step_v) in enumerate(steps):
+        a_f[i] = np.kron(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
     su_aoa = np.arctan2(-d_su[1], -d_su[0])
     return link_gains(geom, sc.pathloss), LosFactors(
         a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(su_aoa)),
-        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f)
+        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f,
+        steps=steps)
 
 
 def build_los_channelset(sc) -> ChannelSet:

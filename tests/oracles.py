@@ -16,6 +16,7 @@ that path on every activity draw, for the law and exactness tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -467,29 +468,57 @@ def passive_m_for_eta(eta_target: float, n: int, beta_f0: float, beta_g: float,
     return int(math.ceil(m - 1e-12))
 
 
-def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.BudgetResult:
-    """The closed-form planner as a plain bisection that rescans the ladder at every probe.
+def prefix(ctx: ClosedFormContext, m: int) -> ClosedFormContext:
+    """The context of the first m elements, equal to ``from_scenario`` at m.
 
-    Each probe scans every element count that the probed budget affords and
-    keeps the best excess; the bisection on the budget runs exactly as the
-    planner's, so its result fields must match the planner's bit for bit.
+    The horizontal index is the outer one of the planar steering vectors, so
+    for whole columns (m a multiple of m_v) their first m entries are the
+    m-element vectors, bit for bit.
     """
-    if method not in ("mf", "zf", "mmse"):
+    if not 1 <= m <= ctx.m or m % ctx.m_v:
+        raise ValueError(f"cannot take {m} of {ctx.m} elements in columns of {ctx.m_v}")
+    return dataclasses.replace(ctx, m=m, b_g=ctx.b_g[:m], a_f=ctx.a_f[:, :m])
+
+
+def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.BudgetResult:
+    """The planner as a plain bisection that rescans the element counts at every probe.
+
+    Each probe scans every element count that the probed budget affords, with
+    the vector closed forms on prefixes of one steering array, and keeps the
+    best excess: the active forms on the ladder, passive at every whole-column
+    count up to passive_m(p) (a running max). The bisection on the budget runs
+    exactly as the planner's, so its result fields must match the planner's
+    bit for bit.
+    """
+    if method not in ("mf", "zf", "mmse", "passive"):
         raise ValueError(f"the reference plans the closed forms only, got {method!r}")
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
     k, m_v = scenario.geometry.n_interferers, scenario.m_v
-    m_top = power.m_max(p_high) // m_v * m_v
+
+    def affords(p: float) -> int:
+        m = power.passive_m(p) if method == "passive" else power.m_max(p)
+        return m // m_v * m_v
+
+    m_top = affords(p_high)
     ctx = ClosedFormContext.from_scenario(scenario, m_top) if m_top >= 1 else None
+    designs: dict[int, bdg.Design] = {}  # passive designs are budget-free: each count once
 
     def probe(p: float):
         best = (0.0, 0, None)
-        for m in bdg._m_ladder(power.m_max(p), bdg.EXACT_SCAN_CAP, m_v):
+        if method == "passive":
+            for m in range(m_v, affords(p) + 1, m_v):
+                if m not in designs:
+                    designs[m] = bdg.coefficients(method, scenario, m, None, ctx=prefix(ctx, m))
+                if designs[m].eta > best[0]:
+                    best = (designs[m].eta, m, designs[m].rcm)
+            return best
+        for m in bdg._m_ladder(affords(p), bdg.EXACT_SCAN_CAP, m_v):
             p_out = power.p_out_budget(p, m)
             if p_out <= 0 or (method == "zf" and m < k + 1):
                 continue
-            res = bdg.coefficients(method, scenario, m, p_out, ctx=ctx)
+            res = bdg.coefficients(method, scenario, m, p_out, ctx=prefix(ctx, m))
             if res.eta > best[0]:
                 best = (res.eta, m, res.rcm)
         return best

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_noise, make_sources
 from oracles import (big_d, c0, c2, eta_active_no_interference, eta_passive, optimal_amplitude,
-                     optimal_m, passive_m_for_eta, q_gain, scan_per_probe_budget, xi)
+                     optimal_m, passive_m_for_eta, prefix, q_gain, scan_per_probe_budget, xi)
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
@@ -491,13 +491,13 @@ class TestContextPrefix:
         assert all(m % m_v == 0 for m in ladder)
         top = bdg.ClosedFormContext.from_scenario(sc, ladder[-1])
         for m in ladder:
-            assert_same_context(top.prefix(m), bdg.ClosedFormContext.from_scenario(sc, m))
+            assert_same_context(prefix(top, m), bdg.ClosedFormContext.from_scenario(sc, m))
 
     def test_prefix_needs_whole_columns_within_the_context(self):
         top = bdg.ClosedFormContext.from_scenario(budget_scenario(k=1, m_h=4, m_v=2), 8)
         for m in (0, 3, 10):
             with pytest.raises(ValueError):
-                top.prefix(m)
+                prefix(top, m)
 
     def test_ladder_at_one_row_is_unchanged(self):
         ladder = bdg._m_ladder(2000)
@@ -506,25 +506,71 @@ class TestContextPrefix:
         assert bdg._m_ladder(2000, m_v=2)[:3] == [2, 4, 6]
 
 
-class TestPlannerContexts:
-    def test_one_context_per_plan(self, monkeypatch):
-        built = []
-        build = bdg.ClosedFormContext.from_scenario.__func__
+def kernel_scenario(m_v: int) -> ScenarioConfig:
+    """configs/los_budget.yaml with m_v rows, interferers on and 1e-9 rad off the primary's azimuth."""
+    sc = load_scenario(str(LOS_BUDGET))
+    ris = np.asarray(sc.geometry.ris_pos)
+    az0 = np.arctan2(*(np.asarray(sc.geometry.pu_pos) - ris)[::-1])
+    near = tuple(ris + 55.0 * np.array([np.cos(az0 + 1e-9), np.sin(az0 + 1e-9)]))
+    pos = sc.geometry.interferer_pos[:3] + ((50.0, 25.0), near)
+    return dataclasses.replace(sc, geometry=dataclasses.replace(sc.geometry, interferer_pos=pos),
+                               m_v=m_v)
 
-        def counting(cls, sc, m):
-            built.append(m)
-            return build(cls, sc, m)
 
-        monkeypatch.setattr(bdg.ClosedFormContext, "from_scenario", classmethod(counting))
+class TestKernelGram:
+    """The array-factor kernels against the steering vectors they replace."""
+
+    @pytest.mark.parametrize("m_v", [1, 2, 3])
+    def test_matches_the_dense_gram(self, m_v):
+        sc = kernel_scenario(m_v)
+        one = bdg.ClosedFormContext.from_scenario(sc, m_v)
+        assert np.all(one.steps[4] == one.steps[0])  # delta = 0
+        assert 1e-10 < abs(one.steps[5, 0] - one.steps[0, 0]) < 1e-8
+        for m in (m_v, 16 * m_v, 255 * m_v, 4096 * m_v, 24025 // m_v * m_v):
+            q = bdg.ClosedFormContext.from_scenario(sc, m).q_vec(slice(None))
+            dense = q.conj() @ q.T
+            # relative to the Gram's scale: the dense sums round at that scale too
+            scale = np.sqrt(np.outer(dense.diagonal().real, dense.diagonal().real))
+            assert np.all(np.abs(one.gram(m) - dense) <= 1e-12 * scale), m
+
+    def test_dirichlet_is_exact_at_zero_and_stable_near_it(self):
+        assert bdg.dirichlet(24025, 0.0) == 24025.0
+        n, delta = 24025, np.array([1e-15, 1e-12, 1e-9])
+        series = n * (1 - (n * n - 1) * delta**2 / 24)  # sin(n x) / sin(x) to O(x^2), x = delta/2
+        assert np.allclose(bdg.dirichlet(n, delta), series, rtol=1e-14, atol=0)
+
+    def test_excesses_match_the_vector_forms(self):
         sc = load_scenario(str(LOS_BUDGET))
-        power = sc.power_model()
+        one = bdg.ClosedFormContext.from_scenario(sc, 1)
+        unit = dataclasses.replace(one, sigma1_sq=0.0)
+        ms = np.array([16, 109, 256, 1000, 4096])
+        passive = bdg._aligned_eta(unit, ms, 1.0, unit.kernel_quad_d(ms))
+        for m, eta in zip(ms.tolist(), passive):
+            ctx = bdg.ClosedFormContext.from_scenario(sc, m)
+            assert eta == pytest.approx(
+                bdg.passive_mf_eta(dataclasses.replace(ctx, sigma1_sq=0.0)), rel=4e-15)
+            for method in bdg.CLOSED_FORMS:
+                terms = bdg._kernel_terms(method, one, m, sc.a_max)
+                got = bdg._kernel_eta(method, one, m, terms, 1e-3 * m / one.p_in_bar, sc.a_max)
+                assert got == pytest.approx(
+                    bdg.coefficients(method, sc, m, 1e-3 * m).eta, rel=1e-12), (method, m)
+
+
+class TestPlannerContexts:
+    def test_no_steering_array_above_m_star(self, monkeypatch):
+        # the kernels decide: steering arrays are built for one column and at
+        # the counts the vector forms score, never above m_star (zf forms its
+        # vector w at the counts it reads from the phase steps, not from these)
+        arrays = []
+        los_factors = chan.los_factors
+        monkeypatch.setattr(chan, "los_factors", lambda sc, m_h, m_v: (
+            arrays.append(m_h * m_v), los_factors(sc, m_h, m_v))[1])
+        sc = load_scenario(str(LOS_BUDGET))
         for method in ("mf", "mmse", "zf", "passive"):
-            built.clear()
-            bdg.required_budget(method, sc.pd_target, sc)
-            if method == "passive":  # its first probe reads the count of p_high
-                assert built == [power.passive_m(sc.bisect_p_high)]
-            else:  # the closed forms read far fewer than the 24,025 counts of p_high
-                assert built == [bdg.EXACT_SCAN_CAP], method
+            arrays.clear()
+            res = bdg.required_budget(method, sc.pd_target, sc)
+            assert arrays[0] == sc.m_v and max(arrays) <= res.m_star, (method, arrays)
+            assert len(arrays) <= 3, (method, arrays)  # p_top, p_low and the one column
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_two_row_surface_plans_whole_columns(self, method):
@@ -594,14 +640,32 @@ class TestPlannerInversion:
                 kinds.add(want[0] if len(want) == 2 else "plan")
         assert kinds == {"plan", "InfeasibleError", "NumericalError"}
 
+    def test_passive_bit_for_bit_with_the_running_max_scan(self):
+        # interferers at 1e6 W: the passive excess falls at some counts below m_1 = 810
+        strong = dataclasses.replace(load_scenario(str(LOS_BUDGET)), bisect_p_high=0.1,
+                                     p_w=(1.0,) + (1e6,) * 5)
+        # a coarse stop_tol lets the returned budget afford counts past m_1; too
+        # small a ceiling makes the infeasible message report the running max
+        strong_cells = [(strong, 0.9), (dataclasses.replace(strong, stop_tol=0.01), 0.9),
+                        (dataclasses.replace(strong, bisect_p_high=0.05), 0.9)]
+        checked = 0
+        for sc, pd_target in [*oracle_grid(), *strong_cells]:
+            if sc.power_model().passive_m(sc.bisect_p_high) > 4096:
+                continue
+            want, _ = plan_outcome(scan_per_probe_budget, "passive", pd_target, sc)
+            got, _ = plan_outcome(bdg.required_budget, "passive", pd_target, sc)
+            assert got == want, (pd_target, sc)
+            checked += 1
+        assert checked >= 10
+
     def test_an_end_scan_against_the_inversion_is_a_numerical_error(self, monkeypatch):
         sc = load_scenario(str(LOS_BUDGET))
         plan = bdg.required_budget("mf", sc.pd_target, sc)
         least = bdg._least_budget_at
 
-        def low_at_m_star(method, ctx, eta0, a_max):  # p* 0.1% low, from one count
-            p_m = least(method, ctx, eta0, a_max)
-            return p_m * (1 - 1e-3) if ctx.m == plan.m_star else p_m
+        def low_at_m_star(method, ctx, m, terms, eta0, a_max):  # p* 0.1% low, from one count
+            p_m = least(method, ctx, m, terms, eta0, a_max)
+            return p_m * (1 - 1e-3) if m == plan.m_star else p_m
 
         monkeypatch.setattr(bdg, "_least_budget_at", low_at_m_star)
         with pytest.raises(NumericalError, match=r"contradict the inverted budget p\* = \S+ W: "
@@ -613,9 +677,9 @@ class TestPlannerInversion:
         counts = []
         least = bdg._least_budget_at
 
-        def recording(method, ctx, eta0, a_max):
-            counts.append(ctx.m)
-            return least(method, ctx, eta0, a_max)
+        def recording(method, ctx, m, terms, eta0, a_max):
+            counts.append(m)
+            return least(method, ctx, m, terms, eta0, a_max)
 
         monkeypatch.setattr(bdg, "_least_budget_at", recording)
         monkeypatch.setattr(bdg, "brentq", lambda *args, **kwargs: math.nan)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import textwrap
 import time
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from risense import budget, channel, cli
+from risense import budget, channel, cli, harness
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -249,6 +250,23 @@ class TestGoldenRows:
                          "--values", "1600,6400", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "sweep_t_los.csv").read_bytes()
 
+    def test_passive_plans_under_strong_interference(self, tmp_path):
+        # the passive excess falls at some counts once the interferers are
+        # strong; the running max over the affordable counts still plans them
+        out = tmp_path / "sweep.csv"
+        values = (0.01, 100.0, 1000.0, 1e4, 1e6)
+        assert cli.main(["sweep", "--config", LOS_BUDGET, "--sweep", "p", "--methods", "passive",
+                         "--values", ",".join(map(str, values)), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["status"] for row in rows] == ["ok"] * len(values)
+        # the weak-interference rows are the ones planned before the running max
+        assert [row["required_budget_w"] for row in rows[:2]] == ["0.0109004974", "0.0110000372"]
+        sc = harness.load_scenario(LOS_BUDGET)
+        counts = [budget.required_budget("passive", sc.pd_target,
+                                         harness._swept_scenario(sc, "p", v)).m_star
+                  for v in values]
+        assert counts == [109, 110, 119, 160, 810]
+
 
 class TestSimulate:
     def test_writes_deterministic_csv(self, tmp_path):
@@ -277,6 +295,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, TINY)
         assert cli.main(["simulate", "--config", cfg, "--trials", "3"]) == 0
         assert counts == {"wmmse_active": 3, "sample_rayleigh_channelset": 3}
+
+    def test_closed_forms_read_the_channel_factors(self, tmp_path, monkeypatch):
+        # the closed-form context comes from the channel set's LoS factors
+        calls, solves = [], []
+        los_factors, mf_phi = channel.los_factors, budget.mf_phi
+        monkeypatch.setattr(channel, "los_factors", lambda *a: (calls.append(a), los_factors(*a))[1])
+        monkeypatch.setattr(budget, "mf_phi", lambda ctx, *a: (solves.append(ctx), mf_phi(ctx, *a))[1])
+        cfg = write_config(tmp_path, TINY_LOS)
+        assert cli.main(["simulate", "--config", cfg, "--trials", "2"]) == 0
+        assert len(calls) == 1 and len(solves) == 1
+        chans = channel.build_los_channelset(harness.load_scenario(cfg))
+        assert solves[0].a_f.tobytes() == chans.los.a_f.tobytes()
 
     def test_stdout_format_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
