@@ -84,18 +84,20 @@ def dirichlet(n, delta):
 
 @dataclass(frozen=True)
 class ClosedFormContext:
-    """LoS constants and M-dependent pieces used by the closed forms.
+    """LoS constants of the closed forms, for a surface of any whole-column count.
 
-    b_g is the surface-side steering factor of the rank-one surface-receiver
-    channel; a_f the (K+1) x m array whose row k is the unit-modulus incident
-    steering of source k (f_k = sqrt(beta_f[k]) a_f[k]). Only these factored
-    vectors are kept, never an N x m matrix. The m elements form m // m_v
-    columns of m_v. ``steps`` holds each source's (psi_h, psi_v), a_f[k] =
-    exp(-j i_h psi_h[k]) kron exp(-j i_v psi_v[k]), for the kernels at any count.
+    The closed forms read the surface channels only through the Gram
+    q_k^H q_l of q_k = B^H f_k, with B = diag(b_g) the unit-modulus surface
+    factor of the rank-one surface-receiver channel and f_k = sqrt(beta_f[k])
+    a_f[k] the incident channel of source k. Over m elements, m // m_v
+    columns of m_v, a_f[k] = exp(-j i_h psi_h[k]) kron exp(-j i_v psi_v[k]),
+    so that Gram is a product of array-factor kernels of the phase steps
+    ``steps[k] = (psi_h[k], psi_v[k])`` (``gram``, ``kernel_quad_d``). The
+    context therefore holds no element count and no steering vector: the
+    m-element factors are built only where coefficients are emitted.
     """
 
     n_antennas: int
-    m: int
     beta_g: float
     beta_f: np.ndarray
     p: np.ndarray
@@ -104,29 +106,18 @@ class ClosedFormContext:
     sigma2_sq: float
     p_c: float
     p_dc: float
-    b_g: np.ndarray
-    a_f: np.ndarray
+    steps: np.ndarray
     m_v: int = 1
-    steps: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
 
     @classmethod
-    def from_scenario(cls, sc, m: int) -> "ClosedFormContext":
-        """Build the context at a given element count from a scenario."""
-        return cls.from_factors(sc, m, *chan.los_factors(sc, *upa_dims(sc, m)))
-
-    @classmethod
-    def from_factors(cls, sc, m: int, gains: chan.LinkGains,
-                     los: chan.LosFactors) -> "ClosedFormContext":
-        """The context of a scenario's m-element LoS channels from their gains and factors."""
+    def from_scenario(cls, sc) -> "ClosedFormContext":
+        """The context of a scenario's LoS channels."""
         noise, src, power = sc.noise(), sc.sources(), sc.power_model()
-        return cls(n_antennas=sc.n_antennas, m=m, beta_g=gains.beta_g, beta_f=gains.beta_f,
+        gains = chan.link_gains(sc.geometry, sc.pathloss)
+        return cls(n_antennas=sc.n_antennas, beta_g=gains.beta_g, beta_f=gains.beta_f,
                    p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
-                   b_g=los.b_ris, a_f=los.a_f, m_v=upa_dims(sc, m)[1],
-                   steps=los.steps)
+                   steps=chan.incident_steps(sc.geometry), m_v=int(sc.m_v))
 
     def gram(self, m: int) -> np.ndarray:
         """The (K+1) x (K+1) Gram q_k^H q_l over the first m elements, from the kernels.
@@ -146,7 +137,10 @@ class ClosedFormContext:
         return gram
 
     def kernel_quad_d(self, m):
-        """quad_d(a_f[0]) over the first m elements (an int or an array of counts)."""
+        """a_f[0]^H D a_f[0] over the first m elements (an int or an array of counts).
+
+        D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
+        """
         d_h, d_v = (self.steps[0] - self.steps[1:]).T
         amp = dirichlet((np.asarray(m) // self.m_v)[..., None], d_h) * dirichlet(self.m_v, d_v)
         w = self.zeta[1:] * self.p[1:] * self.beta_f[1:]
@@ -162,45 +156,21 @@ class ClosedFormContext:
         """Incident power per unit reflection gain."""
         return float(np.sum(self.zeta * self.beta_f * self.p) + self.sigma1_sq)
 
-    def q_vec(self, k) -> np.ndarray:
-        """q_k = B^H f_k with B = diag(b_g); an index array or slice k gives one row per source."""
-        return self.b_g.conj() * (np.sqrt(self.beta_f[k])[..., np.newaxis] * self.a_f[k])
-
-    def quad_d(self, x: np.ndarray) -> float:
-        """x^H D x without building D.
-
-        D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
-        """
-        proj = x.conj() @ self.a_f[1:].T  # x^H a_f[k] per interferer, no (K, m) temporary
-        w = self.zeta[1:] * self.p[1:] * self.beta_f[1:]
-        out = self.sigma1_sq * float(np.real(x.conj() @ x)) + float(w @ np.abs(proj) ** 2)
-        return out / self.sigma2_sq
-
     def ball_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The interferers with a positive w_k = N beta_g zeta_k p_k / sigma2^2, and their w_k."""
         weights = self.n_antennas * self.beta_g * self.zeta[1:] * self.p[1:] / self.sigma2_sq
         live = np.nonzero(weights > 0)[0]
         return live, weights[live]
 
-    def solve_ball_system(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (c I + sum_k w_k q_k q_k^H) x = rhs over the interferers.
+    def steering_sum(self, m: int, coef: np.ndarray) -> np.ndarray:
+        """sum_k coef_k f_k over the first m elements, as an m // m_v x m_v matrix.
 
-        w_k = N beta_g zeta_k p_k / sigma2^2; the Woodbury identity keeps the
-        work in the K-dimensional interferer space, never forming M x M.
+        Built from the phase steps, one horizontal and one vertical factor per
+        source; raveled it is the m-element vector.
         """
-        live, weights = self.ball_weights()
-        if live.size == 0:
-            return rhs / c
-        u = self.q_vec(live + 1).T
-        return rhs / c - (u @ _woodbury(c, weights, u.conj().T @ u, u.conj().T @ rhs)) / c**2
-
-
-def _woodbury(c: float, weights: np.ndarray, uu: np.ndarray, u_rhs: np.ndarray) -> np.ndarray:
-    """y = (diag(1/w) + U^H U / c)^-1 U^H rhs: Woodbury's solve in the interferer space."""
-    try:
-        return np.linalg.solve(np.diag(1.0 / weights) + uu / c, u_rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("MMSE system is singular") from exc
+        a_h, a_v = (np.exp(-1j * psi[:, None] * np.arange(n))
+                    for psi, n in zip(self.steps.T, (m // self.m_v, self.m_v)))
+        return a_h.T @ ((coef * np.sqrt(self.beta_f))[:, None] * a_v)
 
 
 def mf_phases(b_g: np.ndarray, a_f: np.ndarray) -> np.ndarray:
@@ -220,22 +190,123 @@ class ClosedForm(NamedTuple):
     eta: float
 
 
-def mmse_phi(ctx: ClosedFormContext, rho1: float) -> ClosedForm:
+def _aligned_eta(ctx: ClosedFormContext, m, a: float, quad):
+    """Excess of m aligned elements of amplitude a, given quad = kernel_quad_d(m); arrays too."""
+    denom = (1.0 + ctx.n_antennas * a * a * ctx.beta_g * quad) * ctx.sigma2_sq
+    return ctx.n_antennas * m * m * a * a * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom
+
+
+CLOSED_FORMS = ("mf", "zf", "mmse")
+
+
+def _kernel_terms(method: str, ctx: ClosedFormContext, m: int, a_max: float):
+    """The budget-free part of closed form ``method`` at count m, from the kernels.
+
+    kernel_quad_d(m) for mf; for mmse the Gram's G_00 and its blocks G_UU,
+    G_U0 and G_0U on the interferers with a ball weight. For zf, with
+    Q = [q_0 ... q_K] and coef = (Q^H Q)^-1 e_1: ||w||^2 = coef_0 for
+    w = Q coef, the cap on rho2 = ||phi||^2 that keeps max_i |w_i| scaled
+    within a_max, and coef. Zero-forcing needs m >= K+1 (a ConfigError) and
+    a well-conditioned Gram (a NumericalError).
+    """
+    if method == "mf":
+        return float(ctx.kernel_quad_d(m))
+    if method == "zf" and m < len(ctx.beta_f):
+        raise ConfigError(f"zero-forcing needs M >= K+1 = {len(ctx.beta_f)} elements, got M = {m}")
+    gram = ctx.gram(m)
+    if method == "mmse":
+        u = ctx.ball_weights()[0] + 1
+        return gram[0, 0], gram[np.ix_(u, u)], gram[u, 0], gram[0, u]
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NumericalError("zero-forcing geometry is degenerate (ill-conditioned Gram)")
+    coef = np.linalg.solve(gram, np.eye(len(gram))[0])  # (Q^H Q)^-1 e_1
+    w = ctx.steering_sum(m, coef)  # |w_i|, as |b_g| = 1
+    norm_w_sq = float(np.real(coef[0]))
+    return norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2), coef
+
+
+def _excess(method: str, ctx: ClosedFormContext, m: int, terms, ratio: float, a_max: float):
+    """The excess of closed form ``method`` at count m and output-power ratio p_out / p_in.
+
+    The one evaluation of each closed form: the planner's inversion and
+    probes and the emitted coefficients all read it. ``terms`` are the
+    count's ``_kernel_terms``. Returns (excess, what the coefficients need):
+    mf's amplitude a, zf's rho2 = ||phi||^2, mmse's (rho1 = ||phi||^2, c, y)
+    with y Woodbury's solve, None when no interferer has a ball weight.
+    """
+    if method == "mf":  # p_out = m p_in a^2
+        a = min(a_max, math.sqrt(ratio / m))
+        return float(_aligned_eta(ctx, m, a, terms)), a
+    if method == "zf":
+        rho2 = min(ratio, terms[1])
+        # [(Q^H Q)^-1]_{11} equals ||w||^2
+        return float(ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
+            (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * terms[0])), rho2
+    (g_00, g_uu, g_u0, g_0u), weights = terms, ctx.ball_weights()[1]
+    nb = ctx.n_antennas * ctx.beta_g
+    rho1 = min(ratio, m * a_max**2)
+    c = 1.0 / rho1 + nb * ctx.sigma1_sq / ctx.sigma2_sq
+    # q_0^H (c I + U W U^H)^-1 q_0 by Woodbury on the Gram, with
+    # y = (diag(1/w) + U^H U / c)^-1 U^H q_0 solved in the interferer space
+    quad, y = g_00 / c, None
+    if weights.size:
+        try:
+            y = np.linalg.solve(np.diag(1.0 / weights) + g_uu / c, g_u0)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("MMSE system is singular") from exc
+        quad -= g_0u @ y / c**2
+    return nb * ctx.p[0] / ctx.sigma2_sq * float(np.real(quad)), (rho1, c, y)
+
+
+def mf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
+           p_out: float) -> ClosedForm:
+    """Signal-aligned coefficients phi = a B^H a_f[0] with the budget-filling a.
+
+    ``los`` are the m-element LoS factors of the context's scenario.
+    """
+    m = los.b_ris.size
+    eta, a = _excess("mf", ctx, m, _kernel_terms("mf", ctx, m, a_max),
+                     _over(p_out, ctx.p_in_bar), a_max)
+    # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
+    return ClosedForm(phi=a * los.b_ris * los.a_f[0].conj(), eta=eta)
+
+
+def zf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
+           p_out: float) -> ClosedForm:
+    """Interference-nulling coefficients.
+
+    phi = sqrt(rho2) w / ||w|| with w = Q (Q^H Q)^-1 e_1 the first column,
+    Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
+    ``los`` are the m-element LoS factors; needs m >= K+1 (a ConfigError).
+    """
+    m = los.b_ris.size
+    terms = _kernel_terms("zf", ctx, m, a_max)
+    eta, rho2 = _excess("zf", ctx, m, terms, _over(p_out, ctx.p_in_bar), a_max)
+    w = los.b_ris.conj() * ctx.steering_sum(m, terms[2]).ravel()
+    # phi above is the diagonal of Phi^H; return diag(Phi)
+    return ClosedForm(phi=(np.sqrt(rho2) * w / np.sqrt(terms[0])).conj(), eta=eta)
+
+
+def mmse_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
+             p_out: float) -> ClosedForm:
     """Balanced (MMSE-style) coefficients under the relaxed norm-ball cap.
 
-    phi = (I/rho1 + N beta_g B^H D B)^-1 B^H f_0; the excess is evaluated
-    exactly as the relaxed-problem optimum and upper-bounds every feasible
-    configuration. Per-element cap violations are reported, not repaired.
-    The solve exploits the diagonal-plus-rank-K structure of D.
+    phi = (I/rho1 + N beta_g B^H D B)^-1 B^H f_0 scaled onto the ball
+    ||phi||^2 = rho1 = min(p_out / p_in, m a_max^2), where the excess is the
+    relaxed-problem optimum and upper-bounds every feasible configuration.
+    Per-element cap violations are reported, not repaired. ``los`` are the
+    m-element LoS factors.
     """
-    if rho1 <= 0:
-        raise ValueError("rho1 must be positive")
-    # B^H D B = (sigma1^2 I + sum_k zeta_k p_k q_k q_k^H) / sigma2^2 since |b_g| = 1
-    c = 1.0 / rho1 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq / ctx.sigma2_sq
-    q0 = ctx.q_vec(0)
-    raw = ctx.solve_ball_system(c, q0)
-    eta = ctx.n_antennas * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq * float(
-        np.real(q0.conj() @ raw))
+    m = los.b_ris.size
+    eta, (rho1, c, y) = _excess("mmse", ctx, m, _kernel_terms("mmse", ctx, m, a_max),
+                                _over(p_out, ctx.p_in_bar), a_max)
+    # B^H D B = (sigma1^2 I + sum_k zeta_k p_k q_k q_k^H) / sigma2^2 since |b_g| = 1;
+    # Woodbury: (c I + U W U^H)^-1 q_0 = q_0 / c - U y / c^2
+    q = los.b_ris.conj() * (np.sqrt(ctx.beta_f)[:, np.newaxis] * los.a_f)
+    raw = q[0] / c
+    if y is not None:
+        raw = raw - (q[ctx.ball_weights()[0] + 1].T @ y) / c**2
     # the closed form fixes only the direction; on the ball boundary
     # ||phi||^2 = rho1 the achieved excess equals the value computed above
     phi = raw * np.sqrt(rho1 / float(np.real(raw.conj() @ raw)))
@@ -243,71 +314,14 @@ def mmse_phi(ctx: ClosedFormContext, rho1: float) -> ClosedForm:
     return ClosedForm(phi=phi.conj(), eta=eta)
 
 
-def _zf_direction(ctx: ClosedFormContext, a_max: float) -> tuple[np.ndarray, float, float]:
-    """w, the first column of Q (Q^H Q)^-1 with Q = [q_0 ... q_K], ||w||^2 and the cap on rho2.
+def passive_mf_eta(ctx: ClosedFormContext, m):
+    """Excess of m unit-amplitude aligned passive elements, interferers included.
 
-    rho2 is ||phi||^2; the cap is the largest rho2 whose peak amplitude stays
-    within a_max. Needs M >= K+1 (a ConfigError otherwise).
+    m is a whole-column count or an array of them; the context carries the
+    passive surface's sigma1^2 = 0. Reduces to the closed passive form when
+    no interferer is active.
     """
-    k = len(ctx.a_f) - 1
-    if ctx.m < k + 1:
-        raise ConfigError(f"zero-forcing needs M >= K+1 = {k + 1} elements, got M = {ctx.m}")
-    q = ctx.q_vec(slice(None)).T  # columns q_0 ... q_K
-    w = q @ _zf_solve(q.conj().T @ q)
-    norm_w_sq = float(np.real(w.conj() @ w))
-    return w, norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
-
-
-def _zf_solve(gram: np.ndarray) -> np.ndarray:
-    """(Q^H Q)^-1 e_1 from the Gram; a NumericalError when it is ill-conditioned."""
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError("zero-forcing geometry is degenerate (ill-conditioned Gram)")
-    e1 = np.zeros(len(gram), dtype=complex)
-    e1[0] = 1.0
-    return np.linalg.solve(gram, e1)
-
-
-def _zf_eta(ctx: ClosedFormContext, rho2: float, norm_w_sq: float) -> float:
-    """Excess of the zero-forcing coefficients with ||phi||^2 = rho2."""
-    # [(Q^H Q)^-1]_{11} equals ||w||^2
-    return float(ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
-        (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * norm_w_sq))
-
-
-def zf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
-    """Interference-nulling coefficients.
-
-    phi = sqrt(rho2) w / ||w|| with w the first column of Q (Q^H Q)^-1,
-    Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
-    Needs M >= K+1 (a ConfigError otherwise).
-    """
-    w, norm_w_sq, rho2_cap = _zf_direction(ctx, a_max)
-    rho2 = min(_over(p_out, p_in), rho2_cap)
-    phi = np.sqrt(rho2) * w / np.sqrt(norm_w_sq)
-    # phi above is the diagonal of Phi^H; return diag(Phi)
-    return ClosedForm(phi=phi.conj(), eta=_zf_eta(ctx, rho2, norm_w_sq))
-
-
-def _aligned_eta(ctx: ClosedFormContext, m, a: float, quad):
-    """Excess of m aligned elements of amplitude a, given quad = quad_d(a_f[0]); arrays allowed."""
-    denom = (1.0 + ctx.n_antennas * a * a * ctx.beta_g * quad) * ctx.sigma2_sq
-    return ctx.n_antennas * m * m * a * a * ctx.beta_f[0] * ctx.beta_g * ctx.p[0] / denom
-
-
-def mf_phi(ctx: ClosedFormContext, a_max: float, p_out: float, p_in: float) -> ClosedForm:
-    """Signal-aligned coefficients: phi = a B^H a_f with the budget-filling a."""
-    a = min(a_max, np.sqrt(_over(p_out, ctx.m * p_in))) if p_out > 0 else 0.0
-    phi = a * ctx.b_g * ctx.a_f[0].conj()  # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
-    return ClosedForm(phi=phi, eta=float(_aligned_eta(ctx, ctx.m, a, ctx.quad_d(ctx.a_f[0]))))
-
-
-def passive_mf_eta(ctx: ClosedFormContext) -> float:
-    """Excess of the unit-amplitude aligned passive surface, interferers included.
-
-    Reduces to the closed passive form when no interferer is active.
-    """
-    return float(_aligned_eta(ctx, ctx.m, 1.0, ctx.quad_d(ctx.a_f[0])))
+    return _aligned_eta(ctx, m, 1.0, ctx.kernel_quad_d(m))
 
 
 METHODS = ("wmmse", "mf", "zf", "mmse", "passive", "passive-unit", "passive-relaxed")
@@ -337,9 +351,10 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     scenario's LoS channels at m elements when none are given, for at most
     max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) follow
-    from the LoS geometry, so ``channels``, when given, must be LoS; they
-    read ``ctx``, a context of the scenario at m elements, built from the
-    factors of ``channels`` or else from the scenario when none is given.
+    from the LoS geometry, so ``channels``, when given, must be LoS: their
+    excess comes from ``ctx`` (the scenario's context when none is given)
+    and their coefficients from the m-element LoS factors of ``channels``,
+    or of the scenario when none are given.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -369,17 +384,18 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
     if ctx is None:
-        ctx = ClosedFormContext.from_scenario(scenario, m) if channels is None else \
-            ClosedFormContext.from_factors(scenario, m, channels.gains, channels.los)
+        ctx = ClosedFormContext.from_scenario(scenario)
+    los = chan.los_factors(scenario, *upa_dims(scenario, m))[1] if channels is None \
+        else channels.los
     if method == "passive":
-        rcm = Rcm(phi=np.exp(1j * mf_phases(ctx.b_g, ctx.a_f[0])), mode="passive-unit", a_max=1.0)
+        rcm = Rcm(phi=np.exp(1j * mf_phases(los.b_ris, los.a_f[0])), mode="passive-unit",
+                  a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=rcm.sigma1_sq(scenario.noise()))
-        return Design(rcm, passive_mf_eta(ctx))
-    p_in = ctx.p_in_bar
+        return Design(rcm, float(passive_mf_eta(ctx, m)))
+    sol = (mf_phi if method == "mf" else zf_phi if method == "zf" else mmse_phi)(
+        ctx, los, a_max, p_out)
     if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
-        sol = mmse_phi(ctx, min(_over(p_out, p_in), m * a_max**2))
         return Design(Rcm(phi=sol.phi, mode="active", a_max=np.inf), sol.eta)
-    sol = (zf_phi if method == "zf" else mf_phi)(ctx, a_max, p_out, p_in)
     return Design(Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out), sol.eta)
 
 
@@ -432,46 +448,7 @@ def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
     return [m_v * j for j in ms]
 
 
-CLOSED_FORMS = ("mf", "zf", "mmse")
 INVERSION_GUARD = 1e-9  # budgets this close (relative) to the inverted one are scanned
-
-
-def _kernel_terms(method: str, ctx: ClosedFormContext, m: int, a_max: float):
-    """The budget-free part of closed form ``method`` at count m, from the kernels.
-
-    quad_d(a_f[0]) for mf; for mmse the Gram's G_00 and its blocks G_UU,
-    G_U0 and G_0U on the interferers with a ball weight. For zf, ||w||^2 =
-    [(Q^H Q)^-1]_00 and the cap on rho2, whose max_i |w_i| needs w: the
-    m_h' x m_v matrix sum_k coef_k sqrt(beta_f[k]) a_h,k[i_h] a_v,k[i_v].
-    """
-    if method == "mf":
-        return float(ctx.kernel_quad_d(m))
-    gram = ctx.gram(m)
-    if method == "mmse":
-        u = ctx.ball_weights()[0] + 1
-        return gram[0, 0], gram[np.ix_(u, u)], gram[u, 0], gram[0, u]
-    coef = _zf_solve(gram)
-    a_h, a_v = (np.exp(-1j * psi[:, None] * np.arange(n))
-                for psi, n in zip(ctx.steps.T, (m // ctx.m_v, ctx.m_v)))
-    w = a_h.T @ ((coef * np.sqrt(ctx.beta_f))[:, None] * a_v)  # |w_i|, as |b_g| = 1
-    norm_w_sq = float(np.real(coef[0]))
-    return norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2)
-
-
-def _kernel_eta(method: str, ctx: ClosedFormContext, m: int, terms, ratio: float,
-                a_max: float) -> float:
-    """The excess of closed form ``method`` at count m and output-power ratio p_out / p_in."""
-    if method == "mf":  # p_out = m p_in a^2
-        return float(_aligned_eta(ctx, m, min(a_max, math.sqrt(ratio / m)), terms))
-    if method == "zf":  # rho2 = ||phi||^2
-        return _zf_eta(ctx, min(ratio, terms[1]), terms[0])
-    (g_00, g_uu, g_u0, g_0u), weights = terms, ctx.ball_weights()[1]
-    nb = ctx.n_antennas * ctx.beta_g
-    c = 1.0 / min(ratio, m * a_max**2) + nb * ctx.sigma1_sq / ctx.sigma2_sq  # rho1 = ||phi||^2
-    quad = g_00 / c  # q_0^H (c I + U W U^H)^-1 q_0, by Woodbury on the Gram
-    if weights.size:
-        quad -= g_0u @ _woodbury(c, weights, g_uu, g_u0) / c**2
-    return nb * ctx.p[0] / ctx.sigma2_sq * float(np.real(quad))
 
 
 def _passive_blocks(ctx: ClosedFormContext, m_top: int):
@@ -483,7 +460,7 @@ def _passive_blocks(ctx: ClosedFormContext, m_top: int):
     start, size, top = 1, 256, m_top // ctx.m_v
     while start <= top:
         counts = ctx.m_v * np.arange(start, min(start + size, top + 1))
-        yield counts, _aligned_eta(ctx, counts * 1.0, 1.0, ctx.kernel_quad_d(counts))
+        yield counts, passive_mf_eta(ctx, counts * 1.0)
         start, size = start + size, min(2 * size, 2**16)
 
 
@@ -499,7 +476,7 @@ def _least_budget_at(method: str, ctx: ClosedFormContext, m: int, terms, eta0: f
     excess cannot be inverted is a NumericalError.
     """
     def excess(t: float) -> float:  # at p_out / p_in = 1/t, falling in t
-        return _kernel_eta(method, ctx, m, terms, 1.0 / t if t > 0 else math.inf, a_max)
+        return _excess(method, ctx, m, terms, 1.0 / t if t > 0 else math.inf, a_max)[0]
 
     if not excess(0.0) > eta0:
         return math.inf
@@ -537,10 +514,10 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     power alone exceeds the best p_m, and passive walks every count for
     m_1, the first that beats eta_0. A probe beats eta_0 exactly when it
     lies above p* = min p_m (scanned within a guard band around p*) or
-    affords m_1 passive elements. A scan takes the count the kernels rank
-    best and evaluates the vector closed form there, at the returned budget,
-    the last probe below it and any guard-band probe; end scans that
-    contradict the inversion are a NumericalError. The scanned probe
+    affords m_1 passive elements. A scan takes the best count and emits its
+    coefficients there, at the returned budget, the last probe below it and
+    any guard-band probe; end scans that contradict the inversion are a
+    NumericalError. The scanned probe
     history is checked for monotonicity.
     """
     method = planner_method(method)
@@ -564,7 +541,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
                           f"for {k + 1} sources that exceeds the planner's ceiling of "
                           f"{chan.MAX_PLANNED_STEERING} array-factor terms")
-    ctx = ClosedFormContext.from_scenario(scenario, m_v)  # one column: kernels serve any count
+    ctx = ClosedFormContext.from_scenario(scenario)
     p_in = ctx.p_in_bar
     if method == "passive":
         unit = Rcm(phi=np.ones(1), mode="passive-unit", a_max=1.0)
@@ -574,7 +551,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         best = (0.0, 0, None)
-        if method == "passive":  # the kernels pick the count, the vector form scores it
+        if method == "passive":
             for counts, etas in _passive_blocks(ctx, columns(power.passive_m(p))):
                 i = int(np.argmax(etas))
                 if etas[i] > best[0]:
@@ -590,7 +567,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                     res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m))
                     warm[m], eta, rcm = res.rcm.phi, res.eta, res.rcm
                 else:
-                    eta = _kernel_eta(method, ctx, m, count_terms(m), _over(p_out, p_in), a_max)
+                    eta = _excess(method, ctx, m, count_terms(m), _over(p_out, p_in), a_max)[0]
                     rcm = None
                 if eta > best[0]:
                     best = (eta, m, rcm)
@@ -598,7 +575,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
             return best
         m = best[1]
         res = coefficients(method, scenario, m,
-                           None if method == "passive" else power.p_out_budget(p, m))
+                           None if method == "passive" else power.p_out_budget(p, m), ctx=ctx)
         return res.eta, m, res.rcm
 
     scans: dict[float, tuple[float, int, Rcm | None]] = {}

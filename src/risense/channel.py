@@ -94,14 +94,13 @@ class LosFactors:
     """Steering factors of a LoS channel set, one row of ``a_f`` per source.
 
     g_matrix = sqrt(beta_g) * outer(a_su, conj(b_ris)); f[k] = sqrt(beta_f[k]) * a_f[k]
-    with a_f the (K+1) x M array of unit-modulus incident steering vectors;
-    ``steps`` holds their (K+1) x 2 horizontal and vertical phase steps.
+    with a_f the (K+1) x M array of unit-modulus incident steering vectors,
+    row k built from ``incident_steps(geometry)[k]``.
     """
 
     a_su: np.ndarray
     b_ris: np.ndarray
     a_f: np.ndarray
-    steps: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_f", np.asarray(self.a_f, dtype=complex))
@@ -214,27 +213,36 @@ def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
                  for r, a in zip(radii, angles))
 
 
+def incident_steps(geom: Geometry) -> np.ndarray:
+    """(K+1) x 2 horizontal and vertical phase steps of each source's incident steering.
+
+    The azimuths follow from the 2-D positions as seen from the surface; every
+    elevation is zero. Together with the surface size they fix the incident
+    steering vectors: the channel set and the planner's closed forms both
+    start from them.
+    """
+    delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - \
+        np.asarray(geom.ris_pos, dtype=float)
+    return np.array([upa_phase_steps(az, 0.0) for az in np.arctan2(delta[:, 1], delta[:, 0])])
+
+
 def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
 
-    ``sc`` is a ScenarioConfig. The azimuths follow from the 2-D positions of
-    ``sc.geometry`` as seen from the surface, the receiver's from its own
-    broadside; every elevation is zero. The one description of the LoS
-    geometry: the channel set and the planner's closed forms both start from it.
+    ``sc`` is a ScenarioConfig. The incident steering follows
+    ``incident_steps(sc.geometry)``, the receiver's azimuth from its own
+    broadside; every elevation is zero.
     """
     geom = sc.geometry
-    ris = np.asarray(geom.ris_pos, dtype=float)
-    delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - ris
-    d_su = np.asarray(geom.su_pos, dtype=float) - ris
-    steps = np.array([upa_phase_steps(az, 0.0) for az in np.arctan2(delta[:, 1], delta[:, 0])])
-    a_f = np.empty((len(delta), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
+    steps = incident_steps(geom)
+    a_f = np.empty((len(steps), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
     for i, (step_h, step_v) in enumerate(steps):
         a_f[i] = np.kron(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
+    d_su = np.asarray(geom.su_pos, dtype=float) - np.asarray(geom.ris_pos, dtype=float)
     su_aoa = np.arctan2(-d_su[1], -d_su[0])
     return link_gains(geom, sc.pathloss), LosFactors(
         a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(su_aoa)),
-        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f,
-        steps=steps)
+        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f)
 
 
 def build_los_channelset(sc) -> ChannelSet:

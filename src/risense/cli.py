@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> Non
                    help=f"coefficient method ({'|'.join(bdg.METHODS)})")
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="risense",
                                  description="Surface-assisted spectrum sensing simulator")

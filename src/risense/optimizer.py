@@ -71,19 +71,17 @@ class Rcm:
                 raise ValueError("passive amplitudes must not exceed one")
 
 
-@dataclass
-class WmmseState:
-    """Iteration state of the surrogate minimization."""
-
-    u: np.ndarray
-    omega: float
-
-
 class WmmseResult(NamedTuple):
+    """A WMMSE solve's coefficients and excess, and its final receiver u and MSE weight omega.
+
+    ``trace`` holds three surrogate values per outer iteration.
+    """
+
     rcm: Rcm
     eta: float
     trace: list[float]
-    state: WmmseState
+    u: np.ndarray
+    omega: float
 
 
 def power_weights(channels: ChannelSet, sources: SourceModel, sigma1_sq: float) -> np.ndarray:
@@ -357,7 +355,7 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
                 rcm0: Rcm, phi_step, tol: float, max_iter: int) -> WmmseResult:
     if sources.p[0] == 0:  # a silent primary: every coefficient vector gives eta = 0
         u = np.zeros(channels.n_antennas, dtype=complex)  # and zero MSE, at u = 0
-        return WmmseResult(rcm=rcm0, eta=0.0, trace=[], state=WmmseState(u=u, omega=np.inf))
+        return WmmseResult(rcm=rcm0, eta=0.0, trace=[], u=u, omega=np.inf)
     phi = rcm0.phi.copy()
     mode, a_max, p_out = rcm0.mode, rcm0.a_max, rcm0.p_out_budget
     omega = None
@@ -388,7 +386,7 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
     rcm = Rcm(phi=phi, mode=mode, a_max=a_max, p_out_budget=p_out)
     rcm.check_feasible(channels, sources, noise)
     eta = population_eta(channels, rcm, sources, noise)
-    return WmmseResult(rcm=rcm, eta=eta, trace=trace, state=WmmseState(u=u, omega=omega))
+    return WmmseResult(rcm=rcm, eta=eta, trace=trace, u=u, omega=omega)
 
 
 def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

@@ -16,7 +16,6 @@ that path on every activity draw, for the law and exactness tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -359,19 +358,59 @@ def kkt_residual(instance: QcqpInstance, phi: np.ndarray) -> float:
     return float(np.linalg.norm(x - proj) / (1.0 + np.linalg.norm(x)))
 
 
-def big_d(ctx: ClosedFormContext) -> np.ndarray:
+def q_matrix(channels: ChannelSet) -> np.ndarray:
+    """Q = [q_0 ... q_K] with q_k = B^H f_k, B = diag(b_ris), from a LoS channel set's vectors."""
+    return (channels.los.b_ris.conj() * channels.f).T
+
+
+def big_d(ctx: ClosedFormContext, channels: ChannelSet) -> np.ndarray:
     """D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers, dense.
 
-    O(M^2) memory; the closed forms use its diagonal-plus-low-rank structure
-    instead of materializing it.
+    O(M^2) memory, from the incident channels of ``channels``; the closed
+    forms read its array-factor kernels instead of materializing it.
     """
-    d = ctx.sigma1_sq * np.eye(ctx.m, dtype=complex)
-    for k in range(1, len(ctx.a_f)):
+    d = ctx.sigma1_sq * np.eye(channels.n_elements, dtype=complex)
+    for k in range(1, len(channels.f)):
         w = ctx.zeta[k] * ctx.p[k]
         if w > 0:
-            fk = np.sqrt(ctx.beta_f[k]) * ctx.a_f[k]
+            fk = channels.f[k]
             d += w * np.outer(fk, fk.conj())
     return d / ctx.sigma2_sq
+
+
+def vector_excess(method: str, ctx: ClosedFormContext, channels: ChannelSet, a_max: float,
+                  p_out: float) -> float:
+    """Closed-form excess of ``method`` from the m-element vectors of a LoS channel set.
+
+    Sums over the elements where the package reads array-factor kernels:
+    a_f[0]^H D a_f[0] for mf and passive (passive ignores a_max and p_out and
+    needs ctx.sigma1_sq = 0); for zf, w = Q (Q^H Q)^-1 e_1 from the
+    pseudo-inverse of Q, whose ||w||^2 is [(Q^H Q)^-1]_00; for mmse,
+    q_0^H (c I + sum_k w_k q_k q_k^H)^-1 q_0 in the orthonormal basis of a QR
+    factorization of Q, in place of Woodbury's identity on the Gram.
+    """
+    q, m = q_matrix(channels), channels.n_elements
+    nb, ratio = ctx.n_antennas * ctx.beta_g, p_out / ctx.p_in_bar
+    if method in ("mf", "passive"):
+        a_f = channels.los.a_f
+        power = ctx.zeta[1:] * ctx.p[1:] * ctx.beta_f[1:]
+        quad = (ctx.sigma1_sq * float(np.real(a_f[0].conj() @ a_f[0]))
+                + float(power @ np.abs(a_f[1:].conj() @ a_f[0]) ** 2)) / ctx.sigma2_sq
+        a = 1.0 if method == "passive" else min(a_max, math.sqrt(p_out / (m * ctx.p_in_bar)))
+        return nb * m * m * a * a * ctx.beta_f[0] * ctx.p[0] / (
+            (1.0 + nb * a * a * quad) * ctx.sigma2_sq)
+    if method == "zf":
+        w = np.linalg.pinv(q)[0].conj()
+        norm_w_sq = float(np.real(w.conj() @ w))
+        rho2 = min(ratio, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2))
+        return nb * ctx.p[0] * rho2 / ((ctx.sigma2_sq + nb * ctx.sigma1_sq * rho2) * norm_w_sq)
+    rho1 = min(ratio, m * a_max**2)
+    weights = nb * ctx.zeta[1:] * ctx.p[1:] / ctx.sigma2_sq
+    _, r = np.linalg.qr(q)
+    core = (1.0 / rho1 + nb * ctx.sigma1_sq / ctx.sigma2_sq) * np.eye(len(r)) + \
+        (r[:, 1:] * weights) @ r[:, 1:].conj().T
+    quad = r[:, 0].conj() @ np.linalg.solve(core, r[:, 0])
+    return nb * ctx.p[0] / ctx.sigma2_sq * float(np.real(quad))
 
 
 def c0(ctx: ClosedFormContext) -> float:
@@ -468,27 +507,17 @@ def passive_m_for_eta(eta_target: float, n: int, beta_f0: float, beta_g: float,
     return int(math.ceil(m - 1e-12))
 
 
-def prefix(ctx: ClosedFormContext, m: int) -> ClosedFormContext:
-    """The context of the first m elements, equal to ``from_scenario`` at m.
-
-    The horizontal index is the outer one of the planar steering vectors, so
-    for whole columns (m a multiple of m_v) their first m entries are the
-    m-element vectors, bit for bit.
-    """
-    if not 1 <= m <= ctx.m or m % ctx.m_v:
-        raise ValueError(f"cannot take {m} of {ctx.m} elements in columns of {ctx.m_v}")
-    return dataclasses.replace(ctx, m=m, b_g=ctx.b_g[:m], a_f=ctx.a_f[:, :m])
-
-
 def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.BudgetResult:
     """The planner as a plain bisection that rescans the element counts at every probe.
 
-    Each probe scans every element count that the probed budget affords, with
-    the vector closed forms on prefixes of one steering array, and keeps the
-    best excess: the active forms on the ladder, passive at every whole-column
-    count up to passive_m(p) (a running max). The bisection on the budget runs
-    exactly as the planner's, so its result fields must match the planner's
-    bit for bit.
+    Each probe scans every element count that the probed budget affords on
+    the scenario's one context and keeps the best excess: the active forms
+    on the ladder, by the excess that ``coefficients`` reads, with the best
+    count's coefficients; passive by ``coefficients`` at every whole-column
+    count up to passive_m(p) (a running max). No count is inverted and no
+    probe decided without a scan; the bisection on the budget runs exactly
+    as the planner's, so its result fields must match the planner's bit for
+    bit.
     """
     if method not in ("mf", "zf", "mmse", "passive"):
         raise ValueError(f"the reference plans the closed forms only, got {method!r}")
@@ -501,8 +530,7 @@ def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.Budget
         m = power.passive_m(p) if method == "passive" else power.m_max(p)
         return m // m_v * m_v
 
-    m_top = affords(p_high)
-    ctx = ClosedFormContext.from_scenario(scenario, m_top) if m_top >= 1 else None
+    ctx = ClosedFormContext.from_scenario(scenario)
     designs: dict[int, bdg.Design] = {}  # passive designs are budget-free: each count once
 
     def probe(p: float):
@@ -510,7 +538,7 @@ def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.Budget
         if method == "passive":
             for m in range(m_v, affords(p) + 1, m_v):
                 if m not in designs:
-                    designs[m] = bdg.coefficients(method, scenario, m, None, ctx=prefix(ctx, m))
+                    designs[m] = bdg.coefficients(method, scenario, m, None, ctx=ctx)
                 if designs[m].eta > best[0]:
                     best = (designs[m].eta, m, designs[m].rcm)
             return best
@@ -518,9 +546,15 @@ def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.Budget
             p_out = power.p_out_budget(p, m)
             if p_out <= 0 or (method == "zf" and m < k + 1):
                 continue
-            res = bdg.coefficients(method, scenario, m, p_out, ctx=prefix(ctx, m))
-            if res.eta > best[0]:
-                best = (res.eta, m, res.rcm)
+            terms = bdg._kernel_terms(method, ctx, m, scenario.a_max)
+            eta = bdg._excess(method, ctx, m, terms, bdg._over(p_out, ctx.p_in_bar),
+                              scenario.a_max)[0]
+            if eta > best[0]:
+                best = (eta, m, None)
+        if best[1]:
+            m = best[1]
+            best = (best[0], m, bdg.coefficients(method, scenario, m, power.p_out_budget(p, m),
+                                                  ctx=ctx).rcm)
         return best
 
     eta_hi, m_hi, rcm_hi = probe(p_high)

@@ -86,10 +86,10 @@ def test_criterion_02_spiked_model_fidelity():
 def test_criterion_03_sqrt_a0_reproduction():
     beta_f = chan.pathloss(0.12, 111.803, 2.0)
     ctx = bdg.ClosedFormContext(
-        n_antennas=64, m=4, beta_g=chan.pathloss(0.12, np.hypot(400.0, 50.0), 2.0),
+        n_antennas=64, beta_g=chan.pathloss(0.12, np.hypot(400.0, 50.0), 2.0),
         beta_f=np.array([beta_f]), p=np.array([1.0]), zeta=np.array([1.0]),
         sigma1_sq=1e-11, sigma2_sq=1e-11, p_c=1e-4, p_dc=10 ** (-3.5),
-        b_g=chan.steering_vector_ula(4, 0.5), a_f=(chan.steering_vector_ula(4, 0.2),))
+        steps=np.array([[0.2, 0.0]]))
     p_aris = 1e-3  # C0 * P << C2 regime in which the value is quoted
     a0, _ = optimal_amplitude(ctx, p_aris, a_max=1e9)
     root = np.sqrt(a0)
@@ -205,16 +205,19 @@ def test_criterion_07_zf_contract():
     for _ in range(50):
         k = int(rng.integers(1, 4))
         m = k + 1 + int(rng.integers(0, 4))
-        az = rng.uniform(-np.pi / 2, np.pi / 2, size=k + 1)
+        steps = np.column_stack([np.pi * np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=k + 1)),
+                                 np.zeros(k + 1)])
         ctx = bdg.ClosedFormContext(
-            n_antennas=8, m=m, beta_g=1.0, beta_f=np.full(k + 1, 1.0),
+            n_antennas=8, beta_g=1.0, beta_f=np.full(k + 1, 1.0),
             p=np.full(k + 1, 1.0), zeta=np.full(k + 1, 1.0), sigma1_sq=0.01,
-            sigma2_sq=0.1, p_c=0.01, p_dc=0.02,
-            b_g=chan.steering_vector_ula(m, np.pi * np.sin(rng.uniform(-1.5, 1.5))),
-            a_f=tuple(chan.steering_vector_ula(m, np.pi * np.sin(a)) for a in az))
-        sol = bdg.zf_phi(ctx, a_max=2.0, p_out=1.0, p_in=ctx.p_in_bar)
+            sigma2_sq=0.1, p_c=0.01, p_dc=0.02, steps=steps)
+        los = chan.LosFactors(
+            a_su=chan.steering_vector_ula(8, 0.0),
+            b_ris=chan.steering_vector_ula(m, np.pi * np.sin(rng.uniform(-1.5, 1.5))),
+            a_f=[chan.steering_vector_ula(m, step) for step in steps[:, 0]])
+        sol = bdg.zf_phi(ctx, los, a_max=2.0, p_out=1.0)
         for kk in range(1, k + 1):
-            q = ctx.q_vec(kk)
+            q = los.b_ris.conj() * los.a_f[kk]  # q_k = B^H f_k with beta_f = 1
             worst = max(worst, abs(q.conj() @ sol.phi.conj())
                         / (np.linalg.norm(q) * np.linalg.norm(sol.phi)))
     geom = chan.Geometry(interferer_pos=chan.draw_interferer_positions(

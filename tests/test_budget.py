@@ -8,7 +8,8 @@ import pytest
 
 from conftest import make_noise, make_sources
 from oracles import (big_d, c0, c2, eta_active_no_interference, eta_passive, optimal_amplitude,
-                     optimal_m, passive_m_for_eta, prefix, q_gain, scan_per_probe_budget, xi)
+                     optimal_m, passive_m_for_eta, q_gain, q_matrix, scan_per_probe_budget,
+                     vector_excess, xi)
 from risense import budget as bdg
 from risense import channel as chan
 from risense import sensing as sns
@@ -22,18 +23,19 @@ REFERENCE = dict(p_c=1e-4, p_dc=10 ** (-3.5), sigma1_sq=1e-11, sigma2_sq=1e-11, 
 
 def make_ctx_and_channels(rng, n, m, k, beta_f=1.0, beta_g=1.0, sigma1_sq=0.01,
                           sigma2_sq=0.1, p=1.0, zeta=1.0, p_c=0.01, p_dc=0.02):
-    """Matched (context, LoS channel set) pair built from shared steering pieces."""
-    az = rng.uniform(-np.pi / 2, np.pi / 2, size=k + 1)
-    a_f = tuple(chan.steering_vector_ula(m, np.pi * np.sin(a)) for a in az)
+    """Matched (context, m-element LoS channel set) pair built from shared phase steps."""
+    steps = np.column_stack([np.pi * np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=k + 1)),
+                             np.zeros(k + 1)])
+    a_f = tuple(chan.steering_vector_ula(m, step) for step in steps[:, 0])
     a_su = chan.steering_vector_ula(n, np.pi * np.sin(rng.uniform(-np.pi / 2, np.pi / 2)))
     b_g = chan.steering_vector_ula(m, np.pi * np.sin(rng.uniform(-np.pi / 2, np.pi / 2)))
     pv = np.full(k + 1, p)
     zv = np.full(k + 1, zeta)
     zv[0] = 1.0
-    ctx = bdg.ClosedFormContext(n_antennas=n, m=m, beta_g=beta_g,
+    ctx = bdg.ClosedFormContext(n_antennas=n, beta_g=beta_g,
                                 beta_f=np.full(k + 1, beta_f), p=pv, zeta=zv,
                                 sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
-                                p_c=p_c, p_dc=p_dc, b_g=b_g, a_f=a_f)
+                                p_c=p_c, p_dc=p_dc, steps=steps)
     f = tuple(np.sqrt(beta_f) * v for v in a_f)
     g = np.sqrt(beta_g) * np.outer(a_su, b_g.conj())
     d = tuple(np.zeros(n, dtype=complex) for _ in range(k + 1))
@@ -44,17 +46,15 @@ def make_ctx_and_channels(rng, n, m, k, beta_f=1.0, beta_g=1.0, sigma1_sq=0.01,
     return ctx, cs
 
 
-def reference_ctx(n=64, m=4, p_aris=None):
+def reference_ctx(n=64):
     """Interference-free context at the published constants (111.803 m / 403.1 m links)."""
     beta_f = chan.pathloss(0.12, np.hypot(100.0, 50.0), 2.0)
     beta_g = chan.pathloss(0.12, np.hypot(400.0, 50.0), 2.0)
-    a_f = (chan.steering_vector_ula(m, 0.3),)
-    b_g = chan.steering_vector_ula(m, 0.7)
-    return bdg.ClosedFormContext(n_antennas=n, m=m, beta_g=beta_g,
+    return bdg.ClosedFormContext(n_antennas=n, beta_g=beta_g,
                                  beta_f=np.array([beta_f]), p=np.array([REFERENCE["p0"]]),
                                  zeta=np.array([1.0]), sigma1_sq=REFERENCE["sigma1_sq"],
                                  sigma2_sq=REFERENCE["sigma2_sq"], p_c=REFERENCE["p_c"],
-                                 p_dc=REFERENCE["p_dc"], b_g=b_g, a_f=a_f)
+                                 p_dc=REFERENCE["p_dc"], steps=np.array([[0.3, 0.0]]))
 
 
 class TestMfPhases:
@@ -167,7 +167,7 @@ class TestEtaClosedForms:
     def test_active_form_matches_population_eta(self, rng):
         n, m, a = 8, 4, 2.0
         ctx, cs = make_ctx_and_channels(rng, n, m, k=0)
-        phi = a * np.exp(1j * bdg.mf_phases(ctx.b_g, ctx.a_f[0]))
+        phi = a * np.exp(1j * bdg.mf_phases(cs.los.b_ris, cs.los.a_f[0]))
         rcm = Rcm(phi=phi, mode="active", a_max=np.inf)
         eta_pop = sns.population_eta(cs, rcm, make_sources(0), make_noise(0.01, 0.1))
         eta_cf = eta_active_no_interference(ctx, n, m, a)
@@ -183,7 +183,7 @@ class TestEtaClosedForms:
     def test_passive_form_matches_population_eta(self, rng):
         n, m = 8, 16
         ctx, cs = make_ctx_and_channels(rng, n, m, k=0, sigma1_sq=0.0)
-        phi = np.exp(1j * bdg.mf_phases(ctx.b_g, ctx.a_f[0]))
+        phi = np.exp(1j * bdg.mf_phases(cs.los.b_ris, cs.los.a_f[0]))
         rcm = Rcm(phi=phi, mode="passive-unit", a_max=1.0)
         eta_pop = sns.population_eta(cs, rcm, make_sources(0), make_noise(0.0, 0.1))
         assert eta_passive(n, m, 1.0, 1.0, 1.0, 0.1) == pytest.approx(eta_pop, rel=1e-10)
@@ -206,60 +206,60 @@ class TestEtaClosedForms:
 
 class TestMmse:
     def test_reduces_to_mf_direction_without_interferers(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 4, k=0)
-        sol = bdg.mmse_phi(ctx, rho1=3.0)
-        mf = bdg.mf_phi(ctx, a_max=1.0, p_out=ctx.p_in_bar * 4.0, p_in=ctx.p_in_bar)
+        ctx, cs = make_ctx_and_channels(rng, 8, 4, k=0)
+        sol = bdg.mmse_phi(ctx, cs.los, a_max=np.inf, p_out=3.0 * ctx.p_in_bar)
+        mf = bdg.mf_phi(ctx, cs.los, a_max=1.0, p_out=ctx.p_in_bar * 4.0)
         rel = sol.phi / mf.phi
         assert np.max(np.abs(rel - rel[0])) < 1e-10  # same direction
 
     def test_dual_numerical_paths_agree(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 5, k=2, zeta=0.7)
-        rho1 = 2.5
-        sol = bdg.mmse_phi(ctx, rho1)
-        b = ctx.b_g
+        ctx, cs = make_ctx_and_channels(rng, 8, 5, k=2, zeta=0.7)
+        p_out = 2.5 * ctx.p_in_bar
+        rho1 = p_out / ctx.p_in_bar  # 2.5 to rounding
+        sol = bdg.mmse_phi(ctx, cs.los, np.inf, p_out)
+        b = cs.los.b_ris
         a_mat = np.eye(5, dtype=complex) / rho1 + ctx.n_antennas * ctx.beta_g * (
-            b.conj()[:, None] * big_d(ctx) * b[None, :])
-        q0 = ctx.q_vec(0)
+            b.conj()[:, None] * big_d(ctx, cs) * b[None, :])
+        q0 = q_matrix(cs)[:, 0]
         eta_inv = ctx.n_antennas * ctx.beta_g * ctx.p[0] / ctx.sigma2_sq * np.real(
             q0.conj() @ np.linalg.inv(a_mat) @ q0)
         assert sol.eta == pytest.approx(eta_inv, rel=1e-10)
 
     def test_scaled_solution_achieves_closed_form_eta(self, rng):
-        ctx, cs = make_ctx_and_channels(rng, 8, 5, k=2)
-        rho1 = 2.5
-        sol = bdg.mmse_phi(ctx, rho1)
-        rcm = Rcm(phi=sol.phi, mode="active", a_max=np.inf)
-        eta_pop = sns.population_eta(cs, rcm, make_sources(2), make_noise(0.01, 0.1))
-        assert eta_pop == pytest.approx(sol.eta, rel=1e-10)
+        # the second surface has a silent interferer, which the Woodbury solve leaves out
+        for zeta in (1.0, (1.0, 0.0, 1.0)):
+            ctx, cs = make_ctx_and_channels(rng, 8, 5, k=2, zeta=zeta)
+            sol = bdg.mmse_phi(ctx, cs.los, np.inf, 2.5 * ctx.p_in_bar)
+            rcm = Rcm(phi=sol.phi, mode="active", a_max=np.inf)
+            src = make_sources(2, zeta=zeta)
+            eta_pop = sns.population_eta(cs, rcm, src, make_noise(0.01, 0.1))
+            assert eta_pop == pytest.approx(sol.eta, rel=1e-10)
 
     def test_dominates_mf_and_zf(self, rng):
         for _ in range(100):
             k = int(rng.integers(1, 4))
             m = int(rng.integers(k + 1, k + 6))
-            ctx, _ = make_ctx_and_channels(rng, 8, m, k=k, zeta=float(rng.uniform(0.2, 1.0)))
+            ctx, cs = make_ctx_and_channels(rng, 8, m, k=k, zeta=float(rng.uniform(0.2, 1.0)))
             p_out = float(10 ** rng.uniform(-1, 1))
             a_max = float(10 ** rng.uniform(-0.5, 1.0))
-            p_in = ctx.p_in_bar
-            rho1 = min(p_out / p_in, m * a_max**2)
-            eta_mmse = bdg.mmse_phi(ctx, rho1).eta
-            eta_mf = bdg.mf_phi(ctx, a_max, p_out, p_in).eta
-            eta_zf = bdg.zf_phi(ctx, a_max, p_out, p_in).eta
+            eta_mmse = bdg.mmse_phi(ctx, cs.los, a_max, p_out).eta
+            eta_mf = bdg.mf_phi(ctx, cs.los, a_max, p_out).eta
+            eta_zf = bdg.zf_phi(ctx, cs.los, a_max, p_out).eta
             assert eta_mmse >= max(eta_mf, eta_zf) * (1 - 1e-10)
 
 
 class TestZf:
     def test_reduces_to_mf_direction_when_alone(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 4, k=0)
-        p_out, p_in = 2.0, ctx.p_in_bar
-        zf = bdg.zf_phi(ctx, a_max=1.0, p_out=p_out, p_in=p_in)
-        mf = bdg.mf_phi(ctx, a_max=1.0, p_out=p_out, p_in=p_in)
+        ctx, cs = make_ctx_and_channels(rng, 8, 4, k=0)
+        zf = bdg.zf_phi(ctx, cs.los, a_max=1.0, p_out=2.0)
+        mf = bdg.mf_phi(ctx, cs.los, a_max=1.0, p_out=2.0)
         rel = zf.phi / mf.phi
         assert np.max(np.abs(rel - rel[0])) < 1e-10
 
     def test_interferer_directions_nulled(self, rng):
         ctx, cs = make_ctx_and_channels(rng, 8, 4, k=1)
-        zf = bdg.zf_phi(ctx, a_max=2.0, p_out=1.0, p_in=ctx.p_in_bar)
-        q1 = ctx.q_vec(1)
+        zf = bdg.zf_phi(ctx, cs.los, a_max=2.0, p_out=1.0)
+        q1 = q_matrix(cs)[:, 1]
         # the working vector of the derivation is conj(diag(Phi))
         assert abs(q1.conj() @ zf.phi.conj()) <= 1e-10 * np.linalg.norm(q1) * np.linalg.norm(zf.phi)
         # physically: the interferer's surface path vanishes
@@ -270,10 +270,10 @@ class TestZf:
         for _ in range(20):
             k = int(rng.integers(1, 4))
             m = k + int(rng.integers(1, 5))
-            ctx, _ = make_ctx_and_channels(rng, 8, m, k=k, zeta=float(rng.uniform(0.3, 1.0)))
+            ctx, cs = make_ctx_and_channels(rng, 8, m, k=k, zeta=float(rng.uniform(0.3, 1.0)))
             p_out = float(10 ** rng.uniform(-1, 1))
-            zf = bdg.zf_phi(ctx, a_max=3.0, p_out=p_out, p_in=ctx.p_in_bar)
-            q = np.column_stack([ctx.q_vec(i) for i in range(k + 1)])
+            zf = bdg.zf_phi(ctx, cs.los, a_max=3.0, p_out=p_out)
+            q = q_matrix(cs)
             q0, q_bar = q[:, 0], q[:, 1:]
             proj = np.eye(m, dtype=complex) - q_bar @ np.linalg.solve(
                 q_bar.conj().T @ q_bar, q_bar.conj().T)
@@ -285,33 +285,33 @@ class TestZf:
 
     def test_eta_matches_population(self, rng):
         ctx, cs = make_ctx_and_channels(rng, 8, 5, k=2)
-        zf = bdg.zf_phi(ctx, a_max=2.0, p_out=1.0, p_in=ctx.p_in_bar)
+        zf = bdg.zf_phi(ctx, cs.los, a_max=2.0, p_out=1.0)
         rcm = Rcm(phi=zf.phi, mode="active", a_max=np.inf)
         eta_pop = sns.population_eta(cs, rcm, make_sources(2), make_noise(0.01, 0.1))
         assert zf.eta == pytest.approx(eta_pop, rel=1e-10)
 
     def test_rank_error_when_m_too_small(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 2, k=2)
+        ctx, cs = make_ctx_and_channels(rng, 8, 2, k=2)
         with pytest.raises(ValueError):
-            bdg.zf_phi(ctx, a_max=1.0, p_out=1.0, p_in=1.0)
+            bdg.zf_phi(ctx, cs.los, a_max=1.0, p_out=1.0)
 
 
 class TestMf:
     def test_amplitudes_uniform(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 4, k=1)
-        sol = bdg.mf_phi(ctx, a_max=0.7, p_out=100.0, p_in=ctx.p_in_bar)
+        ctx, cs = make_ctx_and_channels(rng, 8, 4, k=1)
+        sol = bdg.mf_phi(ctx, cs.los, a_max=0.7, p_out=100.0)
         assert np.allclose(np.abs(sol.phi), 0.7)
 
     def test_silent_interferers_collapse_to_interference_free_form(self, rng):
-        ctx, _ = make_ctx_and_channels(rng, 8, 4, k=2, zeta=0.0)
-        sol = bdg.mf_phi(ctx, a_max=1.5, p_out=0.5, p_in=ctx.p_in_bar)
+        ctx, cs = make_ctx_and_channels(rng, 8, 4, k=2, zeta=0.0)
+        sol = bdg.mf_phi(ctx, cs.los, a_max=1.5, p_out=0.5)
         a = float(np.abs(sol.phi[0]))  # the common amplitude
         eta_cf = eta_active_no_interference(ctx, 8, 4, a)
         assert sol.eta == pytest.approx(eta_cf, rel=1e-12)
 
     def test_eta_matches_population(self, rng):
         ctx, cs = make_ctx_and_channels(rng, 8, 4, k=1, zeta=0.6)
-        sol = bdg.mf_phi(ctx, a_max=1.2, p_out=0.8, p_in=ctx.p_in_bar)
+        sol = bdg.mf_phi(ctx, cs.los, a_max=1.2, p_out=0.8)
         rcm = Rcm(phi=sol.phi, mode="active", a_max=np.inf)
         src = make_sources(1, zeta=0.6)
         eta_pop = sns.population_eta(cs, rcm, src, make_noise(0.01, 0.1))
@@ -353,7 +353,7 @@ class TestRequiredBudget:
         sc = budget_scenario(k=0, p_c_w=1e-6, p_dc_w=1e-6, stop_tol=1e-6)
         res = bdg.required_budget("mf", 0.9, sc)
         eta0 = res.eta_target
-        ctx = bdg.ClosedFormContext.from_scenario(sc, 1)
+        ctx = bdg.ClosedFormContext.from_scenario(sc)
 
         def eta_cf(p):
             _, a_opt = optimal_amplitude(ctx, p, sc.a_max)
@@ -451,7 +451,7 @@ class TestInterferenceFreePlans:
         for _ in range(12):
             sc = self.random_scenario(rng)
             res = bdg.required_budget("mf", 0.9, sc)
-            ctx = bdg.ClosedFormContext.from_scenario(sc, 1)
+            ctx = bdg.ClosedFormContext.from_scenario(sc)
             _, a_opt = optimal_amplitude(ctx, res.required_power, sc.a_max)
             want = optimal_m(ctx, res.required_power, a_opt, sc.a_max).m_bar
             if want <= bdg.EXACT_SCAN_CAP:  # the ladder scans every count up to here
@@ -469,35 +469,39 @@ class TestInterferenceFreePlans:
                                                    sc.sigma2_sq_w)
 
 
-def assert_same_context(got: bdg.ClosedFormContext, want: bdg.ClosedFormContext) -> None:
-    """Field by field, arrays compared on their bytes."""
+def assert_same_bytes(got, want) -> None:
+    """Dataclasses field by field, arrays compared on their bytes."""
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "a_f":
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
         else:
             assert a == b, field.name
 
 
 class TestContextPrefix:
+    """One count-free context serves every whole-column prefix of the surface."""
+
     @pytest.mark.parametrize("m_v", [1, 2])
     def test_prefix_equals_a_fresh_context(self, m_v):
+        # the horizontal index is the outer one of the planar steering vectors,
+        # so the first m entries of the top count's factors are the m-element
+        # factors, bit for bit: the kernels of one context describe every count
         sc = budget_scenario(k=3, m_h=8, m_v=m_v)
         ladder = bdg._m_ladder(1500, m_v=m_v)
         assert all(m % m_v == 0 for m in ladder)
-        top = bdg.ClosedFormContext.from_scenario(sc, ladder[-1])
+        top = chan.los_factors(sc, ladder[-1] // m_v, m_v)[1]
         for m in ladder:
-            assert_same_context(prefix(top, m), bdg.ClosedFormContext.from_scenario(sc, m))
+            fresh = chan.los_factors(sc, m // m_v, m_v)[1]
+            assert_same_bytes(chan.LosFactors(top.a_su, top.b_ris[:m], top.a_f[:, :m]), fresh)
+            assert_same_bytes(bdg.ClosedFormContext.from_scenario(
+                dataclasses.replace(sc, m_h=m // m_v)), bdg.ClosedFormContext.from_scenario(sc))
 
     def test_prefix_needs_whole_columns_within_the_context(self):
-        top = bdg.ClosedFormContext.from_scenario(budget_scenario(k=1, m_h=4, m_v=2), 8)
-        for m in (0, 3, 10):
+        sc = budget_scenario(k=1, m_h=4, m_v=2)
+        for m in (0, 3, 7):
             with pytest.raises(ValueError):
-                prefix(top, m)
+                bdg.coefficients("mf", sc, m, 1.0)
 
     def test_ladder_at_one_row_is_unchanged(self):
         ladder = bdg._m_ladder(2000)
@@ -523,12 +527,12 @@ class TestKernelGram:
     @pytest.mark.parametrize("m_v", [1, 2, 3])
     def test_matches_the_dense_gram(self, m_v):
         sc = kernel_scenario(m_v)
-        one = bdg.ClosedFormContext.from_scenario(sc, m_v)
+        one = bdg.ClosedFormContext.from_scenario(sc)
         assert np.all(one.steps[4] == one.steps[0])  # delta = 0
         assert 1e-10 < abs(one.steps[5, 0] - one.steps[0, 0]) < 1e-8
         for m in (m_v, 16 * m_v, 255 * m_v, 4096 * m_v, 24025 // m_v * m_v):
-            q = bdg.ClosedFormContext.from_scenario(sc, m).q_vec(slice(None))
-            dense = q.conj() @ q.T
+            q = q_matrix(chan.build_los_channelset(dataclasses.replace(sc, m_h=m // m_v)))
+            dense = q.conj().T @ q
             # relative to the Gram's scale: the dense sums round at that scale too
             scale = np.sqrt(np.outer(dense.diagonal().real, dense.diagonal().real))
             assert np.all(np.abs(one.gram(m) - dense) <= 1e-12 * scale), m
@@ -541,26 +545,26 @@ class TestKernelGram:
 
     def test_excesses_match_the_vector_forms(self):
         sc = load_scenario(str(LOS_BUDGET))
-        one = bdg.ClosedFormContext.from_scenario(sc, 1)
+        one = bdg.ClosedFormContext.from_scenario(sc)
         unit = dataclasses.replace(one, sigma1_sq=0.0)
         ms = np.array([16, 109, 256, 1000, 4096])
-        passive = bdg._aligned_eta(unit, ms, 1.0, unit.kernel_quad_d(ms))
+        passive = bdg.passive_mf_eta(unit, ms)
         for m, eta in zip(ms.tolist(), passive):
-            ctx = bdg.ClosedFormContext.from_scenario(sc, m)
+            channels = chan.build_los_channelset(dataclasses.replace(sc, m_h=m))
             assert eta == pytest.approx(
-                bdg.passive_mf_eta(dataclasses.replace(ctx, sigma1_sq=0.0)), rel=4e-15)
+                vector_excess("passive", unit, channels, sc.a_max, 0.0), rel=4e-15)
             for method in bdg.CLOSED_FORMS:
                 terms = bdg._kernel_terms(method, one, m, sc.a_max)
-                got = bdg._kernel_eta(method, one, m, terms, 1e-3 * m / one.p_in_bar, sc.a_max)
-                assert got == pytest.approx(
-                    bdg.coefficients(method, sc, m, 1e-3 * m).eta, rel=1e-12), (method, m)
+                got = bdg._excess(method, one, m, terms, 1e-3 * m / one.p_in_bar, sc.a_max)[0]
+                want = vector_excess(method, one, channels, sc.a_max, 1e-3 * m)
+                assert got == pytest.approx(want, rel=1e-12), (method, m)
 
 
 class TestPlannerContexts:
     def test_no_steering_array_above_m_star(self, monkeypatch):
-        # the kernels decide: steering arrays are built for one column and at
-        # the counts the vector forms score, never above m_star (zf forms its
-        # vector w at the counts it reads from the phase steps, not from these)
+        # the kernels decide: steering arrays are built only at the counts
+        # whose coefficients are emitted, never above m_star (zf forms its
+        # vector w from the phase steps, not from these)
         arrays = []
         los_factors = chan.los_factors
         monkeypatch.setattr(chan, "los_factors", lambda sc, m_h, m_v: (
@@ -569,8 +573,8 @@ class TestPlannerContexts:
         for method in ("mf", "mmse", "zf", "passive"):
             arrays.clear()
             res = bdg.required_budget(method, sc.pd_target, sc)
-            assert arrays[0] == sc.m_v and max(arrays) <= res.m_star, (method, arrays)
-            assert len(arrays) <= 3, (method, arrays)  # p_top, p_low and the one column
+            assert max(arrays) <= res.m_star, (method, arrays)
+            assert len(arrays) <= 2, (method, arrays)  # p_top and p_low
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_two_row_surface_plans_whole_columns(self, method):
@@ -578,8 +582,12 @@ class TestPlannerContexts:
         res = bdg.required_budget(method, sc.pd_target, sc)
         assert res.m_star % 2 == 0
         p_out = sc.power_model().p_out_budget(res.required_power, res.m_star)
-        # no ctx: coefficients builds a fresh context at m_star
+        # no ctx: coefficients builds the scenario's context and factors at m_star
         assert res.eta_star == bdg.coefficients(method, sc, res.m_star, p_out).eta
+        # the planner's excess is the excess its coefficients achieve
+        channels = chan.build_los_channelset(dataclasses.replace(sc, m_h=res.m_star // 2))
+        eta_pop = sns.population_eta(channels, res.phi_star, sc.sources(), sc.noise())
+        assert res.eta_star == pytest.approx(eta_pop, rel=1e-10)
 
     def test_wmmse_fallback_builds_the_planar_array(self):
         sc = budget_scenario(k=1, m_h=4, m_v=2, a_max=10.0)

@@ -110,7 +110,7 @@ class TestLosChannelset:
         fresh = ScenarioConfig(n_antennas=8, m_h=4, m_v=1, geometry=moved, p_w=sc.p_w,
                                zeta=sc.zeta, channel_model="los")
         for build in (chan.build_los_channelset,
-                      lambda s: ClosedFormContext.from_scenario(s, 4)):
+                      ClosedFormContext.from_scenario):
             assert same_bytes(build(replaced), build(fresh))
             assert not same_bytes(build(replaced), build(sc))
 

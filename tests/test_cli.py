@@ -64,6 +64,15 @@ class TestThreshold:
 
 
 class TestExitCodes:
+    def test_one_parser_serves_every_call(self):
+        # built once per process: a rejected argv and other commands leave no state behind
+        parser = cli.build_parser()
+        argv = ["budget", "--config", "a.yaml", "--method", "mf"]
+        first = parser.parse_args(argv)
+        parser.parse_args(["simulate", "--config", "b.yaml", "--trials", "3", "--seed", "2"])
+        assert run_cli(["sweep", "--config", "a.yaml", "--sweep", "q"])[0] == 2
+        assert cli.build_parser() is parser and parser.parse_args(argv) == first
+
     def test_bad_config_file(self):
         assert cli.main(["simulate", "--config", "/does/not/exist.yaml"]) == 2
 
@@ -297,11 +306,12 @@ class TestSimulate:
         assert counts == {"wmmse_active": 3, "sample_rayleigh_channelset": 3}
 
     def test_closed_forms_read_the_channel_factors(self, tmp_path, monkeypatch):
-        # the closed-form context comes from the channel set's LoS factors
+        # the closed-form coefficients come from the channel set's LoS factors
         calls, solves = [], []
         los_factors, mf_phi = channel.los_factors, budget.mf_phi
         monkeypatch.setattr(channel, "los_factors", lambda *a: (calls.append(a), los_factors(*a))[1])
-        monkeypatch.setattr(budget, "mf_phi", lambda ctx, *a: (solves.append(ctx), mf_phi(ctx, *a))[1])
+        monkeypatch.setattr(budget, "mf_phi",
+                            lambda ctx, los, *a: (solves.append(los), mf_phi(ctx, los, *a))[1])
         cfg = write_config(tmp_path, TINY_LOS)
         assert cli.main(["simulate", "--config", cfg, "--trials", "2"]) == 0
         assert len(calls) == 1 and len(solves) == 1
