@@ -19,14 +19,15 @@ from . import sensing as sns
 from .errors import ConfigError, InfeasibleError, NumericalError
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="scenario YAML file")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--trials", type=int, default=None, help="override the trial count")
-    p.add_argument("--out", default=None, help="write results to this path")
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--method", default=None,
-                   help=f"coefficient method ({'|'.join(bdg.METHODS)})")
+# the options several commands take; each command names the ones it reads
+SHARED_OPTIONS = {
+    "--config": dict(required=True, help="scenario YAML file"),
+    "--seed": dict(type=int, help="override the scenario seed"),
+    "--trials": dict(type=int, help="override the trial count"),
+    "--out": dict(help="write results to this path"),
+    "--format": dict(choices=("csv", "json"), help="result format (default csv)"),
+    "--method": dict(help=f"coefficient method ({'|'.join(bdg.METHODS)})"),
+}
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -35,29 +36,35 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Surface-assisted spectrum sensing simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("threshold", help="print the detection threshold")
-    _add_common(p, config_required=False)
+    def command(name: str, help_text: str, *shared: str) -> argparse.ArgumentParser:
+        # no abbreviations: a removed option must not parse as a longer kept one
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
+        return p
+
+    p = command("threshold", "print the detection threshold")
+    p.add_argument("--config", help="scenario YAML file (else give -N and -T)")
     p.add_argument("-N", type=int, default=None, help="antennas (overrides config)")
     p.add_argument("-T", type=int, default=None, help="snapshots (overrides config)")
     p.add_argument("--alpha", type=float, default=None, help="false-alarm probability")
 
-    p = sub.add_parser("optimize", help="optimize the reflecting coefficients once")
-    _add_common(p)
+    command("optimize", "optimize the reflecting coefficients once",
+            "--config", "--seed", "--method")
+    command("simulate", "Monte Carlo detection/false-alarm rates",
+            "--config", "--seed", "--trials", "--out", "--format", "--method")
 
-    p = sub.add_parser("simulate", help="Monte Carlo detection/false-alarm rates")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="element-count or budget sweeps")
-    _add_common(p)
+    p = command("sweep", "element-count or budget sweeps",
+                "--config", "--seed", "--trials", "--out", "--format")
     p.add_argument("--sweep", default="m", choices=("m",) + hns.SWEEPABLE,
                    help="swept variable")
     p.add_argument("--values", default=None,
                    help="comma-separated grid for budget sweeps (e.g. 800,1600,3200)")
-    p.add_argument("--methods", default="mf,mmse,passive",
-                   help="comma-separated method list for budget sweeps")
+    p.add_argument("--methods",
+                   help="comma-separated method list for budget sweeps (default mf,mmse,passive)")
 
-    p = sub.add_parser("budget", help="required power budget for the target Pd")
-    _add_common(p)
+    p = command("budget", "required power budget for the target Pd",
+                "--config", "--seed", "--out", "--format", "--method")
     p.add_argument("--pd-target", type=float, default=None)
     p.add_argument("--stop-tol", type=float, default=None)
     return ap
@@ -65,19 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scenario(args) -> hns.ScenarioConfig:
     sc = hns.load_scenario(args.config)
-    patch = {key: getattr(args, key, None) for key in ("seed", "trials", "pd_target", "stop_tol")}
+    patch = {key: getattr(args, key, None)
+             for key in ("seed", "trials", "pd_target", "stop_tol", "method")}
     patch = {key: value for key, value in patch.items() if value is not None}
-    if getattr(args, "method", None):
-        patch["method"] = args.method.lower()
+    if "method" in patch:  # an empty name fails the scenario's method rule
+        patch["method"] = patch["method"].lower()
     return dataclasses.replace(sc, **patch) if patch else sc
 
 
 def _emit(rows, args) -> None:
     if args.out:
-        hns.emit_results(rows, args.out, args.format)
+        hns.emit_results(rows, args.out, args.format or "csv")
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        sys.stdout.write(hns.render_results(rows, args.format))
+        sys.stdout.write(hns.render_results(rows, args.format or "csv"))
 
 
 def cmd_threshold(args) -> int:
@@ -128,20 +136,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    m_sweep = args.sweep == "m"
+    for flag in ("--values", "--methods") if m_sweep else ("--trials",):
+        if getattr(args, flag[2:]) is not None:
+            sweeps = "budget sweeps (--sweep t|zeta|p|k)" if m_sweep else "--sweep m"
+            raise ConfigError(f"{flag} is for {sweeps}, not --sweep {args.sweep}")
     sc = _scenario(args)
-    if args.sweep == "m":
+    if m_sweep:
         rows = hns.run_m_sweep(sc)
     else:
         if not args.values:
             raise ConfigError("budget sweeps need --values")
         values = [hns._convert(v, float, "--values") for v in args.values.split(",")]
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        names = "mf,mmse,passive" if args.methods is None else args.methods
+        methods = [m.strip() for m in names.split(",") if m.strip()]
         rows = hns.run_budget_sweep(sc, args.sweep, values, methods)
     _emit(rows, args)
     return 0
 
 
 def cmd_budget(args) -> int:
+    if args.format is not None and not args.out:
+        raise ConfigError("--format sets the --out file's format; budget prints its plan "
+                          "as text without --out")
     sc = _scenario(args)
     res = bdg.required_budget(sc.method, sc.pd_target, sc)
     print(f"required budget = {res.required_power:.9g} W "

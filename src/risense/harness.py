@@ -300,8 +300,8 @@ class McResult(NamedTuple):
     mean_pd_pred: float
 
 
-def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
-                      trials: int | None = None) -> tuple[McResult, McResult]:
+def run_hypotheses_mc(scenario: ScenarioConfig,
+                      rcm: opt.Rcm | None = None) -> tuple[McResult, McResult]:
     """Empirical exceedance rates (H1, H0) of the detection pipeline.
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
@@ -312,7 +312,7 @@ def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
     each with the threshold. A trial's hypotheses share all of this (common
     random numbers).
     """
-    trials = scenario.trials if trials is None else trials
+    trials = scenario.trials
     cfg = scenario.detector()
     gamma_th = sns.detection_threshold(cfg)
     sources, noise = scenario.sources(), scenario.noise()
@@ -351,11 +351,11 @@ def run_hypotheses_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
 
 
 def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
-                     hypothesis: str = "h1", trials: int | None = None) -> McResult:
+                     hypothesis: str = "h1") -> McResult:
     """Empirical exceedance rate under one hypothesis (see run_hypotheses_mc)."""
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
-    h1, h0 = run_hypotheses_mc(scenario, rcm, trials)
+    h1, h0 = run_hypotheses_mc(scenario, rcm)
     return h1 if hypothesis == "h1" else h0
 
 

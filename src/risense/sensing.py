@@ -27,6 +27,7 @@ which its law is Gaussian and the detection probability has a closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,14 +289,9 @@ def max_eig_statistic(w: np.ndarray, n_samples: int) -> float:
     return float(np.linalg.eigvalsh(w / n_samples)[-1])
 
 
-_TW2_INTERP: PchipInterpolator | None = None
-
-
+@functools.cache  # built by the first threshold, not at import
 def _tw2_interp() -> PchipInterpolator:
-    global _TW2_INTERP
-    if _TW2_INTERP is None:
-        _TW2_INTERP = PchipInterpolator(_tw2_table.S_GRID, _tw2_table.CDF)
-    return _TW2_INTERP
+    return PchipInterpolator(_tw2_table.S_GRID, _tw2_table.CDF)
 
 
 def tw2_quantile(p: float) -> float:

@@ -63,7 +63,63 @@ class TestThreshold:
         assert "configuration error: alpha" in capsys.readouterr().err
 
 
+# each command's options, with an argv value and the value it parses to
+KEPT_OPTIONS = {
+    "threshold": ("--config", "-N", "-T", "--alpha"),
+    "optimize": ("--config", "--seed", "--method"),
+    "simulate": ("--config", "--seed", "--trials", "--out", "--format", "--method"),
+    "sweep": ("--config", "--seed", "--trials", "--out", "--format", "--sweep", "--values",
+              "--methods"),
+    "budget": ("--config", "--seed", "--out", "--format", "--method", "--pd-target",
+               "--stop-tol"),
+}
+OPTION_VALUES = {"--config": ("a.yaml", "a.yaml"), "--seed": ("3", 3), "--trials": ("7", 7),
+                 "--out": ("r.csv", "r.csv"), "--format": ("json", "json"),
+                 "--method": ("zf", "zf"), "-N": ("8", 8), "-T": ("80", 80),
+                 "--alpha": ("0.2", 0.2), "--sweep": ("t", "t"), "--values": ("800", "800"),
+                 "--methods": ("mf", "mf"), "--pd-target": ("0.8", 0.8),
+                 "--stop-tol": ("1e-4", 1e-4)}
+# (argv, what stderr names): options a command does not read, the ones its mode
+# does not read, an empty method name, and a removed option a kept one extends
+REJECTED = [
+    *[(["threshold", "-N", "8", "-T", "80", flag, value], flag)
+      for flag, value in (("--seed", "1"), ("--trials", "1"), ("--out", "r.csv"),
+                          ("--format", "json"), ("--method", "mf"))],
+    *[(["optimize", "--config", LOS_BUDGET, flag, value], flag)
+      for flag, value in (("--trials", "1"), ("--out", "r.csv"), ("--format", "json"))],
+    (["sweep", "--config", LOS_BUDGET, "--method", "wmmse"], "--method"),
+    (["budget", "--config", LOS_BUDGET, "--trials", "7"], "--trials"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "m", "--values", "800"], "--values"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "m", "--methods", "mf"], "--methods"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--trials", "5"],
+     "--trials"),
+    (["budget", "--config", LOS_BUDGET, "--format", "json"], "--format"),
+    (["simulate", "--config", LOS_BUDGET, "--trials", "1", "--method="], "method must be"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--method", "zf"],
+     "--method"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command, option",
+                             [(c, o) for c, options in KEPT_OPTIONS.items() for o in options])
+    def test_each_command_takes_its_options(self, command, option):
+        # the parsed names pin each command's whole option set
+        text, value = OPTION_VALUES[option]
+        config = [] if option == "--config" or command == "threshold" else ["--config", "a.yaml"]
+        args = cli.build_parser().parse_args([command, *config, option, text])
+        assert getattr(args, option.lstrip("-").replace("-", "_")) == value
+        names = {o.lstrip("-").replace("-", "_") for o in KEPT_OPTIONS[command]}
+        assert set(vars(args)) == names | {"command"}
+
+    @pytest.mark.parametrize("argv, named", REJECTED)
+    def test_unread_option_is_rejected(self, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted --out lands here
+        code, err = run_cli(argv)
+        assert code == 2, (argv, err)
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_one_parser_serves_every_call(self):
         # built once per process: a rejected argv and other commands leave no state behind
         parser = cli.build_parser()

@@ -253,9 +253,9 @@ class TestRunDetectionMc:
         assert hns.run_detection_mc(sc, rcm=rcm, hypothesis=hypothesis) == pair[hypothesis]
 
     def test_closed_form_methods_need_los(self):
-        sc = tiny_scenario(method="mf")
+        sc = tiny_scenario(method="mf", trials=2)
         with pytest.raises(ConfigError):
-            hns.run_detection_mc(sc, hypothesis="h1", trials=2)
+            hns.run_detection_mc(sc, hypothesis="h1")
 
 
 # compact geometries at alpha 0.3: both rates land strictly inside (0, 1)
@@ -310,7 +310,7 @@ class TestSharedTrials:
 
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ValueError):
-            hns.run_detection_mc(tiny_scenario(), hypothesis="h2", trials=1)
+            hns.run_detection_mc(tiny_scenario(trials=1), hypothesis="h2")
 
 
 def compact_scenario(k: int, **kw):
@@ -412,7 +412,7 @@ class TestWishartTrials:
         samples = []
         for sampler, seed in ((hns.sns.sample_signals, 801), (snapshot_statistics, 802)):
             pairs = record_pairs(monkeypatch, sampler)
-            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
+            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed, trials=400), rcm=rcm)
             samples.append(np.array(pairs).T)
         for drawn, snapshot in zip(*samples):
             assert ks_2samp(drawn, snapshot).pvalue > 1e-3
@@ -424,7 +424,7 @@ class TestWishartTrials:
         samples = []
         for sampler, seed in ((hns.sns.sample_signals, 803), (bartlett_signals, 804)):
             pairs = record_pairs(monkeypatch, sampler)
-            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed), rcm=rcm, trials=400)
+            hns.run_hypotheses_mc(dataclasses.replace(sc, seed=seed, trials=400), rcm=rcm)
             samples.append(np.array(pairs).T)
         for tridiagonal, bartlett in zip(*samples):
             assert ks_2samp(tridiagonal, bartlett).pvalue > 1e-3
