@@ -150,6 +150,8 @@ def cmd_sweep(args) -> int:
         values = [hns._convert(v, float, "--values") for v in args.values.split(",")]
         names = "mf,mmse,passive" if args.methods is None else args.methods
         methods = [m.strip() for m in names.split(",") if m.strip()]
+        if not methods:
+            raise ConfigError(f"--methods names no method, got {args.methods!r}")
         rows = hns.run_budget_sweep(sc, args.sweep, values, methods)
     _emit(rows, args)
     return 0
@@ -181,6 +183,8 @@ COMMANDS = {"threshold": cmd_threshold, "optimize": cmd_optimize,
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":
+            raise ConfigError("--out needs a file path")
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

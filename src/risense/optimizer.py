@@ -11,10 +11,11 @@ per-element phase minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dposv, zposv
 
 from .channel import ChannelSet
 from .errors import InfeasibleError, NumericalError
@@ -22,6 +23,9 @@ from .sensing import NoiseModel, SourceModel, covariance, equivalent_channels, p
 
 MODES = ("active", "passive-relaxed", "passive-unit")
 FEAS_RTOL = 1e-9
+NEWTON_MAX_STEPS = 50  # projected Newton steps per QCQP (or proximal) solve
+PROX_MAX_STEPS = 50  # proximal steps per QCQP solve on a singular quadratic form
+SINGULAR_RTOL = 1e-8  # S is singular when its smallest eigenvalue is at most this of its largest
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,14 @@ def ris_output_power(phi: np.ndarray, channels: ChannelSet, sources: SourceModel
 
 
 def mse_epsilon(u: np.ndarray, rcm: Rcm, channels: ChannelSet, sources: SourceModel,
-                noise: NoiseModel) -> float:
+                noise: NoiseModel, h: np.ndarray) -> float:
     """Weighted MSE of the receiver u against the primary symbol.
 
     p_0 |u^H h_0 - 1|^2 + sum_k zeta_k p_k |u^H h_k|^2
-    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2.
+    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2. h holds the rows
+    ``equivalent_channels(channels, rcm.phi)``.
     """
-    uh = equivalent_channels(channels, rcm.phi) @ u.conj()  # u^H h_k per source
+    uh = h @ u.conj()  # u^H h_k per source
     eps = sources.p[0] * abs(uh[0] - 1.0) ** 2
     eps += float((sources.zeta[1:] * sources.p[1:]) @ np.abs(uh[1:]) ** 2)
     sigma1 = rcm.sigma1_sq(noise)
@@ -118,17 +123,17 @@ def mse_epsilon(u: np.ndarray, rcm: Rcm, channels: ChannelSet, sources: SourceMo
 
 
 def update_u(rcm: Rcm, channels: ChannelSet, sources: SourceModel,
-             noise: NoiseModel) -> np.ndarray:
+             noise: NoiseModel, h: np.ndarray) -> np.ndarray:
     """Receiver minimizing the weighted MSE for fixed reflecting coefficients.
 
     u = p_0 (sum_k zeta_k p_k h_k h_k^H + sigma1^2 GPhi(GPhi)^H + sigma2^2 I)^-1 h_0,
-    the sum including the primary term k = 0.
+    the sum including the primary term k = 0. h holds the rows
+    ``equivalent_channels(channels, rcm.phi)``.
     """
     a = covariance(channels, rcm.phi, sources.zeta * sources.p, rcm.sigma1_sq(noise),
-                   noise.sigma2_sq)
-    h0 = equivalent_channels(channels, rcm.phi)[0]
+                   noise.sigma2_sq, h)
     try:
-        return sources.p[0] * np.linalg.solve(a, h0)
+        return sources.p[0] * np.linalg.solve(a, h[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("receiver update: covariance is singular") from exc
 
@@ -146,7 +151,7 @@ class QcqpInstance:
 
     Minimize the weighted MSE phi^H s phi + 2 Re(g^H phi) + const subject to
     sum_m j_m |phi_m|^2 <= p_out (dropped when None) and |phi_m| <= a_max
-    (dropped when None).
+    (dropped when None). The PSD check keeps the extreme eigenvalues of S.
     """
 
     s: np.ndarray
@@ -155,16 +160,24 @@ class QcqpInstance:
     j: np.ndarray
     p_out: float | None
     a_max: float | None
+    lam_min: float = field(init=False, repr=False)
+    lam_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = np.linalg.eigvalsh(0.5 * (self.s + self.s.conj().T))
         if lam[0] < -1e-10 * max(lam[-1], 1e-300):
             raise NumericalError("QCQP quadratic form is not PSD")
+        object.__setattr__(self, "lam_min", float(lam[0]))
+        object.__setattr__(self, "lam_max", float(lam[-1]))
 
 
 def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
-               noise: NoiseModel, rcm: Rcm) -> QcqpInstance:
-    """Assemble the reflecting-coefficient subproblem for a fixed receiver."""
+               noise: NoiseModel, rcm: Rcm, j: np.ndarray) -> QcqpInstance:
+    """Assemble the reflecting-coefficient subproblem for a fixed receiver.
+
+    j holds the power weights ``power_weights(channels, sources,
+    rcm.sigma1_sq(noise))``, which do not depend on u.
+    """
     m = channels.n_elements
     # u^H h_k = conj(c_k) + v_k^H phi with c_k = d_k^H u and v_k = conj(f_k) * (G^H u),
     # row k of V; the MSE sums w_k |u^H h_k|^2, -2 p_0 Re(u^H h_0) + p_0 and the noise
@@ -179,111 +192,207 @@ def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
     g = vw @ c.conj() - sources.p[0] * v[0]
     const = float(w @ np.abs(c) ** 2) - 2.0 * float(sources.p[0] * np.real(c[0])) \
         + float(sources.p[0]) + noise.sigma2_sq * float(np.real(np.vdot(u, u)))
-    j = power_weights(channels, sources, sigma1)
     p_out = rcm.p_out_budget if rcm.mode == "active" else None
     a_max = rcm.a_max if np.isfinite(rcm.a_max) else None
     return QcqpInstance(s=s, g=g, const=const, j=j, p_out=p_out, a_max=a_max)
 
 
-def _box_qp_cd(s: np.ndarray, g: np.ndarray, a_max: float | None,
-               x0: np.ndarray) -> np.ndarray:
-    """Cyclic exact coordinate descent for min x^H S x + 2 Re(g^H x), |x_m| <= a_max.
+def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected Newton ascent on the multipliers y >= 0 of rows |x|^2 <= bound.
 
-    Each coordinate problem is a paraboloid in one complex variable; its
-    disk-constrained minimum is the radial clip of the unconstrained one.
-    Zero-curvature coordinates keep their previous value. Sweeps stop when no
-    coordinate moves by more than 1e-13 of the iterate's scale, or after 2000.
+    rows is None for the caps alone (the identity). For multipliers y the
+    Lagrangian's minimizer is x(y) = -H^-1 g with H = S + diag(rows^T y); the
+    dual value is Re(g^H x) - y.bound, its gradient r = rows |x|^2 - bound and
+    its Hessian -rows W rows^T with W = 2 Re(conj(x) x^T * H^-1). A step solves
+    the Hessian for the secular residual r * 2v / (sqrt(b) (sqrt(v) + sqrt(b))),
+    v = rows |x|^2: Newton's step on 1/sqrt(b) - 1/sqrt(v), exact for one
+    element and equal to the plain step at the solution. When it finds no
+    ascent above 1e-3 of a step, the plain Newton step on r takes over.
+    Multipliers that a step would drive through zero take a scaled gradient
+    step instead (Bertsekas 1982); steps backtrack on the dual value along
+    the projection arc. Stops when the relative projected gradient is 1e-12,
+    or at the rounding floor of x(y): below 1e-8, a step that no longer cuts
+    it tenfold. Returns x(y) and y.
     """
-    x = x0.astype(complex).copy()
-    if a_max is not None:
-        mag = np.abs(x)
-        over = mag > a_max
-        if np.any(over):
-            x[over] *= a_max / mag[over]
-    m = x.size
-    diag = np.real(np.diag(s))
-    floor = 1e-300
-    r = s @ x + g
-    for _ in range(2000):
-        delta = 0.0
-        for i in range(m):
-            if diag[i] <= floor:
+    m = g.size
+    rhs = np.column_stack([np.eye(m), -g])
+    sqrt_b = np.sqrt(bound)
+    both = y.size > m  # every cap and the budget: the Hessian has rank m at most
+    j = rows[m] if both else None
+
+    def at(y):
+        h = s.copy()
+        h.reshape(-1)[::m + 1] += y if rows is None else y @ rows
+        _, sol, info = zposv(h, rhs)
+        if info:  # H is not numerically positive definite
+            return -np.inf, None, None
+        x = sol[:, m]
+        return float(np.vdot(g, x).real - y @ bound), x, sol[:, :m]
+
+    value, x, h_inv = at(y)
+    if x is None:
+        raise NumericalError("QCQP subproblem: the shifted quadratic form is singular")
+    prev = np.inf
+    for _ in range(NEWTON_MAX_STEPS):
+        if both and np.all(y[:m][j > 0] > 0):
+            # moving t j from nu to mu keeps H and x and raises the dual value
+            # by t (sum(j) a_max^2 - p_out) > 0: move until a cap multiplier is 0
+            t = float(np.min(y[:m][j > 0] / j[j > 0]))
+            y[:m] = np.maximum(y[:m] - t * j, 0.0)
+            y[m] += t
+            value = float(np.vdot(g, x).real - y @ bound)
+        v = np.abs(x) ** 2
+        if rows is not None:
+            v = rows @ v
+        r = v - bound
+        res = float((np.maximum(r, np.where(y > 0, -r, 0.0)) / bound).max())
+        if res <= 1e-12 or 1e-8 >= res > 0.1 * prev:
+            return x, y
+        prev = res
+        w = 2.0 * (h_inv * np.outer(x.conj(), x)).real
+        hess = w if rows is None else rows @ w @ rows.T  # minus the dual Hessian
+        diag = hess.diagonal()
+        step = r * (2.0 * v / (sqrt_b * (np.sqrt(v) + sqrt_b)))
+        held = (r < 0) & ((diag <= 0) | (y * diag + step <= 0))
+        slack = 1e-15 * (abs(value) + abs(float(y @ bound)))
+        free = ~held
+        p = np.where(held, step / np.where(diag > 0, diag, 1.0), 0.0)
+        for target, alpha_min in ((step, 1e-3), (r, 1e-10)):  # secular Newton, else plain
+            gain_free, alpha = 0.0, 1.0
+            if free.any():
+                p[free] = pf = _free_step(hess, target, free, both)
+                gain_free = float(r[free] @ pf)
+                alpha = 1.0 if gain_free > 0 else 0.0  # no ascent: skip the direction
+            while alpha >= alpha_min:
+                y_new = np.maximum(y + alpha * p, 0.0)
+                v_new, x_new, inv_new = at(y_new)
+                gain = alpha * gain_free
+                if held.any():
+                    gain += float(r[held] @ (y_new[held] - y[held]))
+                if v_new - value >= 1e-4 * gain - slack:
+                    break
+                alpha *= 0.5
+            else:
                 continue
-            c = r[i] - diag[i] * x[i]
-            xi = -c / diag[i]
-            if a_max is not None:
-                mag = abs(xi)
-                if mag > a_max:
-                    xi *= a_max / mag
-            step = xi - x[i]
-            if step != 0:
-                r += s[:, i] * step
-                x[i] = xi
-                delta = max(delta, abs(step))
-        if delta <= 1e-13 * (1.0 + float(np.max(np.abs(x)))):
             break
-    return x
+        else:  # no ascent above rounding is left
+            if res <= 1e-8:
+                return x, y
+            raise NumericalError(f"QCQP subproblem: the multiplier line search stalled "
+                                 f"at relative residual {res:.3g}")
+        y, value, x, h_inv = y_new, v_new, x_new, inv_new
+    raise NumericalError(f"QCQP subproblem: projected Newton did not converge in "
+                         f"{NEWTON_MAX_STEPS} steps (relative residual {res:.3g})")
 
 
-def _shifted_solve(s: np.ndarray, g: np.ndarray, j: np.ndarray, mu: float,
-                   a_max: float | None, x0: np.ndarray | None) -> np.ndarray:
-    """Minimize x^H (S + mu J) x + 2 Re(g^H x) under the amplitude caps.
+def _free_step(hess: np.ndarray, rhs: np.ndarray, free: np.ndarray, both: bool) -> np.ndarray:
+    """Solve the free multipliers' block of hess (``free`` marks them) for rhs.
 
-    Tries the unconstrained solution first; falls back to coordinate descent
-    only when a cap binds.
+    By Cholesky, or by least squares when the block is singular, as it is
+    with every cap and the budget free.
     """
-    h = s + np.diag(mu * j) if mu > 0 else s
-    m = s.shape[0]
-    try:
-        x = np.linalg.solve(h + 1e-14 * np.trace(h).real * np.eye(m) / max(m, 1), -g)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is not None and (a_max is None or np.all(np.abs(x) <= a_max * (1 + 1e-12))):
-        if a_max is not None:
-            mag = np.abs(x)
-            over = mag > a_max
-            if np.any(over):
-                x[over] *= a_max / mag[over]
-        return x
-    start = x0 if x0 is not None else (x if x is not None else np.zeros(m, dtype=complex))
-    return _box_qp_cd(h, g, a_max, start)
+    all_free = free.all()
+    sub, sub_rhs = (hess, rhs) if all_free else (hess[np.ix_(free, free)], rhs[free])
+    if not (both and all_free):
+        _, pf, info = dposv(sub, sub_rhs)
+        if not info:
+            return pf
+    return np.linalg.lstsq(sub, sub_rhs, rcond=1e-13)[0]
+
+
+def _start_multipliers(s: np.ndarray, g: np.ndarray, x: np.ndarray, j: np.ndarray,
+                       a_max: float | None, p_out: float | None) -> np.ndarray:
+    """Multipliers read off a feasible x.
+
+    When x spends the budget, mu is the least-squares fit of mu j to the
+    multipliers d_i = -Re(conj(x_i) (S x + g)_i) / |x_i|^2 >= 0 that make x
+    stationary, over the elements off their caps (zero otherwise). Cap i
+    takes the multiplier of an exact coordinate step from x: with
+    c_i = (S x + g)_i - S_ii x_i, nu_i = max(0, |c_i| / a_max - S_ii - mu j_i).
+    """
+    sx_g = s @ x + g
+    mu = 0.0
+    if p_out is not None:
+        mag2 = np.abs(x) ** 2
+        if float(j @ mag2) >= p_out * (1 - 1e-6):
+            off = mag2 < a_max ** 2 * (1 - 1e-6) if a_max is not None else np.ones(x.size, bool)
+            d = np.maximum(-np.real(np.conj(x) * sx_g)[off] / np.maximum(mag2[off], 1e-300), 0.0)
+            mu = float(j[off] @ d) / max(float(j[off] @ j[off]), 1e-300)
+        if a_max is None:
+            return np.array([mu])
+    s_ii = s.diagonal().real
+    nu = np.maximum(np.abs(sx_g - s_ii * x) / a_max - s_ii - mu * j, 0.0)
+    return nu if p_out is None else np.append(nu, mu)
 
 
 def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarray:
     """Solve the convex reflecting-coefficient subproblem.
 
-    Lagrangian dual over the power-ball multiplier: for each multiplier the
-    inner cap-constrained problem is solved exactly, and the multiplier is
-    bisected until the power constraint is tight (or slack at zero).
+    When neither the caps nor the budget bind, the ridged linear solve is the
+    answer. Otherwise the Lagrange dual over the cap multipliers nu and the
+    power multiplier mu is maximized by projected Newton (``_dual_newton``),
+    started from multipliers read off x0 (or off the clipped linear solve,
+    ``_start_multipliers``); a budget that the caps already imply is dropped. A singular
+    S (smallest eigenvalue at most SINGULAR_RTOL of the largest, as passive
+    surfaces give) takes proximal steps x_k+1 = argmin f(x) + rho ||x - x_k||^2,
+    each a Newton solve on S + rho I, with rho falling tenfold from 1e-3 to
+    1e-7 of the largest eigenvalue, until the stationarity residual
+    rho ||x_k+1 - x_k|| is 1e-15 of it. Either loop raises NumericalError at
+    its step cap. Their result is clipped onto the caps and scaled into the
+    budget.
     """
     s, g, j = instance.s, instance.g, instance.j
     a_max, p_out = instance.a_max, instance.p_out
-    start = None if x0 is None else np.asarray(x0, dtype=complex)
+    m = g.size
+    try:  # the unconstrained minimizer, S ridged by 1e-14 of its mean diagonal
+        x = np.linalg.solve(s + 1e-14 * np.trace(s).real * np.eye(m) / max(m, 1), -g)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None and (a_max is None or (np.abs(x) <= a_max * (1 + 1e-12)).all()) and (
+            p_out is None or float(j @ np.abs(x) ** 2) <= p_out * (1 + 1e-12)):
+        return _feasible(x, j, a_max, None)
+    if a_max is not None and p_out is not None and float(j.sum()) * a_max ** 2 <= p_out:
+        p_out = None  # the caps imply the budget
+    if p_out is None:
+        if a_max is None:
+            raise NumericalError("QCQP subproblem: the quadratic form is singular")
+        rows, bound = None, np.full(m, a_max ** 2)
+    elif a_max is None:
+        rows, bound = j[np.newaxis, :], np.array([p_out])
+    else:
+        rows, bound = np.vstack([np.eye(m), j]), np.append(np.full(m, a_max ** 2), p_out)
+    start = x0 if x0 is not None else x if x is not None else np.zeros(m)
+    start = _feasible(np.asarray(start, dtype=complex), j, a_max, None)
+    y = _start_multipliers(s, g, start, j, a_max, p_out)
+    if instance.lam_min > SINGULAR_RTOL * instance.lam_max:
+        return _feasible(_dual_newton(s, g, rows, bound, y)[0], j, a_max, p_out)
+    x, lam = start, instance.lam_max
+    rho = 1e-3 * lam
+    for _ in range(PROX_MAX_STEPS):
+        x_new, y = _dual_newton(s + rho * np.eye(m), g - rho * x, rows, bound, y)
+        moved = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if rho * moved <= 1e-15 * lam * (1.0 + float(np.max(np.abs(x)))):
+            return _feasible(x, j, a_max, p_out)
+        rho = max(0.1 * rho, 1e-7 * lam)
+    raise NumericalError(f"QCQP subproblem: proximal steps did not converge in "
+                         f"{PROX_MAX_STEPS} steps on the singular quadratic form")
 
-    x = _shifted_solve(s, g, j, 0.0, a_max, start)
+
+def _feasible(x: np.ndarray, j: np.ndarray, a_max: float | None,
+              p_out: float | None) -> np.ndarray:
+    """x clipped radially onto the caps, then scaled into the budget."""
+    if a_max is not None:
+        mag = np.abs(x)
+        over = mag > a_max
+        if np.any(over):
+            x = x.copy()
+            x[over] *= a_max / mag[over]
     if p_out is not None:
         power = float(np.sum(j * np.abs(x) ** 2))
-        if power > p_out * (1 + 1e-12):
-            mu_lo, mu_hi = 0.0, max(1.0, float(np.linalg.norm(g))
-                                    / max(float(np.sum(j)), 1e-300))
-            x_hi = _shifted_solve(s, g, j, mu_hi, a_max, x)
-            while float(np.sum(j * np.abs(x_hi) ** 2)) > p_out:
-                mu_lo, mu_hi = mu_hi, mu_hi * 8.0
-                if mu_hi > 1e250:
-                    raise NumericalError("power multiplier diverged")
-                x_hi = _shifted_solve(s, g, j, mu_hi, a_max, x_hi)
-            x = x_hi
-            for _ in range(120):
-                mu = 0.5 * (mu_lo + mu_hi)
-                xm = _shifted_solve(s, g, j, mu, a_max, x)
-                power = float(np.sum(j * np.abs(xm) ** 2))
-                if power > p_out:
-                    mu_lo = mu
-                else:
-                    mu_hi, x = mu, xm
-                if abs(power - p_out) <= 1e-11 * p_out or (mu_hi - mu_lo) <= 1e-15 * mu_hi:
-                    if power <= p_out:
-                        break
+        if power > p_out:
+            x = x * np.sqrt(p_out / power)
     return x
 
 
@@ -358,23 +467,26 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         return WmmseResult(rcm=rcm0, eta=0.0, trace=[], u=u, omega=np.inf)
     phi = rcm0.phi.copy()
     mode, a_max, p_out = rcm0.mode, rcm0.a_max, rcm0.p_out_budget
+    j = power_weights(channels, sources, rcm0.sigma1_sq(noise))
+    h = equivalent_channels(channels, phi)  # the rows of the current phi
     omega = None
     trace: list[float] = []
     u = None
     for _ in range(max_iter):
         rcm = Rcm(phi=phi, mode=mode, a_max=a_max, p_out_budget=p_out)
-        u = update_u(rcm, channels, sources, noise)
-        eps = mse_epsilon(u, rcm, channels, sources, noise)
+        u = update_u(rcm, channels, sources, noise, h)
+        eps = mse_epsilon(u, rcm, channels, sources, noise, h)
         if omega is None:
             omega = update_omega(eps)
         trace.append(_surrogate(omega, eps))
 
-        instance = build_qcqp(u, channels, sources, noise, rcm)
+        instance = build_qcqp(u, channels, sources, noise, rcm, j)
         candidate = phi_step(instance, phi)
         cand_rcm = Rcm(phi=candidate, mode=mode, a_max=a_max, p_out_budget=p_out)
-        cand_eps = mse_epsilon(u, cand_rcm, channels, sources, noise)
+        cand_h = equivalent_channels(channels, candidate)
+        cand_eps = mse_epsilon(u, cand_rcm, channels, sources, noise, cand_h)
         if cand_eps <= eps:  # solver returns a feasible point; keep only improvements
-            phi, eps = candidate, cand_eps
+            phi, eps, h = candidate, cand_eps, cand_h
         trace.append(_surrogate(omega, eps))
 
         omega_new = update_omega(eps)

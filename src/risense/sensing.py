@@ -132,13 +132,15 @@ def equivalent_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
 
 
 def covariance(channels: ChannelSet, phi: np.ndarray, weights: np.ndarray,
-               sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
+               sigma1_sq: float, sigma2_sq: float, h: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k h_k h_k^H + sigma2^2 I + sigma1^2 (G Phi)(G Phi)^H.
 
     One product A A^H with A = [h_0 sqrt(w_0) ... h_K sqrt(w_K) | sigma1 G Phi];
-    the weights are nonnegative, one per source.
+    the weights are nonnegative, one per source. h, when given, holds the
+    rows ``equivalent_channels(channels, phi)``.
     """
-    h = equivalent_channels(channels, phi)
+    if h is None:
+        h = equivalent_channels(channels, phi)
     g_phi = channels.g_matrix * phi[np.newaxis, :]
     a = np.concatenate([h.T * np.sqrt(weights), np.sqrt(sigma1_sq) * g_phi], axis=1)
     r = a @ a.conj().T

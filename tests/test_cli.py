@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from risense import budget, channel, cli, harness
+from risense import budget, channel, cli, harness, optimizer
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,7 +80,8 @@ OPTION_VALUES = {"--config": ("a.yaml", "a.yaml"), "--seed": ("3", 3), "--trials
                  "--methods": ("mf", "mf"), "--pd-target": ("0.8", 0.8),
                  "--stop-tol": ("1e-4", 1e-4)}
 # (argv, what stderr names): options a command does not read, the ones its mode
-# does not read, an empty method name, and a removed option a kept one extends
+# does not read, an empty method name, a removed option a kept one extends, an
+# empty method list and an empty --out path
 REJECTED = [
     *[(["threshold", "-N", "8", "-T", "80", flag, value], flag)
       for flag, value in (("--seed", "1"), ("--trials", "1"), ("--out", "r.csv"),
@@ -97,6 +98,14 @@ REJECTED = [
     (["simulate", "--config", LOS_BUDGET, "--trials", "1", "--method="], "method must be"),
     (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--method", "zf"],
      "--method"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--methods="],
+     "--methods names no method"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--methods", " , "],
+     "--methods names no method"),
+    (["simulate", "--config", LOS_BUDGET, "--trials", "1", "--out="], "--out needs a file path"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--out="],
+     "--out needs a file path"),
+    (["budget", "--config", LOS_BUDGET, "--method", "mf", "--out="], "--out needs a file path"),
 ]
 
 
@@ -128,6 +137,18 @@ class TestExitCodes:
         parser.parse_args(["simulate", "--config", "b.yaml", "--trials", "3", "--seed", "2"])
         assert run_cli(["sweep", "--config", "a.yaml", "--sweep", "q"])[0] == 2
         assert cli.build_parser() is parser and parser.parse_args(argv) == first
+
+    @pytest.mark.parametrize("method, cap, loop", [
+        ("passive-relaxed", "PROX_MAX_STEPS", "proximal steps"),
+        ("wmmse", "NEWTON_MAX_STEPS", "projected Newton")])
+    def test_capped_subproblem_is_a_numerical_failure(self, monkeypatch, method, cap, loop):
+        # the desk's passive surface gives a rank-deficient subproblem, its
+        # active one a cap-binding one
+        monkeypatch.setattr(optimizer, cap, 1)
+        code, err = run_cli(["optimize", "--config", str(ROOT / "configs" / "desk.yaml"),
+                             "--method", method])
+        assert code == 4
+        assert f"numerical failure: QCQP subproblem: {loop} did not converge" in err
 
     def test_bad_config_file(self):
         assert cli.main(["simulate", "--config", "/does/not/exist.yaml"]) == 2
@@ -300,7 +321,20 @@ class TestBudgetCommand:
 
 
 class TestGoldenRows:
-    """Planner rows on configs/los_budget.yaml, pinned to their bytes."""
+    """Planner rows on configs/los_budget.yaml and desk rows, pinned to their bytes."""
+
+    def test_simulate_desk(self, tmp_path):
+        # per-trial WMMSE on a Rayleigh desk, active and on a passive surface
+        # (a rank-deficient coefficient subproblem): one header, one row each
+        lines = []
+        for method in ("wmmse", "passive-relaxed"):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["simulate", "--config", str(ROOT / "configs" / "desk.yaml"),
+                             "--seed", "11", "--trials", "16", "--method", method,
+                             "--out", str(out)]) == 0
+            rows = out.read_text().splitlines(keepends=True)
+            lines += rows if not lines else rows[1:]
+        assert "".join(lines) == (GOLDEN / "simulate_desk.csv").read_text()
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_budget(self, tmp_path, method):

@@ -9,10 +9,23 @@ from oracles import (batch_population_eta, eta_active_no_interference, eta_passi
                      kkt_residual, loop_channels, loop_covariance, loop_mse,
                      loop_power_weights, loop_qcqp, make_los_channelset, make_random_channelset,
                      phase_grid_search, polar_grid_search, project_feasible, qcqp_objective,
-                     solve_p22_pg)
+                     solve_p22_cd, solve_p22_pg)
 from risense import optimizer as opt
 from risense import sensing as sns
-from risense.errors import InfeasibleError
+from risense.errors import InfeasibleError, NumericalError
+
+
+def receiver(rcm, ch, src, noise):
+    return opt.update_u(rcm, ch, src, noise, sns.equivalent_channels(ch, rcm.phi))
+
+
+def mse(u, rcm, ch, src, noise):
+    return opt.mse_epsilon(u, rcm, ch, src, noise, sns.equivalent_channels(ch, rcm.phi))
+
+
+def qcqp(u, ch, src, noise, rcm):
+    j = opt.power_weights(ch, src, rcm.sigma1_sq(noise))
+    return opt.build_qcqp(u, ch, src, noise, rcm, j)
 
 
 def build_instance(rng, n=4, m=3, k=1, p_out=2.0, a_max=1.5, direct=True, zeta=0.8):
@@ -20,8 +33,30 @@ def build_instance(rng, n=4, m=3, k=1, p_out=2.0, a_max=1.5, direct=True, zeta=0
     src, noise = make_sources(k, zeta=zeta), make_noise()
     rcm = opt.Rcm(phi=np.zeros(m), mode="active", a_max=a_max, p_out_budget=p_out)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    inst = opt.build_qcqp(u, ch, src, noise, rcm)
+    inst = qcqp(u, ch, src, noise, rcm)
     return inst, (ch, src, noise, rcm, u)
+
+
+def oracle_case(rng, name):
+    """A subproblem whose solution has the binding pattern ``name``."""
+    if name == "cap-binding":
+        return build_instance(rng, m=6, p_out=1e6, a_max=0.2)[0]
+    if name == "power-binding":  # no caps at all
+        return build_instance(rng, m=6, p_out=0.05, a_max=np.inf)[0]
+    inst = build_instance(rng, m=6, p_out=1e6, a_max=1e6)[0]
+    free = np.abs(np.linalg.solve(inst.s, -inst.g))
+    a_max = float(np.median(free))  # between the moduli of the unconstrained solution
+    if name == "mixed":
+        return dataclasses.replace(inst, a_max=a_max)
+    if name == "caps-and-budget":
+        p_out = 0.7 * float(inst.j @ np.minimum(free, a_max) ** 2)
+        return dataclasses.replace(inst, a_max=a_max, p_out=p_out)
+    # rank-deficient: a passive surface forwards no noise, so S has rank K + 1 < M
+    ch = make_random_channelset(rng, n=4, m=6, k=1)
+    src, noise = make_sources(1), make_noise(sigma1_sq=0.0)
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rcm = opt.Rcm(phi=np.ones(6), mode="passive-relaxed", a_max=1.0)
+    return qcqp(u, ch, src, noise, rcm)
 
 
 class TestMseEpsilon:
@@ -29,7 +64,7 @@ class TestMseEpsilon:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         src, noise = make_sources(1, p0=2.5), make_noise()
         rcm = opt.Rcm(phi=rng.standard_normal(3) * 1j, mode="active", a_max=np.inf)
-        eps = opt.mse_epsilon(np.zeros(4, dtype=complex), rcm, ch, src, noise)
+        eps = mse(np.zeros(4, dtype=complex), rcm, ch, src, noise)
         assert eps == pytest.approx(2.5)
 
     def test_optimal_receiver_closed_form(self, rng):
@@ -38,8 +73,8 @@ class TestMseEpsilon:
         src, noise = make_sources(1), make_noise()
         rcm = opt.Rcm(phi=0.3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
                       mode="active", a_max=np.inf)
-        u = opt.update_u(rcm, ch, src, noise)
-        eps = opt.mse_epsilon(u, rcm, ch, src, noise)
+        u = receiver(rcm, ch, src, noise)
+        eps = mse(u, rcm, ch, src, noise)
         eta = sns.population_eta(ch, rcm, src, noise)
         assert eps == pytest.approx(src.p[0] / (1 + eta), rel=1e-10)
         r = sns.noise_covariance(ch, rcm, src, noise)
@@ -51,9 +86,9 @@ class TestMseEpsilon:
         ch = make_random_channelset(rng, n=4, m=3, k=0)
         src, noise = make_sources(0), make_noise()
         rcm = opt.Rcm(phi=np.zeros(3), mode="active", a_max=np.inf)
-        u = opt.update_u(rcm, ch, src, noise)
-        base = opt.mse_epsilon(u, rcm, ch, src, noise)
-        rotated = opt.mse_epsilon(u * np.exp(0.5j), rcm, ch, src, noise)
+        u = receiver(rcm, ch, src, noise)
+        base = mse(u, rcm, ch, src, noise)
+        rotated = mse(u * np.exp(0.5j), rcm, ch, src, noise)
         assert rotated > base
 
 
@@ -62,7 +97,7 @@ class TestUpdateU:
         ch = make_random_channelset(rng, n=4, m=3, k=0)
         src, noise = make_sources(0), make_noise()  # p0 = 1
         rcm = opt.Rcm(phi=np.zeros(3), mode="active", a_max=np.inf)
-        u = opt.update_u(rcm, ch, src, noise)
+        u = receiver(rcm, ch, src, noise)
         d0 = ch.d[0]
         expected = d0 / (np.linalg.norm(d0) ** 2 + noise.sigma2_sq)
         assert np.allclose(u, expected, rtol=1e-12)
@@ -72,15 +107,15 @@ class TestUpdateU:
         src, noise = make_sources(1, p0=3.7), make_noise()
         rcm = opt.Rcm(phi=0.4 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
                       mode="active", a_max=np.inf)
-        u = opt.update_u(rcm, ch, src, noise)
-        eps0 = opt.mse_epsilon(u, rcm, ch, src, noise)
+        u = receiver(rcm, ch, src, noise)
+        eps0 = mse(u, rcm, ch, src, noise)
         g = np.zeros(8)
         step = 1e-6
         for i in range(8):
             du = np.zeros(8)
             du[i] = step
             pert = u + du[:4] + 1j * du[4:]
-            g[i] = (opt.mse_epsilon(pert, rcm, ch, src, noise) - eps0) / step
+            g[i] = (mse(pert, rcm, ch, src, noise) - eps0) / step
         assert np.max(np.abs(g)) < 1e-4 * max(1.0, eps0)
 
     def test_matches_numerical_minimizer(self, rng):
@@ -88,10 +123,10 @@ class TestUpdateU:
         src, noise = make_sources(1), make_noise()
         rcm = opt.Rcm(phi=0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
                       mode="active", a_max=np.inf)
-        u_star = opt.update_u(rcm, ch, src, noise)
+        u_star = receiver(rcm, ch, src, noise)
 
         def f(x):
-            return opt.mse_epsilon(x[:4] + 1j * x[4:], rcm, ch, src, noise)
+            return mse(x[:4] + 1j * x[4:], rcm, ch, src, noise)
 
         res = minimize(f, np.zeros(8), method="BFGS", options={"gtol": 1e-12})
         u_num = res.x[:4] + 1j * res.x[4:]
@@ -165,6 +200,58 @@ class TestSolveP22:
         assert np.all(np.abs(phi) <= 0.25 * (1 + 1e-10))
         assert float(np.sum(inst.j * np.abs(phi) ** 2)) <= 0.03 * (1 + 1e-9)
 
+    @pytest.mark.parametrize("name", ["cap-binding", "mixed", "power-binding", "caps-and-budget",
+                                      "rank-deficient"])
+    def test_matches_the_oracles(self, rng, name):
+        inst = oracle_case(rng, name)
+        phi = opt.solve_p22(inst)
+        if inst.a_max is not None:
+            assert np.all(np.abs(phi) <= inst.a_max * (1 + 1e-12))
+        if inst.p_out is not None:
+            assert float(inst.j @ np.abs(phi) ** 2) <= inst.p_out * (1 + 1e-12)
+        obj = qcqp_objective(inst, phi)
+        for oracle in (solve_p22_cd(inst), solve_p22_pg(inst, max_iter=60000)):
+            ref = qcqp_objective(inst, oracle)
+            assert obj <= ref + 1e-12 * abs(ref)
+        assert kkt_residual(inst, phi) < 1e-9
+        # the case binds as named
+        on_cap = np.abs(phi) >= inst.a_max * (1 - 1e-9) if inst.a_max is not None else None
+        if name == "cap-binding":
+            assert on_cap.all()
+        elif name == "mixed":
+            assert on_cap.any() and not on_cap.all()
+        elif name == "power-binding":
+            assert inst.a_max is None
+            assert float(inst.j @ np.abs(phi) ** 2) == pytest.approx(inst.p_out, rel=1e-9)
+        elif name == "caps-and-budget":
+            assert on_cap.any()
+            assert float(inst.j @ np.abs(phi) ** 2) == pytest.approx(inst.p_out, rel=1e-9)
+        else:
+            assert inst.lam_min <= opt.SINGULAR_RTOL * inst.lam_max
+
+    @pytest.mark.parametrize("name, cap, loop", [
+        ("cap-binding", "NEWTON_MAX_STEPS", "projected Newton"),
+        ("power-binding", "NEWTON_MAX_STEPS", "projected Newton"),
+        ("caps-and-budget", "NEWTON_MAX_STEPS", "projected Newton"),
+        ("rank-deficient", "PROX_MAX_STEPS", "proximal steps")])
+    def test_a_capped_solve_raises(self, rng, monkeypatch, name, cap, loop):
+        inst = oracle_case(rng, name)
+        opt.solve_p22(inst)  # converges under the default caps
+        monkeypatch.setattr(opt, cap, 1)
+        with pytest.raises(NumericalError, match=f"QCQP subproblem: {loop} did not converge"):
+            opt.solve_p22(inst)
+
+    def test_any_start_reaches_the_one_solution(self, rng):
+        # multipliers read off a random feasible start, far from the solution:
+        # the secular Newton step stalls on these and the plain one takes over
+        for name in ("mixed", "mixed", "mixed", "cap-binding"):
+            inst = oracle_case(rng, name)
+            ref = opt.solve_p22(inst)
+            m = inst.g.size
+            start = inst.a_max * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            phi = opt.solve_p22(inst, x0=start)
+            assert np.max(np.abs(phi - ref)) <= 1e-9 * inst.a_max
+
     def test_non_psd_instance_rejected(self, rng):
         inst, _ = build_instance(rng)
         bad = inst.s.copy()
@@ -203,8 +290,8 @@ class TestUnitModulusStep:
         ch = make_random_channelset(rng, n=4, m=2, k=1)
         src, noise = make_sources(1), make_noise(sigma1_sq=0.0)
         rcm = opt.Rcm(phi=np.ones(2), mode="passive-unit", a_max=1.0)
-        u = opt.update_u(rcm, ch, src, noise)
-        inst = opt.build_qcqp(u, ch, src, noise, rcm)
+        u = receiver(rcm, ch, src, noise)
+        inst = qcqp(u, ch, src, noise, rcm)
         obj = qcqp_objective(inst, opt.solve_p22p_unit_modulus(inst))
 
         def score(phis):
@@ -328,9 +415,28 @@ class TestWmmsePassive:
         res = opt.wmmse_passive(ch, src, noise, mode="passive-unit")
         assert np.max(np.abs(res.rcm.amplitudes - 1.0)) < 1e-9
 
-    def test_relaxation_dominates(self, rng):
+    def test_relaxation_dominates(self, rng, monkeypatch):
         # the unit solution is feasible for the relaxed problem; starting the
-        # relaxed solver there, surrogate descent can only improve on it
+        # relaxed solver there, surrogate descent can only improve on it. The
+        # relaxed subproblems have a rank-deficient S (sigma1 = 0): each converges
+        # under its step caps, on the proximal path
+        counts = {"solves": 0, "capped": 0, "newton": 0}
+        solve, newton = opt.solve_p22, opt._dual_newton
+
+        def counting_solve(instance, x0=None):
+            counts["solves"] += 1
+            try:
+                return solve(instance, x0)
+            except NumericalError:  # a capped solve: count it and keep the feasible start
+                counts["capped"] += 1
+                return x0
+
+        def counting_newton(*args):
+            counts["newton"] += 1
+            return newton(*args)
+
+        monkeypatch.setattr(opt, "solve_p22", counting_solve)
+        monkeypatch.setattr(opt, "_dual_newton", counting_newton)
         for _ in range(5):
             ch = make_random_channelset(rng, n=4, m=3, k=1)
             src, noise = make_sources(1), make_noise()
@@ -338,6 +444,8 @@ class TestWmmsePassive:
             r_rel = opt.wmmse_passive(ch, src, noise, mode="passive-relaxed",
                                       init_phi=r_unit.rcm.phi)
             assert r_rel.eta >= r_unit.eta - 1e-6
+        assert counts["solves"] > 0 and counts["capped"] == 0, counts
+        assert counts["newton"] > counts["solves"]  # several proximal steps per solve
 
     def test_interference_free_los_matches_passive_closed_form(self, rng):
         n, m = 8, 4
@@ -407,7 +515,7 @@ class TestStackedBuilders:
         # the receiver update's matrix: the primary's term included
         assert_matches(sns.covariance(ch, rcm.phi, src.zeta * src.p, sigma1, noise.sigma2_sq),
                        loop_covariance(ch, rcm, src, noise, primary=True))
-        inst = opt.build_qcqp(u, ch, src, noise, rcm)
+        inst = qcqp(u, ch, src, noise, rcm)
         s, g, const = loop_qcqp(u, ch, src, noise, rcm)
         assert_matches(inst.s, s)
         assert_matches(inst.g, g)
@@ -415,8 +523,8 @@ class TestStackedBuilders:
         # the subproblem's objective is the weighted MSE of the coefficients
         for _ in range(3):
             phi = rng.standard_normal(ch.n_elements) + 1j * rng.standard_normal(ch.n_elements)
-            eps = opt.mse_epsilon(u, dataclasses.replace(rcm, phi=phi), ch, src, noise)
+            eps = mse(u, dataclasses.replace(rcm, phi=phi), ch, src, noise)
             assert qcqp_objective(inst, phi) == pytest.approx(eps, rel=1e-12)
         assert_matches(opt.power_weights(ch, src, sigma1),
                        loop_power_weights(ch, src, noise, rcm.mode == "active"))
-        assert_matches(opt.mse_epsilon(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))
+        assert_matches(mse(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))
