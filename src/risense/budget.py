@@ -110,10 +110,12 @@ class ClosedFormContext:
     m_v: int = 1
 
     @classmethod
-    def from_scenario(cls, sc) -> "ClosedFormContext":
-        """The context of a scenario's LoS channels."""
+    def from_scenario(cls, sc, gains: chan.LinkGains | None = None) -> "ClosedFormContext":
+        """The context of a scenario's LoS channels; ``gains``, when given, are their
+        link gains (a channel set's), else they are evaluated here."""
         noise, src, power = sc.noise(), sc.sources(), sc.power_model()
-        gains = chan.link_gains(sc.geometry, sc.pathloss)
+        if gains is None:
+            gains = chan.link_gains(sc.geometry, sc.pathloss)
         return cls(n_antennas=sc.n_antennas, beta_g=gains.beta_g, beta_f=gains.beta_f,
                    p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
@@ -384,7 +386,8 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3)
     if ctx is None:
-        ctx = ClosedFormContext.from_scenario(scenario)
+        ctx = ClosedFormContext.from_scenario(scenario,
+                                              None if channels is None else channels.gains)
     los = chan.los_factors(scenario, *upa_dims(scenario, m))[1] if channels is None \
         else channels.los
     if method == "passive":

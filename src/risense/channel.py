@@ -9,7 +9,7 @@ variance equal to the link pathloss gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,20 +23,33 @@ FOUR_PI_SQ = (4.0 * np.pi) ** 2
 class Geometry:
     """2-D Cartesian positions of the terminals, in meters.
 
-    ``interferer_pos`` holds K positions; K = 0 is allowed.
+    ``interferer_pos`` holds K positions; K = 0 is allowed. The link distances
+    are computed once, on construction: ``dist_direct[k]`` and ``dist_to_ris[k]``
+    from source k (0 = primary transmitter, 1..K = interferers) to the receiver
+    and to the surface, ``dist_ris_su`` from the surface to the receiver.
     """
 
     pu_pos: tuple[float, float] = (0.0, 0.0)
     ris_pos: tuple[float, float] = (100.0, 50.0)
     su_pos: tuple[float, float] = (500.0, 0.0)
     interferer_pos: tuple[tuple[float, float], ...] = ()
+    dist_direct: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    dist_to_ris: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    dist_ris_su: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        su, ris = np.asarray(self.su_pos, dtype=float), np.asarray(self.ris_pos, dtype=float)
+        sources = [self.source_pos(k) for k in range(self.n_interferers + 1)]
         with np.errstate(over="ignore"):  # coordinates too far apart give an infinite distance
-            links = [("pu-su", self.dist_direct(0)), ("pu-ris", self.dist_to_ris(0)),
-                     ("ris-su", self.dist_ris_su())]
-            links += [(f"interferer {k}-{end}", dist(k)) for k in range(1, self.n_interferers + 1)
-                      for end, dist in (("su", self.dist_direct), ("ris", self.dist_to_ris))]
+            direct = tuple(float(np.linalg.norm(pos - su)) for pos in sources)
+            to_ris = tuple(float(np.linalg.norm(pos - ris)) for pos in sources)
+            ris_su = float(np.linalg.norm(su - ris))
+        object.__setattr__(self, "dist_direct", direct)
+        object.__setattr__(self, "dist_to_ris", to_ris)
+        object.__setattr__(self, "dist_ris_su", ris_su)
+        links = [("pu-su", direct[0]), ("pu-ris", to_ris[0]), ("ris-su", ris_su)]
+        links += [(f"interferer {k}-{end}", dist[k]) for k in range(1, self.n_interferers + 1)
+                  for end, dist in (("su", direct), ("ris", to_ris))]
         for name, d in links:
             if not 0.0 < d < np.inf:
                 raise ConfigError(f"degenerate geometry: {name} distance is {d}")
@@ -49,15 +62,6 @@ class Geometry:
         """Position of source k (0 = primary transmitter, 1..K = interferers)."""
         pos = self.pu_pos if k == 0 else self.interferer_pos[k - 1]
         return np.asarray(pos, dtype=float)
-
-    def dist_direct(self, k: int) -> float:
-        return float(np.linalg.norm(self.source_pos(k) - np.asarray(self.su_pos)))
-
-    def dist_to_ris(self, k: int) -> float:
-        return float(np.linalg.norm(self.source_pos(k) - np.asarray(self.ris_pos)))
-
-    def dist_ris_su(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.su_pos) - np.asarray(self.ris_pos)))
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,9 @@ def pathloss(wavelength: float, dist: float, alpha: float) -> float:
 
 def link_gains(geom: Geometry, plm: PathlossModel) -> LinkGains:
     """Evaluate the pathloss of every link; an infinite or zero gain is a ConfigError."""
-    ks = range(geom.n_interferers + 1)
-    beta_d = np.array([pathloss(plm.wavelength, geom.dist_direct(k), plm.alpha_direct) for k in ks])
-    beta_f = np.array([pathloss(plm.wavelength, geom.dist_to_ris(k), plm.alpha_incident) for k in ks])
-    beta_g = pathloss(plm.wavelength, geom.dist_ris_su(), plm.alpha_outgoing)
+    beta_d = np.array([pathloss(plm.wavelength, d, plm.alpha_direct) for d in geom.dist_direct])
+    beta_f = np.array([pathloss(plm.wavelength, d, plm.alpha_incident) for d in geom.dist_to_ris])
+    beta_g = pathloss(plm.wavelength, geom.dist_ris_su, plm.alpha_outgoing)
     for key, gain in (("alpha_direct", beta_d), ("alpha_incident", beta_f),
                       ("alpha_outgoing", beta_g)):
         if not np.all(np.isfinite(gain) & (gain > 0)):
@@ -186,7 +189,12 @@ def steering_vector_upa(mh: int, mv: int, theta: float, psi: float) -> np.ndarra
     if mh < 1 or mv < 1:
         raise ValueError("planar array dimensions must be >= 1")
     step_h, step_v = upa_phase_steps(theta, psi)
-    return np.kron(steering_vector_ula(mh, step_h), steering_vector_ula(mv, step_v))
+    return kron_vectors(steering_vector_ula(mh, step_h), steering_vector_ula(mv, step_v))
+
+
+def kron_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a kron b of two vectors: their outer product, row by row (np.kron's products)."""
+    return np.multiply.outer(a, b).ravel()
 
 
 def upa_phase_steps(theta: float, psi: float) -> tuple[float, float]:
@@ -237,7 +245,7 @@ def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     steps = incident_steps(geom)
     a_f = np.empty((len(steps), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
     for i, (step_h, step_v) in enumerate(steps):
-        a_f[i] = np.kron(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
+        a_f[i] = kron_vectors(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
     d_su = np.asarray(geom.su_pos, dtype=float) - np.asarray(geom.ris_pos, dtype=float)
     su_aoa = np.arctan2(-d_su[1], -d_su[0])
     return link_gains(geom, sc.pathloss), LosFactors(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: threshold, optimize, simulate, sweep, budget. Exit codes:
-0 success, 2 configuration error, 3 infeasible target, 4 numerical failure.
+0 success, 2 configuration error, 3 infeasible target, 4 numerical failure;
+1 when standard output closes before the command is done.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -185,7 +187,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "out", None) == "":
             raise ConfigError("--out needs a file path")
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (`risense ... | head -1`): what is still buffered goes
+        # to devnull, so the flush at exit cannot fail again (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

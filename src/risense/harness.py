@@ -305,8 +305,8 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
     """Empirical exceedance rates (H1, H0) of the detection pipeline.
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
-    optimize the reflecting coefficients, build the analytic covariance, its
-    whitening factor and the population excess, draw the trial's largest
+    optimize the reflecting coefficients, build the analytic covariance and the
+    population excess (``sensing.Whitening``), draw the trial's largest
     whitened sample eigenvalues over T under H1 and H0
     (``sensing.sample_signals``, which documents its two paths) and compare
     each with the threshold. A trial's hypotheses share all of this (common
@@ -327,16 +327,14 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
             channels = scenario.build_channels(t)
             rcm_t = rcm if rcm is not None else \
                 bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
-            r = sns.noise_covariance(channels, rcm_t, sources, noise)
-            q_inv = sns.psd_sqrt_inverse(r)
-            h0 = sns.equivalent_channels(channels, np.asarray(rcm_t.phi, dtype=complex))[0]
-            etas[t] = sns.eta_from_covariance(r, h0, sources.p[0])
+            whitening = sns.Whitening.of(channels, rcm_t, sources, noise)
+            etas[t] = whitening.eta
             pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
                                                            gamma_th, cfg.alpha))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
         lam1, lam0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1",
-                                        scenario.t_samples, (scenario.seed, t, 1), q_inv)
+                                        scenario.t_samples, (scenario.seed, t, 1), whitening)
         hits_h1 += lam1 > gamma_th
         hits_h0 += lam0 > gamma_th
     mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())

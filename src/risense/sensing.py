@@ -17,8 +17,10 @@ on the same generator:
   matrix from its Bartlett factor, and bartlett_statistics scores the given
   blocks: H0 from W0, H1 from its rank-2 update, both diagonalized in full.
 
-The tests' forced-Bartlett sampler, which takes the second path on every
-draw, lives in tests/oracles.py.
+The trials of one channel draw share a Whitening: R, the excess eta that
+sets the first path's spike, and the whitening factor Q^-1, which only the
+second path reads and forms. The tests' forced-Bartlett sampler, which takes
+the second path on every draw, lives in tests/oracles.py.
 
 Under the alternative, the largest eigenvalue separates from the bulk once
 the population excess ``eta`` crosses the phase transition sqrt(chi), after
@@ -172,37 +174,81 @@ def _mean_weights(sources: SourceModel) -> np.ndarray:
     return weights
 
 
+@dataclass(frozen=True, eq=False)
+class Whitening:
+    """What the trials on one channel draw and coefficients read of the noise covariance R.
+
+    ``h`` holds the rows equivalent_channels(channels, phi), h[0] the primary's, and
+    ``p0`` its power. Each derived quantity is formed on first use, then kept: ``eta``
+    (the tridiagonal draw's spike is 1 + eta), and the whitening factor ``q_inv`` and
+    whitened channel ``b``, which only a Bartlett draw reads.
+    """
+
+    r: np.ndarray
+    h: np.ndarray
+    p0: float
+
+    @classmethod
+    def of(cls, channels: ChannelSet, rcm, sources: SourceModel,
+           noise: NoiseModel) -> "Whitening":
+        """The Whitening of a channel set and coefficients. NumericalError when R is too
+        ill-conditioned to whiten, by psd_sqrt_inverse's check.
+
+        R = sigma2^2 I + a PSD sum, so lam_min(R) >= sigma2^2 and lam_max(R) <= tr R:
+        when sigma2^2 >= 2 PSD_RTOL tr R the check passes without an eigendecomposition
+        (the factor 2 leaves room for its rounding). Otherwise Q^-1 is formed here.
+        """
+        r = noise_covariance(channels, rcm, sources, noise)
+        whitening = cls(r=r, h=equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex)),
+                        p0=float(sources.p[0]))
+        if not noise.sigma2_sq >= 2.0 * PSD_RTOL * np.trace(r).real:
+            whitening.q_inv  # noqa: B018 -- formed now: its eigenvalue check decides
+        return whitening
+
+    @functools.cached_property
+    def eta(self) -> float:
+        """p_0 h_0^H R^-1 h_0 (eta_from_covariance)."""
+        return eta_from_covariance(self.r, self.h[0], self.p0)
+
+    @functools.cached_property
+    def q_inv(self) -> np.ndarray:
+        return psd_sqrt_inverse(self.r)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return self.q_inv @ self.h[0]
+
+
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                    hypothesis: str, n_samples: int, rng_seed,
-                   q_inv: np.ndarray | None = None) -> tuple:
+                   whitening: Whitening | None = None) -> tuple:
     """The statistics (lambda_1, lambda_0) of one sensing interval, no N x T array.
 
     lambda is the largest eigenvalue of (1/T) X X^H for the interval's whitened
     snapshots X: X0 = Q^-1 Y0 under H0 and X0 + b s0^T, b = Q^-1 h0, under H1.
     Given the activity draw the columns of X0 are i.i.d. CN(0, C) with
     C = Q^-1 R_active Q^-1. When the draw leaves R_active = R, C = I, and under
-    H1 the covariance is I plus one spike eta = p_0 ||b||^2, so the spectrum of
-    X X^H is that of B B^T with B lower bidiagonal, |B_ii|^2 ~ Gamma(T - i) and
-    |B_i+1,i|^2 ~ Gamma(N - 1 - i) (Dumitriu & Edelman 2002); the spike along
-    e_1 scales B_11 by sqrt(1 + eta) (Bloemendal & Virag 2013). Both hypotheses
-    share these 2N - 1 variates. Any other draw continues on the same generator
-    with the Bartlett draw of the Gram blocks (gram_blocks), scored by
-    bartlett_statistics.
+    H1 the covariance is I plus one spike eta = p_0 ||b||^2 = p_0 h_0^H R^-1 h_0,
+    so the spectrum of X X^H is that of B B^T with B lower bidiagonal,
+    |B_ii|^2 ~ Gamma(T - i) and |B_i+1,i|^2 ~ Gamma(N - 1 - i) (Dumitriu & Edelman
+    2002); the spike along e_1 scales B_11 by sqrt(1 + eta) (Bloemendal & Virag
+    2013). Both hypotheses share these 2N - 1 variates, and this path reads only
+    ``whitening.eta``: it forms no Q^-1. Any other draw continues on the same
+    generator with the Bartlett draw of the Gram blocks (gram_blocks), scored by
+    bartlett_statistics; only this path forms Q^-1, once per ``whitening``.
 
     Deterministic given the seed. Draw order: the interferers' activity (once per
     interval), then the sampler's variates. Under "h0" lambda_1 is None, and
-    lambda_0 is the same under both hypotheses. ``q_inv`` is the whitening factor
-    psd_sqrt_inverse(noise_covariance(...)), computed when not given.
+    lambda_0 is the same under both hypotheses. ``whitening`` is
+    Whitening.of(channels, rcm, sources, noise), computed when not given.
     """
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
     n = channels.n_antennas
     if n_samples < n:
         raise ValueError("the Wishart draw needs n_samples >= n_antennas")
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
-    phi = np.asarray(rcm.phi, dtype=complex)
-    b = q_inv @ equivalent_channels(channels, phi)[0]
+    if whitening is None:
+        whitening = Whitening.of(channels, rcm, sources, noise)
     rng = substream(rng_seed, 0x51)
     active = rng.random(sources.n_interferers + 1) < sources.zeta
     weights = np.where(active, sources.p, 0.0)
@@ -214,15 +260,16 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
         d[1:] += sub
         e = np.sqrt(diag[:-1] * sub)
         lam0 = _top_eigenvalue(d, e) / n_samples
-        spike = 1.0 + sources.p[0] * float(np.vdot(b, b).real)
+        spike = 1.0 + whitening.eta
         d[0] *= spike
         e[:1] *= np.sqrt(spike)
         lam1 = _top_eigenvalue(d, e) / n_samples
     else:
-        c = whiten(covariance(channels, phi, weights, rcm.sigma1_sq(noise), noise.sigma2_sq),
-                   q_inv)
-        lam1, lam0 = bartlett_statistics(*gram_blocks(rng, c, sources.p[0], n_samples), b,
-                                         n_samples)
+        r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
+                              rcm.sigma1_sq(noise), noise.sigma2_sq, whitening.h)
+        lam1, lam0 = bartlett_statistics(
+            *gram_blocks(rng, whiten(r_active, whitening.q_inv), sources.p[0], n_samples),
+            whitening.b, n_samples)
     return (lam1 if hypothesis == "h1" else None), lam0
 
 
@@ -296,11 +343,14 @@ def _tw2_interp() -> PchipInterpolator:
     return PchipInterpolator(_tw2_table.S_GRID, _tw2_table.CDF)
 
 
+@functools.lru_cache(maxsize=64)  # bounded: a process thresholds at few probabilities
 def tw2_quantile(p: float) -> float:
     """Quantile of the order-2 Tracy-Widom law, from the embedded table.
 
     Monotone cubic interpolation of the tabulated CDF, inverted by root
     finding. Supported for p within the table range (~[1e-10, 1 - 2e-14]).
+    Memoized per p (the 64 most recent), as the interpolator is: a process
+    that thresholds at one alpha runs one root find.
     """
     grid, cdf = _tw2_table.S_GRID, _tw2_table.CDF
     if not cdf[0] <= p <= cdf[-1]:

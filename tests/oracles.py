@@ -744,14 +744,22 @@ def bartlett_blocks(channels: ChannelSet, rcm, sources: SourceModel, noise: Nois
     return (w0, v, s2) if hypothesis == "h1" else (w0, None, 0.0)
 
 
+def whitening_factor(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
+                     whitening: sensing.Whitening | None = None) -> np.ndarray:
+    """Q^-1 = psd_sqrt_inverse(noise_covariance(...)): that of ``whitening``, the
+    sample_signals argument the trial loop hands a stand-in sampler, when given."""
+    if whitening is not None:
+        return whitening.q_inv
+    return psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+
+
 def bartlett_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                      hypothesis: str, n_samples: int, rng_seed,
-                     q_inv: np.ndarray | None = None) -> tuple:
+                     whitening: sensing.Whitening | None = None) -> tuple:
     """sample_signals' (lambda_1, lambda_0) on its Bartlett path, whatever the activity
     draw: bartlett_blocks scored by sensing.bartlett_statistics (lambda_1 is None
     under "h0")."""
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    q_inv = whitening_factor(channels, rcm, sources, noise, whitening)
     w0, v, s2 = bartlett_blocks(channels, rcm, sources, noise, "h1", n_samples, rng_seed, q_inv)
     b = q_inv @ sensing.equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
     lam1, lam0 = sensing.bartlett_statistics(w0, v, s2, b, n_samples)
@@ -760,12 +768,11 @@ def bartlett_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noi
 
 def snapshot_statistics(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                         hypothesis: str, n_samples: int, rng_seed,
-                        q_inv: np.ndarray | None = None) -> tuple:
+                        whitening: sensing.Whitening | None = None) -> tuple:
     """sample_signals' (lambda_1, lambda_0), from snapshot_draw's N x T snapshots:
     the largest eigenvalues of (1/T) X X^H for X0 = Q^-1 Y0 and X1 = Q^-1 (Y0 + h_0 s0^T)
     (lambda_1 is None under "h0")."""
-    if q_inv is None:
-        q_inv = psd_sqrt_inverse(noise_covariance(channels, rcm, sources, noise))
+    q_inv = whitening_factor(channels, rcm, sources, noise, whitening)
     y0, s0 = snapshot_draw(channels, rcm, sources, noise, n_samples, rng_seed)
     lam0 = snapshot_max_eig(q_inv @ y0)
     if hypothesis == "h0":

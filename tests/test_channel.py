@@ -50,6 +50,20 @@ class TestSteeringVectors:
         with pytest.raises(ValueError):
             chan.steering_vector_upa(0, 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("m_h, m_v", [(16, 1), (4, 3), (1, 5)])
+    def test_upa_is_the_kron_form_bit_for_bit(self, m_h, m_v):
+        # the outer product forms np.kron's products, in its order
+        theta, psi = 0.7, 0.3
+        step_h, step_v = chan.upa_phase_steps(theta, psi)
+        kron = np.kron(chan.steering_vector_ula(m_h, step_h),
+                       chan.steering_vector_ula(m_v, step_v))
+        assert np.array_equal(chan.steering_vector_upa(m_h, m_v, theta, psi), kron)
+        sc = dataclasses.replace(los_scenario(k=3), m_h=m_h, m_v=m_v)
+        a_f = chan.los_factors(sc, m_h, m_v)[1].a_f
+        for row, (step_h, step_v) in zip(a_f, chan.incident_steps(sc.geometry)):
+            assert np.array_equal(row, np.kron(chan.steering_vector_ula(m_h, step_h),
+                                               chan.steering_vector_ula(m_v, step_v)))
+
     @given(n=st.integers(1, 16), phase=st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_unit_modulus_everywhere(self, n, phase):
@@ -158,6 +172,21 @@ class TestGeometry:
         assert pos1 == pos2
         radii = [np.hypot(x - 100.0, y - 50.0) for x, y in pos1]
         assert all(50.0 <= r <= 60.0 for r in radii)
+
+    def test_distances_are_the_per_source_norms(self):
+        # stored on construction, equal to one np.linalg.norm per link
+        ris, su = (100.0, 50.0), (500.0, 0.0)
+        positions = chan.draw_interferer_positions(ris, 5, 50.0, 60.0, seed=3)
+        geom = chan.Geometry(pu_pos=(3.0, -7.5), ris_pos=ris, su_pos=su, interferer_pos=positions)
+        sources = [np.asarray(pos, dtype=float) for pos in ((3.0, -7.5), *positions)]
+        assert geom.dist_direct == tuple(float(np.linalg.norm(pos - np.asarray(su)))
+                                         for pos in sources)
+        assert geom.dist_to_ris == tuple(float(np.linalg.norm(pos - np.asarray(ris)))
+                                         for pos in sources)
+        assert geom.dist_ris_su == float(np.linalg.norm(np.asarray(su) - np.asarray(ris)))
+        moved = dataclasses.replace(geom, interferer_pos=positions[:2])
+        assert moved.dist_direct == geom.dist_direct[:3] and moved == chan.Geometry(
+            pu_pos=(3.0, -7.5), ris_pos=ris, su_pos=su, interferer_pos=positions[:2])
 
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,9 @@ import contextlib
 import copy
 import csv
 import io
+import os
+import subprocess
+import sys
 import textwrap
 import time
 from pathlib import Path
@@ -11,7 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from risense import budget, channel, cli, harness, optimizer
+from risense import budget, channel, cli, harness, optimizer, sensing
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -248,6 +251,17 @@ class TestExitCodes:
                          "--methods", "mf,bogus"]) == 2
         assert "'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, method", [("los", "mf"), ("rayleigh", "passive-unit")])
+    def test_ill_conditioned_covariance_is_a_numerical_failure(self, tmp_path, capsys, model,
+                                                               method):
+        # every interferer active, receiver noise far below 1e-12 of the trace of R:
+        # whitening would divide by an eigenvalue that is rounding error
+        body = TINY_LOS.replace("channel_model: los", f"channel_model: {model}")
+        cfg = write_config(tmp_path, body.replace("interferers: 0", "interferers: 2")
+                           + "    powers: {sigma2_dbm: -250}\n")
+        assert cli.main(["simulate", "--config", cfg, "--trials", "3", "--method", method]) == 4
+        assert "numerical failure: covariance not positive definite" in capsys.readouterr().err
+
     def test_simulate_zf_needs_k_plus_one_elements(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_LOS.replace("interferers: 0", "interferers: 5"))
         assert cli.main(["simulate", "--config", cfg, "--method", "zf"]) == 2
@@ -336,6 +350,21 @@ class TestGoldenRows:
             lines += rows if not lines else rows[1:]
         assert "".join(lines) == (GOLDEN / "simulate_desk.csv").read_text()
 
+    def test_simulate_los(self, tmp_path):
+        # fixed LoS channels, all interferers active (the tridiagonal draw), then
+        # each interferer active half the time (the Bartlett draw): one header, one row each
+        text = Path(LOS_BUDGET).read_text()
+        half = tmp_path / "los_half.yaml"
+        half.write_text(text.replace("  zeta: 1.0\n", "  zeta: [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]\n"))
+        lines = []
+        for i, config in enumerate((LOS_BUDGET, str(half))):
+            out = tmp_path / f"simulate_{i}.csv"
+            assert cli.main(["simulate", "--config", config, "--method", "mf", "--seed", "3",
+                             "--trials", "200", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines(keepends=True)
+            lines += rows if not lines else rows[1:]
+        assert "".join(lines) == (GOLDEN / "simulate_los.csv").read_text()
+
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_budget(self, tmp_path, method):
         out = tmp_path / "budget.csv"
@@ -367,6 +396,31 @@ class TestGoldenRows:
         assert counts == [109, 110, 119, 160, 810]
 
 
+class TestClosedStdout:
+    # 4096 coefficient lines fill more than a pipe holds, so the command is still
+    # writing when the reader closes its end after the first line; 4 lines stay in
+    # a buffered stdout until the command's final flush, after the reader is gone
+    @pytest.mark.parametrize("elements, lines_read, unbuffered",
+                             [(4096, 1, True), (4096, 1, False), (4, 0, False)])
+    def test_closed_pipe_exits_1_without_a_traceback(self, tmp_path, elements, lines_read,
+                                                     unbuffered):
+        cfg = write_config(tmp_path, TINY_LOS.replace("m_h: 4", f"m_h: {elements}"))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "risense.cli", "optimize", "--config", cfg,
+                                 "--method", "passive"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"eta = ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
+
+
 class TestSimulate:
     def test_writes_deterministic_csv(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
@@ -394,6 +448,23 @@ class TestSimulate:
         cfg = write_config(tmp_path, TINY)
         assert cli.main(["simulate", "--config", cfg, "--trials", "3"]) == 0
         assert counts == {"wmmse_active": 3, "sample_rayleigh_channelset": 3}
+
+    @pytest.mark.parametrize("zeta, formed", [("1.0", 0), ("[1.0, 0.5, 0.5, 0.5, 0.5, 0.5]", 1)])
+    def test_whitening_factor_only_for_bartlett_draws(self, tmp_path, monkeypatch, zeta, formed):
+        # fixed LoS channels: an all-active run draws every trial tridiagonally and forms
+        # no Q^-1; with each interferer active half the time every trial is a Bartlett
+        # draw, and the run forms Q^-1 once
+        factors, draws = [], []
+        psd_sqrt_inverse, gram_blocks = sensing.psd_sqrt_inverse, sensing.gram_blocks
+        monkeypatch.setattr(sensing, "psd_sqrt_inverse",
+                            lambda r: (factors.append(r), psd_sqrt_inverse(r))[1])
+        monkeypatch.setattr(sensing, "gram_blocks",
+                            lambda *a: (draws.append(a), gram_blocks(*a))[1])
+        cfg = tmp_path / "los.yaml"
+        cfg.write_text(Path(LOS_BUDGET).read_text().replace("  zeta: 1.0\n", f"  zeta: {zeta}\n"))
+        assert cli.main(["simulate", "--config", str(cfg), "--method", "mf", "--trials", "20",
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        assert (len(factors), len(draws)) == (formed, 20 * formed)
 
     def test_closed_forms_read_the_channel_factors(self, tmp_path, monkeypatch):
         # the closed-form coefficients come from the channel set's LoS factors

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from oracles import (bartlett_signals, reference_detection_mc, reference_statistic,
-                     snapshot_blocks, snapshot_statistics)
+                     snapshot_blocks, snapshot_statistics, whitening_factor)
 from risense import budget as bdg
 from risense import cli
 from risense import harness as hns
@@ -365,8 +365,9 @@ def bartlett_on_snapshots(monkeypatch, sampler=bartlett_signals) -> list:
     intervals = []
 
     def snapshot_gram_blocks(rng, c, p0, n_samples):
-        channels, rcm, sources, noise, _, _, rng_seed, q_inv = intervals[-1]
-        return snapshot_blocks(channels, rcm, sources, noise, n_samples, rng_seed, q_inv)
+        channels, rcm, sources, noise, _, _, rng_seed, whitening = intervals[-1]
+        return snapshot_blocks(channels, rcm, sources, noise, n_samples, rng_seed,
+                               whitening_factor(channels, rcm, sources, noise, whitening))
 
     def tracked(*args):
         intervals.append(args)

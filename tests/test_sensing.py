@@ -186,9 +186,9 @@ class TestSpikedLaguerreDraw:
         ch = make_random_channelset(rng, n=4, m=3, k=1)
         rcm = fixed_rcm(3, rng, scale=0.4)
         src, noise = make_sources(1), make_noise()
-        q_inv = sns.psd_sqrt_inverse(sns.noise_covariance(ch, rcm, src, noise))
+        whitening = sns.Whitening.of(ch, rcm, src, noise)
         assert sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2) == \
-            sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2, q_inv)
+            sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2, whitening)
 
 
 class TestOneDrawPerInterval:
@@ -339,6 +339,16 @@ class TestTracyWidom:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             sns.tw2_quantile(1e-30)
+
+    def test_second_threshold_runs_no_root_find(self, monkeypatch):
+        # tw2_quantile is memoized per probability: one root find per alpha and process
+        cfg = sns.DetectorConfig(n_antennas=32, n_samples=3200, alpha=0.1)
+        sns.tw2_quantile.cache_clear()
+        calls, brentq = [], sns.brentq
+        monkeypatch.setattr(sns, "brentq", lambda *a, **kw: (calls.append(a), brentq(*a, **kw))[1])
+        first = sns.detection_threshold(cfg)
+        assert len(calls) == 1
+        assert sns.detection_threshold(cfg) == first and len(calls) == 1
 
 
 class TestDetectionThreshold:
