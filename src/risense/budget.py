@@ -402,15 +402,6 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     return Design(Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out), sol.eta)
 
 
-def planner_method(method: str) -> str:
-    """The planner's lower-case name for ``method``; ConfigError if it cannot plan it."""
-    name = method.lower()
-    if name not in PLANNER_METHODS:
-        raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
-                          f"got {method!r}")
-    return name
-
-
 @dataclass(frozen=True)
 class BudgetResult:
     """Outcome of the bisection planner.
@@ -523,7 +514,10 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     NumericalError. The scanned probe
     history is checked for monotonicity.
     """
-    method = planner_method(method)
+    name, method = method, method.lower()
+    if method not in PLANNER_METHODS:
+        raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
+                          f"got {name!r}")
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
@@ -540,10 +534,10 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     # bounds the kernel terms of the walk over them.
     affords = power.elements(p_high, passive=method == "passive")
     m_top = columns(math.floor(affords)) if affords < math.inf else affords
-    if (k + 1) * m_top > chan.MAX_PLANNED_STEERING:
+    if (k + 1) * m_top > chan.MAX_ARRAY_ENTRIES:
         raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
                           f"for {k + 1} sources that exceeds the planner's ceiling of "
-                          f"{chan.MAX_PLANNED_STEERING} array-factor terms")
+                          f"{chan.MAX_ARRAY_ENTRIES} array-factor terms")
     ctx = ClosedFormContext.from_scenario(scenario)
     p_in = ctx.p_in_bar
     if method == "passive":

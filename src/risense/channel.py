@@ -203,8 +203,9 @@ def upa_phase_steps(theta: float, psi: float) -> tuple[float, float]:
 
 
 MAX_DRAWN_INTERFERERS = 1000  # every channel array holds one row per source
-# (K+1) x M array-factor terms of the planner's element-count walk
-MAX_PLANNED_STEERING = 2**27
+# the most entries of one array: the planner's (K+1) x M array-factor terms, and a
+# scenario's trials, N x N covariance, N x M and (K+1) x M channels
+MAX_ARRAY_ENTRIES = 2**27
 
 
 def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,

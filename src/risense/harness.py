@@ -96,6 +96,14 @@ class ScenarioConfig:
                             f"got {self.bisect_p_high}")
         if self.trials < 1:
             problems.append("trials must be >= 1")
+        for key, size in (("scenario.trials", self.trials),  # each sizes an array
+                          ("array.n_antennas^2", self.n_antennas ** 2),
+                          ("array.n_antennas x m_h x m_v", self.n_antennas * self.n_elements),
+                          ("(geometry.interferers + 1) x array.m_h x m_v",
+                           (k + 1) * self.n_elements)):
+            if size > chan.MAX_ARRAY_ENTRIES:
+                problems.append(f"{key} = {size:.4g} exceeds the ceiling of "
+                                f"{chan.MAX_ARRAY_ENTRIES} array entries")
         if self.seed < 0:
             problems.append("seed must be >= 0")
         if self.channel_model not in ("rayleigh", "los"):
@@ -329,8 +337,7 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
                 bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
             whitening = sns.Whitening.of(channels, rcm_t, sources, noise)
             etas[t] = whitening.eta
-            pd_pred[t] = sns.predicted_pd(sns.spiked_stats(etas[t], cfg.c, cfg.n_antennas,
-                                                           gamma_th, cfg.alpha))
+            pd_pred[t] = sns.predicted_pd(sns.spiked_stats_for(cfg, etas[t]))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
         lam1, lam0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1",
@@ -348,13 +355,9 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
     return result(hits_h1), result(hits_h0)
 
 
-def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None,
-                     hypothesis: str = "h1") -> McResult:
-    """Empirical exceedance rate under one hypothesis (see run_hypotheses_mc)."""
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError("hypothesis must be 'h0' or 'h1'")
-    h1, h0 = run_hypotheses_mc(scenario, rcm)
-    return h1 if hypothesis == "h1" else h0
+def run_detection_mc(scenario: ScenarioConfig, rcm: opt.Rcm | None = None) -> McResult:
+    """Empirical detection rate: the H1 result of run_hypotheses_mc."""
+    return run_hypotheses_mc(scenario, rcm)[0]
 
 
 @dataclass(frozen=True)
@@ -416,14 +419,14 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     pds = []
     for m in range(1, m_top + 1):
         sc_m = dataclasses.replace(scenario, m_h=m, m_v=1, method="wmmse")
-        res = run_detection_mc(sc_m, hypothesis="h1")
+        res = run_detection_mc(sc_m)
         pds.append(res.rate)
         rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m,
                               method="wmmse", pd_emp=res.rate, pd_pred=res.mean_pd_pred,
                               eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
     if m_passive >= 1:
         sc_p = dataclasses.replace(scenario, m_h=m_passive, m_v=1, method="passive-unit")
-        res = run_detection_mc(sc_p, hypothesis="h1")
+        res = run_detection_mc(sc_p)
         rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m_passive,
                               method="passive", pd_emp=res.rate, pd_pred=res.mean_pd_pred,
                               eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
@@ -453,15 +456,14 @@ def _swept_scenario(scenario: ScenarioConfig, name: str, value) -> ScenarioConfi
         return dataclasses.replace(scenario, zeta=(1.0,) + (float(value),) * k)
     if name == "p":
         return dataclasses.replace(scenario, p_w=(scenario.p_w[0],) + (float(value),) * k)
-    if name == "k":  # new interferers copy interferer 1's power and activity, else the primary's
-        like, k = min(1, k), int(value)
-        positions = chan.draw_interferer_positions(scenario.geometry.ris_pos, k,
-                                                   *scenario.annulus, scenario.seed)
-        geometry = dataclasses.replace(scenario.geometry, interferer_pos=positions)
-        return dataclasses.replace(scenario, geometry=geometry,
-                                   p_w=(scenario.p_w[0],) + (scenario.p_w[like],) * k,
-                                   zeta=(1.0,) + (scenario.zeta[like],) * k)
-    raise ConfigError(f"sweep must be one of {SWEEPABLE}")
+    # name == "k": new interferers copy interferer 1's power and activity, else the primary's
+    like, k = min(1, k), int(value)
+    positions = chan.draw_interferer_positions(scenario.geometry.ris_pos, k,
+                                               *scenario.annulus, scenario.seed)
+    geometry = dataclasses.replace(scenario.geometry, interferer_pos=positions)
+    return dataclasses.replace(scenario, geometry=geometry,
+                               p_w=(scenario.p_w[0],) + (scenario.p_w[like],) * k,
+                               zeta=(1.0,) + (scenario.zeta[like],) * k)
 
 
 def run_budget_sweep(scenario: ScenarioConfig, sweep_name: str, values: Sequence,

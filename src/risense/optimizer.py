@@ -51,14 +51,10 @@ class Rcm:
         """The surface thermal noise it forwards: sigma1^2 if active, none if passive."""
         return noise.sigma1_sq if self.mode == "active" else 0.0
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.phi)
-
     def check_feasible(self, channels: ChannelSet, sources: SourceModel,
                        noise: NoiseModel) -> None:
         """Raise if the coefficients violate the mode's constraints."""
-        a = self.amplitudes
+        a = np.abs(self.phi)
         if self.mode == "active":
             if np.any(a > self.a_max * (1 + FEAS_RTOL)):
                 raise ValueError("amplitude cap violated")
@@ -481,7 +477,7 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         trace.append(_surrogate(omega, eps))
 
         instance = build_qcqp(u, channels, sources, noise, rcm, j)
-        candidate = phi_step(instance, phi)
+        candidate = phi_step(instance, x0=phi)
         cand_rcm = Rcm(phi=candidate, mode=mode, a_max=a_max, p_out_budget=p_out)
         cand_h = equivalent_channels(channels, candidate)
         cand_eps = mse_epsilon(u, cand_rcm, channels, sources, noise, cand_h)
@@ -517,8 +513,7 @@ def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         init_phi = mf_init_phi(channels, sources, noise, p_out_budget, a_max)
     rcm0 = Rcm(phi=init_phi, mode="active", a_max=a_max, p_out_budget=p_out_budget)
     rcm0.check_feasible(channels, sources, noise)
-    return _wmmse_loop(channels, sources, noise, rcm0,
-                       lambda inst, phi: solve_p22(inst, x0=phi), tol, max_iter)
+    return _wmmse_loop(channels, sources, noise, rcm0, solve_p22, tol, max_iter)
 
 
 def wmmse_passive(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
@@ -535,8 +530,6 @@ def wmmse_passive(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         init_phi = mf_init_phi(channels, sources, noise, None, 1.0)  # unit modulus
     rcm0 = Rcm(phi=init_phi, mode=mode, a_max=1.0, p_out_budget=None)
     rcm0.check_feasible(channels, sources, noise)
-    if mode == "passive-unit":
-        step = lambda inst, phi: solve_p22p_unit_modulus(inst, x0=phi)
-    else:
-        step = lambda inst, phi: solve_p22(inst, x0=phi)
+    # looked up at each call, not bound at import: perfbench's tracer rebinds both names
+    step = solve_p22p_unit_modulus if mode == "passive-unit" else solve_p22
     return _wmmse_loop(channels, sources, noise, rcm0, step, tol, max_iter)

@@ -163,13 +163,15 @@ def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
         raise ValueError("reflecting coefficients do not match the channel set")
     if sources.n_interferers != channels.n_interferers:
         raise ValueError("source model does not match the channel set")
-    r = covariance(channels, phi, _mean_weights(sources), rcm.sigma1_sq(noise), noise.sigma2_sq)
+    r = covariance(channels, phi, _noise_weights(sources, sources.zeta), rcm.sigma1_sq(noise),
+                   noise.sigma2_sq)
     return 0.5 * (r + r.conj().T)
 
 
-def _mean_weights(sources: SourceModel) -> np.ndarray:
-    """Weights zeta_k p_k of the interferers' terms in the noise covariance R."""
-    weights = sources.zeta * sources.p
+def _noise_weights(sources: SourceModel, activity: np.ndarray) -> np.ndarray:
+    """Weights activity_k p_k of the interferers' terms in a noise covariance: zeta for
+    R's mean weights, a sensing interval's activity draw for its R_active."""
+    weights = activity * sources.p
     weights[0] = 0.0  # the primary is the signal, not noise
     return weights
 
@@ -207,8 +209,12 @@ class Whitening:
 
     @functools.cached_property
     def eta(self) -> float:
-        """p_0 h_0^H R^-1 h_0 (eta_from_covariance)."""
-        return eta_from_covariance(self.r, self.h[0], self.p0)
+        """The population excess p_0 h_0^H R^-1 h_0."""
+        try:
+            z = np.linalg.solve(self.r, self.h[0])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("noise covariance is singular") from exc
+        return float(self.p0 * np.real(self.h[0].conj() @ z))
 
     @functools.cached_property
     def q_inv(self) -> np.ndarray:
@@ -251,9 +257,8 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
         whitening = Whitening.of(channels, rcm, sources, noise)
     rng = substream(rng_seed, 0x51)
     active = rng.random(sources.n_interferers + 1) < sources.zeta
-    weights = np.where(active, sources.p, 0.0)
-    weights[0] = 0.0  # the primary is the signal, not noise
-    if np.array_equal(weights, _mean_weights(sources)):  # R_active = R: the tridiagonal draw
+    weights = _noise_weights(sources, active)
+    if np.array_equal(weights, _noise_weights(sources, sources.zeta)):  # R_active = R: tridiagonal
         diag = rng.standard_gamma(n_samples - np.arange(n))  # |B_ii|^2
         sub = rng.standard_gamma(n - 1 - np.arange(n - 1))  # |B_i+1,i|^2
         d = diag.copy()  # B B^T: the tridiagonal matrix (d, e)
@@ -376,20 +381,12 @@ def population_eta(channels: ChannelSet, rcm, sources: SourceModel,
     """Excess of the largest population eigenvalue under the alternative.
 
     eta = p_0 h_0^H R^-1 h_0; the largest eigenvalue of the whitened
-    population covariance under the alternative is 1 + eta.
+    population covariance under the alternative is 1 + eta. Whitening.eta,
+    without Whitening.of's conditioning check.
     """
-    r = noise_covariance(channels, rcm, sources, noise)
-    h0 = equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex))[0]
-    return eta_from_covariance(r, h0, sources.p[0])
-
-
-def eta_from_covariance(r: np.ndarray, h0: np.ndarray, p0: float) -> float:
-    """eta = p_0 h_0^H R^-1 h_0 for a noise covariance R already built."""
-    try:
-        z = np.linalg.solve(r, h0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("noise covariance is singular") from exc
-    return float(p0 * np.real(h0.conj() @ z))
+    return Whitening(r=noise_covariance(channels, rcm, sources, noise),
+                     h=equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex)),
+                     p0=float(sources.p[0])).eta
 
 
 def spiked_stats(eta: float, chi: float, n_antennas: int, gamma_th: float,

@@ -54,7 +54,7 @@ def test_criterion_01_threshold_calibration():
     rng = np.random.default_rng(0)
     phi = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
     rcm = opt.Rcm(phi=phi, mode="active", a_max=10.0, p_out_budget=None)
-    res = hns.run_detection_mc(sc, rcm=rcm, hypothesis="h0")
+    res = hns.run_hypotheses_mc(sc, rcm=rcm)[1]  # H0
     elapsed = time.time() - started
     ok = 0.08 <= res.rate <= 0.12 and elapsed < 120.0
     report(1, ok, f"empirical Pfa {res.rate:.4f} over {res.trials} pipeline trials "

@@ -174,6 +174,23 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "configuration error: geometry.annulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, options, named", [
+        ({}, ["--trials", str(2**62)], "scenario.trials"),
+        ({"  m_h: 16": f"  m_h: {2**62}"}, [], "array.n_antennas x m_h x m_v"),
+        ({"  n_antennas: 32": f"  n_antennas: {2**62}",
+          "  t_samples: 3200": f"  t_samples: {2**62 + 1}"}, [], "array.n_antennas^2")])
+    def test_oversized_count_is_a_config_error(self, tmp_path, edits, options, named):
+        # each count sizes an array that numpy cannot allocate
+        text = Path(LOS_BUDGET).read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        code, err = run_cli(["simulate", "--config", write_config(tmp_path, text),
+                             "--method", "mf", *options])
+        assert code == 2, err
+        assert f"{named} = " in err and "exceeds the ceiling of 134217728" in err
+        assert "Traceback" not in err
+
     def test_infeasible_budget(self, tmp_path):
         # ceiling of 1 mW sits below the zero-forcing floor 6 (p_c + p_dc) ~ 2.5 mW
         cfg = write_config(tmp_path, """

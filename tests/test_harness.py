@@ -224,19 +224,19 @@ class TestRunDetectionMc:
     def test_h0_rate_near_alpha(self):
         sc = tiny_scenario(trials=200)
         rcm = opt.Rcm(phi=np.zeros(3), mode="active", a_max=10.0, p_out_budget=1.0)
-        res = hns.run_detection_mc(sc, rcm=rcm, hypothesis="h0")
+        res = hns.run_hypotheses_mc(sc, rcm=rcm)[1]
         assert abs(res.rate - sc.alpha) < 0.09
 
     def test_h1_with_silent_primary_matches_alpha(self):
         sc = tiny_scenario(trials=200, p_w=(0.0,))
         rcm = opt.Rcm(phi=np.zeros(3), mode="active", a_max=10.0, p_out_budget=1.0)
-        res = hns.run_detection_mc(sc, rcm=rcm, hypothesis="h1")
+        res = hns.run_detection_mc(sc, rcm=rcm)
         assert abs(res.rate - sc.alpha) < 0.09
 
     def test_deterministic(self):
         sc = tiny_scenario(trials=25)
-        a = hns.run_detection_mc(sc, hypothesis="h1")
-        b = hns.run_detection_mc(sc, hypothesis="h1")
+        a = hns.run_detection_mc(sc)
+        b = hns.run_detection_mc(sc)
         assert a == b
 
     @pytest.mark.parametrize("hypothesis", ["h1", "h0"])
@@ -250,12 +250,21 @@ class TestRunDetectionMc:
         phi = 2.0 * np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, 8))
         rcm = opt.Rcm(phi=phi, mode="active", a_max=10.0, p_out_budget=None)
         pair = dict(zip(("h1", "h0"), hns.run_hypotheses_mc(sc, rcm=rcm)))
-        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis=hypothesis) == pair[hypothesis]
+        if hypothesis == "h1":
+            assert hns.run_detection_mc(sc, rcm=rcm) == pair["h1"]
+        # recount the entry trial by trial from that hypothesis' statistic alone
+        gamma_th = hns.sns.detection_threshold(sc.detector())
+        index = {"h1": 0, "h0": 1}[hypothesis]
+        hits = sum(
+            hns.sns.sample_signals(sc.build_channels(t), rcm, sc.sources(), sc.noise(),
+                                   hypothesis, sc.t_samples, (sc.seed, t, 1))[index] > gamma_th
+            for t in range(sc.trials))
+        assert pair[hypothesis].rate == hits / sc.trials
 
     def test_closed_form_methods_need_los(self):
         sc = tiny_scenario(method="mf", trials=2)
         with pytest.raises(ConfigError):
-            hns.run_detection_mc(sc, hypothesis="h1")
+            hns.run_detection_mc(sc)
 
 
 # compact geometries at alpha 0.3: both rates land strictly inside (0, 1)
@@ -300,8 +309,7 @@ class TestSharedTrials:
         assert (h1.rate, h0.rate) == (pd_ref, pfa_ref)
         for res in (h1, h0):
             assert (res.mean_eta, res.mean_pd_pred) == (eta_ref, pd_pred_ref)
-        assert hns.run_detection_mc(sc, hypothesis="h0") == h0
-        assert hns.run_detection_mc(sc, hypothesis="h1") == h1
+        assert hns.run_detection_mc(sc) == h1
         assert cli.main(["simulate", "--config", str(path), "--format", "json"]) == 0
         row = json.loads(capsys.readouterr().out)[0]
         assert row == hns.ResultRow(experiment="simulate", method=sc.method, pd_emp=pd_ref,
@@ -309,8 +317,12 @@ class TestSharedTrials:
                                     trials=sc.trials, seed=sc.seed).quantized()
 
     def test_unknown_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
-            hns.run_detection_mc(tiny_scenario(trials=1), hypothesis="h2")
+        sc = tiny_scenario(trials=1)
+        channels = sc.build_channels(0)
+        rcm = opt.Rcm(phi=np.zeros(3), mode="active", a_max=10.0, p_out_budget=1.0)
+        with pytest.raises(ValueError, match="hypothesis must be"):
+            hns.sns.sample_signals(channels, rcm, sc.sources(), sc.noise(), "h2",
+                                   sc.t_samples, (sc.seed, 0, 1))
 
 
 def compact_scenario(k: int, **kw):
@@ -435,8 +447,7 @@ class TestWishartTrials:
         sc, rcm = STATISTIC_CASES[case]()
         sc = dataclasses.replace(sc, trials=60)
         h1, h0 = hns.run_hypotheses_mc(sc, rcm=rcm)
-        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h0") == h0
-        assert hns.run_detection_mc(sc, rcm=rcm, hypothesis="h1") == h1
+        assert hns.run_detection_mc(sc, rcm=rcm) == h1
 
     # an interferer with zeta strictly inside (0, 1) moves R_active off R on every draw,
     # so it sends every trial to the Bartlett path; one whose mean weight zeta * p rounds
@@ -622,7 +633,7 @@ class TestSweeps:
                                 zeta=(1.0,), t_samples=1600, trials=400, seed=8,
                                 channel_model="los", a_max=10.0, method="mf",
                                 ris_budget_w=0.01)
-        res = hns.run_detection_mc(sc, hypothesis="h1")
+        res = hns.run_detection_mc(sc)
         assert res.mean_eta > 3 * np.sqrt(sc.n_antennas / sc.t_samples)
         assert abs(res.rate - res.mean_pd_pred) <= 0.03
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from oracles import (bartlett_blocks, bartlett_signals, char_poly_max_eig,
 from risense import _tw2_table
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
-from risense.optimizer import Rcm
+from risense.harness import load_scenario
+from risense.optimizer import Rcm, wmmse_active
 from risense.rng import sample_cn, substream
 
 
@@ -424,6 +427,23 @@ class TestPopulationEta:
         object.__setattr__(ch2, "g_matrix", q @ ch.g_matrix)
         eta2 = sns.population_eta(ch2, rcm, src, noise)
         assert eta2 == pytest.approx(eta, rel=1e-10)
+
+
+    def test_one_implementation(self):
+        # the desk's first Rayleigh draw and its WMMSE coefficients: each entry point
+        # returns the same float
+        sc = load_scenario(str(Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"))
+        ch, src, noise = sc.build_channels(0), sc.sources(), sc.noise()
+        p_out = sc.power_model().p_out_budget(sc.ris_budget_w, sc.n_elements)
+        res = wmmse_active(ch, src, noise, p_out, sc.a_max, max_iter=200)
+        eta = sns.population_eta(ch, res.rcm, src, noise)
+        assert eta > 0
+        assert eta == sns.Whitening.of(ch, res.rcm, src, noise).eta == res.eta
+
+    def test_singular_covariance_is_a_numerical_failure(self):
+        whitening = sns.Whitening(r=np.zeros((2, 2)), h=np.ones((1, 2), dtype=complex), p0=1.0)
+        with pytest.raises(NumericalError, match="noise covariance is singular"):
+            whitening.eta  # noqa: B018
 
 
 class TestSpikedStats:
