@@ -507,17 +507,16 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     budget that beats eta_0, walking the ladder upwards until the circuit
     power alone exceeds the best p_m, and passive walks every count for
     m_1, the first that beats eta_0. A probe beats eta_0 exactly when it
-    lies above p* = min p_m (scanned within a guard band around p*) or
-    affords m_1 passive elements. A scan takes the best count and emits its
-    coefficients there, at the returned budget, the last probe below it and
-    any guard-band probe; end scans that contradict the inversion are a
-    NumericalError. The scanned probe
+    lies above p* (min p_m, or m_1 p_c for passive); probes within a guard
+    band around p*, and every wmmse probe (p* = inf), are scanned. A scan takes
+    the best count and emits its coefficients there, at the returned
+    budget, the last probe below it and any guard-band probe; end scans
+    that contradict the inversion are a NumericalError. The scanned probe
     history is checked for monotonicity.
     """
-    name, method = method, method.lower()
     if method not in PLANNER_METHODS:
         raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
-                          f"got {name!r}")
+                          f"got {method!r}")
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
@@ -589,28 +588,23 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                         f"excess not monotone in the budget: eta({p1})={e1}, eta({p2})={e2}")
         return scans[p]
 
+    p_star = math.inf  # wmmse inverts nothing: every probe is scanned
     if method == "passive":
         m_1 = next((int(counts[np.argmax(etas > eta0)]) for counts, etas
                     in _passive_blocks(ctx, m_top) if np.any(etas > eta0)), math.inf)
         p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
-
-        def beats(p: float) -> bool:
-            return columns(power.passive_m(p)) >= m_1
     elif method in CLOSED_FORMS:
-        p_star = math.inf
         for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
             if power.p_out_budget(min(p_star, p_high), m) <= 0:
                 break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
             if not (method == "zf" and m < k + 1):
                 p_star = min(p_star, _least_budget_at(method, ctx, m, count_terms(m), eta0, a_max))
 
-        def beats(p: float) -> bool:
-            if abs(p - p_star) > INVERSION_GUARD * p_star:
-                return p > p_star
-            return scan(p)[0] > eta0
-    else:
-        def beats(p: float) -> bool:
-            return scan(p)[0] > eta0
+    def beats(p: float) -> bool:
+        """p > p* outside the guard band around p*; inside it (always for p* = inf), a scan."""
+        if abs(p - p_star) > INVERSION_GUARD * p_star:
+            return p > p_star
+        return scan(p)[0] > eta0
 
     if not beats(p_high):
         eta_hi = scan(p_high)[0]  # the message reports the scanned excess

@@ -77,8 +77,6 @@ def _scenario(args) -> hns.ScenarioConfig:
     patch = {key: getattr(args, key, None)
              for key in ("seed", "trials", "pd_target", "stop_tol", "method")}
     patch = {key: value for key, value in patch.items() if value is not None}
-    if "method" in patch:  # an empty name fails the scenario's method rule
-        patch["method"] = patch["method"].lower()
     return dataclasses.replace(sc, **patch) if patch else sc
 
 

@@ -101,9 +101,9 @@ class ScenarioConfig:
                           ("array.n_antennas x m_h x m_v", self.n_antennas * self.n_elements),
                           ("(geometry.interferers + 1) x array.m_h x m_v",
                            (k + 1) * self.n_elements)):
-            if size > chan.MAX_ARRAY_ENTRIES:
-                problems.append(f"{key} = {size:.4g} exceeds the ceiling of "
-                                f"{chan.MAX_ARRAY_ENTRIES} array entries")
+            if size > chan.MAX_ARRAY_ENTRIES:  # a size past the float range prints as inf
+                problems.append(f"{key} = {size if size < 1e308 else math.inf:.4g} exceeds "
+                                f"the ceiling of {chan.MAX_ARRAY_ENTRIES} array entries")
         if self.seed < 0:
             problems.append("seed must be >= 0")
         if self.channel_model not in ("rayleigh", "los"):
@@ -411,25 +411,19 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
         raise ConfigError(f"ris.budget_dbm = {watts_to_dbm(scenario.ris_budget_w):.6g} dBm "
                           f"affords {affords:.4g} passive elements; an m sweep allows at most "
                           f"{MAX_SWEPT_ELEMENTS}")
-    m_passive = power.passive_m(scenario.ris_budget_w)
     m_top = power.m_max(scenario.ris_budget_w)
     if m_top < 1:
         raise InfeasibleError("budget cannot power a single active element")
+    # (count, method, row label); passive_m >= m_top >= 1, as p_c > 0 was checked above
+    runs = [(m, "wmmse", "wmmse") for m in range(1, m_top + 1)]
+    runs.append((power.passive_m(scenario.ris_budget_w), "passive-unit", "passive"))
     rows = []
-    pds = []
-    for m in range(1, m_top + 1):
-        sc_m = dataclasses.replace(scenario, m_h=m, m_v=1, method="wmmse")
-        res = run_detection_mc(sc_m)
-        pds.append(res.rate)
+    for m, method, label in runs:
+        res = run_detection_mc(dataclasses.replace(scenario, m_h=m, m_v=1, method=method))
         rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m,
-                              method="wmmse", pd_emp=res.rate, pd_pred=res.mean_pd_pred,
+                              method=label, pd_emp=res.rate, pd_pred=res.mean_pd_pred,
                               eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
-    if m_passive >= 1:
-        sc_p = dataclasses.replace(scenario, m_h=m_passive, m_v=1, method="passive-unit")
-        res = run_detection_mc(sc_p)
-        rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m_passive,
-                              method="passive", pd_emp=res.rate, pd_pred=res.mean_pd_pred,
-                              eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
+    pds = [row.pd_emp for row in rows[:-1]]
     peak = int(np.argmax(pds))
     tol = 2.0 * math.sqrt(0.25 / scenario.trials)
     unimodal = all(pds[i + 1] >= pds[i] - tol for i in range(peak)) and \

@@ -11,7 +11,7 @@ per-element phase minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -72,16 +72,15 @@ class Rcm:
 
 
 class WmmseResult(NamedTuple):
-    """A WMMSE solve's coefficients and excess, and its final receiver u and MSE weight omega.
+    """A WMMSE solve's coefficients and excess.
 
-    ``trace`` holds three surrogate values per outer iteration.
+    ``trace`` holds three surrogate values per outer iteration; the last is
+    1 - log(omega) for the final MSE weight omega.
     """
 
     rcm: Rcm
     eta: float
     trace: list[float]
-    u: np.ndarray
-    omega: float
 
 
 def power_weights(channels: ChannelSet, sources: SourceModel, sigma1_sq: float) -> np.ndarray:
@@ -99,35 +98,33 @@ def ris_output_power(phi: np.ndarray, channels: ChannelSet, sources: SourceModel
     return float(np.sum(w * np.abs(np.asarray(phi)) ** 2))
 
 
-def mse_epsilon(u: np.ndarray, rcm: Rcm, channels: ChannelSet, sources: SourceModel,
-                noise: NoiseModel, h: np.ndarray) -> float:
+def mse_epsilon(u: np.ndarray, phi: np.ndarray, sigma1_sq: float, channels: ChannelSet,
+                sources: SourceModel, noise: NoiseModel, h: np.ndarray) -> float:
     """Weighted MSE of the receiver u against the primary symbol.
 
     p_0 |u^H h_0 - 1|^2 + sum_k zeta_k p_k |u^H h_k|^2
-    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2. h holds the rows
-    ``equivalent_channels(channels, rcm.phi)``.
+    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2, sigma1^2 = sigma1_sq
+    (``Rcm.sigma1_sq``). h holds the rows ``equivalent_channels(channels, phi)``.
     """
     uh = h @ u.conj()  # u^H h_k per source
     eps = sources.p[0] * abs(uh[0] - 1.0) ** 2
     eps += float((sources.zeta[1:] * sources.p[1:]) @ np.abs(uh[1:]) ** 2)
-    sigma1 = rcm.sigma1_sq(noise)
-    if sigma1 > 0:
-        row = (u.conj() @ channels.g_matrix) * rcm.phi
-        eps += sigma1 * float(np.sum(np.abs(row) ** 2))
+    if sigma1_sq > 0:
+        row = (u.conj() @ channels.g_matrix) * phi
+        eps += sigma1_sq * float(np.sum(np.abs(row) ** 2))
     eps += noise.sigma2_sq * float(np.real(np.vdot(u, u)))
     return float(eps)
 
 
-def update_u(rcm: Rcm, channels: ChannelSet, sources: SourceModel,
+def update_u(phi: np.ndarray, sigma1_sq: float, channels: ChannelSet, sources: SourceModel,
              noise: NoiseModel, h: np.ndarray) -> np.ndarray:
-    """Receiver minimizing the weighted MSE for fixed reflecting coefficients.
+    """Receiver minimizing the weighted MSE for fixed reflecting coefficients phi.
 
     u = p_0 (sum_k zeta_k p_k h_k h_k^H + sigma1^2 GPhi(GPhi)^H + sigma2^2 I)^-1 h_0,
-    the sum including the primary term k = 0. h holds the rows
-    ``equivalent_channels(channels, rcm.phi)``.
+    the sum including the primary term k = 0, sigma1^2 = sigma1_sq (``Rcm.sigma1_sq``).
+    h holds the rows ``equivalent_channels(channels, phi)``.
     """
-    a = covariance(channels, rcm.phi, sources.zeta * sources.p, rcm.sigma1_sq(noise),
-                   noise.sigma2_sq, h)
+    a = covariance(channels, phi, sources.zeta * sources.p, sigma1_sq, noise.sigma2_sq, h)
     try:
         return sources.p[0] * np.linalg.solve(a, h[0])
     except np.linalg.LinAlgError as exc:
@@ -171,8 +168,8 @@ def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
                noise: NoiseModel, rcm: Rcm, j: np.ndarray) -> QcqpInstance:
     """Assemble the reflecting-coefficient subproblem for a fixed receiver.
 
-    j holds the power weights ``power_weights(channels, sources,
-    rcm.sigma1_sq(noise))``, which do not depend on u.
+    Reads rcm's mode and limits, not its phi. j holds the power weights
+    ``power_weights(channels, sources, rcm.sigma1_sq(noise))``, free of u.
     """
     m = channels.n_elements
     # u^H h_k = conj(c_k) + v_k^H phi with c_k = d_k^H u and v_k = conj(f_k) * (G^H u),
@@ -459,28 +456,24 @@ def _surrogate(omega: float, eps: float) -> float:
 def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
                 rcm0: Rcm, phi_step, tol: float, max_iter: int) -> WmmseResult:
     if sources.p[0] == 0:  # a silent primary: every coefficient vector gives eta = 0
-        u = np.zeros(channels.n_antennas, dtype=complex)  # and zero MSE, at u = 0
-        return WmmseResult(rcm=rcm0, eta=0.0, trace=[], u=u, omega=np.inf)
+        return WmmseResult(rcm=rcm0, eta=0.0, trace=[])
     phi = rcm0.phi.copy()
-    mode, a_max, p_out = rcm0.mode, rcm0.a_max, rcm0.p_out_budget
-    j = power_weights(channels, sources, rcm0.sigma1_sq(noise))
+    sigma1 = rcm0.sigma1_sq(noise)
+    j = power_weights(channels, sources, sigma1)
     h = equivalent_channels(channels, phi)  # the rows of the current phi
     omega = None
     trace: list[float] = []
-    u = None
     for _ in range(max_iter):
-        rcm = Rcm(phi=phi, mode=mode, a_max=a_max, p_out_budget=p_out)
-        u = update_u(rcm, channels, sources, noise, h)
-        eps = mse_epsilon(u, rcm, channels, sources, noise, h)
+        u = update_u(phi, sigma1, channels, sources, noise, h)
+        eps = mse_epsilon(u, phi, sigma1, channels, sources, noise, h)
         if omega is None:
             omega = update_omega(eps)
         trace.append(_surrogate(omega, eps))
 
-        instance = build_qcqp(u, channels, sources, noise, rcm, j)
+        instance = build_qcqp(u, channels, sources, noise, rcm0, j)
         candidate = phi_step(instance, x0=phi)
-        cand_rcm = Rcm(phi=candidate, mode=mode, a_max=a_max, p_out_budget=p_out)
         cand_h = equivalent_channels(channels, candidate)
-        cand_eps = mse_epsilon(u, cand_rcm, channels, sources, noise, cand_h)
+        cand_eps = mse_epsilon(u, candidate, sigma1, channels, sources, noise, cand_h)
         if cand_eps <= eps:  # solver returns a feasible point; keep only improvements
             phi, eps, h = candidate, cand_eps, cand_h
         trace.append(_surrogate(omega, eps))
@@ -491,10 +484,10 @@ def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
         omega = omega_new
         if rel < tol:
             break
-    rcm = Rcm(phi=phi, mode=mode, a_max=a_max, p_out_budget=p_out)
+    rcm = replace(rcm0, phi=phi)
     rcm.check_feasible(channels, sources, noise)
     eta = population_eta(channels, rcm, sources, noise)
-    return WmmseResult(rcm=rcm, eta=eta, trace=trace, u=u, omega=omega)
+    return WmmseResult(rcm=rcm, eta=eta, trace=trace)
 
 
 def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

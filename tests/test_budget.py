@@ -666,6 +666,22 @@ class TestPlannerInversion:
             checked += 1
         assert checked >= 10
 
+    def test_passive_probes_in_the_guard_band_are_scanned(self):
+        # stop_tol = 1e-300 runs the bisection down to the float spacing of the budget,
+        # so its last probes fall within INVERSION_GUARD of p* = m_1 p_c
+        sc = dataclasses.replace(load_scenario(str(LOS_BUDGET)), stop_tol=1e-300,
+                                 bisect_p_high=0.05)
+        res = bdg.required_budget("passive", sc.pd_target, sc)
+        m_1 = sc.power_model().passive_m(res.required_power)
+        assert m_1 == res.m_star  # the returned budget affords m_1 and no more
+        p_star = m_1 * sc.power_model().p_c
+        assert len(res.probes) > 2  # more than the two end scans
+        assert all(abs(p - p_star) <= bdg.INVERSION_GUARD * p_star for p, _ in res.probes)
+        want = scan_per_probe_budget("passive", sc.pd_target, sc)
+        assert (res.required_power.hex(), res.m_star, res.eta_star.hex(),
+                res.phi_star.phi.tobytes()) == (want.required_power.hex(), want.m_star,
+                                                want.eta_star.hex(), want.phi_star.phi.tobytes())
+
     def test_an_end_scan_against_the_inversion_is_a_numerical_error(self, monkeypatch):
         sc = load_scenario(str(LOS_BUDGET))
         plan = bdg.required_budget("mf", sc.pd_target, sc)

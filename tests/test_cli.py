@@ -84,7 +84,8 @@ OPTION_VALUES = {"--config": ("a.yaml", "a.yaml"), "--seed": ("3", 3), "--trials
                  "--stop-tol": ("1e-4", 1e-4)}
 # (argv, what stderr names): options a command does not read, the ones its mode
 # does not read, an empty method name, a removed option a kept one extends, an
-# empty method list and an empty --out path
+# empty method list, an empty --out path, and method names in another case (names
+# are exact: none is lowered)
 REJECTED = [
     *[(["threshold", "-N", "8", "-T", "80", flag, value], flag)
       for flag, value in (("--seed", "1"), ("--trials", "1"), ("--out", "r.csv"),
@@ -109,6 +110,11 @@ REJECTED = [
     (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "800", "--out="],
      "--out needs a file path"),
     (["budget", "--config", LOS_BUDGET, "--method", "mf", "--out="], "--out needs a file path"),
+    (["budget", "--config", LOS_BUDGET, "--method", "MF"], "method must be one of"),
+    (["simulate", "--config", LOS_BUDGET, "--trials", "1", "--method", "Wmmse"],
+     "method must be one of"),
+    (["sweep", "--config", LOS_BUDGET, "--sweep", "t", "--values", "3200", "--methods", "MF"],
+     "the budget planner plans wmmse, mf, zf, mmse, passive; got 'MF'"),
 ]
 
 
@@ -178,7 +184,11 @@ class TestExitCodes:
         ({}, ["--trials", str(2**62)], "scenario.trials"),
         ({"  m_h: 16": f"  m_h: {2**62}"}, [], "array.n_antennas x m_h x m_v"),
         ({"  n_antennas: 32": f"  n_antennas: {2**62}",
-          "  t_samples: 3200": f"  t_samples: {2**62 + 1}"}, [], "array.n_antennas^2")])
+          "  t_samples: 3200": f"  t_samples: {2**62 + 1}"}, [], "array.n_antennas^2"),
+        # sizes past the float range (the message prints them as inf)
+        ({"  n_antennas: 32": "  n_antennas: 1.3407807929942597e+154"}, [],
+         "array.n_antennas^2"),
+        ({}, ["--trials", str(10**400)], "scenario.trials")])
     def test_oversized_count_is_a_config_error(self, tmp_path, edits, options, named):
         # each count sizes an array that numpy cannot allocate
         text = Path(LOS_BUDGET).read_text()

@@ -16,11 +16,13 @@ from risense.errors import InfeasibleError, NumericalError
 
 
 def receiver(rcm, ch, src, noise):
-    return opt.update_u(rcm, ch, src, noise, sns.equivalent_channels(ch, rcm.phi))
+    return opt.update_u(rcm.phi, rcm.sigma1_sq(noise), ch, src, noise,
+                        sns.equivalent_channels(ch, rcm.phi))
 
 
 def mse(u, rcm, ch, src, noise):
-    return opt.mse_epsilon(u, rcm, ch, src, noise, sns.equivalent_channels(ch, rcm.phi))
+    return opt.mse_epsilon(u, rcm.phi, rcm.sigma1_sq(noise), ch, src, noise,
+                           sns.equivalent_channels(ch, rcm.phi))
 
 
 def qcqp(u, ch, src, noise, rcm):
@@ -272,7 +274,7 @@ class TestUnitModulusStep:
         # direct link: phi = phase of g~^H d0
         assert np.angle(phi[0]) == pytest.approx(np.angle(np.vdot(g_tilde, ch.d[0])), abs=1e-6)
         # equivalently, the two terms of u^H h0 share a phase at the fixed point
-        u = res.u
+        u = receiver(res.rcm, ch, src, noise)
         direct = np.vdot(u, ch.d[0])
         casc = np.vdot(u, g_tilde) * phi[0]
         assert np.angle(direct) == pytest.approx(np.angle(casc), abs=1e-5)
@@ -390,7 +392,7 @@ class TestWmmseActive:
         ch = make_random_channelset(rng, n=5, m=4, k=1)
         src, noise = make_sources(1, p0=2.0), make_noise()
         res = opt.wmmse_active(ch, src, noise, 0.3, 1.0, tol=1e-12, max_iter=2000)
-        eps_star = 1.0 / res.omega
+        eps_star = np.exp(res.trace[-1] - 1.0)  # the last surrogate value is 1 - log(omega)
         assert -np.log(eps_star / src.p[0]) == pytest.approx(np.log1p(res.eta), abs=1e-6)
 
     def test_silent_primary_returns_the_start(self, rng):
@@ -404,7 +406,8 @@ class TestWmmseActive:
 
         res = opt._wmmse_loop(ch, src, noise, rcm0, no_step, tol=1e-6, max_iter=50)
         assert res.rcm is rcm0 and res.eta == 0.0 and res.trace == []
-        assert not res.u.any() and res.omega == np.inf
+        u = receiver(res.rcm, ch, src, noise)  # zero MSE at u = 0: omega = 1/eps is infinite
+        assert not u.any() and mse(u, res.rcm, ch, src, noise) == 0.0
         assert opt.wmmse_active(ch, src, noise, 0.5, 1.0, init_phi=rcm0.phi).trace == []
 
 
