@@ -330,19 +330,22 @@ METHODS = ("wmmse", "mf", "zf", "mmse", "passive", "passive-unit", "passive-rela
 # The planner sizes a passive surface by its circuit power alone; the
 # iterative passive designs have no such rule, so it plans the first five.
 PLANNER_METHODS = METHODS[:5]
+WMMSE_MAX_ITER = 200  # outer iterations of an iterative design in simulate, sweeps and plans
 
 
 class Design(NamedTuple):
-    """Coefficients of one method, their excess and (iterative methods) outer iterations."""
+    """Coefficients of one method and their excess; an iterative method adds its outer
+    iterations and whether it converged before its iteration cap."""
 
     rcm: Rcm
     eta: float
     iterations: int | None = None
+    converged: bool = True
 
 
 def coefficients(method: str, scenario, m: int, p_out: float | None,
                  channels: chan.ChannelSet | None = None, *,
-                 init_phi: np.ndarray | None = None, max_iter: int = 200,
+                 init_phi: np.ndarray | None = None, max_iter: int = WMMSE_MAX_ITER,
                  ctx: ClosedFormContext | None = None) -> Design:
     """Reflecting coefficients of ``method`` for an m-element surface.
 
@@ -384,7 +387,7 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
                     init_phi = init_phi * np.sqrt(0.999 * p_out / used)
             res = wmmse_active(channels, sources, noise, p_out, a_max,
                                init_phi=init_phi, max_iter=max_iter)
-        return Design(res.rcm, res.eta, len(res.trace) // 3)
+        return Design(res.rcm, res.eta, len(res.trace) // 3, res.converged)
     if ctx is None:
         ctx = ClosedFormContext.from_scenario(scenario,
                                               None if channels is None else channels.gains)

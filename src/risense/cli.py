@@ -106,14 +106,19 @@ def cmd_threshold(args) -> int:
     return 0
 
 
+OPTIMIZE_MAX_ITER = 500  # outer iterations of an iterative design in optimize
+
+
 def cmd_optimize(args) -> int:
     sc = _scenario(args)
     channels = sc.build_channels()
     m = channels.n_elements
     p_out = sc.power_model().p_out_budget(sc.ris_budget_w, m)
-    res = bdg.coefficients(sc.method, sc, m, p_out, channels, max_iter=500)
+    res = bdg.coefficients(sc.method, sc, m, p_out, channels, max_iter=OPTIMIZE_MAX_ITER)
     phi = res.rcm.phi
     how = "closed form" if res.iterations is None else f"iterations: {res.iterations}"
+    if not res.converged:
+        how += f", stopped at the {OPTIMIZE_MAX_ITER}-iteration cap before converging"
     print(f"eta = {res.eta:.9g}  ({how})")
     cfg = sc.detector()
     stats = sns.spiked_stats_for(cfg, res.eta)
@@ -132,6 +137,9 @@ def cmd_simulate(args) -> int:
     _emit([row], args)
     print(f"Pd = {h1.rate:.4f} +- {h1.stderr:.4f}, Pfa = {h0.rate:.4f} +- {h0.stderr:.4f}, "
           f"predicted Pd = {h1.mean_pd_pred:.4f}", file=sys.stderr)
+    if h1.capped:
+        print(f"{h1.capped} of {h1.solves} WMMSE solves stopped at the "
+              f"{bdg.WMMSE_MAX_ITER}-iteration cap", file=sys.stderr)
     return 0
 
 

@@ -301,11 +301,16 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 class McResult(NamedTuple):
+    """An empirical rate, with the iterative coefficient solves made for it and how
+    many of them stopped at their iteration cap."""
+
     rate: float
     stderr: float
     trials: int
     mean_eta: float
     mean_pd_pred: float
+    solves: int
+    capped: int
 
 
 def run_hypotheses_mc(scenario: ScenarioConfig,
@@ -327,14 +332,19 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
     fixed = scenario.channel_model == "los"  # fixed channels and coefficients: set up once
     m = scenario.n_elements
     p_out = scenario.power_model().p_out_budget(scenario.ris_budget_w, m)
-    hits_h1 = hits_h0 = 0
+    hits_h1 = hits_h0 = solves = capped = 0
     etas = np.empty(trials)
     pd_pred = np.empty(trials)
     for t in range(trials):
         if t == 0 or not fixed:
             channels = scenario.build_channels(t)
-            rcm_t = rcm if rcm is not None else \
-                bdg.coefficients(scenario.method, scenario, m, p_out, channels).rcm
+            if rcm is None:
+                design = bdg.coefficients(scenario.method, scenario, m, p_out, channels)
+                rcm_t = design.rcm
+                solves += design.iterations is not None
+                capped += not design.converged
+            else:
+                rcm_t = rcm
             whitening = sns.Whitening.of(channels, rcm_t, sources, noise)
             etas[t] = whitening.eta
             pd_pred[t] = sns.predicted_pd(sns.spiked_stats_for(cfg, etas[t]))
@@ -349,8 +359,8 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
     def result(hits: int) -> McResult:
         rate = hits / trials
         stderr = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
-        return McResult(rate=rate, stderr=stderr, trials=trials,
-                        mean_eta=mean_eta, mean_pd_pred=mean_pd_pred)
+        return McResult(rate=rate, stderr=stderr, trials=trials, mean_eta=mean_eta,
+                        mean_pd_pred=mean_pd_pred, solves=solves, capped=capped)
 
     return result(hits_h1), result(hits_h0)
 

@@ -11,6 +11,7 @@ per-element phase minimization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -75,12 +76,49 @@ class WmmseResult(NamedTuple):
     """A WMMSE solve's coefficients and excess.
 
     ``trace`` holds three surrogate values per outer iteration; the last is
-    1 - log(omega) for the final MSE weight omega.
+    1 - log(omega) for the final MSE weight omega. ``converged`` is False
+    when the solve stopped at its iteration cap before the weight settled.
     """
 
     rcm: Rcm
     eta: float
     trace: list[float]
+    converged: bool
+
+
+class Draw(NamedTuple):
+    """One channel draw with the invariants of its WMMSE solve, formed once per solve.
+
+    sigma1_sq is the surface thermal noise forwarded (``Rcm.sigma1_sq``), j the
+    power weights ``power_weights(channels, sources, sigma1_sq)``, g_h = G^H,
+    f_bar = conj(F), d_bar = conj(D) and zp = zeta p (zeta_0 = 1), one entry
+    per source.
+    """
+
+    channels: ChannelSet
+    sources: SourceModel
+    noise: NoiseModel
+    sigma1_sq: float
+    j: np.ndarray
+    g_h: np.ndarray
+    f_bar: np.ndarray
+    d_bar: np.ndarray
+    zp: np.ndarray
+
+    @classmethod
+    def of(cls, channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
+           sigma1_sq: float) -> Draw:
+        return cls(channels, sources, noise, sigma1_sq,
+                   power_weights(channels, sources, sigma1_sq), channels.g_matrix.conj().T,
+                   channels.f.conj(), channels.d.conj(), sources.zeta * sources.p)
+
+
+@functools.cache
+def _identity(m: int) -> np.ndarray:
+    """The m x m identity, formed once per size and read-only."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def power_weights(channels: ChannelSet, sources: SourceModel, sigma1_sq: float) -> np.ndarray:
@@ -98,35 +136,35 @@ def ris_output_power(phi: np.ndarray, channels: ChannelSet, sources: SourceModel
     return float(np.sum(w * np.abs(np.asarray(phi)) ** 2))
 
 
-def mse_epsilon(u: np.ndarray, phi: np.ndarray, sigma1_sq: float, channels: ChannelSet,
-                sources: SourceModel, noise: NoiseModel, h: np.ndarray) -> float:
+def mse_epsilon(u: np.ndarray, phi: np.ndarray, draw: Draw, h: np.ndarray) -> float:
     """Weighted MSE of the receiver u against the primary symbol.
 
     p_0 |u^H h_0 - 1|^2 + sum_k zeta_k p_k |u^H h_k|^2
-    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2, sigma1^2 = sigma1_sq
-    (``Rcm.sigma1_sq``). h holds the rows ``equivalent_channels(channels, phi)``.
+    + sigma1^2 ||u^H G Phi||^2 + sigma2^2 ||u||^2, sigma1^2 = ``draw.sigma1_sq``.
+    h holds the rows ``equivalent_channels(draw.channels, phi)``.
     """
-    uh = h @ u.conj()  # u^H h_k per source
-    eps = sources.p[0] * abs(uh[0] - 1.0) ** 2
-    eps += float((sources.zeta[1:] * sources.p[1:]) @ np.abs(uh[1:]) ** 2)
-    if sigma1_sq > 0:
-        row = (u.conj() @ channels.g_matrix) * phi
-        eps += sigma1_sq * float(np.sum(np.abs(row) ** 2))
-    eps += noise.sigma2_sq * float(np.real(np.vdot(u, u)))
+    u_bar = u.conj()
+    uh = h @ u_bar  # u^H h_k per source
+    p = draw.sources.p
+    eps = p[0] * abs(uh[0] - 1.0) ** 2
+    eps += float(draw.zp[1:] @ np.abs(uh[1:]) ** 2)
+    if draw.sigma1_sq > 0:
+        row = (u_bar @ draw.channels.g_matrix) * phi
+        eps += draw.sigma1_sq * float((np.abs(row) ** 2).sum())
+    eps += draw.noise.sigma2_sq * float(np.vdot(u, u).real)
     return float(eps)
 
 
-def update_u(phi: np.ndarray, sigma1_sq: float, channels: ChannelSet, sources: SourceModel,
-             noise: NoiseModel, h: np.ndarray) -> np.ndarray:
+def update_u(phi: np.ndarray, draw: Draw, h: np.ndarray) -> np.ndarray:
     """Receiver minimizing the weighted MSE for fixed reflecting coefficients phi.
 
     u = p_0 (sum_k zeta_k p_k h_k h_k^H + sigma1^2 GPhi(GPhi)^H + sigma2^2 I)^-1 h_0,
-    the sum including the primary term k = 0, sigma1^2 = sigma1_sq (``Rcm.sigma1_sq``).
-    h holds the rows ``equivalent_channels(channels, phi)``.
+    the sum including the primary term k = 0, sigma1^2 = ``draw.sigma1_sq``.
+    h holds the rows ``equivalent_channels(draw.channels, phi)``.
     """
-    a = covariance(channels, phi, sources.zeta * sources.p, sigma1_sq, noise.sigma2_sq, h)
+    a = covariance(draw.channels, phi, draw.zp, draw.sigma1_sq, draw.noise.sigma2_sq, h)
     try:
-        return sources.p[0] * np.linalg.solve(a, h[0])
+        return draw.sources.p[0] * np.linalg.solve(a, h[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("receiver update: covariance is singular") from exc
 
@@ -144,7 +182,11 @@ class QcqpInstance:
 
     Minimize the weighted MSE phi^H s phi + 2 Re(g^H phi) + const subject to
     sum_m j_m |phi_m|^2 <= p_out (dropped when None) and |phi_m| <= a_max
-    (dropped when None). The PSD check keeps the extreme eigenvalues of S.
+    (dropped when None). floor is a lower bound on the eigenvalues of S known
+    from its construction (0 when none is). The PSD check keeps the extreme
+    eigenvalues of S, unless floor > 2 SINGULAR_RTOL tr S: that certifies S
+    positive definite and non-singular (tr S bounds its largest eigenvalue),
+    and lam_min and lam_max keep floor and tr S, which pick the same branch.
     """
 
     s: np.ndarray
@@ -153,41 +195,50 @@ class QcqpInstance:
     j: np.ndarray
     p_out: float | None
     a_max: float | None
+    floor: float = 0.0
     lam_min: float = field(init=False, repr=False)
     lam_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        lam = np.linalg.eigvalsh(0.5 * (self.s + self.s.conj().T))
-        if lam[0] < -1e-10 * max(lam[-1], 1e-300):
-            raise NumericalError("QCQP quadratic form is not PSD")
-        object.__setattr__(self, "lam_min", float(lam[0]))
-        object.__setattr__(self, "lam_max", float(lam[-1]))
+        trace = float(self.s.trace().real)
+        if self.floor > 2.0 * SINGULAR_RTOL * trace:
+            lam_min, lam_max = self.floor, trace
+        else:
+            lam = np.linalg.eigvalsh(0.5 * (self.s + self.s.conj().T))
+            if lam[0] < -1e-10 * max(lam[-1], 1e-300):
+                raise NumericalError("QCQP quadratic form is not PSD")
+            lam_min, lam_max = float(lam[0]), float(lam[-1])
+        object.__setattr__(self, "lam_min", lam_min)
+        object.__setattr__(self, "lam_max", lam_max)
 
 
-def build_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel,
-               noise: NoiseModel, rcm: Rcm, j: np.ndarray) -> QcqpInstance:
+def build_qcqp(u: np.ndarray, draw: Draw, rcm: Rcm) -> QcqpInstance:
     """Assemble the reflecting-coefficient subproblem for a fixed receiver.
 
-    Reads rcm's mode and limits, not its phi. j holds the power weights
-    ``power_weights(channels, sources, rcm.sigma1_sq(noise))``, free of u.
+    Reads rcm's mode and limits, not its phi; draw's sigma1_sq is rcm's.
+    The forwarded noise adds sigma1^2 diag(|G^H u|^2) to a PSD S, so its
+    smallest entry is the instance's eigenvalue floor.
     """
-    m = channels.n_elements
+    m = draw.channels.n_elements
+    p0 = draw.sources.p[0]
     # u^H h_k = conj(c_k) + v_k^H phi with c_k = d_k^H u and v_k = conj(f_k) * (G^H u),
     # row k of V; the MSE sums w_k |u^H h_k|^2, -2 p_0 Re(u^H h_0) + p_0 and the noise
-    v = channels.f.conj() * (channels.g_matrix.conj().T @ u)
-    c = channels.d.conj() @ u
-    w = sources.zeta * sources.p  # zeta_0 = 1
+    v = draw.f_bar * (draw.g_h @ u)
+    c = draw.d_bar @ u
+    w = draw.zp
     vw = v.T * w
     s = vw @ v.conj()
-    sigma1 = rcm.sigma1_sq(noise)
-    if sigma1 > 0:
-        s[np.diag_indices(m)] += sigma1 * np.abs(u.conj() @ channels.g_matrix) ** 2
-    g = vw @ c.conj() - sources.p[0] * v[0]
-    const = float(w @ np.abs(c) ** 2) - 2.0 * float(sources.p[0] * np.real(c[0])) \
-        + float(sources.p[0]) + noise.sigma2_sq * float(np.real(np.vdot(u, u)))
+    floor = 0.0
+    if draw.sigma1_sq > 0:
+        noise_diag = draw.sigma1_sq * np.abs(u.conj() @ draw.channels.g_matrix) ** 2
+        s.reshape(-1)[::m + 1] += noise_diag
+        floor = float(noise_diag.min())
+    g = vw @ c.conj() - p0 * v[0]
+    const = float(w @ np.abs(c) ** 2) - 2.0 * float(p0 * c[0].real) \
+        + float(p0) + draw.noise.sigma2_sq * float(np.vdot(u, u).real)
     p_out = rcm.p_out_budget if rcm.mode == "active" else None
     a_max = rcm.a_max if np.isfinite(rcm.a_max) else None
-    return QcqpInstance(s=s, g=g, const=const, j=j, p_out=p_out, a_max=a_max)
+    return QcqpInstance(s=s, g=g, const=const, j=draw.j, p_out=p_out, a_max=a_max, floor=floor)
 
 
 def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: np.ndarray,
@@ -209,7 +260,7 @@ def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: n
     it tenfold. Returns x(y) and y.
     """
     m = g.size
-    rhs = np.column_stack([np.eye(m), -g])
+    rhs = np.concatenate((_identity(m), -g[:, np.newaxis]), axis=1)
     sqrt_b = np.sqrt(bound)
     both = y.size > m  # every cap and the budget: the Hessian has rank m at most
     j = rows[m] if both else None
@@ -239,7 +290,7 @@ def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: n
         if rows is not None:
             v = rows @ v
         r = v - bound
-        res = float((np.maximum(r, np.where(y > 0, -r, 0.0)) / bound).max())
+        res = float(np.maximum.reduce(np.maximum(r, np.where(y > 0, -r, 0.0)) / bound))
         if res <= 1e-12 or 1e-8 >= res > 0.1 * prev:
             return x, y
         prev = res
@@ -249,19 +300,27 @@ def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: n
         step = r * (2.0 * v / (sqrt_b * (np.sqrt(v) + sqrt_b)))
         held = (r < 0) & ((diag <= 0) | (y * diag + step <= 0))
         slack = 1e-15 * (abs(value) + abs(float(y @ bound)))
-        free = ~held
-        p = np.where(held, step / np.where(diag > 0, diag, 1.0), 0.0)
+        # no multiplier is held on most steps: then the step is the free solve alone
+        n_held = np.count_nonzero(held)
+        free = ~held if n_held else None
+        if n_held:
+            p = np.where(held, step / np.where(diag > 0, diag, 1.0), 0.0)
         for target, alpha_min in ((step, 1e-3), (r, 1e-10)):  # secular Newton, else plain
             gain_free, alpha = 0.0, 1.0
-            if free.any():
-                p[free] = pf = _free_step(hess, target, free, both)
-                gain_free = float(r[free] @ pf)
+            if n_held < y.size:
+                pf = _free_step(hess, target, free, both)
+                if n_held:
+                    p[free] = pf
+                    gain_free = float(r[free] @ pf)
+                else:
+                    p = pf
+                    gain_free = float(r @ pf)
                 alpha = 1.0 if gain_free > 0 else 0.0  # no ascent: skip the direction
             while alpha >= alpha_min:
                 y_new = np.maximum(y + alpha * p, 0.0)
                 v_new, x_new, inv_new = at(y_new)
                 gain = alpha * gain_free
-                if held.any():
+                if n_held:
                     gain += float(r[held] @ (y_new[held] - y[held]))
                 if v_new - value >= 1e-4 * gain - slack:
                     break
@@ -279,13 +338,14 @@ def _dual_newton(s: np.ndarray, g: np.ndarray, rows: np.ndarray | None, bound: n
                          f"{NEWTON_MAX_STEPS} steps (relative residual {res:.3g})")
 
 
-def _free_step(hess: np.ndarray, rhs: np.ndarray, free: np.ndarray, both: bool) -> np.ndarray:
-    """Solve the free multipliers' block of hess (``free`` marks them) for rhs.
+def _free_step(hess: np.ndarray, rhs: np.ndarray, free: np.ndarray | None,
+               both: bool) -> np.ndarray:
+    """Solve the free multipliers' block of hess (``free`` marks them, None all) for rhs.
 
     By Cholesky, or by least squares when the block is singular, as it is
     with every cap and the budget free.
     """
-    all_free = free.all()
+    all_free = free is None
     sub, sub_rhs = (hess, rhs) if all_free else (hess[np.ix_(free, free)], rhs[free])
     if not (both and all_free):
         _, pf, info = dposv(sub, sub_rhs)
@@ -323,7 +383,9 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
     """Solve the convex reflecting-coefficient subproblem.
 
     When neither the caps nor the budget bind, the ridged linear solve is the
-    answer. Otherwise the Lagrange dual over the cap multipliers nu and the
+    answer. Given x0, that solve is skipped where ||g|| > (1 + 1e-6) sqrt(M)
+    a_max lam_max: the solution's norm is at least ||g|| / lam_max, so it
+    breaks a cap. Otherwise the Lagrange dual over the cap multipliers nu and the
     power multiplier mu is maximized by projected Newton (``_dual_newton``),
     started from multipliers read off x0 (or off the clipped linear solve,
     ``_start_multipliers``); a budget that the caps already imply is dropped. A singular
@@ -338,10 +400,13 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
     s, g, j = instance.s, instance.g, instance.j
     a_max, p_out = instance.a_max, instance.p_out
     m = g.size
-    try:  # the unconstrained minimizer, S ridged by 1e-14 of its mean diagonal
-        x = np.linalg.solve(s + 1e-14 * np.trace(s).real * np.eye(m) / max(m, 1), -g)
-    except np.linalg.LinAlgError:
-        x = None
+    x = None
+    if x0 is None or a_max is None or \
+            float(np.vdot(g, g).real) <= m * ((1 + 1e-6) * a_max * instance.lam_max) ** 2:
+        try:  # the unconstrained minimizer, S ridged by 1e-14 of its mean diagonal
+            x = np.linalg.solve(s + 1e-14 * s.trace().real * _identity(m) / max(m, 1), -g)
+        except np.linalg.LinAlgError:
+            pass
     if x is not None and (a_max is None or (np.abs(x) <= a_max * (1 + 1e-12)).all()) and (
             p_out is None or float(j @ np.abs(x) ** 2) <= p_out * (1 + 1e-12)):
         return _feasible(x, j, a_max, None)
@@ -354,7 +419,7 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
     elif a_max is None:
         rows, bound = j[np.newaxis, :], np.array([p_out])
     else:
-        rows, bound = np.vstack([np.eye(m), j]), np.append(np.full(m, a_max ** 2), p_out)
+        rows, bound = np.vstack([_identity(m), j]), np.append(np.full(m, a_max ** 2), p_out)
     start = x0 if x0 is not None else x if x is not None else np.zeros(m)
     start = _feasible(np.asarray(start, dtype=complex), j, a_max, None)
     y = _start_multipliers(s, g, start, j, a_max, p_out)
@@ -363,7 +428,7 @@ def solve_p22(instance: QcqpInstance, x0: np.ndarray | None = None) -> np.ndarra
     x, lam = start, instance.lam_max
     rho = 1e-3 * lam
     for _ in range(PROX_MAX_STEPS):
-        x_new, y = _dual_newton(s + rho * np.eye(m), g - rho * x, rows, bound, y)
+        x_new, y = _dual_newton(s + rho * _identity(m), g - rho * x, rows, bound, y)
         moved = float(np.max(np.abs(x_new - x)))
         x = x_new
         if rho * moved <= 1e-15 * lam * (1.0 + float(np.max(np.abs(x)))):
@@ -379,11 +444,11 @@ def _feasible(x: np.ndarray, j: np.ndarray, a_max: float | None,
     if a_max is not None:
         mag = np.abs(x)
         over = mag > a_max
-        if np.any(over):
+        if over.any():
             x = x.copy()
             x[over] *= a_max / mag[over]
     if p_out is not None:
-        power = float(np.sum(j * np.abs(x) ** 2))
+        power = float((j * np.abs(x) ** 2).sum())
         if power > p_out:
             x = x * np.sqrt(p_out / power)
     return x
@@ -456,38 +521,38 @@ def _surrogate(omega: float, eps: float) -> float:
 def _wmmse_loop(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
                 rcm0: Rcm, phi_step, tol: float, max_iter: int) -> WmmseResult:
     if sources.p[0] == 0:  # a silent primary: every coefficient vector gives eta = 0
-        return WmmseResult(rcm=rcm0, eta=0.0, trace=[])
+        return WmmseResult(rcm=rcm0, eta=0.0, trace=[], converged=True)
     phi = rcm0.phi.copy()
-    sigma1 = rcm0.sigma1_sq(noise)
-    j = power_weights(channels, sources, sigma1)
+    draw = Draw.of(channels, sources, noise, rcm0.sigma1_sq(noise))
     h = equivalent_channels(channels, phi)  # the rows of the current phi
     omega = None
     trace: list[float] = []
+    converged = False
     for _ in range(max_iter):
-        u = update_u(phi, sigma1, channels, sources, noise, h)
-        eps = mse_epsilon(u, phi, sigma1, channels, sources, noise, h)
+        u = update_u(phi, draw, h)
+        eps = mse_epsilon(u, phi, draw, h)
         if omega is None:
             omega = update_omega(eps)
         trace.append(_surrogate(omega, eps))
 
-        instance = build_qcqp(u, channels, sources, noise, rcm0, j)
+        instance = build_qcqp(u, draw, rcm0)
         candidate = phi_step(instance, x0=phi)
         cand_h = equivalent_channels(channels, candidate)
-        cand_eps = mse_epsilon(u, candidate, sigma1, channels, sources, noise, cand_h)
+        cand_eps = mse_epsilon(u, candidate, draw, cand_h)
         if cand_eps <= eps:  # solver returns a feasible point; keep only improvements
             phi, eps, h = candidate, cand_eps, cand_h
         trace.append(_surrogate(omega, eps))
 
         omega_new = update_omega(eps)
         trace.append(_surrogate(omega_new, eps))
-        rel = abs(omega_new - omega) / omega
+        converged = abs(omega_new - omega) / omega < tol
         omega = omega_new
-        if rel < tol:
+        if converged:
             break
     rcm = replace(rcm0, phi=phi)
     rcm.check_feasible(channels, sources, noise)
     eta = population_eta(channels, rcm, sources, noise)
-    return WmmseResult(rcm=rcm, eta=eta, trace=trace)
+    return WmmseResult(rcm=rcm, eta=eta, trace=trace, converged=converged)
 
 
 def wmmse_active(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

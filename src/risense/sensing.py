@@ -146,7 +146,7 @@ def covariance(channels: ChannelSet, phi: np.ndarray, weights: np.ndarray,
     g_phi = channels.g_matrix * phi[np.newaxis, :]
     a = np.concatenate([h.T * np.sqrt(weights), np.sqrt(sigma1_sq) * g_phi], axis=1)
     r = a @ a.conj().T
-    r[np.diag_indices_from(r)] += sigma2_sq
+    r.reshape(-1)[::r.shape[0] + 1] += sigma2_sq
     return r
 
 

@@ -9,10 +9,12 @@ interference matrix, the planner's element counts against the paper's
 interference-free forms, the stacked covariance and QCQP builders against
 per-source loops, and the Monte Carlo harness against a plain per-hypothesis
 trial loop that synthesizes, whitens and scores the N x T snapshots
-themselves. The one
-exception is the forced-Bartlett sampler (bartlett_blocks, bartlett_signals):
-a seed-level composition of the package's Bartlett draw and scorer that takes
-that path on every activity draw, for the law and exactness tests.
+themselves. Two exceptions: the forced-Bartlett sampler (bartlett_blocks,
+bartlett_signals), a seed-level composition of the package's Bartlett draw
+and scorer that takes that path on every activity draw, for the law and
+exactness tests; and the indexed builders (indexed_covariance,
+indexed_qcqp), the stacked formulas as they stood before the invariants of a
+WMMSE solve were formed once per draw, for the bit-for-bit tests.
 """
 
 from __future__ import annotations
@@ -171,6 +173,35 @@ def loop_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel, noise: 
             g -= sources.p[0] * v
             const -= 2.0 * sources.p[0] * c.real
     return s, g, float(const)
+
+
+def indexed_covariance(channels: ChannelSet, phi: np.ndarray, weights: np.ndarray,
+                       sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
+    """sensing.covariance with its diagonal added through index arrays."""
+    h = channels.d + channels.f @ (channels.g_matrix * phi[np.newaxis, :]).T
+    g_phi = channels.g_matrix * phi[np.newaxis, :]
+    a = np.concatenate([h.T * np.sqrt(weights), np.sqrt(sigma1_sq) * g_phi], axis=1)
+    r = a @ a.conj().T
+    r[np.diag_indices_from(r)] += sigma2_sq
+    return r
+
+
+def indexed_qcqp(u: np.ndarray, channels: ChannelSet, sources: SourceModel, noise: NoiseModel,
+                 sigma1_sq: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(s, g, const) of optimizer.build_qcqp, every conjugate formed in place and the
+    forwarded noise added to the diagonal through index arrays."""
+    m = channels.n_elements
+    v = channels.f.conj() * (channels.g_matrix.conj().T @ u)
+    c = channels.d.conj() @ u
+    w = sources.zeta * sources.p
+    vw = v.T * w
+    s = vw @ v.conj()
+    if sigma1_sq > 0:
+        s[np.diag_indices(m)] += sigma1_sq * np.abs(u.conj() @ channels.g_matrix) ** 2
+    g = vw @ c.conj() - sources.p[0] * v[0]
+    const = float(w @ np.abs(c) ** 2) - 2.0 * float(sources.p[0] * np.real(c[0])) \
+        + float(sources.p[0]) + noise.sigma2_sq * float(np.real(np.vdot(u, u)))
+    return s, g, const
 
 
 def loop_power_weights(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

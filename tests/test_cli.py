@@ -361,6 +361,28 @@ class TestBudgetCommand:
         assert m_star % 2 == 0
 
 
+class TestWmmseCap:
+    """A WMMSE solve that stops at its iteration cap says so, out of band."""
+
+    DESK = str(ROOT / "configs" / "desk.yaml")
+
+    def test_simulate_counts_capped_solves(self, capsys):
+        # trial 1 of seed 0 stops at the 200-iteration cap, trial 0 converges
+        argv = ["simulate", "--config", self.DESK, "--method", "wmmse", "--seed", "0"]
+        assert cli.main(argv + ["--trials", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert "1 of 2 WMMSE solves stopped at the 200-iteration cap" in err
+        assert "stopped" not in out  # the result row's bytes do not change
+        assert cli.main(argv + ["--trials", "1"]) == 0
+        assert "stopped" not in capsys.readouterr().err
+
+    def test_optimize_reports_its_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "OPTIMIZE_MAX_ITER", 3)
+        assert cli.main(["optimize", "--config", self.DESK, "--method", "wmmse"]) == 0
+        assert "(iterations: 3, stopped at the 3-iteration cap before converging)" in \
+            capsys.readouterr().out
+
+
 class TestGoldenRows:
     """Planner rows on configs/los_budget.yaml and desk rows, pinned to their bytes."""
 
@@ -376,6 +398,18 @@ class TestGoldenRows:
             rows = out.read_text().splitlines(keepends=True)
             lines += rows if not lines else rows[1:]
         assert "".join(lines) == (GOLDEN / "simulate_desk.csv").read_text()
+
+    def test_simulate_desk_seeds(self, tmp_path):
+        # per-trial WMMSE on the desk, seeds 1-6 x 40 trials: one header, one row per seed
+        lines = []
+        for seed in range(1, 7):
+            out = tmp_path / f"seed{seed}.csv"
+            assert cli.main(["simulate", "--config", str(ROOT / "configs" / "desk.yaml"),
+                             "--seed", str(seed), "--trials", "40", "--method", "wmmse",
+                             "--out", str(out)]) == 0
+            rows = out.read_text().splitlines(keepends=True)
+            lines += rows if not lines else rows[1:]
+        assert "".join(lines) == (GOLDEN / "simulate_desk_seeds.csv").read_text()
 
     def test_simulate_los(self, tmp_path):
         # fixed LoS channels, all interferers active (the tridiagonal draw), then

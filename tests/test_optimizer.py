@@ -6,28 +6,32 @@ from scipy.optimize import minimize
 
 from conftest import make_noise, make_sources
 from oracles import (batch_population_eta, eta_active_no_interference, eta_passive,
-                     kkt_residual, loop_channels, loop_covariance, loop_mse,
-                     loop_power_weights, loop_qcqp, make_los_channelset, make_random_channelset,
-                     phase_grid_search, polar_grid_search, project_feasible, qcqp_objective,
-                     solve_p22_cd, solve_p22_pg)
+                     indexed_covariance, indexed_qcqp, kkt_residual, loop_channels,
+                     loop_covariance, loop_mse, loop_power_weights, loop_qcqp,
+                     make_los_channelset, make_random_channelset, phase_grid_search,
+                     polar_grid_search, project_feasible, qcqp_objective, solve_p22_cd,
+                     solve_p22_pg)
 from risense import optimizer as opt
 from risense import sensing as sns
 from risense.errors import InfeasibleError, NumericalError
 
 
+def draw_of(ch, src, noise, rcm):
+    return opt.Draw.of(ch, src, noise, rcm.sigma1_sq(noise))
+
+
 def receiver(rcm, ch, src, noise):
-    return opt.update_u(rcm.phi, rcm.sigma1_sq(noise), ch, src, noise,
+    return opt.update_u(rcm.phi, draw_of(ch, src, noise, rcm),
                         sns.equivalent_channels(ch, rcm.phi))
 
 
 def mse(u, rcm, ch, src, noise):
-    return opt.mse_epsilon(u, rcm.phi, rcm.sigma1_sq(noise), ch, src, noise,
+    return opt.mse_epsilon(u, rcm.phi, draw_of(ch, src, noise, rcm),
                            sns.equivalent_channels(ch, rcm.phi))
 
 
 def qcqp(u, ch, src, noise, rcm):
-    j = opt.power_weights(ch, src, rcm.sigma1_sq(noise))
-    return opt.build_qcqp(u, ch, src, noise, rcm, j)
+    return opt.build_qcqp(u, draw_of(ch, src, noise, rcm), rcm)
 
 
 def build_instance(rng, n=4, m=3, k=1, p_out=2.0, a_max=1.5, direct=True, zeta=0.8):
@@ -254,6 +258,36 @@ class TestSolveP22:
             phi = opt.solve_p22(inst, x0=start)
             assert np.max(np.abs(phi - ref)) <= 1e-9 * inst.a_max
 
+    def test_a_skipped_linear_solve_would_break_a_cap(self, rng, monkeypatch):
+        # given a start, the unconstrained solve is skipped only where its solution
+        # would fail the caps: then only the start is read, solved or not
+        solves, solve = [], np.linalg.solve
+
+        def recording(a, b):
+            solves.append(solve(a, b))
+            return solves[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        # caps from loose to tight, then S = 2 I with every |x_i| = t a_max: there the
+        # bound is tight, and it fires from t = 1 + 1e-6 on
+        cases = [build_instance(rng, m=6, p_out=1e6, a_max=10.0 ** rng.uniform(-2, 0.5))[0]
+                 for _ in range(40)]
+        for t in (0.5, 0.9, 1 - 1e-9, 1 + 1e-9, 1 + 2e-6, 1.5):
+            phase = np.exp(2j * np.pi * rng.uniform(size=6))
+            cases.append(opt.QcqpInstance(s=2.0 * np.eye(6, dtype=complex), g=-2.0 * t * phase,
+                                          const=0.0, j=np.ones(6), p_out=None, a_max=1.0))
+        skipped = 0
+        for inst in cases:
+            m = inst.g.size
+            x0 = inst.a_max * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            solves.clear()
+            opt.solve_p22(inst, x0=x0)
+            if not solves:
+                skipped += 1
+                x = solve(inst.s + 1e-14 * np.trace(inst.s).real * np.eye(m) / m, -inst.g)
+                assert np.abs(x).max() > inst.a_max * (1 + 1e-12)
+        assert 5 <= skipped <= 40, skipped
+
     def test_non_psd_instance_rejected(self, rng):
         inst, _ = build_instance(rng)
         bad = inst.s.copy()
@@ -261,6 +295,72 @@ class TestSolveP22:
         with pytest.raises(Exception):
             opt.QcqpInstance(s=bad, g=inst.g, const=inst.const,
                              j=inst.j, p_out=inst.p_out, a_max=inst.a_max)
+
+
+def counting_eigvalsh(monkeypatch) -> list:
+    """np.linalg.eigvalsh, replaced by a wrapper that records each call."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestCertifiedNonSingular:
+    """An active subproblem's eigenvalue floor picks the branch eigvalsh would pick."""
+
+    def test_certified_instances_are_non_singular(self, rng):
+        branches = {True: 0, False: 0}
+        for _ in range(80):
+            n, m, k = (int(v) for v in rng.integers((2, 1, 0), (9, 17, 4)))
+            ch = make_random_channelset(rng, n=n, m=m, k=k)
+            # forwarded noise from negligible to dominant: both branches occur
+            noise = make_noise(sigma1_sq=10.0 ** rng.uniform(-10, 1))
+            src = make_sources(k, zeta=0.7)
+            rcm = opt.Rcm(phi=np.zeros(m), mode="active", a_max=1.0, p_out_budget=1.0)
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            inst = qcqp(u, ch, src, noise, rcm)
+            trace = float(np.trace(inst.s).real)
+            certified = inst.floor > 2 * opt.SINGULAR_RTOL * trace
+            branches[certified] += 1
+            lam = np.linalg.eigvalsh(0.5 * (inst.s + inst.s.conj().T))
+            if certified:
+                assert lam[0] > opt.SINGULAR_RTOL * lam[-1]  # eigvalsh: non-singular
+                assert lam[0] >= inst.floor - 1e-12 * lam[-1]  # the floor bounds it
+                assert (inst.lam_min, inst.lam_max) == (inst.floor, trace)
+            else:
+                assert (inst.lam_min, inst.lam_max) == (lam[0], lam[-1])
+            assert (inst.lam_min > opt.SINGULAR_RTOL * inst.lam_max) == \
+                (lam[0] > opt.SINGULAR_RTOL * lam[-1])
+        assert min(branches.values()) >= 5, branches
+
+    @pytest.mark.parametrize("margin, fallback", [(1 + 1e-9, False), (1 - 1e-9, True),
+                                                  (None, True)],
+                             ids=["just-above", "just-below", "no-floor"])
+    def test_the_fallback_runs_below_the_margin(self, rng, monkeypatch, margin, fallback):
+        # S = (a rank-2 PSD part) + d I, d set against 2 SINGULAR_RTOL tr S
+        m = 6
+        a = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        psd = a @ a.conj().T
+        c = 2 * opt.SINGULAR_RTOL * (1.0 if margin is None else margin)
+        d = c * float(np.trace(psd).real) / (1 - c * m)  # d = c tr(psd + d I)
+        s = psd + d * np.eye(m)
+        floor = {} if margin is None else {"floor": d}
+        calls = counting_eigvalsh(monkeypatch)
+        inst = opt.QcqpInstance(s=s, g=np.ones(m, dtype=complex), const=0.0, j=np.ones(m),
+                                p_out=None, a_max=1.0, **floor)
+        assert len(calls) == fallback
+        assert inst.lam_min > opt.SINGULAR_RTOL * inst.lam_max  # non-singular either way
+
+    def test_a_passive_instance_runs_the_fallback(self, rng, monkeypatch):
+        inst = oracle_case(rng, "rank-deficient")  # no forwarded noise: floor 0
+        calls = counting_eigvalsh(monkeypatch)
+        opt.QcqpInstance(s=inst.s, g=inst.g, const=inst.const, j=inst.j, p_out=inst.p_out,
+                         a_max=inst.a_max, floor=inst.floor)
+        assert inst.floor == 0.0 and len(calls) == 1
 
 
 class TestUnitModulusStep:
@@ -394,6 +494,14 @@ class TestWmmseActive:
         res = opt.wmmse_active(ch, src, noise, 0.3, 1.0, tol=1e-12, max_iter=2000)
         eps_star = np.exp(res.trace[-1] - 1.0)  # the last surrogate value is 1 - log(omega)
         assert -np.log(eps_star / src.p[0]) == pytest.approx(np.log1p(res.eta), abs=1e-6)
+
+    def test_converged_flag(self, rng):
+        ch = make_random_channelset(rng, n=5, m=4, k=1)
+        src, noise = make_sources(1), make_noise()
+        res = opt.wmmse_active(ch, src, noise, 0.5, 1.0)
+        assert res.converged and len(res.trace) < 3 * 500
+        capped = opt.wmmse_active(ch, src, noise, 0.5, 1.0, max_iter=2)
+        assert not capped.converged and len(capped.trace) == 6
 
     def test_silent_primary_returns_the_start(self, rng):
         # p_0 = 0: every coefficient vector gives eta = 0, so no step is taken
@@ -553,3 +661,27 @@ class TestStackedBuilders:
         assert_matches(opt.power_weights(ch, src, sigma1),
                        loop_power_weights(ch, src, noise, rcm.mode == "active"))
         assert_matches(mse(u, rcm, ch, src, noise), loop_mse(u, rcm, ch, src, noise))
+
+
+class TestIndexedBuilders:
+    """Formed once per draw, the solve's invariants leave the builders' bits unchanged."""
+
+    def test_bit_for_bit_with_the_indexed_formulas(self, rng):
+        for i in range(60):  # desk-sized draws: N = 32, M = 16, K = 5
+            ch = make_random_channelset(rng, n=32, m=16, k=5)
+            src = sns.SourceModel(p=10.0 ** rng.uniform(-2, 1, 6),
+                                  zeta=np.append(1.0, rng.uniform(0, 1, 5)))
+            noise = make_noise(sigma1_sq=10.0 ** rng.uniform(-3, 0),
+                               sigma2_sq=10.0 ** rng.uniform(-3, 0))
+            phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            rcm = opt.Rcm(phi=phi, mode="passive-relaxed" if i % 5 == 0 else "active")
+            draw = draw_of(ch, src, noise, rcm)
+            inst = opt.build_qcqp(u, draw, rcm)
+            s, g, const = indexed_qcqp(u, ch, src, noise, draw.sigma1_sq)
+            assert np.array_equal(inst.s, s) and np.array_equal(inst.g, g)
+            assert inst.const == const
+            weights = src.zeta * src.p
+            assert np.array_equal(
+                sns.covariance(ch, phi, weights, draw.sigma1_sq, noise.sigma2_sq),
+                indexed_covariance(ch, phi, weights, draw.sigma1_sq, noise.sigma2_sq))
