@@ -92,9 +92,8 @@ class ClosedFormContext:
     a_f[k] the incident channel of source k. Over m elements, m // m_v
     columns of m_v, a_f[k] = exp(-j i_h psi_h[k]) kron exp(-j i_v psi_v[k]),
     so that Gram is a product of array-factor kernels of the phase steps
-    ``steps[k] = (psi_h[k], psi_v[k])`` (``gram``, ``kernel_quad_d``). The
-    context therefore holds no element count and no steering vector: the
-    m-element factors are built only where coefficients are emitted.
+    ``steps[k] = (psi_h[k], psi_v[k])`` (``gram``, ``kernel_quad_d``), and
+    the context holds no element count and no steering vector.
     """
 
     n_antennas: int
@@ -121,32 +120,36 @@ class ClosedFormContext:
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
                    steps=chan.incident_steps(sc.geometry), m_v=int(sc.m_v))
 
-    def gram(self, m: int) -> np.ndarray:
-        """The (K+1) x (K+1) Gram q_k^H q_l over the first m elements, from the kernels.
+    def gram(self, ms) -> np.ndarray:
+        """The (K+1) x (K+1) Grams q_k^H q_l over the first m elements, one per count of ms.
 
-        m is a whole-column count. |b_g| = 1, so q_k^H q_l = sqrt(beta_f[k]
-        beta_f[l]) D_{m_h'}(psi_h[k] - psi_h[l]) D_{m_v}(psi_v[k] - psi_v[l])
-        over m_h' = m // m_v columns, whatever m; the diagonal is m exactly.
+        |b_g| = 1, so q_k^H q_l = sqrt(beta_f[k] beta_f[l]) D_{m_h'}(psi_h[k] -
+        psi_h[l]) D_{m_v}(psi_v[k] - psi_v[l]) over m_h' = m // m_v columns.
         """
-        n_h, root = m // self.m_v, np.sqrt(self.beta_f)
+        n_h, root = (np.asarray(ms) // self.m_v)[..., None], np.sqrt(self.beta_f)
         i, j = np.triu_indices(len(root), 1)
         d_h, d_v = (psi[i] - psi[j] for psi in self.steps.T)
         upper = root[i] * root[j] * np.exp(0.5j * (n_h - 1) * d_h) * dirichlet(n_h, d_h)
         if self.m_v > 1:
-            upper *= np.exp(0.5j * (self.m_v - 1) * d_v) * dirichlet(self.m_v, d_v)
-        gram = np.diag(self.beta_f * float(m)).astype(complex)
-        gram[i, j], gram[j, i] = upper, upper.conj()
+            vertical = np.exp(0.5j * (self.m_v - 1) * d_v) * dirichlet(self.m_v, d_v)
+            # count by count, as numpy may round a product over a stack otherwise
+            for row in upper.reshape(n_h.size, len(i)):
+                row *= vertical
+        gram = (np.eye(len(root)) * self.beta_f * np.asarray(ms)[..., None, None]).astype(complex)
+        gram[..., i, j], gram[..., j, i] = upper, upper.conj()
         return gram
 
     def kernel_quad_d(self, m):
         """a_f[0]^H D a_f[0] over the first m elements (an int or an array of counts).
 
         D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers.
+        One 1 x K product per count: a matrix-vector product would round by stack.
         """
         d_h, d_v = (self.steps[0] - self.steps[1:]).T
         amp = dirichlet((np.asarray(m) // self.m_v)[..., None], d_h) * dirichlet(self.m_v, d_v)
         w = self.zeta[1:] * self.p[1:] * self.beta_f[1:]
-        return (self.sigma1_sq * np.asarray(m) + amp**2 @ w) / self.sigma2_sq
+        return (self.sigma1_sq * np.asarray(m)
+                + ((amp**2)[..., None, :] @ w[:, None])[..., 0, 0]) / self.sigma2_sq
 
     @property
     def c1(self) -> float:
@@ -158,6 +161,7 @@ class ClosedFormContext:
         """Incident power per unit reflection gain."""
         return float(np.sum(self.zeta * self.beta_f * self.p) + self.sigma1_sq)
 
+    @functools.cached_property
     def ball_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The interferers with a positive w_k = N beta_g zeta_k p_k / sigma2^2, and their w_k."""
         weights = self.n_antennas * self.beta_g * self.zeta[1:] * self.p[1:] / self.sigma2_sq
@@ -201,64 +205,87 @@ def _aligned_eta(ctx: ClosedFormContext, m, a: float, quad):
 CLOSED_FORMS = ("mf", "zf", "mmse")
 
 
-def _kernel_terms(method: str, ctx: ClosedFormContext, m: int, a_max: float):
-    """The budget-free part of closed form ``method`` at count m, from the kernels.
+class CountTerms(NamedTuple):
+    """Kernel terms stacked over counts, and per count the error it raises when read."""
+
+    terms: tuple
+    errors: dict[int, Exception]  # position of the count -> its error
+
+    def read(self, at: int | slice) -> tuple:
+        """The terms of the count at position ``at`` (or of a slice of positions)."""
+        span = range(len(self.terms[0]))[at] if isinstance(at, slice) else (at,)
+        if errors := [self.errors[i] for i in span if i in self.errors]:
+            raise errors[0]
+        return tuple(t[at] for t in self.terms)
+
+
+def _kernel_terms(method: str, ctx: ClosedFormContext, ms, a_max: float) -> CountTerms:
+    """The budget-free part of closed form ``method`` at each count of ms, from the kernels.
 
     kernel_quad_d(m) for mf; for mmse the Gram's G_00 and its blocks G_UU,
     G_U0 and G_0U on the interferers with a ball weight. For zf, with
     Q = [q_0 ... q_K] and coef = (Q^H Q)^-1 e_1: ||w||^2 = coef_0 for
     w = Q coef, the cap on rho2 = ||phi||^2 that keeps max_i |w_i| scaled
     within a_max, and coef. Zero-forcing needs m >= K+1 (a ConfigError) and
-    a well-conditioned Gram (a NumericalError).
+    a well-conditioned Gram (a NumericalError). LAPACK runs once per count.
     """
+    ms = np.asarray(ms)
     if method == "mf":
-        return float(ctx.kernel_quad_d(m))
-    if method == "zf" and m < len(ctx.beta_f):
-        raise ConfigError(f"zero-forcing needs M >= K+1 = {len(ctx.beta_f)} elements, got M = {m}")
-    gram = ctx.gram(m)
+        return CountTerms((ctx.kernel_quad_d(ms),), {})
+    k1, gram = len(ctx.beta_f), ctx.gram(ms)
     if method == "mmse":
-        u = ctx.ball_weights()[0] + 1
-        return gram[0, 0], gram[np.ix_(u, u)], gram[u, 0], gram[0, u]
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError("zero-forcing geometry is degenerate (ill-conditioned Gram)")
-    coef = np.linalg.solve(gram, np.eye(len(gram))[0])  # (Q^H Q)^-1 e_1
-    w = ctx.steering_sum(m, coef)  # |w_i|, as |b_g| = 1
-    norm_w_sq = float(np.real(coef[0]))
-    return norm_w_sq, a_max**2 * norm_w_sq / float(np.max(np.abs(w)) ** 2), coef
+        u = ctx.ball_weights[0] + 1
+        # C order, so each count's vectors have unit stride (a BLAS dot rounds by stride)
+        return CountTerms(tuple(np.ascontiguousarray(t) for t in (
+            gram[:, 0, 0], gram[:, u[:, None], u], gram[:, u, 0], gram[:, 0, u])), {})
+    cond = np.full(len(ms), np.inf)
+    cond[ms >= k1] = np.linalg.cond(gram[ms >= k1])
+    ok = cond <= 1e12  # else not finite or too large
+    errors = {i: ConfigError(f"zero-forcing needs M >= K+1 = {k1} elements, got M = {ms[i]}")
+              if ms[i] < k1 else
+              NumericalError("zero-forcing geometry is degenerate (ill-conditioned Gram)")
+              for i in np.flatnonzero(~ok).tolist()}
+    coef = np.full(gram.shape[:-1], np.nan, dtype=complex)
+    coef[ok] = np.linalg.solve(gram[ok], np.eye(k1)[:, :1])[..., 0]  # (Q^H Q)^-1 e_1
+    peak = np.full(len(ms), np.nan)  # max |w_i|, as |b_g| = 1
+    peak[ok] = [np.max(np.abs(ctx.steering_sum(m, c))) for m, c in zip(ms[ok].tolist(), coef[ok])]
+    norm_w_sq = np.real(coef[:, 0])  # the cap squares by pow, as _excess does
+    return CountTerms((norm_w_sq, a_max**2 * norm_w_sq / np.float_power(peak, 2), coef), errors)
 
 
-def _excess(method: str, ctx: ClosedFormContext, m: int, terms, ratio: float, a_max: float):
+def _excess(method: str, ctx: ClosedFormContext, m, terms, ratio, a_max: float):
     """The excess of closed form ``method`` at count m and output-power ratio p_out / p_in.
 
-    The one evaluation of each closed form: the planner's inversion and
-    probes and the emitted coefficients all read it. ``terms`` are the
-    count's ``_kernel_terms``. Returns (excess, what the coefficients need):
+    The one evaluation of each closed form, for one count or elementwise over
+    stacked ``terms`` (``CountTerms.read``): the planner and the emitted
+    coefficients all read it. Returns (excess, what the coefficients need):
     mf's amplitude a, zf's rho2 = ||phi||^2, mmse's (rho1 = ||phi||^2, c, y)
     with y Woodbury's solve, None when no interferer has a ball weight.
     """
     if method == "mf":  # p_out = m p_in a^2
-        a = min(a_max, math.sqrt(ratio / m))
-        return float(_aligned_eta(ctx, m, a, terms)), a
+        a = np.minimum(a_max, np.sqrt(ratio / m))
+        return _aligned_eta(ctx, m, a, terms[0]), a
     if method == "zf":
-        rho2 = min(ratio, terms[1])
+        rho2 = np.minimum(ratio, terms[1])
         # [(Q^H Q)^-1]_{11} equals ||w||^2
-        return float(ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
-            (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * terms[0])), rho2
-    (g_00, g_uu, g_u0, g_0u), weights = terms, ctx.ball_weights()[1]
+        return ctx.n_antennas * ctx.beta_g * ctx.p[0] / (
+            (ctx.sigma2_sq / rho2 + ctx.n_antennas * ctx.beta_g * ctx.sigma1_sq) * terms[0]), rho2
+    (g_00, g_uu, g_u0, g_0u), weights = terms, ctx.ball_weights[1]
     nb = ctx.n_antennas * ctx.beta_g
-    rho1 = min(ratio, m * a_max**2)
+    rho1 = np.minimum(ratio, m * a_max**2)
     c = 1.0 / rho1 + nb * ctx.sigma1_sq / ctx.sigma2_sq
     # q_0^H (c I + U W U^H)^-1 q_0 by Woodbury on the Gram, with
     # y = (diag(1/w) + U^H U / c)^-1 U^H q_0 solved in the interferer space
     quad, y = g_00 / c, None
     if weights.size:
         try:
-            y = np.linalg.solve(np.diag(1.0 / weights) + g_uu / c, g_u0)
+            y = np.linalg.solve(np.diag(1.0 / weights) + g_uu / c[..., None, None],
+                                g_u0[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError("MMSE system is singular") from exc
-        quad -= g_0u @ y / c**2
-    return nb * ctx.p[0] / ctx.sigma2_sq * float(np.real(quad)), (rho1, c, y)
+        # float_power is libm's pow, as a float's c**2 (an array's c**2 is c * c)
+        quad = quad - (g_0u[..., None, :] @ y[..., None])[..., 0, 0] / np.float_power(c, 2)
+    return nb * ctx.p[0] / ctx.sigma2_sq * np.real(quad), (rho1, c, y)
 
 
 def mf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
@@ -268,10 +295,10 @@ def mf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
     ``los`` are the m-element LoS factors of the context's scenario.
     """
     m = los.b_ris.size
-    eta, a = _excess("mf", ctx, m, _kernel_terms("mf", ctx, m, a_max),
+    eta, a = _excess("mf", ctx, m, _kernel_terms("mf", ctx, [m], a_max).read(0),
                      _over(p_out, ctx.p_in_bar), a_max)
     # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
-    return ClosedForm(phi=a * los.b_ris * los.a_f[0].conj(), eta=eta)
+    return ClosedForm(phi=a * los.b_ris * los.a_f[0].conj(), eta=float(eta))
 
 
 def zf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
@@ -283,11 +310,11 @@ def zf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
     ``los`` are the m-element LoS factors; needs m >= K+1 (a ConfigError).
     """
     m = los.b_ris.size
-    terms = _kernel_terms("zf", ctx, m, a_max)
+    terms = _kernel_terms("zf", ctx, [m], a_max).read(0)
     eta, rho2 = _excess("zf", ctx, m, terms, _over(p_out, ctx.p_in_bar), a_max)
     w = los.b_ris.conj() * ctx.steering_sum(m, terms[2]).ravel()
     # phi above is the diagonal of Phi^H; return diag(Phi)
-    return ClosedForm(phi=(np.sqrt(rho2) * w / np.sqrt(terms[0])).conj(), eta=eta)
+    return ClosedForm(phi=(np.sqrt(rho2) * w / np.sqrt(terms[0])).conj(), eta=float(eta))
 
 
 def mmse_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
@@ -301,19 +328,19 @@ def mmse_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
     m-element LoS factors.
     """
     m = los.b_ris.size
-    eta, (rho1, c, y) = _excess("mmse", ctx, m, _kernel_terms("mmse", ctx, m, a_max),
+    eta, (rho1, c, y) = _excess("mmse", ctx, m, _kernel_terms("mmse", ctx, [m], a_max).read(0),
                                 _over(p_out, ctx.p_in_bar), a_max)
     # B^H D B = (sigma1^2 I + sum_k zeta_k p_k q_k q_k^H) / sigma2^2 since |b_g| = 1;
     # Woodbury: (c I + U W U^H)^-1 q_0 = q_0 / c - U y / c^2
     q = los.b_ris.conj() * (np.sqrt(ctx.beta_f)[:, np.newaxis] * los.a_f)
     raw = q[0] / c
     if y is not None:
-        raw = raw - (q[ctx.ball_weights()[0] + 1].T @ y) / c**2
+        raw = raw - (q[ctx.ball_weights[0] + 1].T @ y) / c**2
     # the closed form fixes only the direction; on the ball boundary
     # ||phi||^2 = rho1 the achieved excess equals the value computed above
     phi = raw * np.sqrt(rho1 / float(np.real(raw.conj() @ raw)))
     # the ball-coordinate vector is the diagonal of Phi^H; return diag(Phi)
-    return ClosedForm(phi=phi.conj(), eta=eta)
+    return ClosedForm(phi=phi.conj(), eta=float(eta))
 
 
 def passive_mf_eta(ctx: ClosedFormContext, m):
@@ -355,11 +382,10 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     passive-unit, passive-relaxed) solve on ``channels``, or on the
     scenario's LoS channels at m elements when none are given, for at most
     max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
-    scaled into feasibility. The closed forms (mf, zf, mmse, passive) follow
-    from the LoS geometry, so ``channels``, when given, must be LoS: their
-    excess comes from ``ctx`` (the scenario's context when none is given)
-    and their coefficients from the m-element LoS factors of ``channels``,
-    or of the scenario when none are given.
+    scaled into feasibility. The closed forms (mf, zf, mmse, passive) take
+    their excess from ``ctx`` (else the scenario's context) and their
+    coefficients from the m-element LoS factors of ``channels`` (which must
+    be LoS), else of the scenario.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -410,8 +436,8 @@ class BudgetResult:
     """Outcome of the bisection planner.
 
     ``probes`` holds the (budget, best excess) pairs that were scanned: every
-    probe of a wmmse plan, and for the closed forms and passive the returned
-    budget, the last probe below it and any probe near the inverted budget.
+    probe of a wmmse plan, and for the others the returned budget (at its
+    coefficients' excess), the last probe below it and any probe near p*.
     """
 
     method: str
@@ -426,6 +452,8 @@ class BudgetResult:
 
 EXACT_SCAN_CAP = 256  # every integer element count is probed up to here
 LADDER_RATIO = 1.05
+BLOCK_COUNTS = 16  # ladder counts whose kernel terms a plan evaluates together,
+BLOCK_ENTRIES = 2**18  # fewer where their Grams would hold more entries than this
 
 
 def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
@@ -465,12 +493,11 @@ def _least_budget_at(method: str, ctx: ClosedFormContext, m: int, terms, eta0: f
                      a_max: float) -> float:
     """p_m(eta0): the budget above which the m-element closed form beats eta0.
 
-    ``terms`` are the count's ``_kernel_terms``. Each excess rises with the
-    output power until the amplitude cap (mf through a^2, zf through
-    rho2 = ||phi||^2, mmse through rho1), so the power ratio p_out / p_in
-    that reaches eta0 is a root, and the circuit power is added; the result
-    is infinite when even the cap stays at or below eta0. A count whose
-    excess cannot be inverted is a NumericalError.
+    ``terms`` are the count's ``CountTerms.read``. Each excess rises with the
+    output power until the amplitude cap, so the power ratio p_out / p_in
+    that reaches eta0 is a root, and the circuit power is added; infinite
+    when even the cap stays at or below eta0, a NumericalError when the
+    excess cannot be inverted.
     """
     def excess(t: float) -> float:  # at p_out / p_in = 1/t, falling in t
         return _excess(method, ctx, m, terms, 1.0 / t if t > 0 else math.inf, a_max)[0]
@@ -498,24 +525,15 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     """Minimum surface power budget achieving the target detection probability.
 
     Bisection on the budget, from the scenario's bisect_p_high down to its
-    stop_tol. A probe's excess is the best over the element counts, in whole
-    columns of m_v, that its budget affords: active surfaces scan them up to
-    256 elements and on a geometric ladder above (WMMSE solves start from
-    the previous probe's solution there); a passive surface spends the whole
-    budget on element circuits and takes every count up to passive_m(p), so
-    its excess never falls as the budget grows.
-
-    mf, zf, mmse and passive are inverted on the array-factor kernels of
-    ``ClosedFormContext.gram``: each closed-form count gives p_m, the least
-    budget that beats eta_0, walking the ladder upwards until the circuit
-    power alone exceeds the best p_m, and passive walks every count for
-    m_1, the first that beats eta_0. A probe beats eta_0 exactly when it
-    lies above p* (min p_m, or m_1 p_c for passive); probes within a guard
-    band around p*, and every wmmse probe (p* = inf), are scanned. A scan takes
-    the best count and emits its coefficients there, at the returned
-    budget, the last probe below it and any guard-band probe; end scans
-    that contradict the inversion are a NumericalError. The scanned probe
-    history is checked for monotonicity.
+    stop_tol. A probe's excess is the best over the whole-column element
+    counts its budget affords: on the ladder (``_m_ladder``) for active
+    surfaces, every count up to passive_m(p) for a passive one. The closed
+    forms and passive are inverted for p* on the array-factor kernels (the
+    README's planner notes): a probe beats eta_0 exactly when it lies above
+    p*. Probes within a guard band around p*, the end probes p_top and
+    p_low, and every wmmse probe (p* = inf) are scanned, each count's
+    excess evaluated as arrays over the plan's blocks of kernel terms. The
+    closed forms emit coefficients once, at p_top's best count.
     """
     if method not in PLANNER_METHODS:
         raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
@@ -523,19 +541,13 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     stop_tol, p_high = scenario.stop_tol, scenario.bisect_p_high
     eta0 = solve_min_eta(pd_target, scenario.detector())
     power = scenario.power_model()
-    a_max = scenario.a_max
-    k = scenario.geometry.n_interferers
-    m_v = scenario.m_v
+    a_max, k, m_v = scenario.a_max, scenario.geometry.n_interferers, scenario.m_v
     warm: dict[int, np.ndarray] = {}
-
-    def columns(m: int) -> int:
-        """m rounded down to whole columns of m_v elements."""
-        return m // m_v * m_v
 
     # Every probe reads element counts up to those of p_high; the ceiling
     # bounds the kernel terms of the walk over them.
     affords = power.elements(p_high, passive=method == "passive")
-    m_top = columns(math.floor(affords)) if affords < math.inf else affords
+    m_top = math.floor(affords) // m_v * m_v if affords < math.inf else affords
     if (k + 1) * m_top > chan.MAX_ARRAY_ENTRIES:
         raise ConfigError(f"planner.p_high_w = {p_high!r} W affords {m_top:.4g} elements; "
                           f"for {k + 1} sources that exceeds the planner's ceiling of "
@@ -546,36 +558,48 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         unit = Rcm(phi=np.ones(1), mode="passive-unit", a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=unit.sigma1_sq(scenario.noise()))
 
-    count_terms = functools.cache(lambda m: _kernel_terms(method, ctx, m, a_max))  # per plan
+    # p_high's ladder, in blocks of counts; wmmse's solves are dear, so its ladder is short
+    ladder = np.array([] if method == "passive" else _m_ladder(
+        m_top, 64 if method == "wmmse" else EXACT_SCAN_CAP, m_v), dtype=int)
+    size = max(1, min(BLOCK_COUNTS, BLOCK_ENTRIES // (k + 1) ** 2))
+    blocks: dict[int, CountTerms] = {}
+
+    def block(b: int) -> CountTerms:
+        """The kernel terms of the b-th block of ladder counts, evaluated once per plan."""
+        if b not in blocks:
+            blocks[b] = _kernel_terms(method, ctx, ladder[b * size:(b + 1) * size], a_max)
+        return blocks[b]
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
+        """The first best (excess, count) budget p affords, and wmmse's coefficients."""
         best = (0.0, 0, None)
         if method == "passive":
-            for counts, etas in _passive_blocks(ctx, columns(power.passive_m(p))):
+            for counts, etas in _passive_blocks(ctx, power.passive_m(p)):
                 i = int(np.argmax(etas))
                 if etas[i] > best[0]:
-                    best = (etas[i], int(counts[i]), None)
-        else:
-            # iterative optimization above the exact region is impractical; the
-            # planner's WMMSE branch is meant for budgets with modest m_max
-            for m in _m_ladder(power.m_max(p), EXACT_SCAN_CAP if method != "wmmse" else 64, m_v):
-                p_out = power.p_out_budget(p, m)
-                if p_out <= 0 or (method == "zf" and m < k + 1):
-                    continue
-                if method == "wmmse":
-                    res = coefficients(method, scenario, m, p_out, init_phi=warm.get(m))
-                    warm[m], eta, rcm = res.rcm.phi, res.eta, res.rcm
-                else:
-                    eta = _excess(method, ctx, m, count_terms(m), _over(p_out, p_in), a_max)[0]
-                    rcm = None
-                if eta > best[0]:
-                    best = (eta, m, rcm)
-        if method == "wmmse" or best[1] == 0:
+                    best = (float(etas[i]), int(counts[i]), None)
             return best
-        m = best[1]
-        res = coefficients(method, scenario, m,
-                           None if method == "passive" else power.p_out_budget(p, m), ctx=ctx)
-        return res.eta, m, res.rcm
+        ms = ladder[:np.searchsorted(ladder, power.m_max(p), side="right")]
+        p_out = power.p_out_budget(p, ms)
+        # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
+        live = np.flatnonzero((p_out > 0) & (ms >= (k + 1 if method == "zf" else 0)))
+        if method == "wmmse":
+            for m, p_m in zip(ms[live].tolist(), p_out[live].tolist()):
+                res = coefficients(method, scenario, m, p_m, init_phi=warm.get(m))
+                warm[m] = res.rcm.phi
+                if res.eta > best[0]:
+                    best = (res.eta, m, res.rcm)
+            return best
+        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        for b in range(lo // size, (hi + size - 1) // size):
+            i0, i1 = max(lo, b * size), min(hi, (b + 1) * size)
+            etas = _excess(method, ctx, ms[i0:i1],
+                           block(b).read(slice(i0 - b * size, i1 - b * size)),
+                           _over(p_out[i0:i1], p_in), a_max)[0]
+            i = int(np.argmax(etas))
+            if etas[i] > best[0]:
+                best = (float(etas[i]), int(ms[i0 + i]), None)
+        return best
 
     scans: dict[float, tuple[float, int, Rcm | None]] = {}
 
@@ -597,11 +621,13 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                     in _passive_blocks(ctx, m_top) if np.any(etas > eta0)), math.inf)
         p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
     elif method in CLOSED_FORMS:
-        for m in _m_ladder(m_top, EXACT_SCAN_CAP, m_v):
+        for i, m in enumerate(ladder.tolist()):
             if power.p_out_budget(min(p_star, p_high), m) <= 0:
                 break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
             if not (method == "zf" and m < k + 1):
-                p_star = min(p_star, _least_budget_at(method, ctx, m, count_terms(m), eta0, a_max))
+                p_star = min(p_star, _least_budget_at(method, ctx, m,
+                                                      block(i // size).read(i % size),
+                                                      eta0, a_max))
 
     def beats(p: float) -> bool:
         """p > p* outside the guard band around p*; inside it (always for p* = inf), a scan."""
@@ -632,6 +658,11 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         raise NumericalError(f"the end scans contradict the inverted budget p* = {p_star!r} W: "
                              f"p_low = {p_low!r} W, p_top = {p_top!r} W")
     eta_star, m_star, rcm_star = scan(p_top)
+    if method != "wmmse":  # the one emission: p_top's probe records its excess
+        res = coefficients(method, scenario, m_star, None if method == "passive"
+                           else power.p_out_budget(p_top, m_star), ctx=ctx)
+        eta_star, rcm_star = res.eta, res.rcm
+        scans[p_top] = (eta_star, m_star, rcm_star)
     note = ""
     if method == "mmse" and rcm_star is not None:
         over = float(np.max(np.abs(rcm_star.phi))) / a_max

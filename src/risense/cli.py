@@ -137,10 +137,14 @@ def cmd_simulate(args) -> int:
     _emit([row], args)
     print(f"Pd = {h1.rate:.4f} +- {h1.stderr:.4f}, Pfa = {h0.rate:.4f} +- {h0.stderr:.4f}, "
           f"predicted Pd = {h1.mean_pd_pred:.4f}", file=sys.stderr)
-    if h1.capped:
-        print(f"{h1.capped} of {h1.solves} WMMSE solves stopped at the "
-              f"{bdg.WMMSE_MAX_ITER}-iteration cap", file=sys.stderr)
+    _report_cap(h1.solves, h1.capped)
     return 0
+
+
+def _report_cap(solves: int, capped: int) -> None:
+    if capped:
+        print(f"{capped} of {solves} WMMSE solves stopped at the "
+              f"{bdg.WMMSE_MAX_ITER}-iteration cap", file=sys.stderr)
 
 
 def cmd_sweep(args) -> int:
@@ -151,17 +155,18 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{flag} is for {sweeps}, not --sweep {args.sweep}")
     sc = _scenario(args)
     if m_sweep:
-        rows = hns.run_m_sweep(sc)
-    else:
-        if not args.values:
-            raise ConfigError("budget sweeps need --values")
-        values = [hns._convert(v, float, "--values") for v in args.values.split(",")]
-        names = "mf,mmse,passive" if args.methods is None else args.methods
-        methods = [m.strip() for m in names.split(",") if m.strip()]
-        if not methods:
-            raise ConfigError(f"--methods names no method, got {args.methods!r}")
-        rows = hns.run_budget_sweep(sc, args.sweep, values, methods)
-    _emit(rows, args)
+        rows, solves, capped = hns.run_m_sweep(sc)
+        _emit(rows, args)
+        _report_cap(solves, capped)
+        return 0
+    if not args.values:
+        raise ConfigError("budget sweeps need --values")
+    values = [hns._convert(v, float, "--values") for v in args.values.split(",")]
+    names = "mf,mmse,passive" if args.methods is None else args.methods
+    methods = [m.strip() for m in names.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--methods names no method, got {args.methods!r}")
+    _emit(hns.run_budget_sweep(sc, args.sweep, values, methods), args)
     return 0
 
 

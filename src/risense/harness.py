@@ -339,7 +339,8 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
         if t == 0 or not fixed:
             channels = scenario.build_channels(t)
             if rcm is None:
-                design = bdg.coefficients(scenario.method, scenario, m, p_out, channels)
+                design = bdg.coefficients(scenario.method, scenario, m, p_out, channels,
+                                          max_iter=bdg.WMMSE_MAX_ITER)
                 rcm_t = design.rcm
                 solves += design.iterations is not None
                 capped += not design.converged
@@ -407,12 +408,13 @@ RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 MAX_SWEPT_ELEMENTS = 4096
 
 
-def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
+def run_m_sweep(scenario: ScenarioConfig) -> tuple[list[ResultRow], int, int]:
     """Detection probability versus element count at a fixed budget.
 
     Scans every affordable active element count with per-trial optimization,
     then appends the passive baseline (all budget spent on circuit power) and
-    a summary row recording whether the curve came out unimodal.
+    a summary row recording whether the curve came out unimodal. Returns them
+    with the count of iterative solves and of those stopped at their cap.
     """
     power = scenario.power_model()
     # ConfigErrors before any trial; the passive count bounds the active one
@@ -427,9 +429,10 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     # (count, method, row label); passive_m >= m_top >= 1, as p_c > 0 was checked above
     runs = [(m, "wmmse", "wmmse") for m in range(1, m_top + 1)]
     runs.append((power.passive_m(scenario.ris_budget_w), "passive-unit", "passive"))
-    rows = []
+    rows, solves, capped = [], 0, 0
     for m, method, label in runs:
         res = run_detection_mc(dataclasses.replace(scenario, m_h=m, m_v=1, method=method))
+        solves, capped = solves + res.solves, capped + res.capped
         rows.append(ResultRow(experiment="m_sweep", sweep_name="m", sweep_value=m,
                               method=label, pd_emp=res.rate, pd_pred=res.mean_pd_pred,
                               eta=res.mean_eta, trials=res.trials, seed=scenario.seed))
@@ -441,7 +444,7 @@ def run_m_sweep(scenario: ScenarioConfig) -> list[ResultRow]:
     rows.append(ResultRow(experiment="m_sweep_summary", sweep_name="m",
                           sweep_value=peak + 1, method="wmmse", trials=scenario.trials,
                           seed=scenario.seed, note=f"unimodal={unimodal}"))
-    return rows
+    return rows, solves, capped
 
 
 SWEEPABLE = ("t", "zeta", "p", "k")

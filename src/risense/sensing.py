@@ -424,13 +424,14 @@ def predicted_pd(stats: SpikedStats) -> float:
     return float(ndtr((stats.mu_a - stats.gamma_th) / np.sqrt(stats.v_a)))
 
 
+@functools.lru_cache(maxsize=64)  # bounded: a sweep plans few (target, detector) pairs
 def solve_min_eta(pd_target: float, cfg: DetectorConfig) -> float:
     """Smallest population excess achieving the target detection probability.
 
     Solves predicted_pd(eta) = pd_target on the Gaussian branch by monotone
     root finding. Raises InfeasibleError when the target is not reachable
     there (at or below the false-alarm level, or below the value attained at
-    the phase transition).
+    the phase transition). Memoized per (pd_target, cfg); errors are not.
     """
     if not 0.0 < pd_target < 1.0:
         raise ValueError("pd_target must lie in (0, 1)")

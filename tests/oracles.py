@@ -657,9 +657,9 @@ def scan_per_probe_budget(method: str, pd_target: float, scenario) -> bdg.Budget
             p_out = power.p_out_budget(p, m)
             if p_out <= 0 or (method == "zf" and m < k + 1):
                 continue
-            terms = bdg._kernel_terms(method, ctx, m, scenario.a_max)
-            eta = bdg._excess(method, ctx, m, terms, bdg._over(p_out, ctx.p_in_bar),
-                              scenario.a_max)[0]
+            terms = bdg._kernel_terms(method, ctx, [m], scenario.a_max).read(0)
+            eta = float(bdg._excess(method, ctx, m, terms, bdg._over(p_out, ctx.p_in_bar),
+                                    scenario.a_max)[0])
             if eta > best[0]:
                 best = (eta, m, None)
         if best[1]:

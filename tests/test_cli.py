@@ -376,6 +376,15 @@ class TestWmmseCap:
         assert cli.main(argv + ["--trials", "1"]) == 0
         assert "stopped" not in capsys.readouterr().err
 
+    def test_m_sweep_counts_capped_solves(self, capsys, monkeypatch):
+        # one trial at each of 24 active counts and the passive baseline: the sum
+        # over the sweep's runs, of which 3 outer iterations stop all but one
+        monkeypatch.setattr(budget, "WMMSE_MAX_ITER", 3)
+        assert cli.main(["sweep", "--config", self.DESK, "--sweep", "m", "--trials", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert "24 of 25 WMMSE solves stopped at the 3-iteration cap" in err
+        assert "stopped" not in out and len(out.splitlines()) == 27  # header, 25 rows, summary
+
     def test_optimize_reports_its_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "OPTIMIZE_MAX_ITER", 3)
         assert cli.main(["optimize", "--config", self.DESK, "--method", "wmmse"]) == 0
@@ -438,6 +447,15 @@ class TestGoldenRows:
         assert cli.main(["sweep", "--config", LOS_BUDGET, "--sweep", "t",
                          "--values", "1600,6400", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "sweep_t_los.csv").read_bytes()
+
+    def test_budget_sweep_k(self, tmp_path):
+        # zero-forcing 20 and 50 interferers is degenerate at the counts the plan
+        # reads: those rows are numerical, every other plan is kept
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", LOS_BUDGET, "--sweep", "k", "--values",
+                         "0,1,5,20,50", "--methods", "mf,mmse,zf,passive",
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep_k_los.csv").read_bytes()
 
     def test_passive_plans_under_strong_interference(self, tmp_path):
         # the passive excess falls at some counts once the interferers are

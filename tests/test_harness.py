@@ -557,7 +557,7 @@ class TestResultRows:
 class TestSweeps:
     def test_m_sweep_rows(self):
         sc = tiny_scenario(trials=6, t_samples=200, ris_budget_w=2e-3)
-        rows = hns.run_m_sweep(sc)
+        rows = hns.run_m_sweep(sc)[0]
         wmmse_rows = [r for r in rows if r.experiment == "m_sweep" and r.method == "wmmse"]
         assert len(wmmse_rows) == 4  # m_max(2 mW) = 4
         assert all(0.0 <= r.pd_emp <= 1.0 for r in wmmse_rows)
@@ -617,7 +617,7 @@ class TestSweeps:
                                     p_w=(1.0, 1.0), zeta=(1.0, 1.0), t_samples=800,
                                     trials=40, seed=5, channel_model="rayleigh",
                                     a_max=a_max, ris_budget_w=2e-3)
-            rows = hns.run_m_sweep(sc)
+            rows = hns.run_m_sweep(sc)[0]
             pds = [r.pd_emp for r in rows
                    if r.experiment == "m_sweep" and r.method == "wmmse"]
             assert all(0.0 <= p <= 1.0 for p in pds)
