@@ -385,7 +385,7 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) take
     their excess from ``ctx`` (else the scenario's context) and their
     coefficients from the m-element LoS factors of ``channels`` (which must
-    be LoS), else of the scenario.
+    be LoS), else from the scenario's, steered by the context's phase steps.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -417,8 +417,8 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     if ctx is None:
         ctx = ClosedFormContext.from_scenario(scenario,
                                               None if channels is None else channels.gains)
-    los = chan.los_factors(scenario, *upa_dims(scenario, m))[1] if channels is None \
-        else channels.los
+    los = chan.steering_factors(scenario, ctx.steps, *upa_dims(scenario, m)) \
+        if channels is None else channels.los
     if method == "passive":
         rcm = Rcm(phi=np.exp(1j * mf_phases(los.b_ris, los.a_f[0])), mode="passive-unit",
                   a_max=1.0)

@@ -238,20 +238,29 @@ def incident_steps(geom: Geometry) -> np.ndarray:
 def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
     """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
 
-    ``sc`` is a ScenarioConfig. The incident steering follows
-    ``incident_steps(sc.geometry)``, the receiver's azimuth from its own
-    broadside; every elevation is zero.
+    ``sc`` is a ScenarioConfig; the factors are
+    ``steering_factors(sc, incident_steps(sc.geometry), m_h, m_v)``.
+    """
+    return link_gains(sc.geometry, sc.pathloss), \
+        steering_factors(sc, incident_steps(sc.geometry), m_h, m_v)
+
+
+def steering_factors(sc, steps: np.ndarray, m_h: int, m_v: int) -> LosFactors:
+    """Steering factors of a scenario's LoS channels on an m_h x m_v surface.
+
+    ``steps`` holds ``incident_steps(sc.geometry)``, the incident steering's phase
+    steps; the receiver's azimuth is taken from its own broadside, and every
+    elevation is zero.
     """
     geom = sc.geometry
-    steps = incident_steps(geom)
     a_f = np.empty((len(steps), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
     for i, (step_h, step_v) in enumerate(steps):
         a_f[i] = kron_vectors(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
     d_su = np.asarray(geom.su_pos, dtype=float) - np.asarray(geom.ris_pos, dtype=float)
     su_aoa = np.arctan2(-d_su[1], -d_su[0])
-    return link_gains(geom, sc.pathloss), LosFactors(
-        a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(su_aoa)),
-        b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0), a_f=a_f)
+    return LosFactors(a_su=steering_vector_ula(int(sc.n_antennas), np.pi * np.sin(su_aoa)),
+                      b_ris=steering_vector_upa(m_h, m_v, np.arctan2(d_su[1], d_su[0]), 0.0),
+                      a_f=a_f)
 
 
 def build_los_channelset(sc) -> ChannelSet:

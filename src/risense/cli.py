@@ -8,7 +8,6 @@ Subcommands: threshold, optimize, simulate, sweep, budget. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -73,11 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario(args) -> hns.ScenarioConfig:
-    sc = hns.load_scenario(args.config)
     patch = {key: getattr(args, key, None)
              for key in ("seed", "trials", "pd_target", "stop_tol", "method")}
-    patch = {key: value for key, value in patch.items() if value is not None}
-    return dataclasses.replace(sc, **patch) if patch else sc
+    return hns.load_scenario(args.config, **{key: value for key, value in patch.items()
+                                             if value is not None})
 
 
 def _emit(rows, args) -> None:

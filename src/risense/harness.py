@@ -229,13 +229,16 @@ def _scalar(value, kind, key: str):
     return _convert(value, kind, key)
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str, **overrides) -> ScenarioConfig:
     """Parse and validate a scenario file; dBm fields become Watts.
 
     An omitted key takes its ScenarioConfig default (pathloss keys their
     PathlossModel default, positions their Geometry default), except for the
     loader's own: ``full_scale`` means 64 antennas and 6400 snapshots, five
     interferers are drawn, and every source sends 30 dBm with activity 1.
+    ``overrides`` (ScenarioConfig fields such as a command line's seed) replace
+    the file's values in the one validated construction; drawn interferers
+    still lie where the file's seed puts them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -297,7 +300,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown keys in scenario file: {details}")
 
     return ScenarioConfig(geometry=geometry, annulus=annulus, pathloss=pathloss, p_w=p_w,
-                          zeta=zeta, **fields)
+                          zeta=zeta, **{**fields, **overrides})
 
 
 class McResult(NamedTuple):
@@ -319,10 +322,10 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
 
     Per trial: draw channels (Rayleigh mode redraws, LoS is fixed), fix or
     optimize the reflecting coefficients, build the analytic covariance and the
-    population excess (``sensing.Whitening``), draw the trial's largest
-    whitened sample eigenvalues over T under H1 and H0
-    (``sensing.sample_signals``, which documents its two paths) and compare
-    each with the threshold. A trial's hypotheses share all of this (common
+    population excess (``sensing.Whitening``), and decide whether the trial's
+    largest whitened sample eigenvalue over T exceeds the threshold under H1
+    and under H0 (``sensing.sample_signals`` given the threshold, which
+    documents its two paths). A trial's hypotheses share all of this (common
     random numbers).
     """
     trials = scenario.trials
@@ -351,10 +354,10 @@ def run_hypotheses_mc(scenario: ScenarioConfig,
             pd_pred[t] = sns.predicted_pd(sns.spiked_stats_for(cfg, etas[t]))
         else:
             etas[t], pd_pred[t] = etas[0], pd_pred[0]
-        lam1, lam0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1",
-                                        scenario.t_samples, (scenario.seed, t, 1), whitening)
-        hits_h1 += lam1 > gamma_th
-        hits_h0 += lam0 > gamma_th
+        h1, h0 = sns.sample_signals(channels, rcm_t, sources, noise, "h1", scenario.t_samples,
+                                    (scenario.seed, t, 1), whitening, gamma_th)
+        hits_h1 += h1
+        hits_h0 += h0
     mean_eta, mean_pd_pred = float(etas.mean()), float(pd_pred.mean())
 
     def result(hits: int) -> McResult:

@@ -4,15 +4,17 @@ The receiver collects T snapshots, whitens them with the analytic
 noise-plus-interference covariance (the detector is genie-aided: channels
 are assumed known), and compares the largest eigenvalue of the whitened
 sample covariance against a Tracy-Widom threshold. sample_signals draws a
-sensing interval's statistics without its N x T snapshots. It draws the
-interval's interferer activity once, and that draw selects one of two paths
-on the same generator:
+sensing interval's statistics, or given the threshold its decisions, without
+its N x T snapshots. It draws the interval's interferer activity once, and
+that draw selects one of two paths on the same generator:
 
 - when the draw leaves the interference covariance equal to its mean
   (always, when every activity zeta is 1), the whitened snapshots are white
   under H0 and carry one spike under H1, and each statistic is the top
   eigenvalue of an N x N tridiagonal spiked-Laguerre matrix (2N - 1 gamma
-  variates, shared by both hypotheses);
+  variates, shared by both hypotheses); a decision counts that matrix's
+  eigenvalues above the threshold (Sturm counts) and bisects for the top
+  eigenvalue only when one lies within 1e-10 of it (relative);
 - otherwise gram_blocks draws the whitened Gram blocks as a complex Wishart
   matrix from its Bartlett factor, and bartlett_statistics scores the given
   blocks: H0 from W0, H1 from its rank-2 update, both diagonalized in full.
@@ -44,6 +46,10 @@ from .errors import InfeasibleError, NumericalError
 from .rng import sample_cn, substream
 
 PSD_RTOL = 1e-12  # reject covariances with lam_min < PSD_RTOL * lam_max
+# a tridiagonal decision bisects for the top eigenvalue only when the Sturm counts at
+# gamma T (1 - BAND_RTOL) and gamma T (1 + BAND_RTOL) differ; counts and bisection
+# agree to a few ulps of the top eigenvalue, far inside this band
+BAND_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,21 +156,28 @@ def covariance(channels: ChannelSet, phi: np.ndarray, weights: np.ndarray,
     return r
 
 
+def _phi(channels: ChannelSet, rcm) -> np.ndarray:
+    """rcm.phi as a complex array; a ValueError unless it holds one entry per element."""
+    phi = np.asarray(rcm.phi, dtype=complex)
+    if phi.shape != (channels.n_elements,):
+        raise ValueError("reflecting coefficients do not match the channel set")
+    return phi
+
+
 def noise_covariance(channels: ChannelSet, rcm, sources: SourceModel,
-                     noise: NoiseModel) -> np.ndarray:
+                     noise: NoiseModel, h: np.ndarray | None = None) -> np.ndarray:
     """Population covariance of the signal-free snapshots.
 
     R = sum_k zeta_k p_k h_k h_k^H  +  sigma2^2 I  +  sigma1^2 (G Phi)(G Phi)^H,
     summing over interferers only. Passive surfaces forward no thermal noise
-    (``rcm.sigma1_sq``).
+    (``rcm.sigma1_sq``). h, when given, holds the rows
+    ``equivalent_channels(channels, phi)``.
     """
-    phi = np.asarray(rcm.phi, dtype=complex)
-    if phi.shape != (channels.n_elements,):
-        raise ValueError("reflecting coefficients do not match the channel set")
+    phi = _phi(channels, rcm)
     if sources.n_interferers != channels.n_interferers:
         raise ValueError("source model does not match the channel set")
     r = covariance(channels, phi, _noise_weights(sources, sources.zeta), rcm.sigma1_sq(noise),
-                   noise.sigma2_sq)
+                   noise.sigma2_sq, h)
     return 0.5 * (r + r.conj().T)
 
 
@@ -200,9 +213,9 @@ class Whitening:
         when sigma2^2 >= 2 PSD_RTOL tr R the check passes without an eigendecomposition
         (the factor 2 leaves room for its rounding). Otherwise Q^-1 is formed here.
         """
-        r = noise_covariance(channels, rcm, sources, noise)
-        whitening = cls(r=r, h=equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex)),
-                        p0=float(sources.p[0]))
+        h = equivalent_channels(channels, _phi(channels, rcm))
+        r = noise_covariance(channels, rcm, sources, noise, h)
+        whitening = cls(r=r, h=h, p0=float(sources.p[0]))
         if not noise.sigma2_sq >= 2.0 * PSD_RTOL * np.trace(r).real:
             whitening.q_inv  # noqa: B018 -- formed now: its eigenvalue check decides
         return whitening
@@ -227,8 +240,9 @@ class Whitening:
 
 def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: NoiseModel,
                    hypothesis: str, n_samples: int, rng_seed,
-                   whitening: Whitening | None = None) -> tuple:
-    """The statistics (lambda_1, lambda_0) of one sensing interval, no N x T array.
+                   whitening: Whitening | None = None, gamma_th: float | None = None) -> tuple:
+    """The statistics (lambda_1, lambda_0) of one sensing interval, no N x T array; given
+    the threshold ``gamma_th``, its decisions (lambda_1 > gamma_th, lambda_0 > gamma_th).
 
     lambda is the largest eigenvalue of (1/T) X X^H for the interval's whitened
     snapshots X: X0 = Q^-1 Y0 under H0 and X0 + b s0^T, b = Q^-1 h0, under H1.
@@ -239,13 +253,16 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
     |B_ii|^2 ~ Gamma(T - i) and |B_i+1,i|^2 ~ Gamma(N - 1 - i) (Dumitriu & Edelman
     2002); the spike along e_1 scales B_11 by sqrt(1 + eta) (Bloemendal & Virag
     2013). Both hypotheses share these 2N - 1 variates, and this path reads only
-    ``whitening.eta``: it forms no Q^-1. Any other draw continues on the same
-    generator with the Bartlett draw of the Gram blocks (gram_blocks), scored by
-    bartlett_statistics; only this path forms Q^-1, once per ``whitening``.
+    ``whitening.eta``: it forms no Q^-1. It takes each statistic by bisection
+    (_top_eigenvalue) and each decision by Sturm counts (_exceeds). Any other draw
+    continues on the same generator with the Bartlett draw of the Gram blocks
+    (gram_blocks), scored by bartlett_statistics, which compares its statistics
+    with the threshold; only this path forms Q^-1, once per ``whitening``.
 
-    Deterministic given the seed. Draw order: the interferers' activity (once per
-    interval), then the sampler's variates. Under "h0" lambda_1 is None, and
-    lambda_0 is the same under both hypotheses. ``whitening`` is
+    Deterministic given the seed, and a decision is its statistic's comparison
+    bit for bit. Draw order: the interferers' activity (once per interval), then
+    the sampler's variates. Under "h0" the first entry is None, and the second is
+    the same under both hypotheses. ``whitening`` is
     Whitening.of(channels, rcm, sources, noise), computed when not given.
     """
     if hypothesis not in ("h0", "h1"):
@@ -263,30 +280,64 @@ def sample_signals(channels: ChannelSet, rcm, sources: SourceModel, noise: Noise
         sub = rng.standard_gamma(n - 1 - np.arange(n - 1))  # |B_i+1,i|^2
         d = diag.copy()  # B B^T: the tridiagonal matrix (d, e)
         d[1:] += sub
-        e = np.sqrt(diag[:-1] * sub)
-        lam0 = _top_eigenvalue(d, e) / n_samples
+        e = np.sqrt(diag[:-1] * sub) if n > 1 else np.zeros(1)  # dstebz takes no empty e
+
+        def score():  # reads d and e as they stand: H0's, then H1's once spiked
+            if gamma_th is None:
+                return _top_eigenvalue(d, e) / n_samples
+            return _exceeds(d, e, n_samples, gamma_th)
+
+        out0 = score()
+        if hypothesis == "h0":
+            return None, out0
         spike = 1.0 + whitening.eta
         d[0] *= spike
         e[:1] *= np.sqrt(spike)
-        lam1 = _top_eigenvalue(d, e) / n_samples
-    else:
-        r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
-                              rcm.sigma1_sq(noise), noise.sigma2_sq, whitening.h)
-        lam1, lam0 = bartlett_statistics(
-            *gram_blocks(rng, whiten(r_active, whitening.q_inv), sources.p[0], n_samples),
-            whitening.b, n_samples)
+        return score(), out0
+    r_active = covariance(channels, np.asarray(rcm.phi, dtype=complex), weights,
+                          rcm.sigma1_sq(noise), noise.sigma2_sq, whitening.h)
+    lam1, lam0 = bartlett_statistics(
+        *gram_blocks(rng, whiten(r_active, whitening.q_inv), sources.p[0], n_samples),
+        whitening.b, n_samples)
+    if gamma_th is not None:
+        lam1, lam0 = bool(lam1 > gamma_th), bool(lam0 > gamma_th)
     return (lam1 if hypothesis == "h1" else None), lam0
 
 
 def _top_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, by bisection (LAPACK dstebz)."""
+    off-diagonal e (padded to one entry when d has one), by bisection (LAPACK dstebz)."""
     n = d.size
-    e = e if n > 1 else np.zeros(1)  # the wrapper rejects an empty off-diagonal
     found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "E")
     if info != 0 or found != 1:
         raise NumericalError(f"tridiagonal eigenvalue bisection failed (info {info})")
     return float(w[0])
+
+
+def _count_above(d: np.ndarray, e: np.ndarray, x: float) -> int:
+    """How many eigenvalues of the tridiagonal (d, e) exceed x: dstebz's Sturm counts on
+    (x, inf] (RANGE 'V'), with an abstol that leaves nothing to bisect."""
+    found, _, _, _, info = dstebz(d, e, 1, x, np.inf, 0, 0, np.finfo(float).max, "E")
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigenvalue count failed (info {info})")
+    return found
+
+
+def _exceeds(d: np.ndarray, e: np.ndarray, n_samples: int, gamma_th: float) -> bool:
+    """_top_eigenvalue(d, e) / n_samples > gamma_th, from Sturm counts where they decide it.
+
+    Sturm counts are monotone in floating point (Demmel, Dhillon & Ren 1995), and the
+    bisection's top eigenvalue is within a few ulps of the matrix norm (the top
+    eigenvalue of B B^T) of the count's, so no eigenvalue above gamma T (1 - BAND_RTOL)
+    means "no" and one above gamma T (1 + BAND_RTOL) means "yes". Only an eigenvalue
+    between the two bisects, and is compared as the statistic is.
+    """
+    level = gamma_th * n_samples
+    if not _count_above(d, e, level * (1.0 - BAND_RTOL)):
+        return False
+    if _count_above(d, e, level * (1.0 + BAND_RTOL)):
+        return True
+    return bool(_top_eigenvalue(d, e) / n_samples > gamma_th)
 
 
 def gram_blocks(rng: np.random.Generator, c: np.ndarray, p0: float, n_samples: int) -> tuple:

@@ -566,15 +566,28 @@ class TestPlannerContexts:
         # are emitted, once per plan at m_star (zf forms its vector w from the
         # phase steps, not from these)
         arrays = []
-        los_factors = chan.los_factors
-        monkeypatch.setattr(chan, "los_factors", lambda sc, m_h, m_v: (
-            arrays.append(m_h * m_v), los_factors(sc, m_h, m_v))[1])
+        steering_factors = chan.steering_factors
+        monkeypatch.setattr(chan, "steering_factors", lambda sc, steps, m_h, m_v: (
+            arrays.append(m_h * m_v), steering_factors(sc, steps, m_h, m_v))[1])
         sc = load_scenario(str(LOS_BUDGET))
         for method in ("mf", "mmse", "zf", "passive"):
             arrays.clear()
             res = bdg.required_budget(method, sc.pd_target, sc)
             assert max(arrays) <= res.m_star, (method, arrays)
             assert len(arrays) == 1, (method, arrays)  # p_top only
+
+    def test_a_plan_evaluates_gains_and_phase_steps_once(self, monkeypatch):
+        # the context's; the emission steers by the context's phase steps
+        counts = {}
+        for name in ("link_gains", "incident_steps"):
+            fn = getattr(chan, name)
+            monkeypatch.setattr(chan, name, lambda *a, fn=fn, name=name: (
+                counts.__setitem__(name, counts.get(name, 0) + 1), fn(*a))[1])
+        sc = load_scenario(str(LOS_BUDGET))
+        for method in ("mf", "mmse", "zf", "passive"):
+            counts.clear()
+            bdg.required_budget(method, sc.pd_target, sc)
+            assert counts == {"link_gains": 1, "incident_steps": 1}, method
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_two_row_surface_plans_whole_columns(self, method):

@@ -251,6 +251,34 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", cfg, "--trials", "1"]) == 2
         assert "scenario.seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "configuration error: invalid scenario:\n  - seed must be >= 0\n"),
+        (["--trials", "0"], "configuration error: invalid scenario:\n  - trials must be >= 1\n")])
+    def test_a_bad_override_exits_2(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, TINY)
+        assert cli.main(["simulate", "--config", cfg] + argv) == 2
+        assert capsys.readouterr().err == message
+
+    def test_overrides_are_validated_once_and_keep_the_drawn_interferers(self, tmp_path,
+                                                                         monkeypatch):
+        # the file's seed (4) places the drawn interferer; --seed only reseeds the trials
+        cfg = write_config(tmp_path, TINY)
+        checks = []
+        post_init = harness.ScenarioConfig.__post_init__
+        monkeypatch.setattr(harness.ScenarioConfig, "__post_init__",
+                            lambda sc: (checks.append(sc), post_init(sc))[1])
+        args = cli.build_parser().parse_args(
+            ["budget", "--config", cfg, "--seed", "5", "--method", "mf", "--pd-target", "0.8",
+             "--stop-tol", "1e-3"])
+        sc = cli._scenario(args)
+        assert checks == [sc]
+        assert (sc.seed, sc.method, sc.pd_target, sc.stop_tol) == (5, "mf", 0.8, 1e-3)
+        from_file = harness.load_scenario(cfg)
+        assert from_file.seed == 4
+        assert sc.geometry == from_file.geometry
+        assert sc.geometry.interferer_pos != harness.chan.draw_interferer_positions(
+            sc.geometry.ris_pos, 1, *sc.annulus, 5)
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_budget_rejects_a_bad_stop_tol(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, TINY_LOS)
@@ -434,6 +462,26 @@ class TestGoldenRows:
             rows = out.read_text().splitlines(keepends=True)
             lines += rows if not lines else rows[1:]
         assert "".join(lines) == (GOLDEN / "simulate_los.csv").read_text()
+
+    def test_simulate_los_at_the_threshold(self, tmp_path):
+        # the full-scale LoS scenario at the budget where Pd is about 0.85 and Pfa about
+        # 0.1, so many largest eigenvalues land near the threshold: seeds 1-3 x 400 trials
+        text = (ROOT / "configs" / "full_scale.yaml").read_text()
+        for old, new in (("  channel_model: rayleigh\n", "  channel_model: los\n"),
+                         ("  method: wmmse\n", "  method: mf\n"),
+                         ("  budget_dbm: 10\n", "  budget_dbm: 8.2666\n")):
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "los_threshold.yaml"
+        config.write_text(text)
+        lines = []
+        for seed in (1, 2, 3):
+            out = tmp_path / f"seed{seed}.csv"
+            assert cli.main(["simulate", "--config", str(config), "--seed", str(seed),
+                             "--trials", "400", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines(keepends=True)
+            lines += rows if not lines else rows[1:]
+        assert "".join(lines) == (GOLDEN / "simulate_los_threshold.csv").read_text()
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_budget(self, tmp_path, method):

@@ -359,12 +359,14 @@ ALL_ACTIVE_CASES = sorted(set(STATISTIC_CASES) - {"inactive-interferers"})
 
 def record_pairs(monkeypatch, sampler) -> list:
     """Draws the trial loop's statistics with ``sampler`` in place of sample_signals,
-    and collects each trial's (lambda_1, lambda_0) in call order."""
+    and collects each trial's (lambda_1, lambda_0) in call order. The loop passes its
+    threshold last; ``sampler`` gets the other arguments, and the loop the decisions."""
     pairs = []
 
     def recording(*args):
+        *args, gamma_th = args
         pairs.append(sampler(*args))
-        return pairs[-1]
+        return tuple(None if lam is None else lam > gamma_th for lam in pairs[-1])
 
     monkeypatch.setattr(hns.sns, "sample_signals", recording)
     return pairs
@@ -510,9 +512,9 @@ class TestOneMethodTable:
         plan = bdg.required_budget(method, 0.9, sc)
         used = []
 
-        def covariance(channels, rcm, sources, noise):
+        def covariance(channels, rcm, sources, noise, *h):
             used.append(rcm)
-            return noise_covariance(channels, rcm, sources, noise)
+            return noise_covariance(channels, rcm, sources, noise, *h)
 
         noise_covariance = hns.sns.noise_covariance
         monkeypatch.setattr(hns.sns, "noise_covariance", covariance)

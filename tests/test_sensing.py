@@ -194,6 +194,52 @@ class TestSpikedLaguerreDraw:
             sns.sample_signals(ch, rcm, src, noise, "h1", 50, 2, whitening)
 
 
+class TestThresholdDecisions:
+    """Given a threshold, sample_signals returns its statistics' comparisons with it."""
+
+    @pytest.mark.parametrize("zeta,p0", [(1.0, 1.0), (0.5, 1.0), (1.0, 0.0)],
+                             ids=["tridiagonal", "bartlett", "silent-primary"])
+    @pytest.mark.parametrize("t_per_n", [1, 100])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_decisions_are_the_statistics_compared(self, monkeypatch, n, t_per_n, zeta, p0):
+        # thresholds at each statistic and its float neighbours send the tridiagonal
+        # decisions into the band where they bisect; the detector's own threshold too
+        rng = np.random.default_rng(100 * n + t_per_n)
+        ch = make_random_channelset(rng, n=n, m=3, k=2)
+        rcm = fixed_rcm(3, rng, scale=0.4)
+        src, noise = make_sources(2, zeta=zeta, p0=p0), make_noise()
+        whitening = sns.Whitening.of(ch, rcm, src, noise)
+        t = t_per_n * n
+        bisections = []
+        top = sns._top_eigenvalue
+        monkeypatch.setattr(sns, "_top_eigenvalue", lambda d, e: (bisections.append(1),
+                                                                   top(d, e))[1])
+        for seed in range(12):
+            lam1, lam0 = sns.sample_signals(ch, rcm, src, noise, "h1", t, seed, whitening)
+            del bisections[:]
+            thresholds = [sns.detection_threshold(sns.DetectorConfig(n, t, 0.1))]
+            for lam in (lam1, lam0):
+                thresholds += [np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)]
+            for gamma in thresholds:
+                assert sns.sample_signals(ch, rcm, src, noise, "h1", t, seed, whitening,
+                                          gamma) == (lam1 > gamma, lam0 > gamma)
+                assert sns.sample_signals(ch, rcm, src, noise, "h0", t, seed, whitening,
+                                          gamma) == (None, lam0 > gamma)
+            # the bisection decides exactly at lambda: the band fallback ran
+            assert (len(bisections) > 0) == (zeta == 1.0), (seed, bisections)
+
+    def test_a_threshold_outside_the_band_is_decided_by_counts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ch = make_random_channelset(rng, n=16, m=3, k=2)
+        args = (ch, fixed_rcm(3, rng, scale=0.4), make_sources(2), make_noise())
+        lam1, lam0 = sns.sample_signals(*args, "h1", 1600, 5)
+        monkeypatch.setattr(sns, "_top_eigenvalue", None)  # no bisection may run
+        for gamma in (lam0 * (1 - 3 * sns.BAND_RTOL), lam0 * (1 + 3 * sns.BAND_RTOL),
+                      lam1 * (1 - 3 * sns.BAND_RTOL), lam1 * (1 + 3 * sns.BAND_RTOL)):
+            assert sns.sample_signals(*args, "h1", 1600, 5, None, gamma) == \
+                (lam1 > gamma, lam0 > gamma)
+
+
 class TestOneDrawPerInterval:
     """sample_signals draws the interval's activity once, on one generator, and scores
     the path that draw selects; a zeta strictly inside (0, 1) selects the Bartlett path."""
