@@ -109,16 +109,13 @@ class ClosedFormContext:
     m_v: int = 1
 
     @classmethod
-    def from_scenario(cls, sc, gains: chan.LinkGains | None = None) -> "ClosedFormContext":
-        """The context of a scenario's LoS channels; ``gains``, when given, are their
-        link gains (a channel set's), else they are evaluated here."""
+    def from_scenario(cls, sc) -> "ClosedFormContext":
+        """The context of a scenario's LoS channels: its link gains and phase steps."""
         noise, src, power = sc.noise(), sc.sources(), sc.power_model()
-        if gains is None:
-            gains = chan.link_gains(sc.geometry, sc.pathloss)
-        return cls(n_antennas=sc.n_antennas, beta_g=gains.beta_g, beta_f=gains.beta_f,
+        return cls(n_antennas=sc.n_antennas, beta_g=sc.gains.beta_g, beta_f=sc.gains.beta_f,
                    p=src.p, zeta=src.zeta, sigma1_sq=noise.sigma1_sq,
                    sigma2_sq=noise.sigma2_sq, p_c=power.p_c, p_dc=power.p_dc,
-                   steps=chan.incident_steps(sc.geometry), m_v=int(sc.m_v))
+                   steps=sc.geometry.steps, m_v=int(sc.m_v))
 
     def gram(self, ms) -> np.ndarray:
         """The (K+1) x (K+1) Grams q_k^H q_l over the first m elements, one per count of ms.
@@ -385,7 +382,7 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) take
     their excess from ``ctx`` (else the scenario's context) and their
     coefficients from the m-element LoS factors of ``channels`` (which must
-    be LoS), else from the scenario's, steered by the context's phase steps.
+    be LoS), else from the scenario's.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -415,10 +412,9 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
                                init_phi=init_phi, max_iter=max_iter)
         return Design(res.rcm, res.eta, len(res.trace) // 3, res.converged)
     if ctx is None:
-        ctx = ClosedFormContext.from_scenario(scenario,
-                                              None if channels is None else channels.gains)
-    los = chan.steering_factors(scenario, ctx.steps, *upa_dims(scenario, m)) \
-        if channels is None else channels.los
+        ctx = ClosedFormContext.from_scenario(scenario)
+    los = chan.steering_factors(scenario, *upa_dims(scenario, m)) if channels is None \
+        else channels.los
     if method == "passive":
         rcm = Rcm(phi=np.exp(1j * mf_phases(los.b_ris, los.a_f[0])), mode="passive-unit",
                   a_max=1.0)

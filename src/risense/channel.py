@@ -26,7 +26,9 @@ class Geometry:
     ``interferer_pos`` holds K positions; K = 0 is allowed. The link distances
     are computed once, on construction: ``dist_direct[k]`` and ``dist_to_ris[k]``
     from source k (0 = primary transmitter, 1..K = interferers) to the receiver
-    and to the surface, ``dist_ris_su`` from the surface to the receiver.
+    and to the surface, ``dist_ris_su`` from the surface to the receiver. So are
+    the read-only (K+1) x 2 ``steps``, the horizontal and vertical phase steps of
+    each source's incident steering as seen from the surface (zero elevation).
     """
 
     pu_pos: tuple[float, float] = (0.0, 0.0)
@@ -36,6 +38,7 @@ class Geometry:
     dist_direct: tuple[float, ...] = field(init=False, repr=False, compare=False)
     dist_to_ris: tuple[float, ...] = field(init=False, repr=False, compare=False)
     dist_ris_su: float = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         su, ris = np.asarray(self.su_pos, dtype=float), np.asarray(self.ris_pos, dtype=float)
@@ -53,6 +56,10 @@ class Geometry:
         for name, d in links:
             if not 0.0 < d < np.inf:
                 raise ConfigError(f"degenerate geometry: {name} distance is {d}")
+        delta = np.array(sources) - ris
+        steps = np.array([upa_phase_steps(az, 0.0) for az in np.arctan2(delta[:, 1], delta[:, 0])])
+        steps.flags.writeable = False
+        object.__setattr__(self, "steps", steps)
 
     @property
     def n_interferers(self) -> int:
@@ -99,7 +106,7 @@ class LosFactors:
 
     g_matrix = sqrt(beta_g) * outer(a_su, conj(b_ris)); f[k] = sqrt(beta_f[k]) * a_f[k]
     with a_f the (K+1) x M array of unit-modulus incident steering vectors,
-    row k built from ``incident_steps(geometry)[k]``.
+    row k built from ``geometry.steps[k]``.
     """
 
     a_su: np.ndarray
@@ -161,7 +168,8 @@ def pathloss(wavelength: float, dist: float, alpha: float) -> float:
 
 
 def link_gains(geom: Geometry, plm: PathlossModel) -> LinkGains:
-    """Evaluate the pathloss of every link; an infinite or zero gain is a ConfigError."""
+    """Evaluate the pathloss of every link, in read-only arrays; an infinite or zero gain
+    is a ConfigError."""
     beta_d = np.array([pathloss(plm.wavelength, d, plm.alpha_direct) for d in geom.dist_direct])
     beta_f = np.array([pathloss(plm.wavelength, d, plm.alpha_incident) for d in geom.dist_to_ris])
     beta_g = pathloss(plm.wavelength, geom.dist_ris_su, plm.alpha_outgoing)
@@ -170,6 +178,7 @@ def link_gains(geom: Geometry, plm: PathlossModel) -> LinkGains:
         if not np.all(np.isfinite(gain) & (gain > 0)):
             raise ConfigError(f"pathloss.{key} = {getattr(plm, key)!r} with wavelength "
                               f"{plm.wavelength!r} gives a link gain outside the float range")
+    beta_d.flags.writeable = beta_f.flags.writeable = False
     return LinkGains(beta_d=beta_d, beta_f=beta_f, beta_g=beta_g)
 
 
@@ -222,39 +231,15 @@ def draw_interferer_positions(ris_pos, k: int, r_min: float, r_max: float,
                  for r, a in zip(radii, angles))
 
 
-def incident_steps(geom: Geometry) -> np.ndarray:
-    """(K+1) x 2 horizontal and vertical phase steps of each source's incident steering.
-
-    The azimuths follow from the 2-D positions as seen from the surface; every
-    elevation is zero. Together with the surface size they fix the incident
-    steering vectors: the channel set and the planner's closed forms both
-    start from them.
-    """
-    delta = np.array([geom.source_pos(k) for k in range(geom.n_interferers + 1)]) - \
-        np.asarray(geom.ris_pos, dtype=float)
-    return np.array([upa_phase_steps(az, 0.0) for az in np.arctan2(delta[:, 1], delta[:, 0])])
-
-
-def los_factors(sc, m_h: int, m_v: int) -> tuple[LinkGains, LosFactors]:
-    """Link gains and steering factors of a scenario's LoS channels on an m_h x m_v surface.
-
-    ``sc`` is a ScenarioConfig; the factors are
-    ``steering_factors(sc, incident_steps(sc.geometry), m_h, m_v)``.
-    """
-    return link_gains(sc.geometry, sc.pathloss), \
-        steering_factors(sc, incident_steps(sc.geometry), m_h, m_v)
-
-
-def steering_factors(sc, steps: np.ndarray, m_h: int, m_v: int) -> LosFactors:
+def steering_factors(sc, m_h: int, m_v: int) -> LosFactors:
     """Steering factors of a scenario's LoS channels on an m_h x m_v surface.
 
-    ``steps`` holds ``incident_steps(sc.geometry)``, the incident steering's phase
-    steps; the receiver's azimuth is taken from its own broadside, and every
-    elevation is zero.
+    The incident steering follows the geometry's phase steps; the receiver's
+    azimuth is taken from its own broadside, and every elevation is zero.
     """
     geom = sc.geometry
-    a_f = np.empty((len(steps), m_h * m_v), dtype=complex)  # filled row by row: no stacked copy
-    for i, (step_h, step_v) in enumerate(steps):
+    a_f = np.empty((len(geom.steps), m_h * m_v), dtype=complex)  # row by row: no stacked copy
+    for i, (step_h, step_v) in enumerate(geom.steps):
         a_f[i] = kron_vectors(steering_vector_ula(m_h, step_h), steering_vector_ula(m_v, step_v))
     d_su = np.asarray(geom.su_pos, dtype=float) - np.asarray(geom.ris_pos, dtype=float)
     su_aoa = np.arctan2(-d_su[1], -d_su[0])
@@ -269,7 +254,7 @@ def build_los_channelset(sc) -> ChannelSet:
     The surface has ``sc.m_h`` x ``sc.m_v`` elements; the surface->receiver
     matrix comes out rank one by construction.
     """
-    gains, los = los_factors(sc, int(sc.m_h), int(sc.m_v))
+    gains, los = sc.gains, steering_factors(sc, int(sc.m_h), int(sc.m_v))
     f = np.sqrt(gains.beta_f)[:, np.newaxis] * los.a_f
     g = np.sqrt(gains.beta_g) * np.outer(los.a_su, los.b_ris.conj())
     return ChannelSet(d=np.zeros((len(f), los.a_su.size), dtype=complex), f=f, g_matrix=g,
@@ -283,8 +268,7 @@ def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
     gain of its link.
     """
     n, m = int(sc.n_antennas), int(sc.m_h) * int(sc.m_v)
-    gains = link_gains(sc.geometry, sc.pathloss)
-    k = sc.geometry.n_interferers
+    gains, k = sc.gains, sc.geometry.n_interferers
     rng = substream(rng_seed, 0xC4)
     d = [sample_cn(rng, gains.beta_d[i], n) for i in range(k + 1)]
     f = [sample_cn(rng, gains.beta_f[i], m) for i in range(k + 1)]

@@ -18,7 +18,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +48,8 @@ def _annulus_ok(annulus) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Single source of truth for one experiment (all powers in Watts)."""
+    """Single source of truth for one experiment (all powers in Watts); the read-only
+    link ``gains`` are evaluated once, on construction, for every reader."""
 
     n_antennas: int = 32
     m_h: int = 16
@@ -73,6 +74,7 @@ class ScenarioConfig:
     channel_model: str = "rayleigh"
     stop_tol: float = 1e-6
     bisect_p_high: float = 10.0
+    gains: chan.LinkGains = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         problems = []
@@ -118,6 +120,12 @@ class ScenarioConfig:
                 model()
             except ValueError as exc:
                 problems.append(str(exc))
+        try:  # a gain outside the float range fails here, not mid-run
+            object.__setattr__(self, "gains", chan.link_gains(self.geometry, self.pathloss))
+        except ConfigError as exc:
+            if not problems:  # alone, it keeps its own message
+                raise
+            problems.append(str(exc))
         if problems:
             raise ConfigError("invalid scenario:\n  - " + "\n  - ".join(problems))
 
@@ -287,7 +295,6 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     pathloss = chan.PathlossModel(**{f.name: _convert(plo.pop(f.name), float, f"pathloss.{f.name}")
                                      for f in dataclasses.fields(chan.PathlossModel)
                                      if f.name in plo})
-    chan.link_gains(geometry, pathloss)  # gains outside the float range fail here, not mid-run
 
     pw = sections["powers"]
     p_w = tuple(_watts(v, "powers.p_dbm")

@@ -26,6 +26,7 @@ MODES = ("active", "passive-relaxed", "passive-unit")
 FEAS_RTOL = 1e-9
 NEWTON_MAX_STEPS = 50  # projected Newton steps per QCQP (or proximal) solve
 PROX_MAX_STEPS = 50  # proximal steps per QCQP solve on a singular quadratic form
+UNIT_MODULUS_MAX_SWEEPS = 500  # cyclic sweeps per unit-modulus QCQP solve
 SINGULAR_RTOL = 1e-8  # S is singular when its smallest eigenvalue is at most this of its largest
 
 
@@ -460,7 +461,8 @@ def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None
     For each element the objective is linear in the phase once |phi_m| = 1,
     so the minimizer is the phase of the negated linear coefficient; elements
     with a vanishing coefficient keep their previous phase. Sweeps stop when
-    the per-sweep objective decrease drops below 1e-12 (relative), or after 500.
+    the per-sweep objective decrease drops below 1e-12 (relative); a NumericalError
+    when that takes more than UNIT_MODULUS_MAX_SWEEPS.
     """
     s, g, const = instance.s, instance.g, instance.const
     m = g.size
@@ -472,7 +474,7 @@ def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None
         x = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 1.0)
     r = s @ x + g
     obj = float(np.real(x.conj() @ (s @ x) + 2.0 * np.real(g.conj() @ x))) + const
-    for _ in range(500):
+    for _ in range(UNIT_MODULUS_MAX_SWEEPS):
         prev = obj
         for i in range(m):
             c = r[i] - np.real(s[i, i]) * x[i]
@@ -485,8 +487,9 @@ def solve_p22p_unit_modulus(instance: QcqpInstance, x0: np.ndarray | None = None
                 x[i] = xi
         obj = float(np.real(x.conj() @ (s @ x) + 2.0 * np.real(g.conj() @ x))) + const
         if prev - obj <= 1e-12 * (abs(prev) + 1e-300):
-            break
-    return x
+            return x
+    raise NumericalError(f"QCQP subproblem: unit-modulus sweeps did not converge in "
+                         f"{UNIT_MODULUS_MAX_SWEEPS} sweeps")
 
 
 def mf_init_phi(channels: ChannelSet, sources: SourceModel, noise: NoiseModel,

@@ -435,8 +435,8 @@ def population_eta(channels: ChannelSet, rcm, sources: SourceModel,
     population covariance under the alternative is 1 + eta. Whitening.eta,
     without Whitening.of's conditioning check.
     """
-    return Whitening(r=noise_covariance(channels, rcm, sources, noise),
-                     h=equivalent_channels(channels, np.asarray(rcm.phi, dtype=complex)),
+    h = equivalent_channels(channels, _phi(channels, rcm))
+    return Whitening(r=noise_covariance(channels, rcm, sources, noise, h), h=h,
                      p0=float(sources.p[0])).eta
 
 

@@ -490,9 +490,9 @@ class TestContextPrefix:
         sc = budget_scenario(k=3, m_h=8, m_v=m_v)
         ladder = bdg._m_ladder(1500, m_v=m_v)
         assert all(m % m_v == 0 for m in ladder)
-        top = chan.los_factors(sc, ladder[-1] // m_v, m_v)[1]
+        top = chan.steering_factors(sc, ladder[-1] // m_v, m_v)
         for m in ladder:
-            fresh = chan.los_factors(sc, m // m_v, m_v)[1]
+            fresh = chan.steering_factors(sc, m // m_v, m_v)
             assert_same_bytes(chan.LosFactors(top.a_su, top.b_ris[:m], top.a_f[:, :m]), fresh)
             assert_same_bytes(bdg.ClosedFormContext.from_scenario(
                 dataclasses.replace(sc, m_h=m // m_v)), bdg.ClosedFormContext.from_scenario(sc))
@@ -567,8 +567,8 @@ class TestPlannerContexts:
         # phase steps, not from these)
         arrays = []
         steering_factors = chan.steering_factors
-        monkeypatch.setattr(chan, "steering_factors", lambda sc, steps, m_h, m_v: (
-            arrays.append(m_h * m_v), steering_factors(sc, steps, m_h, m_v))[1])
+        monkeypatch.setattr(chan, "steering_factors", lambda sc, m_h, m_v: (
+            arrays.append(m_h * m_v), steering_factors(sc, m_h, m_v))[1])
         sc = load_scenario(str(LOS_BUDGET))
         for method in ("mf", "mmse", "zf", "passive"):
             arrays.clear()
@@ -577,17 +577,20 @@ class TestPlannerContexts:
             assert len(arrays) == 1, (method, arrays)  # p_top only
 
     def test_a_plan_evaluates_gains_and_phase_steps_once(self, monkeypatch):
-        # the context's; the emission steers by the context's phase steps
-        counts = {}
-        for name in ("link_gains", "incident_steps"):
-            fn = getattr(chan, name)
-            monkeypatch.setattr(chan, name, lambda *a, fn=fn, name=name: (
-                counts.__setitem__(name, counts.get(name, 0) + 1), fn(*a))[1])
+        # once, when the scenario is built (the phase steps with its geometry): a plan,
+        # its context and its emission read them and evaluate neither
         sc = load_scenario(str(LOS_BUDGET))
+        calls = []
+        link_gains, geometry_init = chan.link_gains, chan.Geometry.__post_init__
+        monkeypatch.setattr(chan, "link_gains",
+                            lambda *a: (calls.append("gains"), link_gains(*a))[1])
+        monkeypatch.setattr(chan.Geometry, "__post_init__",
+                            lambda self: (calls.append("steps"), geometry_init(self))[1])
         for method in ("mf", "mmse", "zf", "passive"):
-            counts.clear()
             bdg.required_budget(method, sc.pd_target, sc)
-            assert counts == {"link_gains": 1, "incident_steps": 1}, method
+        assert calls == []
+        dataclasses.replace(sc, geometry=dataclasses.replace(sc.geometry))
+        assert calls == ["steps", "gains"]  # a built scenario evaluates each once
 
     @pytest.mark.parametrize("method", ["mf", "zf", "mmse", "passive"])
     def test_two_row_surface_plans_whole_columns(self, method):

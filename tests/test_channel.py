@@ -59,8 +59,8 @@ class TestSteeringVectors:
                        chan.steering_vector_ula(m_v, step_v))
         assert np.array_equal(chan.steering_vector_upa(m_h, m_v, theta, psi), kron)
         sc = dataclasses.replace(los_scenario(k=3), m_h=m_h, m_v=m_v)
-        a_f = chan.los_factors(sc, m_h, m_v)[1].a_f
-        for row, (step_h, step_v) in zip(a_f, chan.incident_steps(sc.geometry)):
+        a_f = chan.steering_factors(sc, m_h, m_v).a_f
+        for row, (step_h, step_v) in zip(a_f, sc.geometry.steps):
             assert np.array_equal(row, np.kron(chan.steering_vector_ula(m_h, step_h),
                                                chan.steering_vector_ula(m_v, step_v)))
 
@@ -188,6 +188,12 @@ class TestGeometry:
         assert moved.dist_direct == geom.dist_direct[:3] and moved == chan.Geometry(
             pu_pos=(3.0, -7.5), ris_pos=ris, su_pos=su, interferer_pos=positions[:2])
 
+    def test_the_scenario_constants_are_read_only(self):
+        sc = los_scenario(k=2)
+        for array in (sc.gains.beta_d, sc.gains.beta_f, sc.geometry.steps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
             chan.Geometry(pu_pos=(0, 0), ris_pos=(0, 0), su_pos=(10, 0))
@@ -195,7 +201,7 @@ class TestGeometry:
     def test_angles_derived_from_positions(self):
         geom = chan.Geometry(pu_pos=(0.0, 50.0), ris_pos=(100.0, 50.0), su_pos=(200.0, 50.0))
         sc = ScenarioConfig(n_antennas=4, geometry=geom, t_samples=400)
-        _, los = chan.los_factors(sc, 3, 2)
+        los = chan.steering_factors(sc, 3, 2)
         # PU due west of the surface, receiver due east; every elevation zero
         np.testing.assert_allclose(los.a_f[0], chan.steering_vector_upa(3, 2, np.pi, 0.0),
                                    atol=1e-12)

@@ -419,6 +419,16 @@ class TestWmmseCap:
         assert "(iterations: 3, stopped at the 3-iteration cap before converging)" in \
             capsys.readouterr().out
 
+    def test_a_capped_unit_modulus_solve_exits_4(self, capsys, monkeypatch):
+        # the desk's unit-modulus subproblems take more than one cyclic sweep each
+        argv = ["optimize", "--config", self.DESK, "--method", "passive-unit"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(optimizer, "UNIT_MODULUS_MAX_SWEEPS", 1)
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", "numerical failure: QCQP subproblem: unit-modulus "
+                                           "sweeps did not converge in 1 sweeps\n")
+
 
 class TestGoldenRows:
     """Planner rows on configs/los_budget.yaml and desk rows, pinned to their bytes."""
@@ -593,11 +603,25 @@ class TestSimulate:
                          "--out", str(tmp_path / "r.csv")]) == 0
         assert (len(factors), len(draws)) == (formed, 20 * formed)
 
+    @pytest.mark.parametrize("config, argv", [
+        ("los_budget.yaml", ["--method", "mf", "--trials", "2"]), ("desk.yaml", ["--trials", "8"])])
+    def test_a_call_evaluates_gains_and_phase_steps_once(self, monkeypatch, config, argv):
+        # when its scenario is built: every channel set and context reads them
+        calls = []
+        link_gains, geometry_init = channel.link_gains, channel.Geometry.__post_init__
+        monkeypatch.setattr(channel, "link_gains",
+                            lambda *a: (calls.append("gains"), link_gains(*a))[1])
+        monkeypatch.setattr(channel.Geometry, "__post_init__",
+                            lambda self: (calls.append("steps"), geometry_init(self))[1])
+        assert cli.main(["simulate", "--config", str(ROOT / "configs" / config)] + argv) == 0
+        assert calls == ["steps", "gains"]
+
     def test_closed_forms_read_the_channel_factors(self, tmp_path, monkeypatch):
         # the closed-form coefficients come from the channel set's LoS factors
         calls, solves = [], []
-        los_factors, mf_phi = channel.los_factors, budget.mf_phi
-        monkeypatch.setattr(channel, "los_factors", lambda *a: (calls.append(a), los_factors(*a))[1])
+        steering_factors, mf_phi = channel.steering_factors, budget.mf_phi
+        monkeypatch.setattr(channel, "steering_factors",
+                            lambda *a: (calls.append(a), steering_factors(*a))[1])
         monkeypatch.setattr(budget, "mf_phi",
                             lambda ctx, los, *a: (solves.append(los), mf_phi(ctx, los, *a))[1])
         cfg = write_config(tmp_path, TINY_LOS)

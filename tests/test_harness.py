@@ -149,6 +149,13 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=match):
             hns.load_scenario(str(path))
 
+    def test_a_gain_overflow_is_listed_with_the_other_problems(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text("pathloss: {alpha_direct: 1.0e+300}\ndetector: {pd_target: 1.5}\n")
+        with pytest.raises(ConfigError, match=r"^invalid scenario:\n  - pd_target must lie in "
+                                              r"\(0, 1\)\n  - pathloss\.alpha_direct = 1e\+300"):
+            hns.load_scenario(str(path))
+
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "sc.yaml"
         path.write_text("scenario: {seed: -1}\n")
@@ -656,6 +663,25 @@ class TestSweeps:
         assert swept.geometry.n_interferers == 3
         assert len(swept.p_w) == 4
         assert len(swept.zeta) == 4
+
+    def test_replaced_scenarios_carry_fresh_gains_and_steps(self):
+        # a k sweep replaces the geometry, and the pathloss may be replaced too: the
+        # link gains and phase steps are a freshly built scenario's, bit for bit
+        sc = hns.load_scenario(str(ROOT / "configs" / "los_budget.yaml"))
+        swept = hns._swept_scenario(sc, "k", 3)
+        steeper = dataclasses.replace(sc, pathloss=hns.chan.PathlossModel(alpha_direct=3.0))
+        for got in (swept, steeper):
+            fresh = hns.ScenarioConfig(**{
+                **{f.name: getattr(got, f.name) for f in dataclasses.fields(got) if f.init},
+                "geometry": hns.chan.Geometry(got.geometry.pu_pos, got.geometry.ris_pos,
+                                              got.geometry.su_pos, got.geometry.interferer_pos),
+                "pathloss": hns.chan.PathlossModel(**dataclasses.asdict(got.pathloss))})
+            assert got.geometry.steps.tobytes() == fresh.geometry.steps.tobytes()
+            for name in ("beta_d", "beta_f", "beta_g"):
+                assert np.asarray(getattr(got.gains, name)).tobytes() == \
+                    np.asarray(getattr(fresh.gains, name)).tobytes(), name
+        assert swept.geometry.steps.shape == (4, 2) and swept.gains.beta_f.shape == (4,)
+        assert not np.array_equal(steeper.gains.beta_d, sc.gains.beta_d)
 
     def test_k_sweep_draws_on_the_configured_annulus(self, tmp_path):
         path = tmp_path / "sc.yaml"

@@ -474,6 +474,16 @@ class TestPopulationEta:
         eta2 = sns.population_eta(ch2, rcm, src, noise)
         assert eta2 == pytest.approx(eta, rel=1e-10)
 
+    def test_forms_the_equivalent_channels_once(self, monkeypatch):
+        calls = []
+        equivalent_channels = sns.equivalent_channels
+        monkeypatch.setattr(sns, "equivalent_channels",
+                            lambda *a: (calls.append(a), equivalent_channels(*a))[1])
+        ch = make_random_channelset(np.random.default_rng(3), n=4, m=3, k=2)
+        rcm = fixed_rcm(3, np.random.default_rng(4))
+        eta = sns.population_eta(ch, rcm, make_sources(2), make_noise())
+        assert len(calls) == 1
+        assert eta == sns.Whitening.of(ch, rcm, make_sources(2), make_noise()).eta
 
     def test_one_implementation(self):
         # the desk's first Rayleigh draw and its WMMSE coefficients: each entry point
