@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -203,7 +204,7 @@ CLOSED_FORMS = ("mf", "zf", "mmse")
 
 
 class CountTerms(NamedTuple):
-    """Kernel terms stacked over counts, and per count the error it raises when read."""
+    """Terms stacked over counts (kernel terms, or passive's excess), and errors by count."""
 
     terms: tuple
     errors: dict[int, Exception]  # position of the count -> its error
@@ -448,41 +449,25 @@ class BudgetResult:
 
 EXACT_SCAN_CAP = 256  # every integer element count is probed up to here
 LADDER_RATIO = 1.05
-BLOCK_COUNTS = 16  # ladder counts whose kernel terms a plan evaluates together,
-BLOCK_ENTRIES = 2**18  # fewer where their Grams would hold more entries than this
+BLOCK_COUNTS = 16  # counts in a plan's first block; each next block doubles while
+BLOCK_ENTRIES = 2**18  # building its terms takes at most this many entries
 
 
-def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1) -> list[int]:
-    """Element counts to scan: exhaustive up to ``cap``, geometric above.
+def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1):
+    """Element counts to scan, in order: exhaustive up to ``cap``, geometric above.
 
     Counts come in whole columns of m_v elements. The ladder is a fixed
     sequence truncated at m_top, so a larger budget always scans a superset
     of a smaller one and the best excess stays monotone in the budget.
     """
     top, cap = m_top // m_v, max(1, cap // m_v)
-    ms = list(range(1, min(top, cap) + 1))
+    yield from range(m_v, m_v * min(top, cap) + 1, m_v)
     m = cap
-    while m < top:
-        m = max(m + 1, int(round(m * LADDER_RATIO)))
-        if m <= top:
-            ms.append(m)
-    return [m_v * j for j in ms]
+    while (m := max(m + 1, int(round(m * LADDER_RATIO)))) <= top:
+        yield m_v * m
 
 
 INVERSION_GUARD = 1e-9  # budgets this close (relative) to the inverted one are scanned
-
-
-def _passive_blocks(ctx: ClosedFormContext, m_top: int):
-    """(counts, excess) of the aligned passive surface over whole columns up to m_top.
-
-    From the kernels, in growing blocks: a walk that stops early evaluates
-    few counts, and a long one holds at most 2^16 of them at a time.
-    """
-    start, size, top = 1, 256, m_top // ctx.m_v
-    while start <= top:
-        counts = ctx.m_v * np.arange(start, min(start + size, top + 1))
-        yield counts, passive_mf_eta(ctx, counts * 1.0)
-        start, size = start + size, min(2 * size, 2**16)
 
 
 def _least_budget_at(method: str, ctx: ClosedFormContext, m: int, terms, eta0: float,
@@ -523,13 +508,13 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     Bisection on the budget, from the scenario's bisect_p_high down to its
     stop_tol. A probe's excess is the best over the whole-column element
     counts its budget affords: on the ladder (``_m_ladder``) for active
-    surfaces, every count up to passive_m(p) for a passive one. The closed
-    forms and passive are inverted for p* on the array-factor kernels (the
-    README's planner notes): a probe beats eta_0 exactly when it lies above
-    p*. Probes within a guard band around p*, the end probes p_top and
-    p_low, and every wmmse probe (p* = inf) are scanned, each count's
-    excess evaluated as arrays over the plan's blocks of kernel terms. The
-    closed forms emit coefficients once, at p_top's best count.
+    surfaces, every count up to passive_m(p) for a passive one, each read
+    through the plan's one walk over them. The closed forms and passive are
+    inverted for p* on the array-factor kernels (the README's planner notes):
+    a probe beats eta_0 exactly when it lies above p*. Probes within a guard
+    band around p*, the end probes p_top and p_low, and every wmmse probe
+    (p* = inf) are scanned. The closed forms emit coefficients once, at
+    p_top's best count.
     """
     if method not in PLANNER_METHODS:
         raise ConfigError(f"the budget planner plans {', '.join(PLANNER_METHODS)}; "
@@ -554,44 +539,59 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         unit = Rcm(phi=np.ones(1), mode="passive-unit", a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=unit.sigma1_sq(scenario.noise()))
 
-    # p_high's ladder, in blocks of counts; wmmse's solves are dear, so its ladder is short
-    ladder = np.array([] if method == "passive" else _m_ladder(
-        m_top, 64 if method == "wmmse" else EXACT_SCAN_CAP, m_v), dtype=int)
-    size = max(1, min(BLOCK_COUNTS, BLOCK_ENTRIES // (k + 1) ** 2))
-    blocks: dict[int, CountTerms] = {}
+    # One walk over p_high's counts serves every method: every whole column for passive,
+    # else the ladder (short for wmmse, whose solves are dear and whose terms go unread).
+    # Its blocks double from BLOCK_COUNTS counts while building their terms takes at most
+    # BLOCK_ENTRIES entries, ``entries`` a count.
+    counts = _m_ladder(m_top, {"passive": m_top, "wmmse": 64}.get(method, EXACT_SCAN_CAP), m_v)
+    entries = (k + 1) ** 2 if method in ("zf", "mmse") else k + 1
+    blocks: list[np.ndarray] = []
+    kept: dict[int, CountTerms] = {}
 
-    def block(b: int) -> CountTerms:
-        """The kernel terms of the b-th block of ladder counts, evaluated once per plan."""
-        if b not in blocks:
-            blocks[b] = _kernel_terms(method, ctx, ladder[b * size:(b + 1) * size], a_max)
-        return blocks[b]
+    def walk(m_cap: int):
+        """(b, the counts up to m_cap of block b) for every block that holds one, in order."""
+        for b in itertools.count():
+            if b == len(blocks):
+                size = min(BLOCK_COUNTS << b, max(1, BLOCK_ENTRIES // entries))
+                blocks.append(np.fromiter(itertools.islice(counts, size), dtype=int))
+            if not blocks[b].size or blocks[b][0] > m_cap:
+                return
+            yield b, blocks[b][:np.searchsorted(blocks[b], m_cap, side="right")]
+
+    def terms(b: int) -> CountTerms:
+        """Block b's terms, built at its first read and kept while the kept terms hold at
+        most BLOCK_ENTRIES * BLOCK_COUNTS entries; past that, built again at every read."""
+        if b in kept:
+            return kept[b]
+        got = CountTerms((passive_mf_eta(ctx, blocks[b]),), {}) if method == "passive" \
+            else _kernel_terms(method, ctx, blocks[b], a_max)
+        if sum(np.size(t) for c in (*kept.values(), got) for t in c.terms) \
+                <= BLOCK_ENTRIES * BLOCK_COUNTS:
+            kept[b] = got
+        return got
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         """The first best (excess, count) budget p affords, and wmmse's coefficients."""
         best = (0.0, 0, None)
-        if method == "passive":
-            for counts, etas in _passive_blocks(ctx, power.passive_m(p)):
-                i = int(np.argmax(etas))
-                if etas[i] > best[0]:
-                    best = (float(etas[i]), int(counts[i]), None)
-            return best
-        ms = ladder[:np.searchsorted(ladder, power.m_max(p), side="right")]
-        p_out = power.p_out_budget(p, ms)
-        # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
-        live = np.flatnonzero((p_out > 0) & (ms >= (k + 1 if method == "zf" else 0)))
-        if method == "wmmse":
-            for m, p_m in zip(ms[live].tolist(), p_out[live].tolist()):
-                res = coefficients(method, scenario, m, p_m, init_phi=warm.get(m))
-                warm[m] = res.rcm.phi
-                if res.eta > best[0]:
-                    best = (res.eta, m, res.rcm)
-            return best
-        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        for b in range(lo // size, (hi + size - 1) // size):
-            i0, i1 = max(lo, b * size), min(hi, (b + 1) * size)
-            etas = _excess(method, ctx, ms[i0:i1],
-                           block(b).read(slice(i0 - b * size, i1 - b * size)),
-                           _over(p_out[i0:i1], p_in), a_max)[0]
+        for b, ms in walk(power.passive_m(p) if method == "passive" else power.m_max(p)):
+            if method == "passive":
+                etas, i0 = terms(b).terms[0][:ms.size], 0
+            else:
+                p_out = power.p_out_budget(p, ms)
+                # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
+                live = np.flatnonzero((p_out > 0) & (ms >= (k + 1 if method == "zf" else 0)))
+                if not live.size:
+                    continue
+                if method == "wmmse":
+                    for m, p_m in zip(ms[live].tolist(), p_out[live].tolist()):
+                        res = coefficients(method, scenario, m, p_m, init_phi=warm.get(m))
+                        warm[m] = res.rcm.phi
+                        if res.eta > best[0]:
+                            best = (res.eta, m, res.rcm)
+                    continue
+                i0, i1 = int(live[0]), int(live[-1]) + 1
+                etas = _excess(method, ctx, ms[i0:i1], terms(b).read(slice(i0, i1)),
+                               _over(p_out[i0:i1], p_in), a_max)[0]
             i = int(np.argmax(etas))
             if etas[i] > best[0]:
                 best = (float(etas[i]), int(ms[i0 + i]), None)
@@ -613,16 +613,16 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
 
     p_star = math.inf  # wmmse inverts nothing: every probe is scanned
     if method == "passive":
-        m_1 = next((int(counts[np.argmax(etas > eta0)]) for counts, etas
-                    in _passive_blocks(ctx, m_top) if np.any(etas > eta0)), math.inf)
+        above = ((ms, terms(b).terms[0] > eta0) for b, ms in walk(m_top))
+        m_1 = next((int(ms[np.argmax(up)]) for ms, up in above if up.any()), math.inf)
         p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
     elif method in CLOSED_FORMS:
-        for i, m in enumerate(ladder.tolist()):
+        for b, j, m in ((b, j, m) for b, ms in walk(m_top)
+                        for j, m in enumerate(ms.tolist())):
             if power.p_out_budget(min(p_star, p_high), m) <= 0:
                 break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
             if not (method == "zf" and m < k + 1):
-                p_star = min(p_star, _least_budget_at(method, ctx, m,
-                                                      block(i // size).read(i % size),
+                p_star = min(p_star, _least_budget_at(method, ctx, m, terms(b).read(j),
                                                       eta0, a_max))
 
     def beats(p: float) -> bool:

@@ -129,7 +129,6 @@ class ChannelSet:
     d: np.ndarray
     f: np.ndarray
     g_matrix: np.ndarray
-    gains: LinkGains
     los: LosFactors | None = None
 
     def __post_init__(self):
@@ -257,8 +256,7 @@ def build_los_channelset(sc) -> ChannelSet:
     gains, los = sc.gains, steering_factors(sc, int(sc.m_h), int(sc.m_v))
     f = np.sqrt(gains.beta_f)[:, np.newaxis] * los.a_f
     g = np.sqrt(gains.beta_g) * np.outer(los.a_su, los.b_ris.conj())
-    return ChannelSet(d=np.zeros((len(f), los.a_su.size), dtype=complex), f=f, g_matrix=g,
-                      gains=gains, los=los)
+    return ChannelSet(d=np.zeros((len(f), los.a_su.size), dtype=complex), f=f, g_matrix=g, los=los)
 
 
 def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
@@ -273,4 +271,4 @@ def sample_rayleigh_channelset(sc, rng_seed: int) -> ChannelSet:
     d = [sample_cn(rng, gains.beta_d[i], n) for i in range(k + 1)]
     f = [sample_cn(rng, gains.beta_f[i], m) for i in range(k + 1)]
     g = sample_cn(rng, gains.beta_g, (n, m))
-    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains)  # stacked in order, one row per draw
+    return ChannelSet(d=d, f=f, g_matrix=g)  # stacked in order, one row per draw

@@ -28,7 +28,7 @@ from scipy.special import airy
 from risense import budget as bdg
 from risense import sensing
 from risense.budget import ClosedFormContext
-from risense.channel import (ChannelSet, LinkGains, LosFactors, sample_rayleigh_channelset,
+from risense.channel import (ChannelSet, LosFactors, sample_rayleigh_channelset,
                              steering_vector_ula)
 from risense.errors import InfeasibleError, NumericalError
 from risense.optimizer import QcqpInstance
@@ -83,9 +83,7 @@ def make_random_channelset(rng: np.random.Generator, n: int, m: int, k: int,
     d = tuple(cn(n, beta) if direct else np.zeros(n, dtype=complex) for _ in range(k + 1))
     f = tuple(cn(m, beta) for _ in range(k + 1))
     g = cn((n, m), beta)
-    gains = LinkGains(beta_d=np.full(k + 1, beta if direct else 0.0),
-                      beta_f=np.full(k + 1, beta), beta_g=beta)
-    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains)
+    return ChannelSet(d=d, f=f, g_matrix=g)
 
 
 def make_los_channelset(rng: np.random.Generator, n: int, m: int, k: int,
@@ -98,9 +96,7 @@ def make_los_channelset(rng: np.random.Generator, n: int, m: int, k: int,
     f = tuple(np.sqrt(beta_f) * v for v in a_f)
     g = np.sqrt(beta_g) * np.outer(a_su, b_ris.conj())
     d = tuple(np.zeros(n, dtype=complex) for _ in range(k + 1))
-    gains = LinkGains(beta_d=np.zeros(k + 1), beta_f=np.full(k + 1, beta_f), beta_g=beta_g)
-    return ChannelSet(d=d, f=f, g_matrix=g, gains=gains,
-                      los=LosFactors(a_su=a_su, b_ris=b_ris, a_f=a_f))
+    return ChannelSet(d=d, f=f, g_matrix=g, los=LosFactors(a_su=a_su, b_ris=b_ris, a_f=a_f))
 
 
 def batch_population_eta(phis: np.ndarray, channels: ChannelSet, sources: SourceModel,

@@ -142,17 +142,17 @@ def test_criterion_05_wmmse_optimality():
         lines.append(f"grid M={m}: gap {gap:.3%}")
     # (b) interference-free LoS instances against the closed form
     for trial in range(3):
-        n, m = 8, 2 + 2 * trial
-        ch = make_los_channelset(rng, n=n, m=m, k=0, beta_f=0.5, beta_g=0.8)
+        n, m, bf, bg = 8, 2 + 2 * trial, 0.5, 0.8
+        ch = make_los_channelset(rng, n=n, m=m, k=0, beta_f=bf, beta_g=bg)
         src, noise = make_sources(0), make_noise(sigma1_sq=0.02, sigma2_sq=0.1)
         p_out = float(rng.uniform(0.2, 0.6))
         res = opt.wmmse_active(ch, src, noise, p_out, a_max=1e3)
-        p_in = src.p[0] * ch.gains.beta_f[0] + noise.sigma1_sq
+        p_in = src.p[0] * bf + noise.sigma1_sq
         a = np.sqrt(p_out / (m * p_in))
 
         class Ctx:
-            n_antennas, beta_g = n, ch.gains.beta_g
-            beta_f, p = ch.gains.beta_f, src.p
+            n_antennas, beta_g = n, bg
+            beta_f, p = (bf,), src.p
             sigma1_sq, sigma2_sq = noise.sigma1_sq, noise.sigma2_sq
 
         eta_cf = eta_active_no_interference(Ctx, n, m, a)
@@ -168,8 +168,8 @@ def test_criterion_06_algebraic_identity_suite():
     for _ in range(100):
         k = int(rng.integers(1, 4))
         m = int(rng.integers(2, 7))
-        n = int(rng.integers(3, 9))
-        ch = make_los_channelset(rng, n=n, m=m, k=k)
+        n, bg = int(rng.integers(3, 9)), 1.0
+        ch = make_los_channelset(rng, n=n, m=m, k=k, beta_g=bg)
         src = make_sources(k, zeta=float(rng.uniform(0.2, 1.0)))
         noise = make_noise(sigma1_sq=float(rng.uniform(0.001, 0.1)),
                            sigma2_sq=float(rng.uniform(0.05, 0.5)))
@@ -187,8 +187,8 @@ def test_criterion_06_algebraic_identity_suite():
         eta_p4 = src.p[0] / noise.sigma2_sq * np.real(
             gf0.conj() @ np.linalg.solve(core, gf0))
         b = ch.los.b_ris
-        num = n * ch.gains.beta_g * abs(b.conj() @ phi_m @ ch.f[0]) ** 2
-        den = 1.0 + n * ch.gains.beta_g * np.real(
+        num = n * bg * abs(b.conj() @ phi_m @ ch.f[0]) ** 2
+        den = 1.0 + n * bg * np.real(
             b.conj() @ phi_m @ d_mat @ phi_m.conj().T @ b)
         eta_rational = src.p[0] / noise.sigma2_sq * num / den
         scale = max(abs(eta_pop), 1e-300)

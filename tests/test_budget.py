@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import signal
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +41,7 @@ def make_ctx_and_channels(rng, n, m, k, beta_f=1.0, beta_g=1.0, sigma1_sq=0.01,
     f = tuple(np.sqrt(beta_f) * v for v in a_f)
     g = np.sqrt(beta_g) * np.outer(a_su, b_g.conj())
     d = tuple(np.zeros(n, dtype=complex) for _ in range(k + 1))
-    gains = chan.LinkGains(beta_d=np.zeros(k + 1), beta_f=np.full(k + 1, beta_f),
-                           beta_g=beta_g)
-    cs = chan.ChannelSet(d=d, f=f, g_matrix=g, gains=gains,
-                         los=chan.LosFactors(a_su=a_su, b_ris=b_g, a_f=a_f))
+    cs = chan.ChannelSet(d=d, f=f, g_matrix=g, los=chan.LosFactors(a_su=a_su, b_ris=b_g, a_f=a_f))
     return ctx, cs
 
 
@@ -488,7 +487,7 @@ class TestContextPrefix:
         # so the first m entries of the top count's factors are the m-element
         # factors, bit for bit: the kernels of one context describe every count
         sc = budget_scenario(k=3, m_h=8, m_v=m_v)
-        ladder = bdg._m_ladder(1500, m_v=m_v)
+        ladder = list(bdg._m_ladder(1500, m_v=m_v))
         assert all(m % m_v == 0 for m in ladder)
         top = chan.steering_factors(sc, ladder[-1] // m_v, m_v)
         for m in ladder:
@@ -504,10 +503,10 @@ class TestContextPrefix:
                 bdg.coefficients("mf", sc, m, 1.0)
 
     def test_ladder_at_one_row_is_unchanged(self):
-        ladder = bdg._m_ladder(2000)
+        ladder = list(bdg._m_ladder(2000))
         assert ladder[:256] == list(range(1, 257))
         assert ladder[256:259] == [269, 282, 296]
-        assert bdg._m_ladder(2000, m_v=2)[:3] == [2, 4, 6]
+        assert list(bdg._m_ladder(2000, m_v=2))[:3] == [2, 4, 6]
 
 
 def kernel_scenario(m_v: int) -> ScenarioConfig:
@@ -772,7 +771,7 @@ class TestCountBlocks:
             for m_v in (1, 2)]
         for sc in cells:
             ctx = bdg.ClosedFormContext.from_scenario(sc)
-            ladder = np.array(bdg._m_ladder(8000, m_v=sc.m_v))
+            ladder = np.array(list(bdg._m_ladder(8000, m_v=sc.m_v)))
             for block in (ladder[:16], ladder[-16:]):
                 # power ratios on both sides of every amplitude cap, and the cap itself
                 ratios = [block * sc.a_max**2 * np.geomspace(lo, 1e2 * lo, len(block))
@@ -850,3 +849,75 @@ class TestCountBlocks:
         with pytest.raises(InfeasibleError, match="unreachable with budget 0.01 W"):
             bdg.required_budget("mmse", 0.9, sc)
         assert len(entries) >= 24 and max(entries) <= bdg.BLOCK_ENTRIES
+
+
+def plan_bytes(res: bdg.BudgetResult) -> tuple:
+    """Every field of a plan: floats by their hex, the coefficients by their bytes."""
+    rcm = res.phi_star
+    return (res.method, res.required_power.hex(), res.m_star, res.eta_star.hex(),
+            res.eta_target.hex(), rcm.phi.tobytes(), rcm.mode, rcm.a_max, rcm.p_out_budget,
+            tuple((p.hex(), eta.hex()) for p, eta in res.probes), res.note)
+
+
+def kernel_counts(monkeypatch) -> list[np.ndarray]:
+    """Records the counts of every kernel_quad_d call: mf and passive terms read the kernels."""
+    calls = []
+    quad = bdg.ClosedFormContext.kernel_quad_d
+    monkeypatch.setattr(bdg.ClosedFormContext, "kernel_quad_d", lambda self, m: (
+        calls.append(np.atleast_1d(m)), quad(self, m))[1])
+    return calls
+
+
+class TestCountWalk:
+    """One lazily drawn walk serves every method: blocks within the entry cap, each count
+    evaluated once, and the kept terms within BLOCK_ENTRIES * BLOCK_COUNTS entries."""
+
+    def test_passive_blocks_stay_within_the_entry_cap(self, monkeypatch):
+        # 400 interferers at 1e9 W: 0.3 W affords 2,999 passive elements, none enough
+        los = load_scenario(str(LOS_BUDGET))
+        sc = dataclasses.replace(_swept_scenario(_swept_scenario(los, "k", 400), "p", 1e9),
+                                 bisect_p_high=0.3)
+        calls = kernel_counts(monkeypatch)
+        with pytest.raises(InfeasibleError, match="unreachable with budget 0.3 W"):
+            bdg.required_budget("passive", 0.9, sc)
+        # every count once, across the p* walk and the scan at p_high, in blocks of at
+        # most BLOCK_ENTRIES array-factor entries (K a count)
+        assert np.concatenate(calls).tolist() == list(range(1, 3000))
+        assert max(m.size * 400 for m in calls) <= bdg.BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("method", ["passive", "mf"])
+    def test_no_count_is_evaluated_twice(self, monkeypatch, method):
+        sc = load_scenario(str(LOS_BUDGET))
+        calls = kernel_counts(monkeypatch)
+        res = bdg.required_budget(method, sc.pd_target, sc)
+        counts = np.concatenate(calls).tolist()
+        counts.remove(res.m_star)  # the emission's coefficients evaluate m_star once more
+        assert len(counts) == len(set(counts)) and res.m_star in counts
+
+    def test_the_kept_terms_stay_within_their_bound(self, monkeypatch):
+        # a bound of 40 entries keeps 40 counts of mf or passive terms, 5 of zf's (K + 3
+        # entries a count) and 1 of mmse's ((K + 1)^2); the plans are the same bit for bit
+        sc = load_scenario(str(LOS_BUDGET))
+        want = {method: plan_bytes(bdg.required_budget(method, sc.pd_target, sc))
+                for method in (*bdg.CLOSED_FORMS, "passive")}
+        monkeypatch.setattr(bdg, "BLOCK_COUNTS", 1)
+        monkeypatch.setattr(bdg, "BLOCK_ENTRIES", 40)
+        kernel_terms, alive, held, firsts = bdg._kernel_terms, [], [], []
+
+        def terms(method, ctx, ms, a_max):
+            # a closed-form plan holds no terms between reads: what lives at a build, cycles
+            # collected (brentq keeps its last function in one), is what the plan kept
+            gc.collect()
+            held.append(sum(t().size for t in alive if t() is not None))
+            firsts.append((method, int(ms[0])))
+            got = kernel_terms(method, ctx, ms, a_max)
+            alive.extend(weakref.ref(t) for t in got.terms)
+            return got
+
+        monkeypatch.setattr(bdg, "_kernel_terms", terms)
+        for method, plan in want.items():
+            alive.clear()
+            assert plan_bytes(bdg.required_budget(method, sc.pd_target, sc)) == plan, method
+        assert held and max(held) <= 40
+        # zf and mmse drop blocks past the bound and build them again at their next read
+        assert {m for m, _ in firsts if firsts.count((m, _)) > 1} == {"zf", "mmse"}

@@ -101,15 +101,17 @@ class TestLosChannelset:
         assert s[1] <= 1e-12 * s[0]
 
     def test_g_reconstructed_from_factors_bitwise(self):
-        cs = chan.build_los_channelset(los_scenario(k=2))
-        rebuilt = np.sqrt(cs.gains.beta_g) * np.outer(cs.los.a_su, cs.los.b_ris.conj())
+        sc = los_scenario(k=2)
+        cs = chan.build_los_channelset(sc)
+        rebuilt = np.sqrt(sc.gains.beta_g) * np.outer(cs.los.a_su, cs.los.b_ris.conj())
         assert np.array_equal(rebuilt, cs.g_matrix)
 
     def test_norms_match_gains(self):
-        cs = chan.build_los_channelset(los_scenario(n=8, m=4))
-        assert np.linalg.norm(cs.f[0]) ** 2 == pytest.approx(4 * cs.gains.beta_f[0], rel=1e-12)
+        sc = los_scenario(n=8, m=4)
+        cs = chan.build_los_channelset(sc)
+        assert np.linalg.norm(cs.f[0]) ** 2 == pytest.approx(4 * sc.gains.beta_f[0], rel=1e-12)
         assert np.linalg.norm(cs.g_matrix, "fro") ** 2 == pytest.approx(
-            8 * 4 * cs.gains.beta_g, rel=1e-12)
+            8 * 4 * sc.gains.beta_g, rel=1e-12)
 
     def test_direct_links_are_zero(self):
         cs = chan.build_los_channelset(los_scenario(k=1))

@@ -412,17 +412,17 @@ class TestUnitModulusStep:
 
 class TestWmmseActive:
     def test_matches_closed_form_on_interference_free_los(self, rng):
-        n, m = 8, 4
-        ch = make_los_channelset(rng, n=n, m=m, k=0, beta_f=0.5, beta_g=0.8)
+        n, m, bf, bg = 8, 4, 0.5, 0.8
+        ch = make_los_channelset(rng, n=n, m=m, k=0, beta_f=bf, beta_g=bg)
         src, noise = make_sources(0), make_noise(sigma1_sq=0.02, sigma2_sq=0.1)
         p_out = 0.4
         res = opt.wmmse_active(ch, src, noise, p_out, a_max=1e3)
-        p_in = src.p[0] * ch.gains.beta_f[0] + noise.sigma1_sq
+        p_in = src.p[0] * bf + noise.sigma1_sq
         a = np.sqrt(p_out / (m * p_in))
 
         class Ctx:
-            n_antennas, beta_g = n, ch.gains.beta_g
-            beta_f = ch.gains.beta_f
+            n_antennas, beta_g = n, bg
+            beta_f = (bf,)
             p = src.p
             sigma1_sq, sigma2_sq = noise.sigma1_sq, noise.sigma2_sq
 

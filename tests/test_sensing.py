@@ -444,12 +444,12 @@ class TestPopulationEta:
     def test_rational_form_consistency(self, rng):
         # no-direct-link LoS instances: eta equals the rank-one rational form
         for _ in range(20):
-            ch = make_los_channelset(rng, n=4, m=3, k=2)
+            n, bg = 4, 1.0
+            ch = make_los_channelset(rng, n=n, m=3, k=2, beta_g=bg)
             src, noise = make_sources(2, zeta=0.8), make_noise()
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             rcm = Rcm(phi=phi, mode="active", a_max=np.inf)
             eta = sns.population_eta(ch, rcm, src, noise)
-            n, bg = 4, ch.gains.beta_g
             b, f0 = ch.los.b_ris, ch.f[0]
             d = noise.sigma1_sq * np.eye(3, dtype=complex)
             for k in (1, 2):
