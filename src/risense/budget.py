@@ -214,7 +214,8 @@ class CountTerms(NamedTuple):
         span = range(len(self.terms[0]))[at] if isinstance(at, slice) else (at,)
         if errors := [self.errors[i] for i in span if i in self.errors]:
             raise errors[0]
-        return tuple(t[at] for t in self.terms)
+        # one count's terms are copies: what holds them (brentq's last callable) holds no block
+        return tuple(t[at] if isinstance(at, slice) else t[at].copy() for t in self.terms)
 
 
 def _kernel_terms(method: str, ctx: ClosedFormContext, ms, a_max: float) -> CountTerms:
@@ -461,10 +462,12 @@ def _m_ladder(m_top: int, cap: int = EXACT_SCAN_CAP, m_v: int = 1):
     of a smaller one and the best excess stays monotone in the budget.
     """
     top, cap = m_top // m_v, max(1, cap // m_v)
-    yield from range(m_v, m_v * min(top, cap) + 1, m_v)
-    m = cap
-    while (m := max(m + 1, int(round(m * LADDER_RATIO)))) <= top:
-        yield m_v * m
+
+    def above(m: int = cap):  # the rungs past cap; the run below stays a range, drawn in C
+        while (m := max(m + 1, int(round(m * LADDER_RATIO)))) <= top:
+            yield m_v * m
+
+    return itertools.chain(range(m_v, m_v * min(top, cap) + 1, m_v), above())
 
 
 INVERSION_GUARD = 1e-9  # budgets this close (relative) to the inverted one are scanned
@@ -539,32 +542,29 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         unit = Rcm(phi=np.ones(1), mode="passive-unit", a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=unit.sigma1_sq(scenario.noise()))
 
-    # One walk over p_high's counts serves every method: every whole column for passive,
-    # else the ladder (short for wmmse, whose solves are dear and whose terms go unread).
-    # Its blocks double from BLOCK_COUNTS counts while building their terms takes at most
-    # BLOCK_ENTRIES entries, ``entries`` a count.
-    counts = _m_ladder(m_top, {"passive": m_top, "wmmse": 64}.get(method, EXACT_SCAN_CAP), m_v)
+    # One walk over p_high's counts serves every method: every whole column for passive, else
+    # the ladder (short for wmmse: its solves are dear, its terms unread). Its blocks double
+    # from BLOCK_COUNTS counts while their terms take at most BLOCK_ENTRIES, ``entries`` a count.
     entries = (k + 1) ** 2 if method in ("zf", "mmse") else k + 1
-    blocks: list[np.ndarray] = []
     kept: dict[int, CountTerms] = {}
 
     def walk(m_cap: int):
-        """(b, the counts up to m_cap of block b) for every block that holds one, in order."""
+        """(b, block b's counts, those up to m_cap) per block that holds one, drawn afresh."""
+        counts = _m_ladder(m_top, {"passive": m_top, "wmmse": 64}.get(method, EXACT_SCAN_CAP), m_v)
         for b in itertools.count():
-            if b == len(blocks):
-                size = min(BLOCK_COUNTS << b, max(1, BLOCK_ENTRIES // entries))
-                blocks.append(np.fromiter(itertools.islice(counts, size), dtype=int))
-            if not blocks[b].size or blocks[b][0] > m_cap:
+            size = min(BLOCK_COUNTS << b, max(1, BLOCK_ENTRIES // entries))
+            block = np.fromiter(itertools.islice(counts, size), dtype=int)
+            if not block.size or block[0] > m_cap:
                 return
-            yield b, blocks[b][:np.searchsorted(blocks[b], m_cap, side="right")]
+            yield b, block, block[:np.searchsorted(block, m_cap, side="right")]
 
-    def terms(b: int) -> CountTerms:
+    def terms(b: int, block: np.ndarray) -> CountTerms:
         """Block b's terms, built at its first read and kept while the kept terms hold at
         most BLOCK_ENTRIES * BLOCK_COUNTS entries; past that, built again at every read."""
         if b in kept:
             return kept[b]
-        got = CountTerms((passive_mf_eta(ctx, blocks[b]),), {}) if method == "passive" \
-            else _kernel_terms(method, ctx, blocks[b], a_max)
+        got = CountTerms((passive_mf_eta(ctx, block),), {}) if method == "passive" \
+            else _kernel_terms(method, ctx, block, a_max)
         if sum(np.size(t) for c in (*kept.values(), got) for t in c.terms) \
                 <= BLOCK_ENTRIES * BLOCK_COUNTS:
             kept[b] = got
@@ -573,9 +573,9 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         """The first best (excess, count) budget p affords, and wmmse's coefficients."""
         best = (0.0, 0, None)
-        for b, ms in walk(power.passive_m(p) if method == "passive" else power.m_max(p)):
+        for b, block, ms in walk(power.passive_m(p) if method == "passive" else power.m_max(p)):
             if method == "passive":
-                etas, i0 = terms(b).terms[0][:ms.size], 0
+                etas, i0 = terms(b, block).terms[0][:ms.size], 0
             else:
                 p_out = power.p_out_budget(p, ms)
                 # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
@@ -590,7 +590,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
                             best = (res.eta, m, res.rcm)
                     continue
                 i0, i1 = int(live[0]), int(live[-1]) + 1
-                etas = _excess(method, ctx, ms[i0:i1], terms(b).read(slice(i0, i1)),
+                etas = _excess(method, ctx, ms[i0:i1], terms(b, block).read(slice(i0, i1)),
                                _over(p_out[i0:i1], p_in), a_max)[0]
             i = int(np.argmax(etas))
             if etas[i] > best[0]:
@@ -613,16 +613,16 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
 
     p_star = math.inf  # wmmse inverts nothing: every probe is scanned
     if method == "passive":
-        above = ((ms, terms(b).terms[0] > eta0) for b, ms in walk(m_top))
-        m_1 = next((int(ms[np.argmax(up)]) for ms, up in above if up.any()), math.inf)
+        above = ((block, terms(b, block).terms[0] > eta0) for b, block, _ in walk(m_top))
+        m_1 = next((int(block[np.argmax(up)]) for block, up in above if up.any()), math.inf)
         p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
     elif method in CLOSED_FORMS:
-        for b, j, m in ((b, j, m) for b, ms in walk(m_top)
-                        for j, m in enumerate(ms.tolist())):
+        for b, block, j, m in ((b, block, j, m) for b, block, _ in walk(m_top)
+                               for j, m in enumerate(block.tolist())):
             if power.p_out_budget(min(p_star, p_high), m) <= 0:
                 break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
             if not (method == "zf" and m < k + 1):
-                p_star = min(p_star, _least_budget_at(method, ctx, m, terms(b).read(j),
+                p_star = min(p_star, _least_budget_at(method, ctx, m, terms(b, block).read(j),
                                                       eta0, a_max))
 
     def beats(p: float) -> bool:

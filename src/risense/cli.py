@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: threshold, optimize, simulate, sweep, budget. Exit codes:
-0 success, 2 configuration error, 3 infeasible target, 4 numerical failure;
-1 when standard output closes before the command is done.
+0 success, 2 configuration error (an --out path that cannot be written
+too), 3 infeasible target, 4 numerical failure or out of memory; 1 when
+standard output closes before the command is done.
 """
 
 from __future__ import annotations
@@ -79,11 +80,16 @@ def _scenario(args) -> hns.ScenarioConfig:
 
 
 def _emit(rows, args) -> None:
-    if args.out:
-        hns.emit_results(rows, args.out, args.format or "csv")
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(hns.render_results(rows, args.format or "csv"))
+    text = hns.render_results(rows, args.format or "csv")
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {args.out}: {exc}") from exc
+    print(f"wrote {len(rows)} rows to {args.out}")
 
 
 def cmd_threshold(args) -> int:
@@ -212,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 4
 
 

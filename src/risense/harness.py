@@ -522,10 +522,3 @@ def render_results(rows: Sequence[ResultRow], fmt: str = "csv") -> str:
     if fmt == "json":
         return json.dumps(dicts, indent=2) + "\n"
     raise ConfigError(f"format must be csv or json, got {fmt!r}")
-
-
-def emit_results(rows: Sequence[ResultRow], path: str, fmt: str = "csv") -> None:
-    """Write rows to a file (deterministic bytes for identical rows)."""
-    text = render_results(rows, fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -1,7 +1,7 @@
 import dataclasses
-import gc
 import math
 import signal
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -905,9 +905,8 @@ class TestCountWalk:
         kernel_terms, alive, held, firsts = bdg._kernel_terms, [], [], []
 
         def terms(method, ctx, ms, a_max):
-            # a closed-form plan holds no terms between reads: what lives at a build, cycles
-            # collected (brentq keeps its last function in one), is what the plan kept
-            gc.collect()
+            # a closed-form plan holds no terms between reads: what lives at a build is what
+            # the plan kept
             held.append(sum(t().size for t in alive if t() is not None))
             firsts.append((method, int(ms[0])))
             got = kernel_terms(method, ctx, ms, a_max)
@@ -921,3 +920,19 @@ class TestCountWalk:
         assert held and max(held) <= 40
         # zf and mmse drop blocks past the bound and build them again at their next read
         assert {m for m, _ in firsts if firsts.count((m, _)) > 1} == {"zf", "mmse"}
+
+    def test_a_plan_of_a_million_counts_keeps_no_counts(self, monkeypatch):
+        # p_c = 1 uW affords 10^6 passive elements at 1 W, none enough against interferers
+        # at 1e22 W; 2^12 entries make blocks of 682 counts and keep at most 2^16 excesses
+        sc = dataclasses.replace(load_scenario(str(LOS_BUDGET)), p_c_w=1e-6,
+                                 bisect_p_high=1.0, p_w=(1.0,) + (1e22,) * 5)
+        monkeypatch.setattr(bdg, "BLOCK_ENTRIES", 2**12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError, match="unreachable with budget 1.0 W"):
+                bdg.required_budget("passive", 0.9, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kept excesses take 0.5 MB; kept counts would take 8 MB more
+        assert peak < 3 * 2**20

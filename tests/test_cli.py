@@ -159,6 +159,44 @@ class TestExitCodes:
         assert code == 4
         assert f"numerical failure: QCQP subproblem: {loop} did not converge" in err
 
+    @pytest.mark.parametrize("edit, argv, code, message", [
+        ("  m_h: 0", ["simulate"], 2, "configuration error: invalid scenario:\n"
+         "  - array dimensions must be >= 1\n"),
+        ("  channel_model: bogus", ["simulate"], 2, "configuration error: invalid scenario:\n"
+         "  - channel_model must be 'rayleigh' or 'los'\n"),
+        ("  budget_dbm: -5", ["simulate"], 3, "infeasible: the budget leaves -0.00634342 W "
+         "of output power for 16 active elements\n"),
+        ("  budget_dbm: -10", ["sweep", "--sweep", "m"], 3,
+         "infeasible: budget cannot power a single active element\n")])
+    def test_a_one_edit_desk_exits_as_documented(self, tmp_path, edit, argv, code, message):
+        text = (ROOT / "configs" / "desk.yaml").read_text()
+        key = edit.split(":")[0] + ":"
+        old = next(line for line in text.splitlines() if line.startswith(key))
+        cfg = write_config(tmp_path, text.replace(old + "\n", edit + "\n"))
+        assert run_cli([*argv, "--config", cfg, "--trials", "1"]) == (code, message)
+
+    @pytest.mark.parametrize("out", ["no/such/dir/plan.csv", "."])
+    def test_an_unwritable_out_path_exits_2(self, tmp_path, out):
+        # a missing directory, and a directory as the path
+        path = str(tmp_path / out)
+        code, err = run_cli(["budget", "--config", LOS_BUDGET, "--method", "mf", "--out", path])
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith(f"configuration error: cannot write results to {path}: [Errno ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 16.0 MiB for an array with shape (1001, 1001, 2) "
+                     "and data type complex128"),
+         "out of memory: Unable to allocate 16.0 MiB for an array with shape (1001, 1001, 2) "
+         "and data type complex128\n"),
+        (MemoryError(), "out of memory: an allocation failed\n")])
+    def test_running_out_of_memory_exits_4(self, monkeypatch, exc, message):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_hypotheses_mc", exhausted)
+        assert run_cli(["simulate", "--config", LOS_BUDGET, "--trials", "1"]) == (4, message)
+
     def test_bad_config_file(self):
         assert cli.main(["simulate", "--config", "/does/not/exist.yaml"]) == 2
 
@@ -514,6 +552,26 @@ class TestGoldenRows:
                          "0,1,5,20,50", "--methods", "mf,mmse,zf,passive",
                          "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "sweep_k_los.csv").read_bytes()
+
+    @pytest.mark.parametrize("sweep, values", [("p", "0.001,1,1000,1e6"), ("zeta", "0,0.5,1")])
+    def test_budget_sweeps_of_the_interferers(self, tmp_path, sweep, values):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", LOS_BUDGET, "--sweep", sweep, "--values", values,
+                         "--methods", "mf,mmse,zf,passive", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"sweep_{sweep}_los.csv").read_bytes()
+
+    def test_the_passive_surface_wins_only_under_strong_interferers(self):
+        # the paper's crossover, read from the p-sweep golden: at 0.001 and 1 W every
+        # active surface needs less power than the passive one, at 1000 W and 1e6 W more
+        need: dict[float, dict[str, float]] = {}
+        for row in csv.DictReader((GOLDEN / "sweep_p_los.csv").open()):
+            need.setdefault(float(row["sweep_value"]), {})[row["method"]] = \
+                float(row["required_budget_w"])
+        assert sorted(need) == [0.001, 1.0, 1000.0, 1e6]
+        for p, budgets in need.items():
+            passive = budgets.pop("passive")
+            assert sorted(budgets) == ["mf", "mmse", "zf"]
+            assert all((active < passive) == (p <= 1) for active in budgets.values()), p
 
     def test_passive_plans_under_strong_interference(self, tmp_path):
         # the passive excess falls at some counts once the interferers are

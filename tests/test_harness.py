@@ -554,8 +554,8 @@ class TestResultRows:
     def test_determinism_bytes(self, tmp_path):
         rows = [hns.ResultRow(experiment="e", method="mf", pd_emp=0.5, trials=1, seed=0)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        hns.emit_results(rows, str(p1), "csv")
-        hns.emit_results(rows, str(p2), "csv")
+        p1.write_text(hns.render_results(rows, "csv"), encoding="utf-8", newline="")
+        p2.write_text(hns.render_results(rows, "csv"), encoding="utf-8", newline="")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_format_rejected(self):
