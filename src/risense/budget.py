@@ -8,6 +8,8 @@ method table that simulate, optimize and the planner share.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -176,6 +178,28 @@ class ClosedFormContext:
                     for psi, n in zip(self.steps.T, (m // self.m_v, self.m_v)))
         return a_h.T @ ((coef * np.sqrt(self.beta_f))[:, None] * a_v)
 
+    def steering_peaks(self, ms, coef: np.ndarray) -> np.ndarray:
+        """max |sum_k coef[i, k] f_k| over the first ms[i] elements, for each count of ms.
+
+        One product of the horizontal factors with the counts' vertical sums per
+        stack of counts whose sums take at most BLOCK_ENTRIES entries (or one
+        count); rows past a count's columns are masked, so each count's peak is
+        that of the count alone.
+        """
+        n_h = np.asarray(ms) // self.m_v
+        psi_h, psi_v = self.steps.T
+        sums = (coef * np.sqrt(self.beta_f))[..., None] * np.exp(-1j * psi_v[:, None]
+                                                                 * np.arange(self.m_v))
+        size = max(1, BLOCK_ENTRIES // (self.m_v * int(n_h.max(initial=1))))
+        peaks = np.empty(n_h.size)
+        for s in range(0, n_h.size, size):
+            rows = np.arange(n_h[s:s + size].max())
+            # rows by sources in C order: an entry rounds alike in any stack (TestCountBlocks)
+            a_h = np.exp(-1j * psi_h * rows[:, None])
+            peaks[s:s + size] = np.max(np.abs(a_h @ sums[s:s + size]), axis=(1, 2), initial=0.0,
+                                       where=(rows < n_h[s:s + size, None])[..., None])
+        return peaks
+
 
 def mf_phases(b_g: np.ndarray, a_f: np.ndarray) -> np.ndarray:
     """Phases aligning every reflected path: theta_m = arg(b_g_m) - arg(a_f_m)."""
@@ -247,7 +271,7 @@ def _kernel_terms(method: str, ctx: ClosedFormContext, ms, a_max: float) -> Coun
     coef = np.full(gram.shape[:-1], np.nan, dtype=complex)
     coef[ok] = np.linalg.solve(gram[ok], np.eye(k1)[:, :1])[..., 0]  # (Q^H Q)^-1 e_1
     peak = np.full(len(ms), np.nan)  # max |w_i|, as |b_g| = 1
-    peak[ok] = [np.max(np.abs(ctx.steering_sum(m, c))) for m, c in zip(ms[ok].tolist(), coef[ok])]
+    peak[ok] = ctx.steering_peaks(ms[ok], coef[ok])
     norm_w_sq = np.real(coef[:, 0])  # the cap squares by pow, as _excess does
     return CountTerms((norm_w_sq, a_max**2 * norm_w_sq / np.float_power(peak, 2), coef), errors)
 
@@ -288,28 +312,30 @@ def _excess(method: str, ctx: ClosedFormContext, m, terms, ratio, a_max: float):
 
 
 def mf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
-           p_out: float) -> ClosedForm:
+           p_out: float, terms: tuple | None = None) -> ClosedForm:
     """Signal-aligned coefficients phi = a B^H a_f[0] with the budget-filling a.
 
-    ``los`` are the m-element LoS factors of the context's scenario.
+    ``los`` are the m-element LoS factors of the context's scenario; ``terms``
+    the count's kernel terms (``CountTerms.read``), else built here.
     """
     m = los.b_ris.size
-    eta, a = _excess("mf", ctx, m, _kernel_terms("mf", ctx, [m], a_max).read(0),
-                     _over(p_out, ctx.p_in_bar), a_max)
+    terms = _kernel_terms("mf", ctx, [m], a_max).read(0) if terms is None else terms
+    eta, a = _excess("mf", ctx, m, terms, _over(p_out, ctx.p_in_bar), a_max)
     # diag(Phi): theta_m = arg(b_g_m) - arg(a_f_m)
     return ClosedForm(phi=a * los.b_ris * los.a_f[0].conj(), eta=float(eta))
 
 
 def zf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
-           p_out: float) -> ClosedForm:
+           p_out: float, terms: tuple | None = None) -> ClosedForm:
     """Interference-nulling coefficients.
 
     phi = sqrt(rho2) w / ||w|| with w = Q (Q^H Q)^-1 e_1 the first column,
     Q = [q_0 ... q_K]; every interferer direction q_k is nulled exactly.
-    ``los`` are the m-element LoS factors; needs m >= K+1 (a ConfigError).
+    ``los`` are the m-element LoS factors, ``terms`` as for ``mf_phi``; needs
+    m >= K+1 (a ConfigError).
     """
     m = los.b_ris.size
-    terms = _kernel_terms("zf", ctx, [m], a_max).read(0)
+    terms = _kernel_terms("zf", ctx, [m], a_max).read(0) if terms is None else terms
     eta, rho2 = _excess("zf", ctx, m, terms, _over(p_out, ctx.p_in_bar), a_max)
     w = los.b_ris.conj() * ctx.steering_sum(m, terms[2]).ravel()
     # phi above is the diagonal of Phi^H; return diag(Phi)
@@ -317,18 +343,18 @@ def zf_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
 
 
 def mmse_phi(ctx: ClosedFormContext, los: chan.LosFactors, a_max: float,
-             p_out: float) -> ClosedForm:
+             p_out: float, terms: tuple | None = None) -> ClosedForm:
     """Balanced (MMSE-style) coefficients under the relaxed norm-ball cap.
 
     phi = (I/rho1 + N beta_g B^H D B)^-1 B^H f_0 scaled onto the ball
     ||phi||^2 = rho1 = min(p_out / p_in, m a_max^2), where the excess is the
     relaxed-problem optimum and upper-bounds every feasible configuration.
     Per-element cap violations are reported, not repaired. ``los`` are the
-    m-element LoS factors.
+    m-element LoS factors, ``terms`` as for ``mf_phi``.
     """
     m = los.b_ris.size
-    eta, (rho1, c, y) = _excess("mmse", ctx, m, _kernel_terms("mmse", ctx, [m], a_max).read(0),
-                                _over(p_out, ctx.p_in_bar), a_max)
+    terms = _kernel_terms("mmse", ctx, [m], a_max).read(0) if terms is None else terms
+    eta, (rho1, c, y) = _excess("mmse", ctx, m, terms, _over(p_out, ctx.p_in_bar), a_max)
     # B^H D B = (sigma1^2 I + sum_k zeta_k p_k q_k q_k^H) / sigma2^2 since |b_g| = 1;
     # Woodbury: (c I + U W U^H)^-1 q_0 = q_0 / c - U y / c^2
     q = los.b_ris.conj() * (np.sqrt(ctx.beta_f)[:, np.newaxis] * los.a_f)
@@ -372,7 +398,7 @@ class Design(NamedTuple):
 def coefficients(method: str, scenario, m: int, p_out: float | None,
                  channels: chan.ChannelSet | None = None, *,
                  init_phi: np.ndarray | None = None, max_iter: int = WMMSE_MAX_ITER,
-                 ctx: ClosedFormContext | None = None) -> Design:
+                 ctx: ClosedFormContext | None = None, terms: tuple | None = None) -> Design:
     """Reflecting coefficients of ``method`` for an m-element surface.
 
     The one map from a method name to its solver, shared by simulate,
@@ -382,7 +408,8 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
     scenario's LoS channels at m elements when none are given, for at most
     max_iter outer iterations; a WMMSE warm start ``init_phi`` is first
     scaled into feasibility. The closed forms (mf, zf, mmse, passive) take
-    their excess from ``ctx`` (else the scenario's context) and their
+    their excess from ``ctx`` (else the scenario's context) and the count's
+    ``terms`` (``CountTerms.read``: the planner's, else built here), and their
     coefficients from the m-element LoS factors of ``channels`` (which must
     be LoS), else from the scenario's.
     """
@@ -421,9 +448,9 @@ def coefficients(method: str, scenario, m: int, p_out: float | None,
         rcm = Rcm(phi=np.exp(1j * mf_phases(los.b_ris, los.a_f[0])), mode="passive-unit",
                   a_max=1.0)
         ctx = dataclasses.replace(ctx, sigma1_sq=rcm.sigma1_sq(scenario.noise()))
-        return Design(rcm, float(passive_mf_eta(ctx, m)))
+        return Design(rcm, float(passive_mf_eta(ctx, m) if terms is None else terms[0]))
     sol = (mf_phi if method == "mf" else zf_phi if method == "zf" else mmse_phi)(
-        ctx, los, a_max, p_out)
+        ctx, los, a_max, p_out, terms)
     if method == "mmse":  # the relaxed norm-ball solution may exceed the per-element cap
         return Design(Rcm(phi=sol.phi, mode="active", a_max=np.inf), sol.eta)
     return Design(Rcm(phi=sol.phi, mode="active", a_max=a_max, p_out_budget=p_out), sol.eta)
@@ -481,24 +508,28 @@ def _least_budget_at(method: str, ctx: ClosedFormContext, m: int, terms, eta0: f
     output power until the amplitude cap, so the power ratio p_out / p_in
     that reaches eta0 is a root, and the circuit power is added; infinite
     when even the cap stays at or below eta0, a NumericalError when the
-    excess cannot be inverted.
+    excess cannot be inverted or its root stops at brentq's iteration cap.
     """
     def excess(t: float) -> float:  # at p_out / p_in = 1/t, falling in t
         return _excess(method, ctx, m, terms, 1.0 / t if t > 0 else math.inf, a_max)[0]
 
-    if not excess(0.0) > eta0:
+    if not (cap := excess(0.0)) > eta0:
         return math.inf
 
-    def short(t: float) -> float:  # eta0 / eta - 1, rising in t
-        return eta0 / excess(t) - 1.0
+    def short(t: float) -> float:  # eta0 / eta - 1, rising in t; brentq starts at t = 0
+        return eta0 / (excess(t) if t > 0 else cap) - 1.0
 
     # 1/eta is concave and near linear in t; with the interferers silent
     # eta would be N beta_g p_0 ||q_0||^2 / (sigma2^2 (t + const)), a bound
     t_hi = ctx.n_antennas * ctx.beta_g * ctx.p[0] * ctx.beta_f[0] * m / (ctx.sigma2_sq * eta0)
     while math.isfinite(t_hi) and t_hi > 0 and short(t_hi) < 0:  # rounding only
         t_hi *= 2.0
-    ratio = 1.0 / brentq(short, 0.0, t_hi, xtol=1e-300, rtol=1e-13, disp=False) \
-        if math.isfinite(t_hi) and t_hi > 0 else math.nan
+    root, info = brentq(short, 0.0, t_hi, xtol=1e-300, rtol=1e-13, full_output=True,
+                        disp=False) if math.isfinite(t_hi) and t_hi > 0 else (math.nan, None)
+    if info is not None and not info.converged:
+        raise NumericalError(f"{method}: the excess at M = {m} cannot be inverted for the "
+                             f"budget (no root within {info.iterations} iterations)")
+    ratio = 1.0 / root
     if not 0 <= ratio < math.inf:
         raise NumericalError(f"{method}: the excess at M = {m} cannot be inverted for the "
                              f"budget (output-power ratio {ratio})")
@@ -547,6 +578,7 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     # from BLOCK_COUNTS counts while their terms take at most BLOCK_ENTRIES, ``entries`` a count.
     entries = (k + 1) ** 2 if method in ("zf", "mmse") else k + 1
     kept: dict[int, CountTerms] = {}
+    kept_entries = 0
 
     def walk(m_cap: int):
         """(b, block b's counts, those up to m_cap) per block that holds one, drawn afresh."""
@@ -561,40 +593,43 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
     def terms(b: int, block: np.ndarray) -> CountTerms:
         """Block b's terms, built at its first read and kept while the kept terms hold at
         most BLOCK_ENTRIES * BLOCK_COUNTS entries; past that, built again at every read."""
+        nonlocal kept_entries
         if b in kept:
             return kept[b]
         got = CountTerms((passive_mf_eta(ctx, block),), {}) if method == "passive" \
             else _kernel_terms(method, ctx, block, a_max)
-        if sum(np.size(t) for c in (*kept.values(), got) for t in c.terms) \
-                <= BLOCK_ENTRIES * BLOCK_COUNTS:
-            kept[b] = got
+        size = sum(np.size(t) for t in got.terms)
+        if kept_entries + size <= BLOCK_ENTRIES * BLOCK_COUNTS:
+            kept[b], kept_entries = got, kept_entries + size
         return got
+
+    def first_best(best: tuple, etas: np.ndarray, ms: np.ndarray) -> tuple:
+        """best, or the first maximum of etas (at counts ms) where that beats it."""
+        i = int(np.argmax(etas))
+        return (float(etas[i]), int(ms[i]), None) if etas[i] > best[0] else best
 
     def probe(p: float) -> tuple[float, int, Rcm | None]:
         """The first best (excess, count) budget p affords, and wmmse's coefficients."""
         best = (0.0, 0, None)
         for b, block, ms in walk(power.passive_m(p) if method == "passive" else power.m_max(p)):
             if method == "passive":
-                etas, i0 = terms(b, block).terms[0][:ms.size], 0
-            else:
-                p_out = power.p_out_budget(p, ms)
-                # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
-                live = np.flatnonzero((p_out > 0) & (ms >= (k + 1 if method == "zf" else 0)))
-                if not live.size:
-                    continue
-                if method == "wmmse":
-                    for m, p_m in zip(ms[live].tolist(), p_out[live].tolist()):
-                        res = coefficients(method, scenario, m, p_m, init_phi=warm.get(m))
-                        warm[m] = res.rcm.phi
-                        if res.eta > best[0]:
-                            best = (res.eta, m, res.rcm)
-                    continue
-                i0, i1 = int(live[0]), int(live[-1]) + 1
-                etas = _excess(method, ctx, ms[i0:i1], terms(b, block).read(slice(i0, i1)),
-                               _over(p_out[i0:i1], p_in), a_max)[0]
-            i = int(np.argmax(etas))
-            if etas[i] > best[0]:
-                best = (float(etas[i]), int(ms[i0 + i]), None)
+                best = first_best(best, terms(b, block).terms[0][:ms.size], ms)
+                continue
+            p_out = power.p_out_budget(p, ms)
+            # p_out falls with m and zf needs m >= K+1: the counts read are one run of ms
+            live = np.flatnonzero((p_out > 0) & (ms >= (k + 1 if method == "zf" else 0)))
+            if not live.size:
+                continue
+            if method == "wmmse":
+                for m, p_m in zip(ms[live].tolist(), p_out[live].tolist()):
+                    res = coefficients(method, scenario, m, p_m, init_phi=warm.get(m))
+                    warm[m] = res.rcm.phi
+                    if res.eta > best[0]:
+                        best = (res.eta, m, res.rcm)
+                continue
+            run = slice(int(live[0]), int(live[-1]) + 1)
+            best = first_best(best, _excess(method, ctx, ms[run], terms(b, block).read(run),
+                                            _over(p_out[run], p_in), a_max)[0], ms[run])
         return best
 
     scans: dict[float, tuple[float, int, Rcm | None]] = {}
@@ -612,18 +647,42 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         return scans[p]
 
     p_star = math.inf  # wmmse inverts nothing: every probe is scanned
-    if method == "passive":
-        above = ((block, terms(b, block).terms[0] > eta0) for b, block, _ in walk(m_top))
-        m_1 = next((int(block[np.argmax(up)]) for block, up in above if up.any()), math.inf)
-        p_star = m_1 * power.p_c  # the least budget that affords m_1 elements
-    elif method in CLOSED_FORMS:
-        for b, block, j, m in ((b, block, j, m) for b, block, _ in walk(m_top)
-                               for j, m in enumerate(block.tolist())):
+
+    def least(b: int, block: np.ndarray) -> bool:
+        """Lower p* to p_m at each count of block b whose cap excess beats eta0, screened
+        by one stacked excess; True once a count's circuit power alone reaches p*."""
+        nonlocal p_star
+        got = caps = None
+        for j, m in enumerate(block.tolist()):
             if power.p_out_budget(min(p_star, p_high), m) <= 0:
-                break  # p_m > m (p_c + p_dc) >= p*, and counts only grow
-            if not (method == "zf" and m < k + 1):
-                p_star = min(p_star, _least_budget_at(method, ctx, m, terms(b, block).read(j),
-                                                      eta0, a_max))
+                return True  # p_m > m (p_c + p_dc) >= p*, and counts only grow
+            if method == "zf" and m < k + 1:
+                continue
+            if got is None:
+                got = terms(b, block)
+                # a singular stacked solve leaves each count to its own read, as it is reached
+                with contextlib.suppress(NumericalError):
+                    caps = _excess(method, ctx, block, got.terms, math.inf, a_max)[0]
+            cap = caps[j] if caps is not None and j not in got.errors else \
+                _excess(method, ctx, m, got.read(j), math.inf, a_max)[0]  # a read raises its error
+            if cap > eta0:
+                p_star = min(p_star, _least_budget_at(method, ctx, m, got.read(j), eta0, a_max))
+        return False
+
+    if method == "passive":
+        best = (0.0, 0, None)
+        for b, block, _ in walk(m_top):
+            etas = terms(b, block).terms[0]
+            if (up := etas > eta0).any():
+                p_star = int(block[np.argmax(up)]) * power.p_c  # the least budget affording m_1
+                break
+            best = first_best(best, etas, block)
+        else:  # no count beats eta0: the walk read every count p_high affords, as its scan would
+            scans[p_high] = best
+    elif method in CLOSED_FORMS:
+        for b, block, _ in walk(m_top):
+            if least(b, block):
+                break
 
     def beats(p: float) -> bool:
         """p > p* outside the guard band around p*; inside it (always for p* = inf), a scan."""
@@ -654,9 +713,11 @@ def required_budget(method: str, pd_target: float, scenario) -> BudgetResult:
         raise NumericalError(f"the end scans contradict the inverted budget p* = {p_star!r} W: "
                              f"p_low = {p_low!r} W, p_top = {p_top!r} W")
     eta_star, m_star, rcm_star = scan(p_top)
-    if method != "wmmse":  # the one emission: p_top's probe records its excess
+    if method != "wmmse":  # the one emission, from the walk's terms: p_top's probe records it
+        b, block, ms = collections.deque(walk(m_star), maxlen=1).pop()  # m_star's block
         res = coefficients(method, scenario, m_star, None if method == "passive"
-                           else power.p_out_budget(p_top, m_star), ctx=ctx)
+                           else power.p_out_budget(p_top, m_star), ctx=ctx,
+                           terms=terms(b, block).read(ms.size - 1))
         eta_star, rcm_star = res.eta, res.rcm
         scans[p_top] = (eta_star, m_star, rcm_star)
     note = ""

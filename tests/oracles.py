@@ -470,6 +470,18 @@ def q_matrix(channels: ChannelSet) -> np.ndarray:
     return (channels.los.b_ris.conj() * channels.f).T
 
 
+def dense_zf_peak(channels: ChannelSet, coef: np.ndarray) -> tuple[float, float]:
+    """max_i |w_i| of w = Q coef over the m elements of a LoS channel set, and its scale.
+
+    Each w_i sums its rounded products coef_k q_k,i exactly (``math.fsum`` on the
+    real and the imaginary parts), so it errs from the exact sum by at most
+    about one unit in the last place of the scale max_i sum_k |coef_k q_k,i|.
+    """
+    products = q_matrix(channels) * coef
+    w = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in products])
+    return float(np.max(np.abs(w))), float(np.max(np.sum(np.abs(products), axis=1)))
+
+
 def big_d(ctx: ClosedFormContext, channels: ChannelSet) -> np.ndarray:
     """D = (sigma1^2 I + sum_k zeta_k p_k f_k f_k^H) / sigma2^2 over interferers, dense.
 

@@ -1,23 +1,27 @@
 import dataclasses
+import functools
 import math
 import signal
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import make_noise, make_sources
-from oracles import (big_d, c0, c2, eta_active_no_interference, eta_passive, optimal_amplitude,
-                     optimal_m, passive_m_for_eta, q_gain, q_matrix, scan_per_probe_budget,
-                     vector_excess, xi)
+from oracles import (big_d, c0, c2, dense_zf_peak, eta_active_no_interference, eta_passive,
+                     optimal_amplitude, optimal_m, passive_m_for_eta, q_gain, q_matrix,
+                     scan_per_probe_budget, vector_excess, xi)
 from risense import budget as bdg
+from risense import cli
 from risense import channel as chan
 from risense import sensing as sns
 from risense.errors import ConfigError, InfeasibleError, NumericalError, RisenseError
 from risense.harness import ScenarioConfig, _swept_scenario, load_scenario
-from risense.optimizer import Rcm
+from risense.optimizer import FEAS_RTOL, Rcm
 
 LOS_BUDGET = Path(__file__).resolve().parents[1] / "configs" / "los_budget.yaml"
 REFERENCE = dict(p_c=1e-4, p_dc=10 ** (-3.5), sigma1_sq=1e-11, sigma2_sq=1e-11, p0=1.0)
@@ -721,10 +725,28 @@ class TestPlannerInversion:
             return least(method, ctx, m, terms, eta0, a_max)
 
         monkeypatch.setattr(bdg, "_least_budget_at", recording)
-        monkeypatch.setattr(bdg, "brentq", lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(bdg, "brentq", lambda *args, **kwargs: (
+            math.nan, SimpleNamespace(converged=True, iterations=1)))
         with pytest.raises(NumericalError) as err:
             bdg.required_budget("mmse", sc.pd_target, sc)
         assert f"mmse: the excess at M = {counts[-1]} cannot be inverted" in str(err.value)
+
+    @pytest.mark.parametrize("method", bdg.CLOSED_FORMS)
+    def test_a_root_at_the_iteration_cap_is_a_numerical_error(self, monkeypatch, method, capsys):
+        # two brentq iterations cannot reach rtol = 1e-13: the root stops at the cap
+        counts = []
+        least = bdg._least_budget_at
+        monkeypatch.setattr(bdg, "_least_budget_at", lambda method, ctx, m, *rest: (
+            counts.append(m), least(method, ctx, m, *rest))[1])
+        monkeypatch.setattr(bdg, "brentq", functools.partial(scipy.optimize.brentq, maxiter=2))
+        sc = load_scenario(str(LOS_BUDGET))
+        with pytest.raises(NumericalError, match=rf"^{method}: the excess at M = \d+ cannot be "
+                                                 r"inverted for the budget \(no root within "
+                                                 r"2 iterations\)$") as err:
+            bdg.required_budget(method, sc.pd_target, sc)
+        assert f"M = {counts[-1]} " in str(err.value)
+        code = cli.main(["budget", "--config", str(LOS_BUDGET), "--method", method])
+        assert code == 4 and "no root within 2 iterations" in capsys.readouterr().err
 
     def test_a_plan_makes_a_tenth_of_the_scanning_calls(self, monkeypatch):
         # scanning every count at every probe made 2,634 closed-form calls
@@ -838,6 +860,33 @@ class TestCountBlocks:
         with pytest.raises(NumericalError, match=f"^count {want.m_star}$"):
             bdg.required_budget("zf", sc.pd_target, sc)
 
+    def test_a_singular_solve_at_a_count_never_read_does_not_abort_the_plan(self, monkeypatch):
+        # the p* walk screens a whole block in one stacked mmse solve, counts past its end
+        # included: a singular system there must not end the plan, as the counts' own reads
+        # would never have met it
+        sc = load_scenario(str(LOS_BUDGET))
+        want = bdg.required_budget("mmse", sc.pd_target, sc)
+        kernel_terms, solve = bdg._kernel_terms, np.linalg.solve
+
+        def singular(above):
+            def terms(method, ctx, ms, a_max):  # a NaN Gram block marks a singular system
+                got = kernel_terms(method, ctx, ms, a_max)
+                got.terms[1][np.asarray(ms) > above] = np.nan
+                return got
+            return terms
+
+        def marked_solve(a, b):
+            if np.isnan(a).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", marked_solve)
+        monkeypatch.setattr(bdg, "_kernel_terms", singular(want.m_star))
+        assert plan_bytes(bdg.required_budget("mmse", sc.pd_target, sc)) == plan_bytes(want)
+        monkeypatch.setattr(bdg, "_kernel_terms", singular(want.m_star - 1))
+        with pytest.raises(NumericalError, match="^MMSE system is singular$"):
+            bdg.required_budget("mmse", sc.pd_target, sc)
+
     def test_blocks_stay_within_the_entry_cap(self, monkeypatch):
         # 400 interferers: one (401 x 401) Gram per block; 0.01 W affords 24 elements
         sc = dataclasses.replace(_swept_scenario(load_scenario(str(LOS_BUDGET)), "k", 400),
@@ -849,6 +898,45 @@ class TestCountBlocks:
         with pytest.raises(InfeasibleError, match="unreachable with budget 0.01 W"):
             bdg.required_budget("mmse", 0.9, sc)
         assert len(entries) >= 24 and max(entries) <= bdg.BLOCK_ENTRIES
+
+
+class TestZfPeaks:
+    """Zero-forcing's per-count peaks max |w_i|, evaluated for a block of counts at once."""
+
+    @staticmethod
+    def cell(name: str):
+        los = load_scenario(str(LOS_BUDGET))
+        return _swept_scenario(los, "k", 20) if name == "k20" else dataclasses.replace(los, m_v=2)
+
+    @pytest.mark.parametrize("name", ["k20", "m_v2"])
+    def test_the_stacked_peaks_match_the_dense_vectors(self, name):
+        # K = 20 cancels: the terms of w reach 7e4 times |w|, so the bound is a few units
+        # in the last place of the terms' scale, not of |w| (at most 2.6 seen)
+        sc = self.cell(name)
+        ctx = bdg.ClosedFormContext.from_scenario(sc)
+        block = np.array(list(bdg._m_ladder(1200, m_v=sc.m_v)))
+        got = bdg._kernel_terms("zf", ctx, block, sc.a_max)
+        ok = [i for i in range(block.size) if i not in got.errors]
+        assert len(ok) > 100
+        peaks = ctx.steering_peaks(block[ok], got.terms[2][ok])
+        for m, coef, peak in zip(block[ok].tolist(), got.terms[2][ok], peaks):
+            channels = chan.build_los_channelset(dataclasses.replace(sc, m_h=m // sc.m_v))
+            dense, scale = dense_zf_peak(channels, coef)
+            assert abs(peak - dense) <= 4 * np.finfo(float).eps * scale, (m, peak, dense)
+
+    @pytest.mark.parametrize("name", ["k20", "m_v2"])
+    def test_the_emitted_coefficients_keep_the_amplitude_cap(self, name):
+        # a budget far past every cap: rho2 is the cap, so the peak element sits at a_max
+        sc = dataclasses.replace(self.cell(name), a_max=2.0)
+        ctx = bdg.ClosedFormContext.from_scenario(sc)
+        counts = [m for m in bdg._m_ladder(1200, m_v=sc.m_v) if m > 100]
+        for m in counts:
+            phi = bdg.coefficients("zf", sc, m, 1e3, ctx=ctx).rcm.phi
+            assert np.max(np.abs(phi)) <= sc.a_max * (1 + FEAS_RTOL), m
+            assert np.max(np.abs(phi)) >= sc.a_max * (1 - FEAS_RTOL), m
+        if name == "m_v2":  # the K = 20 plan reaches an ill-conditioned count and exits 4
+            res = bdg.required_budget("zf", sc.pd_target, sc)
+            assert np.max(np.abs(res.phi_star.phi)) <= sc.a_max * (1 + FEAS_RTOL)
 
 
 def plan_bytes(res: bdg.BudgetResult) -> tuple:
@@ -880,19 +968,39 @@ class TestCountWalk:
         calls = kernel_counts(monkeypatch)
         with pytest.raises(InfeasibleError, match="unreachable with budget 0.3 W"):
             bdg.required_budget("passive", 0.9, sc)
-        # every count once, across the p* walk and the scan at p_high, in blocks of at
-        # most BLOCK_ENTRIES array-factor entries (K a count)
+        # every count once, in the p* walk that also finds p_high's best excess, in blocks
+        # of at most BLOCK_ENTRIES array-factor entries (K a count)
         assert np.concatenate(calls).tolist() == list(range(1, 3000))
         assert max(m.size * 400 for m in calls) <= bdg.BLOCK_ENTRIES
 
-    @pytest.mark.parametrize("method", ["passive", "mf"])
+    @pytest.mark.parametrize("method", ["passive", "mf", "zf", "mmse"])
     def test_no_count_is_evaluated_twice(self, monkeypatch, method):
+        # the p* walk, the scans and the emission read each count's terms from one build
         sc = load_scenario(str(LOS_BUDGET))
-        calls = kernel_counts(monkeypatch)
+        calls = kernel_counts(monkeypatch) if method in ("passive", "mf") else []
+        if method in ("zf", "mmse"):
+            kernel_terms = bdg._kernel_terms
+            monkeypatch.setattr(bdg, "_kernel_terms", lambda method, ctx, ms, a_max: (
+                calls.append(np.asarray(ms)), kernel_terms(method, ctx, ms, a_max))[1])
         res = bdg.required_budget(method, sc.pd_target, sc)
         counts = np.concatenate(calls).tolist()
-        counts.remove(res.m_star)  # the emission's coefficients evaluate m_star once more
         assert len(counts) == len(set(counts)) and res.m_star in counts
+
+    def test_an_infeasible_passive_plan_past_the_bound_reads_each_count_once(self, monkeypatch):
+        # interferers at 1e22 W: none of the 1,000 counts 0.1 W affords is enough; a bound of
+        # 40 entries keeps 40 excesses, so every later block is built once and dropped
+        sc = dataclasses.replace(load_scenario(str(LOS_BUDGET)), bisect_p_high=0.1,
+                                 p_w=(1.0,) + (1e22,) * 5)
+        with pytest.raises(InfeasibleError) as want:
+            scan_per_probe_budget("passive", 0.9, sc)
+        monkeypatch.setattr(bdg, "BLOCK_COUNTS", 1)
+        monkeypatch.setattr(bdg, "BLOCK_ENTRIES", 40)
+        calls = kernel_counts(monkeypatch)
+        with pytest.raises(InfeasibleError, match="unreachable with budget 0.1 W") as err:
+            bdg.required_budget("passive", 0.9, sc)
+        assert np.concatenate(calls).tolist() == list(range(1, 1001))
+        assert len(calls) > 100  # blocks of at most 6 counts
+        assert str(err.value) == str(want.value)  # the message reports the walk's first best
 
     def test_the_kept_terms_stay_within_their_bound(self, monkeypatch):
         # a bound of 40 entries keeps 40 counts of mf or passive terms, 5 of zf's (K + 3
